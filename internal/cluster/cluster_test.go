@@ -6,8 +6,14 @@ package cluster
 // mid-churn loses zero acked mutations.
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +350,71 @@ func TestReplicaBootRecovery(t *testing.T) {
 	}
 }
 
+// shardAnswers is what one member answers for a shard: the sums of an
+// all-ones treefix (subtree sizes) and a fixed LCA batch.
+type shardAnswers struct {
+	Sums    []int64
+	Answers []int
+}
+
+// queryShard asks member via for shard id's answers over its binary
+// listener and over its HTTP handler. Both are the public client
+// surfaces: a member that does not own the shard must proxy.
+func queryShard(t *testing.T, via *testNode, id string, n int) (bin, js shardAnswers) {
+	t.Helper()
+	vals := make([]int64, n)
+	lcaWire := make([]wire.LCAQuery, n)
+	lcaJSON := make([]server.LCAQuery, n)
+	for i := range vals {
+		vals[i] = 1
+		lcaWire[i] = wire.LCAQuery{U: i, V: n - 1 - i}
+		lcaJSON[i] = server.LCAQuery{U: i, V: n - 1 - i}
+	}
+
+	cl, err := wire.Dial(via.addr, wire.DialOptions{DialTimeout: time.Second})
+	if err != nil {
+		t.Fatalf("dial %s: %v", via.addr, err)
+	}
+	defer cl.Close()
+	sums, err := cl.Do(&wire.Query{ShardID: id, Kind: wire.KindTreefix, Vals: vals})
+	if err != nil {
+		t.Fatalf("wire treefix %s via %s: %v", id, via.addr, err)
+	}
+	lcas, err := cl.Do(&wire.Query{ShardID: id, Kind: wire.KindLCA, Queries: lcaWire})
+	if err != nil {
+		t.Fatalf("wire lca %s via %s: %v", id, via.addr, err)
+	}
+	bin = shardAnswers{Sums: sums.Sums, Answers: lcas.Answers}
+
+	hs := httptest.NewServer(via.srv.Handler())
+	defer hs.Close()
+	post := func(req server.QueryRequest) server.QueryResponse {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/dyn/"+id+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("http %s query %s via %s: %v", req.Kind, id, via.addr, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("http %s query %s via %s: %d %s", req.Kind, id, via.addr, resp.StatusCode, msg)
+		}
+		var qr server.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	js = shardAnswers{
+		Sums:    post(server.QueryRequest{Kind: "treefix", Vals: vals}).Sums,
+		Answers: post(server.QueryRequest{Kind: "lca", Queries: lcaJSON}).Answers,
+	}
+	return bin, js
+}
+
 // TestRoutedCreateAndQuery: creations route to the hash-chosen owner no
 // matter which member takes the request, and every member answers
 // queries for every shard (proxying when it is not the owner).
@@ -376,6 +447,21 @@ func TestRoutedCreateAndQuery(t *testing.T) {
 			}
 			if r.Epoch != uint64(j+1) {
 				t.Fatalf("mutate %s via %s: epoch %d, want %d", res.ID, via.addr, r.Epoch, j+1)
+			}
+		}
+		// Every member answers queries for the shard over both client
+		// surfaces, with exactly the owner's answers.
+		n := res.N + len(nodes)
+		want, _ := queryShard(t, ownerTN, res.ID, n)
+		if len(want.Sums) != n || want.Sums[0] != int64(n) {
+			t.Fatalf("owner %s: treefix sums %v, want the root's subtree size %d first", ownerTN.addr, want.Sums, n)
+		}
+		for _, via := range nodes {
+			bin, js := queryShard(t, via, res.ID, n)
+			for proto, got := range map[string]shardAnswers{"wire": bin, "http": js} {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %s via %s over %s = %+v, want the owner's %+v", res.ID, via.addr, proto, got, want)
+				}
 			}
 		}
 	}

@@ -594,22 +594,18 @@ func (n *Node) handbackMutate(hb *handback, id string, key uint64, op uint8, arg
 	}
 }
 
-// handbackQuery is handbackMutate's read-side twin. handled == false
-// hands the (now reconciled) query to the server's local path.
-func (n *Node) handbackQuery(hb *handback, id string, req *server.QueryRequest) (*server.QueryResponse, bool, error) {
+// handbackQuery is handbackMutate's read-side twin. A nil result with a
+// nil error hands the (now reconciled) query to the server's local path.
+func (n *Node) handbackQuery(hb *handback, q *wire.Query) (*wire.Result, error) {
 	if addr := hb.successor(); addr != "" {
 		if c, err := n.client(addr); err == nil {
-			q, qerr := server.WireQueryFromRequest(0, id, req)
-			if qerr != nil {
-				return nil, true, qerr
-			}
-			res, err := c.Do(q)
+			res, err := forwardQuery(c, q)
 			if err == nil {
-				return server.QueryResponseFromWire(res), true, nil
+				return res, nil
 			}
 			if serr := fromWireError(err); serr != nil {
 				if server.Classify(serr) != server.StatusNotFound {
-					return nil, true, serr
+					return nil, serr
 				}
 			} else {
 				n.markDown(addr)
@@ -618,11 +614,11 @@ func (n *Node) handbackQuery(hb *handback, id string, req *server.QueryRequest) 
 	}
 	select {
 	case <-hb.done:
-		return nil, false, nil
+		return nil, nil
 	case <-n.stop:
-		return nil, true, server.Errf(server.StatusUnavailable, "cluster: node shutting down")
+		return nil, server.Errf(server.StatusUnavailable, "cluster: node shutting down")
 	case <-time.After(handbackWait):
-		return nil, true, server.Errf(server.StatusUnavailable,
-			"cluster: shard %s is reconciling ownership after a restart (handback in progress)", id)
+		return nil, server.Errf(server.StatusUnavailable,
+			"cluster: shard %s is reconciling ownership after a restart (handback in progress)", q.ShardID)
 	}
 }

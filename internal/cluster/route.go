@@ -296,20 +296,21 @@ func (n *Node) shipSnapshot(addr, id string) error {
 	return nil
 }
 
-// ShardQuery implements server.ClusterHooks. handled == false hands the
-// query back to the server's local zero-conversion path — the shard is
+// ShardQuery implements server.ClusterHooks. A nil result with a nil
+// error hands the query back to the server's local path — the shard is
 // (possibly just promoted to be) served here, or is a node-local
 // non-cluster id.
-func (n *Node) ShardQuery(id string, req *server.QueryRequest) (*server.QueryResponse, bool, error) {
+func (n *Node) ShardQuery(q *wire.Query) (*wire.Result, error) {
+	id := q.ShardID
 	key, ok := shardKey(id)
 	if !ok {
-		return nil, false, nil
+		return nil, nil
 	}
 	if hb := n.handbackFor(id); hb != nil {
-		return n.handbackQuery(hb, id, req)
+		return n.handbackQuery(hb, q)
 	}
 	if _, served := n.srv.DynShard(id); served {
-		return nil, false, nil // served here (owner or surrogate): local fast path
+		return nil, nil // served here (owner or surrogate): local path
 	}
 	for attempt := 0; attempt <= len(n.peers); attempt++ {
 		owner, ok := n.ring.Owner(key, n.alive)
@@ -317,34 +318,35 @@ func (n *Node) ShardQuery(id string, req *server.QueryRequest) (*server.QueryRes
 			break
 		}
 		if owner == n.cfg.Self {
-			if err := n.promote(id); err != nil {
-				return nil, true, err
-			}
-			return nil, false, nil
+			return nil, n.promote(id)
 		}
 		if n.cfg.Redirect {
-			return nil, true, server.RedirectTo(owner)
+			return nil, server.RedirectTo(owner)
 		}
 		c, err := n.client(owner)
 		if err != nil {
 			continue
 		}
-		q, err := server.WireQueryFromRequest(0, id, req)
-		if err != nil {
-			return nil, true, err
-		}
-		res, err := c.Do(q)
+		res, err := forwardQuery(c, q)
 		if err != nil {
 			if serr := fromWireError(err); serr != nil {
-				return nil, true, serr
+				return nil, serr
 			}
 			n.markDown(owner)
 			continue
 		}
-		return server.QueryResponseFromWire(res), true, nil
+		return res, nil
 	}
-	return nil, true, server.Errf(server.StatusUnavailable,
+	return nil, server.Errf(server.StatusUnavailable,
 		"cluster: no live owner for shard %s", id)
+}
+
+// forwardQuery sends q to a peer as a shallow copy: Do assigns the copy
+// an id on the peer connection, and q keeps the one its caller answers
+// with.
+func forwardQuery(c *wire.Client, q *wire.Query) (*wire.Result, error) {
+	fq := *q
+	return c.Do(&fq)
 }
 
 // promote makes an owned-by-ring shard locally served: a no-op when it

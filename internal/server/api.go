@@ -180,7 +180,9 @@ type ClusterStatus struct {
 	Conflicts []ClusterConflict `json:"conflicts,omitempty"`
 }
 
-// ServerMetrics reports the HTTP layer's counters.
+// ServerMetrics reports the admission layer's counters. Both listeners
+// feed them: HTTP requests and client-originated binary frames pass the
+// same bounded queue.
 type ServerMetrics struct {
 	Accepted  uint64 `json:"accepted"`
 	Rejected  uint64 `json:"rejected"`
@@ -298,9 +300,10 @@ type WireMetrics struct {
 	// ActiveConns is the current count.
 	Conns       uint64 `json:"conns"`
 	ActiveConns int    `json:"active_conns"`
-	// Queries counts query frames answered (with any status);
-	// Errors counts protocol-level failures (corrupt frames, unknown
-	// frame kinds) that terminated a connection.
+	// Queries counts client-originated frames answered (query,
+	// DynCreate and Mutate, with any status); Errors counts
+	// protocol-level failures (corrupt frames, unknown frame kinds) that
+	// terminated a connection.
 	Queries uint64 `json:"queries"`
 	Errors  uint64 `json:"errors"`
 }

@@ -59,12 +59,12 @@ type ClusterHooks interface {
 	// a non-owner it proxies or returns a redirect error.
 	Mutate(shardID string, op uint8, arg int) (MutateResult, error)
 
-	// ShardQuery routes a dyn-shard query. handled == false means the
-	// shard is (or should be) local: the caller serves it from its own
-	// table, keeping the zero-conversion fast path. handled == true
-	// means the hook produced the response (proxied) or the error
-	// (redirect, owner unreachable).
-	ShardQuery(shardID string, req *QueryRequest) (resp *QueryResponse, handled bool, err error)
+	// ShardQuery routes a query for a dyn shard (q.ShardID) this node
+	// does not serve. It returns the owner's result (proxied) or an
+	// error (redirect, owner unreachable); a nil result with a nil error
+	// means the shard is (or should be) local — the caller serves it
+	// from its own table. q belongs to the caller: forward a copy.
+	ShardQuery(q *wire.Query) (*wire.Result, error)
 
 	// ApplySnapshot and ApplyRecords are the follower half of the
 	// replication conversation (FrameRepSnapshot / FrameRepRecords):

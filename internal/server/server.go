@@ -1,5 +1,9 @@
-// Package server exposes the batched query engines over HTTP/JSON: the
-// serving subsystem behind cmd/spatialtreed. It separates request
+// Package server exposes the batched query engines to clients: the
+// serving subsystem behind cmd/spatialtreed. Two codecs — HTTP/JSON
+// (this file) and the binary protocol (tcp.go) — decode requests onto
+// one query path: every query becomes a wire.Query, passes one
+// admission check and runs through serveQuery, and its wire.Result is
+// encoded back by the codec it came from. The server separates request
 // arrival from batch execution the way the paper separates layout
 // construction from kernel runs — handlers enqueue work and wait on
 // futures while a per-shard adaptive scheduler (the engines' autoflush:
@@ -7,7 +11,7 @@
 // decides when simulator runs actually happen, so concurrent clients
 // hitting one tree coalesce into far fewer runs than requests.
 //
-// Endpoints:
+// HTTP endpoints:
 //
 //	POST /v1/trees          register an immutable tree → tree_id
 //	POST /v1/query          run treefix|topdown|lca|mincut on a tree
@@ -28,6 +32,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,8 +57,8 @@ import (
 	"spatialtree/internal/wire"
 )
 
-// Server serves the engines over HTTP. Construct with New; the zero
-// value is not usable.
+// Server serves the engines over HTTP/JSON and the binary protocol.
+// Construct with New; the zero value is not usable.
 type Server struct {
 	cfg     Config
 	pool    *engine.Pool
@@ -71,7 +76,7 @@ type Server struct {
 	accepted atomic.Uint64
 	rejected atomic.Uint64
 
-	// flightMu serializes request admission against Drain: enter checks
+	// flightMu serializes request admission against Drain: admit checks
 	// the draining flag and bumps inflight under it, so Drain can set
 	// the flag and wait for a moment when inflight is provably zero.
 	flightMu  sync.Mutex
@@ -151,7 +156,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/dyn", s.admitted(s.handleDynCreate))
 	s.mux.HandleFunc("GET /v1/dyn/{id}", s.handleDynStatus)
 	s.mux.HandleFunc("POST /v1/dyn/{id}/mutate", s.admitted(s.handleDynMutate))
-	s.mux.HandleFunc("POST /v1/dyn/{id}/query", s.admitted(s.handleDynQuery))
+	s.mux.HandleFunc("POST /v1/dyn/{id}/query", s.admitted(s.handleQuery))
 	s.mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -199,20 +204,44 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// enter registers an admitted request; it fails once draining started.
-func (s *Server) enter() bool {
+// The refusals admit classifies.
+var (
+	errQueueFull = statusErr(StatusTooMany, errors.New("request queue full"))
+	errDraining  = statusErr(StatusUnavailable, errors.New("server is draining"))
+)
+
+// admit is the bounded-queue admission every client-originated request
+// passes — an HTTP request before its body is read, a binary frame one
+// by one — so /metrics reports one serving truth for both listeners.
+// Beyond QueueLimit it refuses with errQueueFull (StatusTooMany:
+// backpressure the client can see); once Drain has started, with
+// errDraining (StatusUnavailable). An admitted request is tracked for
+// Drain and must be retired with release.
+//
+//spatialvet:errclass
+func (s *Server) admit() error {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.rejected.Add(1)
+		return errQueueFull
+	}
 	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
 	if s.draining.Load() {
-		return false
+		s.flightMu.Unlock()
+		<-s.sem
+		return errDraining
 	}
 	s.inflight++
-	return true
+	s.flightMu.Unlock()
+	s.accepted.Add(1)
+	return nil
 }
 
-// exit retires an admitted request, waking a waiting Drain when the
+// release retires an admitted request, waking a waiting Drain when the
 // last one leaves.
-func (s *Server) exit() {
+func (s *Server) release() {
+	<-s.sem
 	s.flightMu.Lock()
 	s.inflight--
 	if s.inflight == 0 && s.drainDone != nil {
@@ -222,29 +251,18 @@ func (s *Server) exit() {
 	s.flightMu.Unlock()
 }
 
-// admitted wraps a handler with admission control: requests beyond the
-// bounded queue are rejected with 429 (backpressure the client can see)
-// and everything admitted is tracked for Drain.
+// admitted wraps a handler with admit. Only HTTP refusals carry
+// Retry-After.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeStatus(w, StatusTooMany, "request queue full")
+		if err := s.admit(); err != nil {
+			if err == errQueueFull {
+				w.Header().Set("Retry-After", "1")
+			}
+			writeErr(w, err)
 			return
 		}
-		if !s.enter() {
-			<-s.sem
-			writeStatus(w, StatusUnavailable, "server is draining")
-			return
-		}
-		s.accepted.Add(1)
-		defer func() {
-			<-s.sem
-			s.exit()
-		}()
+		defer s.release()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.BodyLimit)
 		h(w, r)
 	}
@@ -372,154 +390,230 @@ type submitter interface {
 	SubmitExpr(*exprtree.Expr) *engine.Future
 }
 
-// checkQuery validates the cheap, tree-independent parts of a query —
-// kind and operator — so handlers can reject garbage before any shard
-// state is created or budget consumed. Keep its kind set in sync with
-// submit's dispatch below.
-//
-//spatialvet:errclass
-func checkQuery(req *QueryRequest) error {
-	switch req.Kind {
-	case "lca", "mincut", "expr":
-		return nil
-	case "treefix", "topdown":
-		if req.Op == "" {
-			return nil
-		}
-		_, err := treefix.OpByName(req.Op)
-		return err
-	default:
-		return badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
-	}
+// wireScratch holds the kernel-typed slices a wire.Query converts into.
+// A binary connection reuses one frame to frame — safe because it serves
+// serially and the engine releases its view of a request's inputs when
+// the batch retires; an HTTP request uses a fresh one.
+type wireScratch struct {
+	queries []lca.Query
+	edges   []mincut.Edge
+	kinds   []exprtree.NodeKind
 }
 
-// submit enqueues the request on the shard. It never runs kernel work
-// itself (beyond the size-trigger dispatch the scheduler may hand the
-// calling goroutine) — the returned future resolves when the shard's
-// scheduler flushes the batch. getTree supplies the shard's tree for
-// request kinds that need one to build their submission (expr); its
-// failure is a server-side error, never the client's.
+// checkQuery validates the tree-independent parts of a query — kind and
+// treefix/topdown operator — and resolves the operator. serveQuery runs
+// it before routing, so a request fault answers bad request whether or
+// not the addressed tree or shard exists, and before any shard state is
+// created or budget consumed.
 //
 //spatialvet:errclass
-func submit(sh submitter, req *QueryRequest, getTree func() (*tree.Tree, error)) (*engine.Future, error) {
-	switch req.Kind {
-	case "treefix", "topdown":
-		opName := req.Op
-		if opName == "" {
-			opName = "add"
-		}
-		op, err := treefix.OpByName(opName)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		if req.Kind == "treefix" {
-			return sh.SubmitTreefix(req.Vals, op), nil
-		}
-		return sh.SubmitTopDown(req.Vals, op), nil
-	case "lca":
-		qs := make([]lca.Query, len(req.Queries))
-		for i, q := range req.Queries {
-			qs[i] = lca.Query{U: q.U, V: q.V}
-		}
-		return sh.SubmitLCA(qs), nil
-	case "mincut":
-		es := make([]mincut.Edge, len(req.Edges))
-		for i, e := range req.Edges {
-			es[i] = mincut.Edge{U: e.U, V: e.V, W: e.W}
-		}
-		return sh.SubmitMinCut(es), nil
-	case "expr":
-		t, err := getTree()
-		if err != nil {
-			return nil, err
-		}
-		kinds := make([]exprtree.NodeKind, len(req.ExprKinds))
-		for i, k := range req.ExprKinds {
-			if k < 0 || k > int(exprtree.Mul) {
-				return nil, badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
+func checkQuery(q *wire.Query) (treefix.Op, error) {
+	if wire.KindName(q.Kind) == "" {
+		return treefix.Op{}, badRequest(fmt.Errorf("unknown query kind %d", q.Kind))
+	}
+	if q.Kind != wire.KindTreefix && q.Kind != wire.KindTopDown {
+		return treefix.Op{}, nil
+	}
+	return treefix.OpByName(cmp.Or(q.Op, "add"))
+}
+
+// serveQuery is the one query path: binary query frames, both HTTP
+// query endpoints (through handleQuery's JSON codec) and queries the
+// cluster tier hands back as local all run through it. It validates,
+// routes, submits, waits for the scheduler to dispatch the batch, and
+// fills res. Admission is the caller's: HTTP admits before reading the
+// body, the binary listener per frame. Errors classify through Classify:
+// the client's faults are bad requests, the server's internal.
+//
+//spatialvet:errclass
+func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratch) error {
+	op, err := checkQuery(q)
+	if err != nil {
+		return err
+	}
+
+	// Route. A shard id resolves in the local table, then through the
+	// cluster tier; a tree id or ad-hoc parents resolve through engineFor.
+	var (
+		sh submitter
+		de *engine.DynEngine
+		t  *tree.Tree
+	)
+	switch {
+	case q.ShardID != "":
+		de, _ = s.DynShard(q.ShardID)
+		if h := s.clusterHooks(); de == nil && h != nil {
+			r, err := h.ShardQuery(q)
+			if err != nil {
+				return err
 			}
-			kinds[i] = exprtree.NodeKind(k)
+			if r != nil {
+				*res = *r
+				res.ID = q.ID
+				return nil
+			}
+			// Handed back as local — possibly promoted from a replica
+			// just now — so look again.
+			de, _ = s.DynShard(q.ShardID)
+		}
+		if de == nil {
+			return statusErrf(StatusNotFound, "unknown shard_id %s", q.ShardID)
+		}
+		sh = de
+	case q.TreeID != "":
+		s.mu.Lock()
+		t = s.trees[q.TreeID]
+		s.mu.Unlock()
+		if t == nil {
+			return statusErrf(StatusNotFound, "unknown tree_id %s", q.TreeID)
+		}
+	case len(q.Parents) > 0:
+		if t, err = tree.FromParents(q.Parents); err != nil {
+			return badRequest(err)
+		}
+	default:
+		return badRequest(errors.New("shard_id, tree_id or parents required"))
+	}
+	if t != nil {
+		eng, retire, err := s.engineFor(t)
+		if err != nil {
+			return err
+		}
+		defer retire()
+		sh = eng
+	}
+
+	// Submit: the one conversion of a query into kernel types. It never
+	// runs kernel work itself (beyond the size-trigger dispatch the
+	// scheduler may hand the calling goroutine) — the future resolves
+	// when the shard's scheduler flushes the batch.
+	var fut *engine.Future
+	switch q.Kind {
+	case wire.KindTreefix:
+		fut = sh.SubmitTreefix(q.Vals, op)
+	case wire.KindTopDown:
+		fut = sh.SubmitTopDown(q.Vals, op)
+	case wire.KindLCA:
+		scratch.queries = scratch.queries[:0]
+		for _, lq := range q.Queries {
+			scratch.queries = append(scratch.queries, lca.Query(lq))
+		}
+		fut = sh.SubmitLCA(scratch.queries)
+	case wire.KindMinCut:
+		scratch.edges = scratch.edges[:0]
+		for _, e := range q.Edges {
+			scratch.edges = append(scratch.edges, mincut.Edge(e))
+		}
+		fut = sh.SubmitMinCut(scratch.edges)
+	case wire.KindExpr:
+		if de != nil {
+			// A dyn shard's tree changes with mutations: snapshot the
+			// current one. Failing to is the server's fault.
+			if t, err = de.Tree(); err != nil {
+				return err
+			}
+		}
+		scratch.kinds = scratch.kinds[:0]
+		for i, k := range q.ExprKinds {
+			if k > uint8(exprtree.Mul) {
+				return badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
+			}
+			scratch.kinds = append(scratch.kinds, exprtree.NodeKind(k))
 		}
 		// Length and shape invariants (full binary tree, leaf labeling)
 		// are SubmitExpr's validation, classified ErrInvalid there.
-		return sh.SubmitExpr(&exprtree.Expr{Tree: t, Kind: kinds, Val: req.Vals}), nil
-	default:
-		return nil, badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
+		fut = sh.SubmitExpr(&exprtree.Expr{Tree: t, Kind: scratch.kinds, Val: q.Vals})
 	}
+	r := fut.Wait()
+	if r.Err != nil {
+		return r.Err
+	}
+	*res = wire.Result{
+		ID:        q.ID,
+		Kind:      q.Kind,
+		Sums:      r.Sums,
+		Answers:   r.Answers,
+		MinWeight: r.MinCut.MinWeight,
+		ArgVertex: r.MinCut.ArgVertex,
+		Value:     r.Value,
+		Cost:      wire.Cost(r.Cost),
+	}
+	return nil
 }
 
-// serveQuery runs the shared tail of both query endpoints: enqueue,
-// wait for the scheduler to dispatch the batch, translate the result.
-// Errors render through Classify: the client's faults are 400s, the
-// server's 500s.
-func serveQuery(w http.ResponseWriter, sh submitter, req *QueryRequest, getTree func() (*tree.Tree, error)) {
-	fut, err := submit(sh, req, getTree)
+// handleQuery is the HTTP/JSON codec onto serveQuery, serving both
+// POST /v1/query and POST /v1/dyn/{id}/query (there the path's id
+// routes and tree_id/parents are ignored).
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !decode(w, r, &req) {
+		return
+	}
+	q, err := queryFromJSON(&req, r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	res := fut.Wait()
-	if res.Err != nil {
-		writeErr(w, res.Err)
+	var res wire.Result
+	if err := s.serveQuery(q, &res, &wireScratch{}); err != nil {
+		writeErr(w, err)
 		return
 	}
-	resp := QueryResponse{
-		Sums:    res.Sums,
-		Answers: res.Answers,
-		Cost:    Cost{Energy: res.Cost.Energy, Messages: res.Cost.Messages, Depth: res.Cost.Depth},
-	}
-	switch req.Kind {
-	case "mincut":
-		resp.MinCut = &MinCutResult{MinWeight: res.MinCut.MinWeight, ArgVertex: res.MinCut.ArgVertex}
-	case "expr":
+	resp := QueryResponse{Sums: res.Sums, Answers: res.Answers, Cost: Cost(res.Cost)}
+	switch res.Kind {
+	case wire.KindMinCut:
+		resp.MinCut = &MinCutResult{MinWeight: res.MinWeight, ArgVertex: res.ArgVertex}
+	case wire.KindExpr:
 		v := res.Value
 		resp.Value = &v
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
+// queryFromJSON converts a decoded JSON query into a wire.Query; shardID
+// is the dyn endpoint's path id ("" on /v1/query). It owns only the
+// checks the JSON schema adds — a kind name outside the vocabulary,
+// both tree_id and parents set, an expr_kinds entry outside a byte —
+// and leaves every other check to serveQuery, so both protocols reject
+// a query identically.
+//
+//spatialvet:errclass
+func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
+	kind, ok := wire.KindByName(req.Kind)
+	if !ok {
+		return nil, badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
 	}
-	if err := checkQuery(&req); err != nil {
-		writeStatus(w, StatusBadRequest, err.Error())
-		return
+	q := &wire.Query{
+		Kind:      kind,
+		ShardID:   shardID,
+		Op:        req.Op,
+		Vals:      req.Vals,
+		Queries:   make([]wire.LCAQuery, len(req.Queries)),
+		Edges:     make([]wire.Edge, len(req.Edges)),
+		ExprKinds: make([]uint8, len(req.ExprKinds)),
 	}
-	var t *tree.Tree
-	switch {
-	case req.TreeID != "" && len(req.Parents) > 0:
+	if shardID == "" {
 		// The API contract is "exactly one of tree_id / parents";
 		// silently preferring one would mask a client bug where the two
 		// disagree.
-		writeStatus(w, StatusBadRequest, "exactly one of tree_id and parents may be set")
-		return
-	case req.TreeID != "":
-		s.mu.Lock()
-		t = s.trees[req.TreeID]
-		s.mu.Unlock()
-		if t == nil {
-			writeStatus(w, StatusNotFound, "unknown tree_id "+req.TreeID)
-			return
+		if req.TreeID != "" && len(req.Parents) > 0 {
+			return nil, badRequest(errors.New("exactly one of tree_id and parents may be set"))
 		}
-	case len(req.Parents) > 0:
-		var err error
-		if t, err = tree.FromParents(req.Parents); err != nil {
-			writeStatus(w, StatusBadRequest, err.Error())
-			return
+		q.TreeID, q.Parents = req.TreeID, req.Parents
+	}
+	for i, lq := range req.Queries {
+		q.Queries[i] = wire.LCAQuery(lq)
+	}
+	for i, e := range req.Edges {
+		q.Edges[i] = wire.Edge(e)
+	}
+	for i, k := range req.ExprKinds {
+		if k < 0 || k > 255 {
+			return nil, badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
 		}
-	default:
-		writeStatus(w, StatusBadRequest, "tree_id or parents required")
-		return
+		q.ExprKinds[i] = uint8(k)
 	}
-	eng, retire, err := s.engineFor(t)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	serveQuery(w, eng, &req, func() (*tree.Tree, error) { return t, nil })
-	retire()
+	return q, nil
 }
 
 // engineFor resolves the shard serving an ad-hoc query tree. Known
@@ -621,41 +715,6 @@ func (s *Server) handleDynMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, MutateResponse{Vertex: res.Vertex, Moved: res.Moved, Epoch: res.Epoch, N: res.N})
-}
-
-func (s *Server) handleDynQuery(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	// Same pre-validation as /v1/query (a dyn shard has no budget to
-	// protect, but the two surfaces must agree on what a valid request
-	// is) — and it runs before routing, so a cluster never proxies a
-	// request its own surface would reject.
-	if err := checkQuery(&req); err != nil {
-		writeStatus(w, StatusBadRequest, err.Error())
-		return
-	}
-	if h := s.clusterHooks(); h != nil {
-		resp, handled, err := h.ShardQuery(id, &req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if handled {
-			writeJSON(w, http.StatusOK, *resp)
-			return
-		}
-	}
-	s.mu.Lock()
-	de := s.dyns[id]
-	s.mu.Unlock()
-	if de == nil {
-		writeStatus(w, StatusNotFound, "unknown shard_id "+id)
-		return
-	}
-	serveQuery(w, de, &req, de.Tree)
 }
 
 // handleDynStatus reports a locally served shard's current layout

@@ -190,6 +190,10 @@ func TestWireErrorClassification(t *testing.T) {
 			ExprKinds: make([]uint8, 50), Vals: make([]int64, 50)}, wire.StatusBadRequest},
 		{"negative mincut weight", wire.Query{Parents: parents, Kind: wire.KindMinCut,
 			Edges: []wire.Edge{{U: 0, V: 1, W: -3}}}, wire.StatusBadRequest},
+		// Validation precedes routing, as over HTTP: a bad op is the
+		// client's fault whether or not the addressed tree or shard exists.
+		{"bad op, unknown tree id", wire.Query{TreeID: "tdeadbeef", Kind: wire.KindTreefix, Op: "mul"}, wire.StatusBadRequest},
+		{"bad op, unknown shard id", wire.Query{ShardID: "d99", Kind: wire.KindTreefix, Op: "mul"}, wire.StatusBadRequest},
 	}
 	for _, c := range cases {
 		q := c.q
@@ -198,6 +202,23 @@ func TestWireErrorClassification(t *testing.T) {
 		if !errors.As(err, &we) || we.Status != c.status {
 			t.Errorf("%s: err = %v, want status %v", c.name, err, c.status)
 		}
+	}
+	// A rejected op creates nothing: bad-op queries on distinct fresh
+	// ad-hoc trees leave the shard pool and the layout cache untouched.
+	shards, builds := s.Pool().Size(), s.Metrics().Cache.Builds
+	for i := uint64(0); i < 5; i++ {
+		q := wire.Query{Parents: testParents(40, 100+i), Kind: wire.KindTreefix, Op: "mul"}
+		_, err := cl.Do(&q)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Status != wire.StatusBadRequest {
+			t.Errorf("bad op on fresh tree %d: err = %v, want status %v", i, err, wire.StatusBadRequest)
+		}
+	}
+	if got := s.Pool().Size(); got != shards {
+		t.Errorf("pool size %d after bad-op queries, want %d", got, shards)
+	}
+	if got := s.Metrics().Cache.Builds; got != builds {
+		t.Errorf("layout builds %d after bad-op queries, want %d", got, builds)
 	}
 	// The connection is still healthy after every rejected query.
 	if err := cl.Ping(); err != nil {
