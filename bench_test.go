@@ -1,9 +1,10 @@
 package spatialtree
 
 // Benchmark harness: one benchmark per reproduction experiment E1-E12
-// (see DESIGN.md §5 for the claim each one checks, and EXPERIMENTS.md
-// for recorded results). Beyond wall-clock ns/op, the benchmarks report
-// the spatial-model metrics as custom units: energy/vertex (the
+// (`go run ./cmd/spatialbench -list` prints the claim each one checks;
+// docs/bench.md covers the serving benchmarks E13-E17 and their gate).
+// Beyond wall-clock ns/op, the benchmarks report the spatial-model
+// metrics as custom units: energy/vertex (the
 // quantity the paper's O(n) and O(n log n) bounds normalize),
 // model-depth, and where relevant the ratio against the PRAM baseline.
 //
@@ -25,7 +26,6 @@ import (
 	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/engine"
 	"spatialtree/internal/eulertour"
-	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
 	"spatialtree/internal/lca"
@@ -41,7 +41,6 @@ import (
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
-	"spatialtree/internal/tune"
 	"spatialtree/internal/vtree"
 	"spatialtree/internal/wire"
 )
@@ -680,7 +679,7 @@ func BenchmarkMinCut(b *testing.B) {
 }
 
 // BenchmarkAblationOrders measures the messaging kernel per vertex order
-// (the DESIGN.md ablation: the layout supplies the bound, not the code).
+// (the ablation: the layout supplies the bound, not the code).
 func BenchmarkAblationOrders(b *testing.B) {
 	t := tree.RandomBoundedDegree(benchN, 2, rng.New(23))
 	for _, name := range order.Names() {
@@ -879,97 +878,5 @@ func BenchmarkE15Recovery(b *testing.B) {
 			}
 			e15Mutate(b, de, dynN, mutations)
 		}
-	})
-}
-
-// BenchmarkE18SelfTune gates the self-tuning loop (internal/tune): a
-// sim-backend mutable shard seeded on the known-bad scatter curve
-// serves a skewed, LCA-heavy workload on a deep tree. The untuned arm
-// stays where it was seeded; the tuned arm lets the online tuner
-// profile the workload and republish through the shard's epoch
-// machinery — first onto a distance-bound curve (a model-energy win,
-// verified against the shard's own shadow-metered samples), then, once
-// that win is confirmed, off the simulator onto the native backend (a
-// wall-clock win). Both stages run to convergence before the timed
-// section. The claim under gate: tuned steady-state throughput is at
-// least 1.3x the untuned arm — the tuner must recover, online and from
-// sampled cost alone, what a human operator would have configured.
-func BenchmarkE18SelfTune(b *testing.B) {
-	const (
-		tuneN      = 1 << 11
-		queriesPer = 256
-		batchesPer = 4
-	)
-	deep := tree.Path(tuneN)
-	qr := rng.New(95)
-	qsets := make([][]lca.Query, 8)
-	for i := range qsets {
-		qs := make([]lca.Query, queriesPer)
-		for j := range qs {
-			qs[j] = lca.Query{U: qr.Intn(tuneN), V: qr.Intn(tuneN)}
-		}
-		qsets[i] = qs
-	}
-	newShard := func(b *testing.B) *engine.DynEngine {
-		de, err := engine.NewDyn(deep, engine.DynOptions{
-			Options: engine.Options{Curve: "scatter", Backend: exec.Sim, Window: 1},
-			Epsilon: 0.2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return de
-	}
-	serve := func(b *testing.B, de *engine.DynEngine, rounds int) int {
-		total := 0
-		for r := 0; r < rounds; r++ {
-			for bi := 0; bi < batchesPer; bi++ {
-				if res := de.SubmitLCA(qsets[(r*batchesPer+bi)%len(qsets)]).Wait(); res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				total += queriesPer
-			}
-		}
-		return total
-	}
-
-	b.Run("untuned", func(b *testing.B) {
-		de := newShard(b)
-		serve(b, de, 2) // same warm-up as the tuned arm, minus the tuner
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += serve(b, de, 1)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
-	})
-
-	b.Run("tuned", func(b *testing.B) {
-		de := newShard(b)
-		tu := tune.New(tune.Config{MinSamples: 4, Backends: true})
-		tu.Adopt("e18", de)
-		// Convergence phase, untimed: profile real batches and tick until
-		// the tuner has republished the curve, confirmed the realized
-		// energy win, and switched the shard off the simulator. Each serve
-		// round feeds MinSamples batches, so every tick can make progress.
-		for round := 0; round < 16 && exec.Normalize(de.LayoutConfig().Backend) != exec.Native; round++ {
-			serve(b, de, 1)
-			tu.Tick()
-		}
-		if de.Stats().Retunes == 0 {
-			b.Fatal("tuner never republished the scatter-seeded shard")
-		}
-		if got := exec.Normalize(de.LayoutConfig().Backend); got != exec.Native {
-			b.Fatalf("tuner never converged to the native backend (still %q after retunes)", got)
-		}
-		serve(b, de, 1) // settle onto the tuned layout
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += serve(b, de, 1)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
-		b.StopTimer()
-		tu.Release("e18")
 	})
 }

@@ -1,7 +1,7 @@
 // Command benchgate is the CI benchmark-regression gate: it runs the
 // serving benchmarks (E13 engine throughput, E14 dyn churn, E15
-// recovery, E16 native-vs-sim backends, E17 wire throughput, E18
-// self-tuning) several times, emits a machine-readable artifact
+// recovery, E16 native-vs-sim backends, E17 wire throughput) several
+// times, emits a machine-readable artifact
 // (BENCH_10.json — see docs/bench.md for the schema), and fails when
 // wall-clock ns/op regresses beyond a tolerance against a checked-in
 // baseline.
@@ -67,7 +67,7 @@ var (
 
 func main() {
 	var (
-		benchRE   = flag.String("bench", "E13EngineThroughput|E14DynChurn|E15Recovery|E16NativeBackend|E17WireThroughput|E18SelfTune", "benchmark regexp passed to go test -bench")
+		benchRE   = flag.String("bench", "E13EngineThroughput|E14DynChurn|E15Recovery|E16NativeBackend|E17WireThroughput", "benchmark regexp passed to go test -bench")
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		count     = flag.Int("count", 5, "runs per benchmark (minimum is kept)")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime")

@@ -1,7 +1,7 @@
 // Command spatialbench regenerates the reproduction experiments E1-E12
 // (one per quantitative claim of "Low-Depth Spatial Tree Algorithms",
-// IPDPS 2024; see DESIGN.md for the index and EXPERIMENTS.md for the
-// recorded paper-vs-measured results).
+// IPDPS 2024; -list prints the index with the claim each experiment
+// checks, and docs/bench.md covers the serving benchmarks E13-E17).
 //
 // Usage:
 //

@@ -19,7 +19,7 @@
 //	POST /v1/trees            register a tree {parents} → {tree_id}
 //	POST /v1/query            {tree_id|parents, kind, ...} → result
 //	POST /v1/dyn              create a mutable shard → {shard_id}
-//	GET  /v1/dyn/{id}         shard layout config + tuner state
+//	GET  /v1/dyn/{id}         shard epoch + layout config
 //	POST /v1/dyn/{id}/mutate  {op: insert|delete, parent|leaf}
 //	POST /v1/dyn/{id}/query   query the shard's current tree
 //	GET  /metrics             scheduler + engine + cache counters
@@ -33,16 +33,6 @@
 //	spatialtreed -data-dir /var/lib/spatialtree  # durable shards + warm restart
 //	spatialtreed -backend sim                 # meter every batch on the simulator
 //	spatialtreed -shadow-meter 16             # native serving, 1-in-16 sim sampling
-//	spatialtreed -backend sim -tune           # self-tuning shard layouts
-//
-// With -tune, an online tuner (internal/tune) profiles every mutable
-// shard's workload and periodically scores candidate layouts — curve ×
-// rebuild threshold ε — against the shard's own sampled cost,
-// republishing the winner through the shard's epoch machinery when the
-// projected win beats -tune-threshold; a republish whose measured win
-// misses its projection backs the shard off geometrically, so layouts
-// converge instead of thrashing. GET /v1/dyn/{id} and the /metrics
-// tuner block expose per-shard and aggregate tuner state.
 //
 // Serving runs on the native goroutine-parallel backend by default;
 // -backend sim routes every batch through the spatial-computer
@@ -98,7 +88,6 @@ import (
 	"spatialtree/internal/rng"
 	"spatialtree/internal/server"
 	"spatialtree/internal/tree"
-	"spatialtree/internal/tune"
 )
 
 func main() {
@@ -129,9 +118,6 @@ func main() {
 		replicas = flag.Int("replicas", server.DefaultReplicas, "follower copies per dyn shard beyond its owner (cluster mode; capped at peers-1)")
 		vnodes   = flag.Int("vnodes", server.DefaultVirtualNodes, "consistent-hash virtual nodes per peer (cluster mode)")
 		redirect = flag.Bool("redirect", false, "answer non-owned shard requests with a redirect (HTTP 421 / wire status) carrying the owner address, instead of proxying")
-		tuneOn   = flag.Bool("tune", false, "enable the online per-shard layout tuner: profile each mutable shard's workload and republish its curve/epsilon (via the epoch machinery) when a candidate layout projects a win past -tune-threshold")
-		tuneInt  = flag.Duration("tune-interval", tune.DefaultInterval, "tuner tick period (with -tune)")
-		tuneThr  = flag.Float64("tune-threshold", tune.DefaultThreshold, "tuner hysteresis: minimum projected fractional win before a shard's layout is republished (with -tune)")
 	)
 	flag.Parse()
 
@@ -194,11 +180,6 @@ func main() {
 			Replicas:     *replicas,
 			VirtualNodes: *vnodes,
 			Redirect:     *redirect,
-		},
-		Tuning: server.Tuning{
-			Enabled:   *tuneOn,
-			Interval:  *tuneInt,
-			Threshold: *tuneThr,
 		},
 		Curve:       *curve,
 		Seed:        *seed,

@@ -4,8 +4,8 @@
 // deletes land between batches in O(1) parked moves (amortized rebuilds
 // every εn mutations), instead of the from-scratch light-first rebuild
 // a static engine would need per mutation. Each mutation bumps the
-// placement epoch, which is folded into the layout-cache key, so a
-// stale placement can never serve a mutated tree.
+// placement epoch, and the next submission serves a placement refreshed
+// for it, so a stale placement can never serve a mutated tree.
 package main
 
 import (
@@ -18,9 +18,8 @@ func main() {
 	const n = 1 << 12
 	t := spatialtree.RandomTree(n, 7)
 
-	cache := spatialtree.NewLayoutCache(8)
 	eng, err := spatialtree.NewDynEngine(t, spatialtree.DynEngineOptions{
-		Options: spatialtree.EngineOptions{Curve: "hilbert", Window: 16, Cache: cache},
+		Options: spatialtree.EngineOptions{Curve: "hilbert", Window: 16},
 		Epsilon: 0.2,
 	})
 	if err != nil {
@@ -89,6 +88,5 @@ func main() {
 	fmt.Printf("mutations: %d inserts, %d deletes in %d epochs\n", st.Inserts, st.Deletes, st.Epoch)
 	fmt.Printf("maintenance: %d serving refreshes, %d full layout rebuilds, park-energy=%d migrate-energy=%d\n",
 		st.Refreshes, st.Rebuilds, st.ParkEnergy, st.MigrateEnergy)
-	fmt.Printf("serving: %d requests in %d batches; cache %d entries (stale epochs invalidated)\n",
-		st.Engine.Requests, st.Engine.Batches, cache.Len())
+	fmt.Printf("serving: %d requests in %d batches\n", st.Engine.Requests, st.Engine.Batches)
 }

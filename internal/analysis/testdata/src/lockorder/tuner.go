@@ -1,15 +1,15 @@
 package lockorder
 
-// Tuner-class cases mirror internal/tune's adoption discipline: Adopt
-// installs the shard's profile observer under the shard's own lock, so
+// Tuner-class cases model a background component that adopts shards:
+// adopt installs a per-shard observer under the shard's own lock, so
 // calling it while the routing table is locked inverts the shard/
-// routing order — the server publishes the shard, releases the routing
-// lock, and only then hands the shard to the tuner.
+// routing order — the sanctioned shape publishes the shard, releases
+// the routing lock, and only then hands the shard to the tuner.
 
 import "sync"
 
-// Tuner mimics internal/tune: adopt touches per-shard state under the
-// shard's own lock.
+// Tuner is the adopting component: adopt touches per-shard state under
+// the shard's own lock.
 type Tuner struct{ adopted int }
 
 func (t *Tuner) adopt(sh *Shard) {

@@ -1,10 +1,10 @@
 package waitunderlock
 
-// Tuner-class cases mirror internal/tune's republish discipline: a
-// retune reuses the engine's Quiesce barrier, which blocks until every
-// in-flight batch resolves, so Retune must never run with a tuner lock
-// held. The sanctioned shape plans under the lock, releases it, and
-// only then republishes.
+// Tuner-class cases model a background component that republishes a
+// shard's layout: a retune reuses the engine's Quiesce barrier, which
+// blocks until every in-flight batch resolves, so Retune must never run
+// with a tuner lock held. The sanctioned shape plans under the lock,
+// releases it, and only then republishes.
 
 import "sync"
 

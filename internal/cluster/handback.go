@@ -387,6 +387,13 @@ func (n *Node) Handback(o *wire.HandbackOffer) *wire.HandbackGrant {
 // at it, none can start past it (ownerMutate re-checks the serving
 // table under the lock and refuses once the shard is released).
 func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.HandbackGrant {
+	// The claim is direct evidence the ring owner is up. Clear any stale
+	// quarantine before the release: a request that finds the shard
+	// released must walk the ring to the claimer, not land on this node
+	// and promote the copy about to be demoted.
+	if owner, ok := n.ring.Owner(key, nil); ok {
+		n.markLive(owner)
+	}
 	sh := n.ownedShardState(id, key)
 	sh.mu.Lock()
 	de, served := n.srv.DynShard(id)
@@ -420,12 +427,6 @@ func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.Ha
 	n.mu.Lock()
 	delete(n.conflicts, id) // this node no longer ships the shard
 	n.mu.Unlock()
-	// The claim is direct evidence the ring owner is up: clear any stale
-	// quarantine so the post-release ring walk routes to it instead of
-	// re-promoting the copy just demoted.
-	if owner, ok := n.ring.Owner(key, nil); ok {
-		n.markLive(owner)
-	}
 	return g
 }
 

@@ -149,9 +149,6 @@ func (d *Dyn) N() int { return len(d.parent) }
 // Epsilon returns the rebuild threshold the layout was created with.
 func (d *Dyn) Epsilon() float64 { return d.epsilon }
 
-// Curve returns the space-filling curve the layout currently lives on.
-func (d *Dyn) Curve() sfc.Curve { return d.curve }
-
 // Drift returns the number of mutations applied since the last rebuild
 // — the quantity the epsilon threshold is compared against, and part of
 // the state a snapshot must carry for a faithful restore.
@@ -353,49 +350,6 @@ func (d *Dyn) rebuildInPlace(migrate bool) error {
 		}
 		d.Rebuilds++
 	}
-	d.side = side
-	d.pos = append(d.pos[:0], newPos...)
-	d.used = make([]bool, side*side)
-	for _, r := range d.pos {
-		d.used[r] = true
-	}
-	d.mutationsSinceRebuild = 0
-	return nil
-}
-
-// Retune moves the layout onto a new curve and rebuild threshold and
-// rebuilds immediately: every vertex migrates to its fresh spread-out
-// light-first slot on the new curve's grid (charged to MigrateEnergy,
-// with the old geometry pricing the departure side). The shrink
-// hysteresis of rebuildInPlace applies only when the curve is unchanged
-// — a retained old side can be illegal for the new curve (Hilbert wants
-// 2^k sides, Peano 3^k), so a curve change always takes the new curve's
-// own minimal side.
-func (d *Dyn) Retune(curve sfc.Curve, epsilon float64) error {
-	if epsilon <= 0 {
-		return fmt.Errorf("dynlayout: epsilon must be positive")
-	}
-	t, err := d.Tree()
-	if err != nil {
-		return err
-	}
-	side := curve.Side(spread * t.N())
-	if curve.Name() == d.curve.Name() && side < d.side && 2*side > d.side {
-		side = d.side
-	}
-	o := order.LightFirst(t)
-	newPos := make([]int, t.N())
-	for v, r := range o.Rank {
-		newPos[v] = spread * r
-	}
-	for v := 0; v < t.N(); v++ {
-		ox, oy := d.curve.XY(d.pos[v], d.side)
-		nx, ny := curve.XY(newPos[v], side)
-		d.MigrateEnergy += int64(sfc.Manhattan(ox, oy, nx, ny))
-	}
-	d.Rebuilds++
-	d.curve = curve
-	d.epsilon = epsilon
 	d.side = side
 	d.pos = append(d.pos[:0], newPos...)
 	d.used = make([]bool, side*side)

@@ -408,80 +408,3 @@ func TestKernelCostSingleVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRetuneSwitchesCurveAndEpsilon(t *testing.T) {
-	r := rng.New(11)
-	d, _ := New(tree.RandomAttachment(150, r), sfc.Scatter{}, 0.4)
-	for i := 0; i < 50; i++ {
-		if _, err := d.InsertLeaf(r.Intn(d.N())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := snapshot(t, d)
-	rebuilds, migrated := d.Rebuilds, d.MigrateEnergy
-	if err := d.Retune(sfc.Hilbert{}, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Curve().Name(); got != "hilbert" {
-		t.Fatalf("curve = %q after retune, want hilbert", got)
-	}
-	if d.Epsilon() != 0.1 {
-		t.Fatalf("epsilon = %v after retune, want 0.1", d.Epsilon())
-	}
-	if d.Rebuilds != rebuilds+1 {
-		t.Fatalf("Rebuilds = %d, want %d (a retune is a rebuild)", d.Rebuilds, rebuilds+1)
-	}
-	if d.MigrateEnergy <= migrated {
-		t.Fatal("retune moved every vertex but charged no migration energy")
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	after := snapshot(t, d)
-	if after.N() != before.N() {
-		t.Fatalf("retune changed n: %d -> %d", before.N(), after.N())
-	}
-	for v := 1; v < after.N(); v++ {
-		if after.Parent(v) != before.Parent(v) {
-			t.Fatalf("retune changed parent of %d: %d -> %d", v, before.Parent(v), after.Parent(v))
-		}
-	}
-}
-
-func TestRetuneCurveChangePicksLegalSide(t *testing.T) {
-	// Peano sides are powers of 3, Hilbert powers of 2: the shrink
-	// hysteresis that keeps an old (larger) side across same-curve
-	// rebuilds must not retain a side the new curve cannot address.
-	r := rng.New(12)
-	d, _ := New(tree.RandomAttachment(300, r), sfc.Peano{}, 0.3)
-	if err := d.Retune(sfc.Hilbert{}, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	want := sfc.Hilbert{}.Side(2 * d.N())
-	if d.Side() != want {
-		t.Fatalf("side = %d after peano->hilbert retune, want hilbert-legal %d", d.Side(), want)
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// And back: hilbert -> peano must land on a power of 3.
-	if err := d.Retune(sfc.Peano{}, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if want := (sfc.Peano{}).Side(2 * d.N()); d.Side() != want {
-		t.Fatalf("side = %d after hilbert->peano retune, want peano-legal %d", d.Side(), want)
-	}
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRetuneRejectsBadEpsilon(t *testing.T) {
-	d, _ := New(tree.Path(8), sfc.Hilbert{}, 0.2)
-	if err := d.Retune(sfc.Moore{}, 0); err == nil {
-		t.Fatal("zero epsilon accepted by Retune")
-	}
-	if d.Curve().Name() != "hilbert" || d.Epsilon() != 0.2 {
-		t.Fatal("failed retune mutated the layout config")
-	}
-}

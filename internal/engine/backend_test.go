@@ -331,3 +331,40 @@ func TestDynNativeBackend(t *testing.T) {
 		t.Fatalf("native dyn engine accumulated model cost: %+v", st.Engine.Cost)
 	}
 }
+
+// TestShadowMeterCallerBufferReuse pins the satellite contract behind
+// the binary listener's scratch reuse: with shadow metering on, the
+// engine copies a sampled batch's inputs out before the future
+// resolves, so a caller may overwrite its slices the moment Wait
+// returns. Run under -race this fails if the shadow run reads the
+// caller's buffer after the reply.
+func TestShadowMeterCallerBufferReuse(t *testing.T) {
+	de, err := NewDyn(tree.RandomAttachment(64, rng.New(7)),
+		DynOptions{Options: Options{Backend: exec.Native, ShadowMeter: 1, Window: 1}, Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, de.N())
+	queries := make([]lca.Query, 8)
+	for i := 0; i < 50; i++ {
+		for j := range vals {
+			vals[j] = int64(i + j)
+		}
+		if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		for j := range queries {
+			queries[j] = lca.Query{U: (i + j) % de.N(), V: j % de.N()}
+		}
+		if res := de.SubmitLCA(queries).Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	st := de.Stats()
+	if st.Engine.ShadowBatches == 0 {
+		t.Fatal("shadow meter sampled nothing; the reuse contract went untested")
+	}
+	if st.Engine.ShadowMismatches != 0 {
+		t.Fatalf("%d shadow mismatches: the shadow run saw overwritten inputs", st.Engine.ShadowMismatches)
+	}
+}

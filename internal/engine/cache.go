@@ -43,8 +43,7 @@ type CacheKey struct {
 // Builds counts layout pipelines actually run — with the in-flight
 // coalescing of GetOrBuild, Builds == Misses no matter how many
 // goroutines miss the same key concurrently. Evictions counts entries
-// removed before natural replacement, whether by LRU pressure or by
-// Invalidate.
+// removed by LRU pressure.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -144,25 +143,6 @@ func (c *LayoutCache) putLocked(key CacheKey, p *layout.Placement) {
 		c.evictions++
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, p: p})
-}
-
-// Invalidate removes the entry for key, if present, and reports whether
-// an entry was removed. A dynamic engine calls this when it republishes
-// a mutated tree's placement under a fresh epoch key, so the stale
-// placement can never be served again. A removed entry counts as an
-// eviction in Stats, exactly like an LRU eviction: either way a cached
-// placement left the cache before natural replacement.
-func (c *LayoutCache) Invalidate(key CacheKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.lru.Remove(el)
-	delete(c.entries, key)
-	c.evictions++
-	return true
 }
 
 // GetOrBuild returns the light-first placement of t on curve c, building

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/exec"
@@ -43,39 +42,27 @@ import (
 // current tree, computed lazily and memoized — at most once per epoch,
 // and only for epochs that actually serve such a request.
 //
-// The placement is published in the LayoutCache at rebuild boundaries
-// (construction, and the first refresh after each dynlayout rebuild —
-// mutations parked since the rebuild are included) under a key with the
-// engine id and epoch folded in (Order "dyn@<id>@<epoch>"; the id keeps
-// shards on structurally identical trees from clobbering each other's
-// entries).
-// Every refresh first invalidates the previously published entry, so
-// the cache never holds a placement for a superseded epoch and at most
-// one entry per shard exists — a mutated tree can never be served from
-// a stale fingerprint match, not even when a mutation sequence returns
-// to an earlier parent array (same structural fingerprint, different
-// parked positions). Requests themselves always route through the
-// current epoch's inner engine.
+// A shard's placements never enter the LayoutCache: no lookup could
+// reuse one, since each belongs to a single shard at a single epoch.
+// Requests always route through the current epoch's inner engine, so a
+// mutated tree can never be served from a stale placement, not even
+// when a mutation sequence returns to an earlier parent array (same
+// structural fingerprint, different parked positions).
 //
 // All methods are safe for concurrent use.
 type DynEngine struct {
-	id    uint64
 	curve sfc.Curve
 	opts  Options // resolved: Cache non-nil, Window positive
 
 	mu        sync.Mutex
 	dyn       *dynlayout.Dyn
 	inner     *Engine
-	key       CacheKey // published entry of the latest rebuild epoch
-	published bool
-	pubAt     int // dyn.Rebuilds value the published entry reflects
 	epoch     uint64
 	dirty     bool
 	refreshes uint64
 	retired   Stats       // folded counters of previous epochs' inner engines
 	journal   JournalFunc // durability hook; nil = no journaling
 	profile   ProfileFunc // batch observer, re-installed on every epoch's inner engine
-	retunes   uint64      // successful Retune republishes
 }
 
 // MutationOp discriminates the two DynEngine mutations in a
@@ -123,8 +110,8 @@ func (de *DynEngine) SetJournal(fn JournalFunc) {
 
 // SetProfile installs (or, with nil, removes) the per-batch profile
 // observer on the shard. The observer survives epoch refreshes: every
-// future inner engine gets it re-installed, so the tuning layer sees an
-// unbroken stream of batches across mutations and retunes.
+// future inner engine gets it re-installed, so it sees an unbroken
+// stream of batches across mutations.
 func (de *DynEngine) SetProfile(fn ProfileFunc) {
 	de.mu.Lock()
 	de.profile = fn
@@ -133,10 +120,6 @@ func (de *DynEngine) SetProfile(fn ProfileFunc) {
 	}
 	de.mu.Unlock()
 }
-
-// dynEngineIDs hands every DynEngine a process-unique id for its cache
-// keys, so shards on structurally identical trees never collide.
-var dynEngineIDs atomic.Uint64
 
 // DefaultEpsilon is the dynamic layout drift budget used when
 // DynOptions.Epsilon is not positive.
@@ -166,12 +149,9 @@ type DynStats struct {
 	// layout (the amortized Θ(n^{3/2})-energy events).
 	Rebuilds uint64
 	// Refreshes counts serving-state rebuilds: placements derived from
-	// the dynamic layout and republished (at most one per epoch, only
-	// when a submission actually follows a mutation).
+	// the dynamic layout (at most one per epoch, only when a submission
+	// actually follows a mutation).
 	Refreshes uint64
-	// Retunes counts successful Retune republishes (layout
-	// reconfigurations by the tuning layer).
-	Retunes uint64
 	// ParkEnergy and MigrateEnergy are the dynamic layout's maintenance
 	// costs (see dynlayout.Dyn).
 	ParkEnergy, MigrateEnergy int64
@@ -205,16 +185,14 @@ func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
 	if resolved.Window <= 0 {
 		resolved.Window = DefaultWindow
 	}
-	de := &DynEngine{id: dynEngineIDs.Add(1), curve: c, opts: resolved, dyn: d}
+	de := &DynEngine{curve: c, opts: resolved, dyn: d}
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	return de, de.refreshLocked()
 }
 
 // refreshLocked derives a fresh serving state from the dynamic layout:
-// a placement snapshot of the current epoch, an inner engine on it, and
-// the cache entry republished under the epoch-versioned key (the stale
-// epoch's entry is invalidated first).
+// a placement snapshot of the current epoch and an inner engine on it.
 func (de *DynEngine) refreshLocked() error {
 	p, err := de.dyn.Placement()
 	if err != nil {
@@ -234,8 +212,8 @@ func (de *DynEngine) refreshLocked() error {
 		return order.LightFirst(p.Tree).Rank
 	}
 	// The profile observer is a per-shard installation, not per-epoch:
-	// every refresh re-installs it so the tuning layer keeps seeing
-	// batches across mutations and retunes.
+	// every refresh re-installs it so it keeps seeing batches across
+	// mutations.
 	if de.profile != nil {
 		inner.SetProfile(de.profile)
 	}
@@ -248,26 +226,6 @@ func (de *DynEngine) refreshLocked() error {
 		// sample its first batch and churny shards would shadow-run the
 		// simulator on nearly every batch.
 		inner.shadowTick.Store(de.inner.shadowTick.Load())
-	}
-	// Version the cache entry: every refresh invalidates the superseded
-	// epoch's entry, but a fresh one is published only at rebuild
-	// boundaries — construction, and the first refresh after each
-	// dynlayout rebuild (the placement may include mutations parked
-	// since that rebuild). At most one live entry per shard exists, so
-	// dyn entries cannot churn the shared LRU out of its reusable
-	// light-first placements.
-	if de.published {
-		de.opts.Cache.Invalidate(de.key)
-		de.published = false
-	}
-	if de.refreshes == 0 || de.dyn.Rebuilds != de.pubAt {
-		key := CacheKey{
-			Fingerprint: inner.Fingerprint(),
-			Curve:       de.curve.Name(),
-			Order:       fmt.Sprintf("dyn@%d@%d", de.id, de.epoch),
-		}
-		de.opts.Cache.Put(key, p)
-		de.key, de.published, de.pubAt = key, true, de.dyn.Rebuilds
 	}
 	de.inner = inner
 	de.dirty = false
@@ -369,87 +327,6 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 	return moved, nil
 }
 
-// RetuneSpec names a shard layout configuration for Retune. A zero
-// field keeps the shard's current value, so partial retunes compose.
-type RetuneSpec struct {
-	// Curve names the space-filling curve ("" = keep).
-	Curve string
-	// Epsilon is the dynamic layout's rebuild threshold (<= 0 = keep).
-	Epsilon float64
-	// Backend names the execution backend ("" = keep).
-	Backend string
-}
-
-// Retune republishes the shard on a new layout configuration: it drains
-// in-flight batches through the same Quiesce barrier as a mutation,
-// migrates every vertex to its light-first slot on the new curve's grid
-// (a full dynlayout rebuild, charged to MigrateEnergy), and refreshes
-// the serving state — the rebuild bumps dynlayout's rebuild counter, so
-// the refresh republishes the placement in the layout cache exactly as
-// any rebuild boundary does. The serving epoch is NOT advanced: epochs
-// count applied mutations and must stay consecutive for WAL replay and
-// record shipping, and a retune changes geometry, never the tree. The
-// tuned curve and epsilon are part of DynState, so the next snapshot
-// makes the choice durable; the backend remains non-durable
-// configuration, as everywhere else. A spec that changes nothing
-// returns immediately without draining.
-//
-// Retune holds only the shard's own mutation lock; callers driving it
-// from a tuning loop must not hold any lock of their own across the
-// call — the drain blocks until every in-flight batch resolves.
-func (de *DynEngine) Retune(spec RetuneSpec) error {
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	c := de.curve
-	if spec.Curve != "" && spec.Curve != de.curve.Name() {
-		nc, err := sfc.ByName(spec.Curve)
-		if err != nil {
-			return err
-		}
-		c = nc
-	}
-	eps := de.dyn.Epsilon()
-	if spec.Epsilon > 0 {
-		eps = spec.Epsilon
-	}
-	backend := exec.Normalize(de.opts.Backend)
-	if spec.Backend != "" {
-		if !exec.Valid(spec.Backend) {
-			return fmt.Errorf("engine: unknown backend %q", spec.Backend)
-		}
-		backend = exec.Normalize(spec.Backend)
-	}
-	if c.Name() == de.curve.Name() && eps == de.dyn.Epsilon() && backend == exec.Normalize(de.opts.Backend) {
-		return nil
-	}
-	//spatialvet:ignore waitunderlock -- the republish barrier IS the design: in-flight batches must drain before the layout migrates, and Quiesce never takes de.mu
-	de.drainLocked()
-	if err := de.dyn.Retune(c, eps); err != nil {
-		return err
-	}
-	de.curve = c
-	de.opts.Curve = c.Name()
-	de.opts.Backend = backend
-	de.dirty = true
-	if err := de.refreshLocked(); err != nil {
-		return err
-	}
-	de.retunes++
-	return nil
-}
-
-// LayoutConfig reports the shard's current layout configuration as a
-// RetuneSpec — the identity spec: passing it back to Retune is a no-op.
-func (de *DynEngine) LayoutConfig() RetuneSpec {
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	return RetuneSpec{
-		Curve:   de.curve.Name(),
-		Epsilon: de.dyn.Epsilon(),
-		Backend: exec.Normalize(de.opts.Backend),
-	}
-}
-
 // ErrReplicaGap reports a shipped record whose epoch does not follow
 // the replica's apply cursor: the replica missed records and must
 // resync from a snapshot.
@@ -525,6 +402,16 @@ func (de *DynEngine) N() int {
 	return de.dyn.N()
 }
 
+// Curve returns the name of the shard's space-filling curve.
+func (de *DynEngine) Curve() string { return de.curve.Name() }
+
+// Epsilon returns the dynamic layout's rebuild threshold.
+func (de *DynEngine) Epsilon() float64 {
+	de.mu.Lock()
+	defer de.mu.Unlock()
+	return de.dyn.Epsilon()
+}
+
 // Backend returns the shard's resolved execution-backend name. Every
 // epoch's inner engine runs on it: the backend's per-tree preprocessing
 // (Euler tour positions, lazily the LCA table) is rebuilt at each
@@ -533,7 +420,7 @@ func (de *DynEngine) N() int {
 func (de *DynEngine) Backend() string { return exec.Normalize(de.opts.Backend) }
 
 // Epoch returns the number of mutations applied so far; it versions the
-// placement and is folded into the layout-cache key.
+// placement.
 func (de *DynEngine) Epoch() uint64 {
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -558,15 +445,6 @@ func (de *DynEngine) Tree() (*tree.Tree, error) {
 		return de.inner.Tree(), nil
 	}
 	return de.dyn.Tree()
-}
-
-// CacheKey returns the layout-cache key of the most recently published
-// placement (construction or the latest rebuild boundary). The entry
-// itself may have been invalidated since, if mutations superseded it.
-func (de *DynEngine) CacheKey() CacheKey {
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	return de.key
 }
 
 // SubmitTreefix enqueues a bottom-up treefix sum on the current tree;
@@ -709,7 +587,7 @@ func RestoreDyn(st DynState, opts Options) (*DynEngine, error) {
 	if resolved.Window <= 0 {
 		resolved.Window = DefaultWindow
 	}
-	de := &DynEngine{id: dynEngineIDs.Add(1), curve: c, opts: resolved, dyn: d, epoch: st.Epoch}
+	de := &DynEngine{curve: c, opts: resolved, dyn: d, epoch: st.Epoch}
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	return de, de.refreshLocked()
@@ -731,7 +609,6 @@ func (de *DynEngine) Stats() DynStats {
 		Deletes:       uint64(de.dyn.Deletes),
 		Rebuilds:      uint64(de.dyn.Rebuilds),
 		Refreshes:     de.refreshes,
-		Retunes:       de.retunes,
 		ParkEnergy:    de.dyn.ParkEnergy,
 		MigrateEnergy: de.dyn.MigrateEnergy,
 		Engine:        eng,

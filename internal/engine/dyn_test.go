@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"strings"
+	"sync"
 	"testing"
 
 	"spatialtree/internal/lca"
@@ -154,76 +154,6 @@ func TestDynMutationDrainsPending(t *testing.T) {
 	}
 }
 
-// TestDynEpochKeysCache asserts the versioning scheme: placements are
-// published under keys with the engine id and epoch folded in, every
-// refresh invalidates the superseded entry (so a stale placement can
-// never be served, even when a mutation sequence returns to a
-// structurally identical tree), and fresh entries appear only at
-// rebuild boundaries — dyn entries never churn the shared LRU.
-func TestDynEpochKeysCache(t *testing.T) {
-	cache := NewLayoutCache(8)
-	tr := tree.RandomAttachment(50, rng.New(2))
-	de, err := NewDyn(tr, DynOptions{Options: Options{Cache: cache}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key0 := de.CacheKey()
-	if !strings.HasPrefix(key0.Order, "dyn@") {
-		t.Fatalf("cache key order %q does not carry the epoch", key0.Order)
-	}
-	if _, ok := cache.Get(key0); !ok {
-		t.Fatal("construction placement not published")
-	}
-
-	// Insert a leaf and delete it again: the parent array (and hence the
-	// structural fingerprint) returns to its original value, but the
-	// epoch advanced by 2 — the construction entry must not survive the
-	// next refresh, or its stale parked positions could be mistaken for
-	// current ones.
-	v, err := de.InsertLeaf(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := de.DeleteLeaf(v); err != nil {
-		t.Fatal(err)
-	}
-	if res := de.SubmitLCA([]lca.Query{{U: 1, V: 2}}).Wait(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if _, ok := cache.Get(key0); ok {
-		t.Fatal("stale construction placement still served from the cache")
-	}
-	if de.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", de.Epoch())
-	}
-
-	// Mutate past the drift budget (ε=0.2 of n≈50) to force a dynlayout
-	// rebuild: the next refresh publishes a fresh entry under the new
-	// epoch's key.
-	for i := 0; i < 15; i++ {
-		if _, err := de.InsertLeaf(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res := de.SubmitLCA([]lca.Query{{U: 1, V: 2}}).Wait(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	st := de.Stats()
-	if st.Rebuilds == 0 {
-		t.Fatal("expected a dynlayout rebuild past the drift budget")
-	}
-	keyR := de.CacheKey()
-	if keyR == key0 {
-		t.Fatal("rebuild did not republish under a fresh key")
-	}
-	if !strings.HasPrefix(keyR.Order, "dyn@") {
-		t.Fatalf("rebuild key order %q", keyR.Order)
-	}
-	if _, ok := cache.Get(keyR); !ok {
-		t.Fatal("rebuild placement not published")
-	}
-}
-
 // TestDynLazyRefresh asserts mutations are O(1) on the serving side:
 // a burst of mutations with no queries in between triggers at most one
 // placement refresh, on the next submission.
@@ -302,11 +232,6 @@ func TestPoolDynShards(t *testing.T) {
 	if d1 == d2 {
 		t.Fatal("dyn shards deduplicated by structure")
 	}
-	// Identity also separates their cache keys: structurally identical
-	// shards at the same epoch must not clobber each other's entries.
-	if d1.CacheKey() == d2.CacheKey() {
-		t.Fatal("dyn shards share a cache key")
-	}
 	if pool.Size() != 2 {
 		t.Fatalf("pool size %d, want 2", pool.Size())
 	}
@@ -329,5 +254,57 @@ func TestPoolDynShards(t *testing.T) {
 	st := pool.Stats()
 	if st.Requests != 2 || st.Batches != 2 {
 		t.Fatalf("pool stats requests=%d batches=%d, want 2/2", st.Requests, st.Batches)
+	}
+}
+
+// TestDynProfileHook asserts the batch observation channel: an
+// installed ProfileFunc sees every dispatched batch with its timing,
+// keeps reporting across mutation-driven engine refreshes, and stops
+// once removed.
+func TestDynProfileHook(t *testing.T) {
+	r := rng.New(6)
+	de, err := NewDyn(tree.RandomAttachment(80, r), DynOptions{Options: Options{Window: 4}, Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var got []BatchProfile
+	de.SetProfile(func(bp BatchProfile) {
+		mu.Lock()
+		got = append(got, bp)
+		mu.Unlock()
+	})
+	vals := make([]int64, de.N())
+	if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// Force a refresh: the profile hook must ride onto the new inner
+	// engine.
+	if _, err := de.InsertLeaf(0); err != nil {
+		t.Fatal(err)
+	}
+	vals = append(vals, 0)
+	if res := de.SubmitLCA([]lca.Query{{U: 1, V: 2}, {U: 2, V: 3}}).Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	mu.Lock()
+	if len(got) != 2 {
+		t.Fatalf("profile saw %d batches, want 2 (hook lost across refresh?)", len(got))
+	}
+	for i, bp := range got {
+		if bp.Elapsed <= 0 {
+			t.Fatalf("batch %d: no elapsed time recorded", i)
+		}
+	}
+	// Uninstall: no further observations.
+	de.SetProfile(nil)
+	mu.Unlock()
+	if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 {
+		t.Fatal("profile hook still firing after SetProfile(nil)")
 	}
 }

@@ -150,14 +150,17 @@ const DefaultFlushDelay = 2 * time.Millisecond
 
 // Stats is a snapshot of an engine's lifetime counters.
 type Stats struct {
-	// Batches counts simulator runs (flushes that had work).
+	// Batches counts dispatched batches (flushes that had work).
+	// Batches, Requests, LCAQueries and LCARuns are counted when a batch
+	// is dispatched, before any of its futures resolves, so a caller
+	// holding a reply always finds its request counted.
 	Batches uint64
-	// Requests counts resolved submissions.
+	// Requests counts dispatched submissions.
 	Requests uint64
-	// LCAQueries counts individual LCA queries answered.
+	// LCAQueries counts individual LCA queries dispatched.
 	LCAQueries uint64
-	// LCARuns counts coalesced lca.Batched invocations; LCARuns <
-	// number of LCA requests means coalescing saved whole runs.
+	// LCARuns counts dispatched coalesced lca.Batched invocations;
+	// LCARuns < number of LCA requests means coalescing saved whole runs.
 	LCARuns uint64
 	// SizeFlushes counts batches dispatched because the pending count
 	// reached the window (the scheduler's MaxBatch trigger).
@@ -178,7 +181,8 @@ type Stats struct {
 	// ran on (or were shadow-sampled through) the simulator: every batch
 	// for a sim engine, the ShadowBatches for a shadow-metered native
 	// one, nothing for an unmetered native engine. Depths add as if the
-	// metered batches ran back to back.
+	// metered batches ran back to back. Cost and the shadow counters are
+	// folded in once a batch has finished running.
 	Cost machine.Cost
 	// Cache is the layout cache's traffic (shared counters if the cache
 	// is shared).
@@ -201,29 +205,10 @@ func (s *Stats) Add(o Stats) {
 }
 
 // BatchProfile describes one dispatched batch to an installed profile
-// observer: the request mix, the serving run's wall-clock, and — when
-// the batch was model-metered (every batch on a sim engine, the sampled
-// batches on a shadow-metered native one) — the exact spatial-model
-// cost. The tuning layer (internal/tune) folds these into per-shard
-// workload profiles; the engine itself never interprets them.
+// observer.
 type BatchProfile struct {
-	// Requests is the batch size; the per-kind counts below sum to it.
-	Requests int
-	// BottomUp, TopDown, LCA, MinCut and Expr count requests by kind.
-	BottomUp, TopDown, LCA, MinCut, Expr int
-	// LCAQueries counts individual queries inside the batch's coalesced
-	// LCA run.
-	LCAQueries int
 	// Elapsed is the serving run's wall-clock (excluding any shadow run).
 	Elapsed time.Duration
-	// Metered reports that Cost holds a real model-cost sample.
-	Metered bool
-	// Cost is the spatial-model cost of the metered run: the serving
-	// run's own cost on a sim engine, the shadow run's on a sampled
-	// native batch, zero otherwise.
-	Cost machine.Cost
-	// Mismatches counts shadow-validation failures in this batch.
-	Mismatches uint64
 }
 
 // ProfileFunc observes dispatched batches. It is invoked after the
@@ -683,6 +668,7 @@ func (e *Engine) submit(req *request) *Future {
 
 // takeBatchLocked detaches the pending batch and disarms the autoflush
 // timer, if any; e.mu must be held. A non-empty batch is counted as
+// dispatched here, before runBatch resolves any of its futures, and as
 // running until runBatch retires it — every non-empty take must be
 // followed by exactly one runBatch call.
 func (e *Engine) takeBatchLocked() ([]*request, uint64) {
@@ -696,6 +682,16 @@ func (e *Engine) takeBatchLocked() ([]*request, uint64) {
 	e.batchSeq++
 	if len(batch) > 0 {
 		e.running++
+		e.stats.Batches++
+		e.stats.Requests += uint64(len(batch))
+		lcaRuns := uint64(0)
+		for _, req := range batch {
+			if req.kind == kindLCA {
+				lcaRuns = 1 // every LCA request of a batch shares one run
+				e.stats.LCAQueries += uint64(len(req.queries))
+			}
+		}
+		e.stats.LCARuns += lcaRuns
 	}
 	return batch, seq
 }
@@ -849,31 +845,23 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 	start := time.Now()
 	run := e.backend.Run(e.batchSeed(seq))
 
-	var prof BatchProfile
 	var lcaReqs []*request
-	var lcaRuns uint64
-	var lcaQueries uint64
 	for _, req := range batch {
 		mark := run.Cost()
 		switch req.kind {
 		case kindBottomUp:
-			prof.BottomUp++
 			sums, err := run.BottomUp(req.vals, req.op)
 			req.fut.resolve(Result{Sums: sums, Cost: run.Cost().Minus(mark), Err: err})
 		case kindTopDown:
-			prof.TopDown++
 			sums, err := run.TopDown(req.vals, req.op)
 			req.fut.resolve(Result{Sums: sums, Cost: run.Cost().Minus(mark), Err: err})
 		case kindMinCut:
-			prof.MinCut++
 			res, err := run.MinCut(req.edges)
 			req.fut.resolve(Result{MinCut: res, Cost: run.Cost().Minus(mark), Err: err})
 		case kindExpr:
-			prof.Expr++
 			v, err := run.Expr(req.expr)
 			req.fut.resolve(Result{Value: v, Cost: run.Cost().Minus(mark), Err: err})
 		case kindLCA:
-			prof.LCA++
 			lcaReqs = append(lcaReqs, req) // coalesced below
 		}
 	}
@@ -891,30 +879,17 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 		answers, err := run.LCA(all)
 		cost := run.Cost().Minus(mark)
 		resolveLCA(lcaReqs, answers, cost, err)
-		lcaRuns = 1
-		lcaQueries = uint64(len(all))
 	}
-	prof.Requests = len(batch)
-	prof.LCAQueries = int(lcaQueries)
-	prof.Elapsed = time.Since(start)
+	elapsed := time.Since(start)
 
-	st := Stats{
-		Batches:    1,
-		Requests:   uint64(len(batch)),
-		LCAQueries: lcaQueries,
-		LCARuns:    lcaRuns,
-		Cost:       run.Cost(),
-	}
-	if e.backendName == exec.Sim {
-		// A sim engine meters every batch exactly.
-		prof.Metered, prof.Cost = true, run.Cost()
-	}
+	// The dispatch counters were folded in by takeBatchLocked; only the
+	// run's cost and the shadow sample are known now.
+	st := Stats{Cost: run.Cost()}
 	if sampled {
 		sb, mismatches, cost := e.runShadow(batch, seq)
 		st.ShadowBatches = sb
 		st.ShadowMismatches = mismatches
 		st.Cost = st.Cost.Plus(cost)
-		prof.Metered, prof.Cost, prof.Mismatches = true, cost, mismatches
 	}
 
 	e.mu.Lock()
@@ -926,7 +901,7 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 	e.mu.Unlock()
 
 	if pf != nil {
-		(*pf)(prof)
+		(*pf)(BatchProfile{Elapsed: elapsed})
 	}
 
 	// Every future is resolved and the shadow run (if any) re-read only

@@ -7,8 +7,11 @@ package engine
 // short mode.
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
@@ -298,5 +301,65 @@ func TestPoolConcurrentAcrossTrees(t *testing.T) {
 	}
 	if pool.Size() != len(trees) {
 		t.Fatalf("pool size = %d, want %d", pool.Size(), len(trees))
+	}
+}
+
+// TestStatsCountedBeforeReply pins the dispatch-time accounting: a
+// batch's requests and LCA queries are folded into Stats before any of
+// its futures resolves, so a submitter that has its reply always finds
+// every reply seen so far counted. Counting after the replies would let
+// a metrics read right after the last reply miss that batch.
+func TestStatsCountedBeforeReply(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 40
+	)
+	tr := tree.RandomAttachment(64, rng.New(7))
+	eng, err := New(tr, Options{Backend: "native"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.StartAutoFlush(4, time.Millisecond)
+	defer eng.StopAutoFlush()
+	vals := make([]int64, tr.N())
+	var replies, queries atomic.Uint64
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var res Result
+				var nq uint64
+				if (g+r)%2 == 0 {
+					res = eng.SubmitTreefix(vals, treefix.Add).Wait()
+				} else {
+					qs := []lca.Query{{U: g, V: r}, {U: r, V: 2 * g}}
+					nq = uint64(len(qs))
+					res = eng.SubmitLCA(qs).Wait()
+				}
+				if res.Err != nil {
+					errs <- res.Err.Error()
+					return
+				}
+				seenQ := queries.Add(nq)
+				seen := replies.Add(1)
+				st := eng.Stats()
+				if st.Requests < seen || st.LCAQueries < seenQ || st.Batches == 0 {
+					errs <- fmt.Sprintf("after %d replies (%d LCA queries): Stats counts %d requests, %d LCA queries, %d batches",
+						seen, seenQ, st.Requests, st.LCAQueries, st.Batches)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	if st := eng.Stats(); st.Requests != goroutines*rounds {
+		t.Fatalf("requests = %d, want %d", st.Requests, goroutines*rounds)
 	}
 }

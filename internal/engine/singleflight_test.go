@@ -96,44 +96,6 @@ func TestPoolEngineSingleBuild(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	tr := tree.RandomAttachment(50, rng.New(3))
-	c := NewLayoutCache(4)
-	p := c.GetOrBuild(tr, Fingerprint(tr), sfc.Hilbert{})
-	key := CacheKey{Fingerprint: Fingerprint(tr), Curve: "hilbert", Order: "light-first"}
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("entry missing after GetOrBuild")
-	}
-	if !c.Invalidate(key) {
-		t.Fatal("Invalidate found nothing")
-	}
-	// Regression: an invalidated entry left the cache and must count as
-	// an eviction — it used to vanish without touching the counter.
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions after Invalidate = %d, want 1", st.Evictions)
-	}
-	if c.Invalidate(key) {
-		t.Fatal("Invalidate removed a second time")
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions after no-op Invalidate = %d, want still 1", st.Evictions)
-	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("entry served after invalidation")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache len %d after invalidation", c.Len())
-	}
-	// Rebuilding after invalidation works and is a fresh build.
-	if q := c.GetOrBuild(tr, Fingerprint(tr), sfc.Hilbert{}); q == nil {
-		t.Fatal("rebuild after invalidation failed")
-	}
-	if st := c.Stats(); st.Builds != 2 {
-		t.Fatalf("builds = %d, want 2", st.Builds)
-	}
-	_ = p
-}
-
 // TestCacheStatsEdges pins the divide-by-zero edges of the stats
 // surface in a table.
 func TestCacheStatsEdges(t *testing.T) {

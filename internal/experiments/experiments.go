@@ -1,14 +1,15 @@
 // Package experiments implements the reproduction experiments E1-E12
-// indexed in DESIGN.md: one per quantitative claim of the paper (the
-// paper is analytic, so its "tables and figures" are the theorem bounds,
+// (`go run ./cmd/spatialbench -list` prints the index): one per
+// quantitative claim of the paper (the paper is analytic, so its
+// "tables and figures" are the theorem bounds,
 // the curve constants of Section III-B, and the worst-case examples of
 // Section III). Each experiment generates its workloads, runs the
 // relevant algorithms on the spatial-computer simulator, and renders the
 // measurements as tables with the paper's claim alongside.
 //
 // The cmd/spatialbench binary prints these tables; the repository-root
-// benchmarks run the same code under testing.B; EXPERIMENTS.md records
-// paper-vs-measured for a pinned seed.
+// benchmarks run the same code under testing.B (docs/bench.md covers
+// the serving benchmarks and their regression gate).
 package experiments
 
 import (
@@ -34,7 +35,7 @@ func DefaultConfig() Config { return Config{Seed: 42} }
 
 // Experiment is one reproduction unit.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md, e.g. "E3".
+	// ID is the experiment identifier, e.g. "E3".
 	ID string
 	// Title is a short description.
 	Title string

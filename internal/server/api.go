@@ -4,8 +4,6 @@ package server
 // object; every response is either the documented response object
 // (status 200) or an ErrorResponse (status >= 400).
 
-import "spatialtree/internal/tune"
-
 // RegisterRequest registers an immutable tree with the server
 // (POST /v1/trees). Parents is the parent array with parents[root] = -1.
 // Backend optionally picks the shard's execution backend: "native"
@@ -249,20 +247,9 @@ type DynMetrics struct {
 	Refreshes uint64 `json:"refreshes"`
 }
 
-// TunerMetrics reports the online layout tuner's aggregate counters
-// (profiled shards, candidates scored, republishes, realized-vs-
-// projected win); present only when Tuning.Enabled. The shape is owned
-// by internal/tune so the /metrics block and the tuner never drift.
-type TunerMetrics = tune.Metrics
-
-// TunerShardStatus is one shard's tuner state (profile, cooldown, last
-// projected-vs-realized win), embedded in DynStatusResponse.
-type TunerShardStatus = tune.ShardStatus
-
 // DynStatusResponse describes a locally served mutable shard
-// (GET /v1/dyn/{id}): its current layout configuration — the tuner may
-// have moved it off the curve/ε it was created with (Retunes counts
-// those republishes) — plus the live tuner state when tuning is on.
+// (GET /v1/dyn/{id}): its size, epoch and the layout configuration it
+// was created (or recovered) with.
 type DynStatusResponse struct {
 	ID      string  `json:"shard_id"`
 	N       int     `json:"n"`
@@ -270,9 +257,6 @@ type DynStatusResponse struct {
 	Backend string  `json:"backend"`
 	Curve   string  `json:"curve"`
 	Epsilon float64 `json:"epsilon"`
-	Retunes uint64  `json:"retunes"`
-
-	Tuner *TunerShardStatus `json:"tuner,omitempty"`
 }
 
 // PersistMetrics reports the durability layer; present only when the
@@ -316,7 +300,6 @@ type MetricsResponse struct {
 	Cache     CacheMetrics     `json:"cache"`
 	Backends  BackendMetrics   `json:"backends"`
 	Dyn       DynMetrics       `json:"dyn"`
-	Tuner     *TunerMetrics    `json:"tuner,omitempty"`
 	Wire      *WireMetrics     `json:"wire,omitempty"`
 	Persist   *PersistMetrics  `json:"persist,omitempty"`
 }

@@ -210,11 +210,6 @@ func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backe
 	s.dyns[id] = de
 	s.backends[id] = de.Backend()
 	s.mu.Unlock()
-	// Outside s.mu: Adopt installs the profile observer under the
-	// engine's own lock, and routing must not nest under it.
-	if s.tuner != nil {
-		s.tuner.Adopt(id, de)
-	}
 	return DynCreateResult{ID: id, N: t.N(), Backend: de.Backend()}, nil
 }
 
@@ -273,9 +268,6 @@ func (s *Server) AdoptDynShard(id string, de *engine.DynEngine, log *persist.Sha
 	// Outside s.mu: the pool's mutex is routing-class too, and routing
 	// locks do not nest.
 	s.pool.AdoptDynShard(de)
-	if s.tuner != nil {
-		s.tuner.Adopt(id, de)
-	}
 	return nil
 }
 
@@ -299,13 +291,8 @@ func (s *Server) ReleaseDynShard(id string) (*engine.DynEngine, *persist.ShardLo
 	delete(s.backends, id)
 	s.mu.Unlock()
 	// Outside s.mu, like AdoptDynShard: the pool's mutex is
-	// routing-class too, and routing locks do not nest. The tuner
-	// release also strips the profile observer, so the handed-back
-	// engine carries no callback into this server's tuner.
+	// routing-class too, and routing locks do not nest.
 	s.pool.ReleaseDynShard(de)
-	if s.tuner != nil {
-		s.tuner.Release(id)
-	}
 	return de, log, true
 }
 

@@ -130,27 +130,6 @@ type Cluster struct {
 // Enabled reports whether cluster mode is configured.
 func (c Cluster) Enabled() bool { return len(c.Peers) > 0 }
 
-// Tuning configures the online per-shard layout tuner (internal/tune):
-// a background loop that profiles each mutable shard's workload (kernel
-// mix, batch sizes, sampled shadow cost) and republishes its layout —
-// curve × rebuild threshold ε, optionally the execution backend — when
-// a candidate configuration projects a win beyond the hysteresis
-// threshold. A zero Tuning leaves the tuner off.
-type Tuning struct {
-	// Enabled arms the tuning loop over the server's dyn shards.
-	Enabled bool
-	// Interval is the tuner's tick period (0 means
-	// tune.DefaultInterval).
-	Interval time.Duration
-	// Threshold is the hysteresis threshold: the minimum projected
-	// fractional win (e.g. 0.15 = 15%) before the tuner republishes a
-	// shard's layout (0 means tune.DefaultThreshold).
-	Threshold float64
-	// Backends additionally lets the tuner switch a shard's execution
-	// backend (sim ↔ native), not just its layout.
-	Backends bool
-}
-
 // Config configures a Server. The zero value serves with stock tuning:
 // every group's zero value takes the documented defaults.
 type Config struct {
@@ -164,9 +143,6 @@ type Config struct {
 	Durability Durability
 	// Cluster configures multi-node serving; zero means single-node.
 	Cluster Cluster
-	// Tuning configures the online per-shard layout tuner; zero means
-	// off.
-	Tuning Tuning
 
 	// Curve names the space-filling curve for placements ("" means
 	// "hilbert").

@@ -144,12 +144,6 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 		// valid log into a snapshot did not succeed.
 		_ = log.Compact(dynSnapFromState(de.State()))
 	}
-	// A recovered shard rejoins the tuning loop; its snapshot already
-	// carries any tuned curve/ε, so it warm-starts tuned and the tuner
-	// only re-profiles from here.
-	if s.tuner != nil {
-		s.tuner.Adopt(id, de)
-	}
 	return replayed, nil
 }
 

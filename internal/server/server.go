@@ -16,7 +16,7 @@
 //	POST /v1/trees          register an immutable tree → tree_id
 //	POST /v1/query          run treefix|topdown|lca|mincut on a tree
 //	POST /v1/dyn            create a mutable shard → shard_id
-//	GET  /v1/dyn/{id}       shard status: layout config + tuner state
+//	GET  /v1/dyn/{id}       shard status: epoch + layout config
 //	POST /v1/dyn/{id}/mutate  insert/delete a leaf
 //	POST /v1/dyn/{id}/query   query the mutable shard's current tree
 //	GET  /metrics           server + scheduler + engine + cache stats
@@ -53,7 +53,6 @@ import (
 	"spatialtree/internal/persist"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
-	"spatialtree/internal/tune"
 	"spatialtree/internal/wire"
 )
 
@@ -89,11 +88,6 @@ type Server struct {
 	// cluster holds the installed ClusterHooks (see cluster_hooks.go);
 	// nil means single-node serving.
 	cluster atomic.Pointer[ClusterHooks]
-
-	// tuner is the online layout tuner (nil unless Tuning.Enabled). It
-	// adopts every locally served dyn shard and republishes layouts
-	// through the engine's Retune path; see internal/tune.
-	tuner *tune.Tuner
 
 	// Binary-protocol listener state (tcp.go). wireEnabled flips once
 	// ServeBinary runs, making the Wire block appear in /metrics.
@@ -142,14 +136,6 @@ func New(cfg Config) *Server {
 		wireConns:     make(map[net.Conn]struct{}),
 		wireListeners: make(map[net.Listener]struct{}),
 	}
-	if cfg.Tuning.Enabled {
-		s.tuner = tune.New(tune.Config{
-			Threshold:   cfg.Tuning.Threshold,
-			Backends:    cfg.Tuning.Backends,
-			OnRepublish: s.persistRetune,
-		})
-		s.tuner.Start(cfg.Tuning.Interval)
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/trees", s.admitted(s.handleRegister))
 	s.mux.HandleFunc("POST /v1/query", s.admitted(s.handleQuery))
@@ -169,10 +155,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Pool returns the underlying engine pool (exposed for the daemon's
 // preloading and for tests).
 func (s *Server) Pool() *engine.Pool { return s.pool }
-
-// Tuner returns the online layout tuner, or nil when Tuning is off
-// (exposed so tests can drive Tick deterministically).
-func (s *Server) Tuner() *tune.Tuner { return s.tuner }
 
 // Drain performs a graceful shutdown of the serving layer: new requests
 // are rejected with 503, in-flight requests are waited for (bounded by
@@ -194,11 +176,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-ctx.Done():
 			return errors.New("server: drain interrupted with requests in flight")
 		}
-	}
-	// Stop the tuner before flushing: a retune in flight quiesces its
-	// shard and finishes; no new republish can start mid-shutdown.
-	if s.tuner != nil {
-		s.tuner.Stop()
 	}
 	s.pool.FlushAll()
 	return nil
@@ -717,11 +694,10 @@ func (s *Server) handleDynMutate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MutateResponse{Vertex: res.Vertex, Moved: res.Moved, Epoch: res.Epoch, N: res.N})
 }
 
-// handleDynStatus reports a locally served shard's current layout
-// configuration and, when tuning is on, its tuner state (profile,
-// cooldown, last projected-vs-realized win). It is a local view: in
-// cluster mode non-owners answer 404 rather than proxy — status is an
-// operator surface, not a routed data path.
+// handleDynStatus reports a locally served shard's size, epoch and
+// layout configuration. It is a local view: in cluster mode non-owners
+// answer 404 rather than proxy — status is an operator surface, not a
+// routed data path.
 func (s *Server) handleDynStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -731,40 +707,14 @@ func (s *Server) handleDynStatus(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, StatusNotFound, "unknown shard_id "+id)
 		return
 	}
-	spec := de.LayoutConfig()
-	ds := de.Stats()
-	resp := DynStatusResponse{
+	writeJSON(w, http.StatusOK, DynStatusResponse{
 		ID:      id,
 		N:       de.N(),
-		Epoch:   ds.Epoch,
-		Backend: spec.Backend,
-		Curve:   spec.Curve,
-		Epsilon: spec.Epsilon,
-		Retunes: ds.Retunes,
-	}
-	if s.tuner != nil {
-		if st, ok := s.tuner.Status(id); ok {
-			resp.Tuner = &st
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// persistRetune is the tuner's OnRepublish hook: the tuned curve and ε
-// are already part of the shard's durable state (engine.DynState), so a
-// compaction right after the republish folds them into the snapshot and
-// the next boot warm-starts on the tuned layout instead of replaying to
-// the untuned one. Best-effort like maybeCompact; the backend stays a
-// serving-time knob and is not persisted.
-func (s *Server) persistRetune(id string, _ engine.RetuneSpec) {
-	s.mu.Lock()
-	de := s.dyns[id]
-	log := s.logs[id]
-	s.mu.Unlock()
-	if de == nil || log == nil {
-		return
-	}
-	_ = log.Compact(dynSnapFromState(de.State()))
+		Epoch:   de.Epoch(),
+		Backend: de.Backend(),
+		Curve:   de.Curve(),
+		Epsilon: de.Epsilon(),
+	})
 }
 
 // Metrics snapshots every layer's counters (also served as /metrics).
@@ -824,11 +774,6 @@ func (s *Server) Metrics() MetricsResponse {
 	if batches > 0 {
 		perBatch = float64(st.Requests) / float64(batches)
 	}
-	var tm *TunerMetrics
-	if s.tuner != nil {
-		m := s.tuner.Metrics()
-		tm = &m
-	}
 	var wm *WireMetrics
 	if s.wireEnabled.Load() {
 		s.wireMu.Lock()
@@ -882,7 +827,6 @@ func (s *Server) Metrics() MetricsResponse {
 			ShadowMismatches: st.ShadowMismatches,
 		},
 		Dyn:     dyn,
-		Tuner:   tm,
 		Wire:    wm,
 		Persist: pm,
 	}

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestMeasurePinnedAcrossCurves pins the measured predictor values —
+// TestMeasurePinnedAcrossCurves pins the measured curve constants —
 // exact distance-bound constant, alignment factor and continuity — for
-// every tuner-candidate curve at several legal sides. These are the
-// numbers the online tuner ranks layouts by (internal/tune), so they
-// are pinned exactly: a drift here silently reorders every tuning
-// decision. The values themselves tell the paper's story — Hilbert and
+// the named curves at several legal sides. These are the numbers
+// `curvelab -measure` prints and the curve ordering below rests on, so
+// they are pinned exactly: a drift here silently reorders the curves.
+// The values themselves tell the paper's story — Hilbert and
 // Moore hold α < 3 and stay 2-aligned at every side, Peano's constant
 // is slightly worse on its 3^k grids, the snake's α grows like √side,
 // and the Z curve's α and alignment blow up linearly (not
@@ -60,9 +60,14 @@ func TestMeasurePinnedAcrossCurves(t *testing.T) {
 	}
 }
 
-// TestMeasureTunerRankingStable pins the relative order the tuner
-// depends on: at every probe side, quality (sampled α × alignment) must
-// rank hilbert/moore ahead of peano ahead of snake ahead of zorder.
+// TestMeasureTunerRankingStable pins the paper's curve ordering: the
+// light-first energy bounds hold on distance-bound curves (Section
+// III-B) with constants set by the curve's distance-bound constant α
+// and alignment factor (Lemmas 3-4), so at every probe side quality
+// (sampled α × alignment) must rank hilbert/moore ahead of peano ahead
+// of snake ahead of zorder, which is not distance-bound. The default
+// curve, Hilbert, is therefore never outranked outside that leading
+// pair.
 func TestMeasureTunerRankingStable(t *testing.T) {
 	quality := func(c Curve, pts int) float64 {
 		side := c.Side(pts)

@@ -60,8 +60,10 @@
 //	res := fut.Wait()                   // flushes and resolves
 //	fmt.Println(res.Answers, eng.Stats().Cache.HitRate())
 //
-// The cmd/spatialbench binary regenerates every experiment in
-// EXPERIMENTS.md; examples/ contains runnable end-to-end programs.
+// The cmd/spatialbench binary regenerates the paper's experiments
+// (`go run ./cmd/spatialbench -list` names them with the claims they
+// check; docs/bench.md covers the serving benchmarks); examples/
+// contains runnable end-to-end programs.
 package spatialtree
 
 import (
@@ -409,10 +411,10 @@ func TreeFingerprint(t *Tree) uint64 { return engine.Fingerprint(t) }
 // DynamicLayout, serves the same Submit*/Flush batching protocol, and
 // accepts InsertLeaf/DeleteLeaf between batches. A mutation drains the
 // pending batch first (futures resolve against the tree they were
-// submitted to), bumps the placement epoch — which is folded into the
-// layout-cache key, so a stale placement can never serve a mutated
-// tree — and the next submission refreshes the serving state from the
-// dynamic layout instead of rebuilding it from scratch. See
+// submitted to) and bumps the placement epoch; the next submission
+// refreshes the serving state from the dynamic layout instead of
+// rebuilding it from scratch, so a stale placement can never serve a
+// mutated tree. See
 // internal/engine's DynEngine documentation for the full semantics.
 type DynEngine = engine.DynEngine
 
