@@ -771,18 +771,6 @@ func e15Mutate(b *testing.B, de *engine.DynEngine, n, mutations int) {
 	}
 }
 
-// e15DynSnapshot converts an engine state capture into the store's
-// snapshot form (the conversion internal/server performs when it
-// creates a shard log).
-func e15DynSnapshot(st engine.DynState) persist.DynSnapshot {
-	return persist.DynSnapshot{
-		Parents: st.Parents, Curve: st.Curve, Side: st.Side, Ranks: st.Ranks,
-		Epsilon: st.Epsilon, Epoch: st.Epoch, Drift: st.Drift,
-		Inserts: st.Inserts, Deletes: st.Deletes, Rebuilds: st.Rebuilds,
-		ParkEnergy: st.ParkEnergy, MigrateEnergy: st.MigrateEnergy,
-	}
-}
-
 // BenchmarkE15Recovery measures the durability subsystem's warm-start
 // against what a store-less deployment must redo after a restart. The
 // fixture is a serving state of 4 registered trees (n=2^14 each) plus
@@ -827,17 +815,11 @@ func BenchmarkE15Recovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardLog, err := store.CreateShardLog("d1", e15DynSnapshot(de.State()))
+	shardLog, err := store.CreateShardLog("d1", de.State())
 	if err != nil {
 		b.Fatal(err)
 	}
-	de.SetJournal(func(rec engine.MutationRecord) error {
-		pr := persist.Record{Epoch: rec.Epoch, Arg: rec.Arg, Result: rec.Result, Type: persist.RecInsert}
-		if rec.Op == engine.MutDelete {
-			pr.Type = persist.RecDelete
-		}
-		return shardLog.Append(pr)
-	})
+	de.SetJournal(shardLog.Append)
 	e15Mutate(b, de, dynN, mutations)
 	if err := store.Close(); err != nil {
 		b.Fatal(err)

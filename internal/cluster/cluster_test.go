@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -18,8 +19,10 @@ import (
 	"testing"
 	"time"
 
+	"spatialtree/internal/engine"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/server"
+	"spatialtree/internal/tree"
 	"spatialtree/internal/wire"
 )
 
@@ -47,7 +50,8 @@ func (tn *testNode) kill() {
 
 // startMember boots one member of the cluster on a pre-bound listener
 // (so every member knows the full address list before any one starts).
-func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int) *testNode {
+// redirect sets server.Cluster.Redirect.
+func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool) *testNode {
 	t.Helper()
 	st, err := persist.Open(persist.Options{Dir: filepath.Join(dir, "data")})
 	if err != nil {
@@ -60,6 +64,7 @@ func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir st
 			Self:     addrs[self],
 			Peers:    addrs,
 			Replicas: replicas,
+			Redirect: redirect,
 		},
 	})
 	if _, err := srv.Recover(); err != nil {
@@ -79,8 +84,15 @@ func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir st
 	return tn
 }
 
-// startCluster boots size members with fresh stores and tempdirs.
+// startCluster boots size proxying members with fresh stores and
+// tempdirs.
 func startCluster(t *testing.T, size, replicas int) []*testNode {
+	return startClusterMode(t, size, replicas, false)
+}
+
+// startClusterMode is startCluster with server.Cluster.Redirect set to
+// redirect on every member.
+func startClusterMode(t *testing.T, size, replicas int, redirect bool) []*testNode {
 	t.Helper()
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
@@ -94,7 +106,7 @@ func startCluster(t *testing.T, size, replicas int) []*testNode {
 	}
 	nodes := make([]*testNode, size)
 	for i := range nodes {
-		nodes[i] = startMember(t, lns[i], addrs, i, t.TempDir(), replicas)
+		nodes[i] = startMember(t, lns[i], addrs, i, t.TempDir(), replicas, redirect)
 	}
 	return nodes
 }
@@ -328,7 +340,7 @@ func TestReplicaBootRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", follower.addr, err)
 	}
-	follower = startMember(t, ln, addrs, idx, follower.dir, 1)
+	follower = startMember(t, ln, addrs, idx, follower.dir, 1, false)
 	nodes[idx] = follower
 
 	if cur := follower.node.Status().ReplicaCursors[id]; cur != last.Epoch {
@@ -475,5 +487,140 @@ func TestNonClusterIDsStayLocal(t *testing.T) {
 		t.Fatal("mutate of unknown local id succeeded")
 	} else if server.Classify(err) != server.StatusNotFound {
 		t.Fatalf("unknown local id classified %v, want %v", server.Classify(err), server.StatusNotFound)
+	}
+}
+
+// TestRedirectToOwner: with Cluster.Redirect set, a non-owner answers a
+// shard query frame, a mutate frame, a create frame and the HTTP shard
+// query with the owner's address instead of proxying, and re-issuing
+// each at that address answers as the owner does.
+func TestRedirectToOwner(t *testing.T) {
+	nodes := startClusterMode(t, 3, 1, true)
+	parents := chainParents(6)
+	key := engine.Fingerprint(tree.MustFromParents(parents))
+	owner, ok := nodes[0].node.ring.Owner(key, nil)
+	if !ok {
+		t.Fatal("empty ring")
+	}
+	ownerTN := byAddr(t, nodes, owner)
+	res, err := ownerTN.node.DynCreate(parents, 0, "")
+	if err != nil {
+		t.Fatalf("create at owner: %v", err)
+	}
+	if walk := ownerAndSuccessors(t, ownerTN, res.ID); walk[0] != owner {
+		t.Fatalf("shard %s routes to %s, its tree to %s", res.ID, walk[0], owner)
+	}
+	var via *testNode
+	for _, tn := range nodes {
+		if tn != ownerTN {
+			via = tn
+			break
+		}
+	}
+	dial := func(addr string) *wire.Client {
+		t.Helper()
+		cl, err := wire.Dial(addr, wire.DialOptions{DialTimeout: time.Second})
+		if err != nil {
+			t.Fatalf("dial %s: %v", addr, err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	redirected := func(what string, err error) string {
+		t.Helper()
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Status != wire.StatusRedirect || we.Msg != owner {
+			t.Fatalf("%s via non-owner %s = %v, want a redirect to %s", what, via.addr, err, owner)
+		}
+		return we.Msg
+	}
+	cl := dial(via.addr)
+
+	vals := make([]int64, res.N)
+	for i := range vals {
+		vals[i] = 1
+	}
+	q := wire.Query{ShardID: res.ID, Kind: wire.KindTreefix, Vals: vals}
+	_, err = cl.Do(&q)
+	sums, err := dial(redirected("query", err)).Do(&q)
+	if err != nil || sums.Sums[0] != int64(res.N) {
+		t.Fatalf("query re-issued at the owner = %+v, %v; want the root's subtree size %d", sums, err, res.N)
+	}
+
+	m := wire.Mutate{ShardID: res.ID, Op: wire.OpInsert, Arg: 0}
+	_, err = cl.Mutate(&m)
+	mut, err := dial(redirected("mutate", err)).Mutate(&m)
+	if err != nil || mut.Epoch != 1 || mut.N != res.N+1 {
+		t.Fatalf("mutate re-issued at the owner = %+v, %v; want epoch 1, n %d", mut, err, res.N+1)
+	}
+
+	dc := wire.DynCreate{Parents: parents}
+	_, err = cl.DynCreate(&dc)
+	created, err := dial(redirected("create", err)).DynCreate(&dc)
+	if err != nil || created.N != len(parents) {
+		t.Fatalf("create re-issued at the owner = %+v, %v", created, err)
+	}
+	if _, ok := ownerTN.srv.DynShard(created.ShardID); !ok {
+		t.Fatalf("re-issued create %s is not served by the owner", created.ShardID)
+	}
+
+	body, err := json.Marshal(server.QueryRequest{Kind: "treefix", Vals: append(vals, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(tn *testNode) *http.Response {
+		t.Helper()
+		hs := httptest.NewServer(tn.srv.Handler())
+		t.Cleanup(hs.Close)
+		resp, err := http.Post(hs.URL+"/v1/dyn/"+res.ID+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	resp := post(via)
+	var er server.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusMisdirectedRequest || resp.Header.Get("X-Spatialtree-Owner") != owner || er.Owner != owner {
+		t.Fatalf("HTTP query via non-owner = %d owner header %q body %+v, want 421 naming %s",
+			resp.StatusCode, resp.Header.Get("X-Spatialtree-Owner"), er, owner)
+	}
+	resp = post(byAddr(t, nodes, er.Owner))
+	var qr server.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || qr.Sums[0] != int64(res.N+1) {
+		t.Fatalf("HTTP query re-issued at the owner = %d %+v, want the root's subtree size %d", resp.StatusCode, qr, res.N+1)
+	}
+}
+
+// TestRecordConversion: toWire and fromWire are the only places the WAL
+// and frame op codes meet. Inserts and deletes round-trip; a fence, a
+// segment marker of one log, is never shipped.
+func TestRecordConversion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  persist.Record
+		want []wire.RepRecord
+	}{
+		{"insert", persist.Record{Type: persist.RecInsert, Epoch: 7, Arg: 3, Result: 12},
+			[]wire.RepRecord{{Type: wire.OpInsert, Epoch: 7, Arg: 3, Result: 12}}},
+		{"delete", persist.Record{Type: persist.RecDelete, Epoch: 8, Arg: 5, Result: 11},
+			[]wire.RepRecord{{Type: wire.OpDelete, Epoch: 8, Arg: 5, Result: 11}}},
+		{"fence", persist.Record{Type: persist.RecFence, Epoch: 8}, []wire.RepRecord{}},
+	} {
+		got := toWire([]persist.Record{tc.rec})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: toWire = %+v, want %+v", tc.name, got, tc.want)
+		}
+		for _, w := range got {
+			if back := fromWire(w); back != tc.rec {
+				t.Fatalf("%s: fromWire(toWire(r)) = %+v, want %+v", tc.name, back, tc.rec)
+			}
+		}
 	}
 }

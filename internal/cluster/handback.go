@@ -356,7 +356,7 @@ func (n *Node) handbackClaimState(id string) (uint64, []wire.RepRecord) {
 	if err != nil {
 		return cursor, nil
 	}
-	return cursor, wireRecords(recs)
+	return cursor, toWire(recs)
 }
 
 // Handback implements server.ClusterHooks: the successor half of rejoin
@@ -463,7 +463,7 @@ func (n *Node) buildServedGrant(id string, de *engine.DynEngine, o *wire.Handbac
 	if err != nil {
 		return snapshot() // tail compacted away: rebuild
 	}
-	wrecs := wireRecords(recs)
+	wrecs := toWire(recs)
 	if len(wrecs) == 0 || wrecs[len(wrecs)-1].Epoch != fence {
 		return snapshot()
 	}
@@ -494,12 +494,12 @@ func (n *Node) grantFromReplica(id string, o *wire.HandbackOffer) *wire.Handback
 	}
 	if rep.log != nil {
 		if recs, err := rep.log.RecordsAfter(o.Cursor); err == nil {
-			if wrecs := wireRecords(recs); len(wrecs) > 0 && wrecs[len(wrecs)-1].Epoch == fence {
+			if wrecs := toWire(recs); len(wrecs) > 0 && wrecs[len(wrecs)-1].Epoch == fence {
 				return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: wrecs}
 			}
 		}
 	}
-	blob := persist.EncodeDyn(server.DynSnapshotFromState(rep.de.State()))
+	blob := persist.EncodeDyn(rep.de.State())
 	return &wire.HandbackGrant{Mode: wire.GrantSnapshot, Fence: fence, Blob: blob}
 }
 
@@ -531,36 +531,11 @@ func (n *Node) handbackDiverged(id string, fence uint64, o *wire.HandbackOffer) 
 		if r.Epoch > fence {
 			break
 		}
-		our, ok := byEpoch[r.Epoch]
-		if !ok {
-			return true
-		}
-		typ := uint8(wire.OpInsert)
-		if our.Type == persist.RecDelete {
-			typ = wire.OpDelete
-		}
-		if r.Type != typ || int64(our.Arg) != r.Arg || int64(our.Result) != r.Result {
+		if our, ok := byEpoch[r.Epoch]; !ok || our != fromWire(r) {
 			return true
 		}
 	}
 	return false
-}
-
-// wireRecords converts persisted WAL records (already fence-filtered
-// and contiguity-checked by RecordsAfter) to their wire form.
-func wireRecords(recs []persist.Record) []wire.RepRecord {
-	out := make([]wire.RepRecord, 0, len(recs))
-	for _, r := range recs {
-		if r.Type == persist.RecFence {
-			continue
-		}
-		op := uint8(wire.OpInsert)
-		if r.Type == persist.RecDelete {
-			op = wire.OpDelete
-		}
-		out = append(out, wire.RepRecord{Type: op, Epoch: r.Epoch, Arg: int64(r.Arg), Result: int64(r.Result)})
-	}
-	return out
 }
 
 // handbackMutate serves a mutation for a shard still being reconciled:

@@ -36,7 +36,7 @@ func restartMember(t *testing.T, nodes []*testNode, tn *testNode, replicas int) 
 	if err != nil {
 		t.Fatalf("rebind %s: %v", tn.addr, err)
 	}
-	fresh := startMember(t, ln, addrs, idx, tn.dir, replicas)
+	fresh := startMember(t, ln, addrs, idx, tn.dir, replicas, false)
 	nodes[idx] = fresh
 	return fresh
 }
@@ -162,6 +162,10 @@ func TestClusterRejoinHandback(t *testing.T) {
 	killed := make(chan struct{})
 	restart := make(chan struct{})
 	done := make(chan struct{})
+	// Both churn goroutines can reach the total, and the timeout below
+	// can race them: done closes exactly once.
+	var doneOnce sync.Once
+	finish := func() { doneOnce.Do(func() { close(done) }) }
 	var churn sync.WaitGroup
 	const preKill, midKill, postRejoin = 15, 25, 40
 	total := preKill + midKill + postRejoin
@@ -195,11 +199,7 @@ func TestClusterRejoinHandback(t *testing.T) {
 					close(restart)
 				}
 				if n >= total {
-					select {
-					case <-done:
-					default:
-						close(done)
-					}
+					finish()
 					return
 				}
 			}
@@ -215,7 +215,7 @@ func TestClusterRejoinHandback(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		close(done)
+		finish()
 		churn.Wait()
 		mu.Lock()
 		defer mu.Unlock()

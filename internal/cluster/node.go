@@ -372,7 +372,6 @@ func (n *Node) dialOpts() wire.DialOptions {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
 	}
-	o.FollowRedirects = 0 // routing hops are the ring's, not the transport's
 	return o
 }
 

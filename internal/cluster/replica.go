@@ -15,7 +15,6 @@ import (
 
 	"spatialtree/internal/engine"
 	"spatialtree/internal/persist"
-	"spatialtree/internal/server"
 	"spatialtree/internal/wire"
 )
 
@@ -67,7 +66,7 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 	if err != nil {
 		return 0, wire.AckRefused, "decode: " + err.Error()
 	}
-	de, err := engine.RestoreDyn(server.DynStateFromSnapshot(snap), n.srv.EngineOptions())
+	de, err := engine.RestoreDyn(snap, n.srv.EngineOptions())
 	if err != nil {
 		return 0, wire.AckRefused, "restore: " + err.Error()
 	}
@@ -91,7 +90,7 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 		if err != nil {
 			return 0, wire.AckRefused, err.Error()
 		}
-		de.SetJournal(replicaJournal(log))
+		de.SetJournal(log.Append)
 	}
 	rep.de, rep.log = de, log
 	return snap.Epoch, wire.AckOK, ""
@@ -120,12 +119,7 @@ func (n *Node) ApplyRecords(id string, recs []wire.RepRecord) (uint64, uint8, st
 		return 0, wire.AckNeedSync, "replica of " + id + " was discarded"
 	}
 	for _, r := range recs {
-		err := rep.de.ApplyRecord(engine.MutationRecord{
-			Epoch:  r.Epoch,
-			Op:     engine.MutationOp(r.Type),
-			Arg:    int(r.Arg),
-			Result: int(r.Result),
-		})
+		err := rep.de.ApplyRecord(fromWire(r))
 		switch {
 		case err == nil:
 		case errors.Is(err, engine.ErrReplicaGap):
@@ -136,7 +130,7 @@ func (n *Node) ApplyRecords(id string, recs []wire.RepRecord) (uint64, uint8, st
 		}
 	}
 	if rep.log != nil && rep.log.NeedsCompact() {
-		if err := rep.log.Compact(server.DynSnapshotFromState(rep.de.State())); err != nil {
+		if err := rep.log.Compact(rep.de.State()); err != nil {
 			// The replica itself is intact; only its durable form is in
 			// question. Discarding forces a clean snapshot resync.
 			n.discardReplicaLocked(id, rep)
@@ -172,40 +166,53 @@ func (n *Node) recoverReplicas() error {
 		if err != nil {
 			return fmt.Errorf("cluster: replica %s: %w", id, err)
 		}
-		de, err := engine.RestoreDyn(server.DynStateFromSnapshot(snap), n.srv.EngineOptions())
+		de, err := engine.RestoreDyn(snap, n.srv.EngineOptions())
 		if err != nil {
 			return fmt.Errorf("cluster: replica %s: %w", id, err)
 		}
 		for _, r := range recs {
-			if r.Type == persist.RecFence {
-				continue
-			}
-			if err := de.ApplyRecord(engine.MutationRecord{
-				Epoch:  r.Epoch,
-				Op:     engine.MutationOp(r.Type),
-				Arg:    r.Arg,
-				Result: r.Result,
-			}); err != nil {
+			if err := de.ApplyRecord(r); err != nil {
 				return fmt.Errorf("cluster: replica %s replay epoch %d: %w", id, r.Epoch, err)
 			}
 		}
-		de.SetJournal(replicaJournal(log))
+		de.SetJournal(log.Append)
 		n.reps[id] = &replica{de: de, log: log}
 		n.bumpSeq(id)
 	}
 	return nil
 }
 
-// replicaJournal adapts a replica's shard log into the engine's journal
-// hook, mirroring the server's journaling of owned shards.
-func replicaJournal(log *persist.ShardLog) engine.JournalFunc {
-	return func(rec engine.MutationRecord) error {
-		r := persist.Record{Epoch: rec.Epoch, Arg: rec.Arg, Result: rec.Result}
-		if rec.Op == engine.MutInsert {
-			r.Type = persist.RecInsert
-		} else {
-			r.Type = persist.RecDelete
+// toWire converts WAL records into their frame form for shipping. The
+// two op-code sets name the same mutations (wire.OpInsert is
+// persist.RecInsert, wire.OpDelete is persist.RecDelete); a fence is a
+// segment marker of one log, never a mutation, so it is not shipped.
+func toWire(recs []persist.Record) []wire.RepRecord {
+	out := make([]wire.RepRecord, 0, len(recs))
+	for _, r := range recs {
+		var op uint8
+		switch r.Type {
+		case persist.RecInsert:
+			op = wire.OpInsert
+		case persist.RecDelete:
+			op = wire.OpDelete
+		default:
+			continue
 		}
-		return log.Append(r)
+		out = append(out, wire.RepRecord{Type: op, Epoch: r.Epoch, Arg: int64(r.Arg), Result: int64(r.Result)})
 	}
+	return out
+}
+
+// fromWire converts a shipped record into the WAL form ApplyRecord
+// takes. An op outside the two mutations (the frame decoder already
+// refuses one) maps to the zero type, which ApplyRecord rejects.
+func fromWire(r wire.RepRecord) persist.Record {
+	rec := persist.Record{Epoch: r.Epoch, Arg: int(r.Arg), Result: int(r.Result)}
+	switch r.Type {
+	case wire.OpInsert:
+		rec.Type = persist.RecInsert
+	case wire.OpDelete:
+		rec.Type = persist.RecDelete
+	}
+	return rec
 }

@@ -243,7 +243,7 @@ func (n *Node) shipTail(addr, id string, cursor uint64) error {
 		}
 		return err
 	}
-	wrecs := wireRecords(recs)
+	wrecs := toWire(recs)
 	c, err := n.client(addr)
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
 	"spatialtree/internal/order"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
@@ -65,43 +66,25 @@ type DynEngine struct {
 	profile   ProfileFunc // batch observer, re-installed on every epoch's inner engine
 }
 
-// MutationOp discriminates the two DynEngine mutations in a
-// MutationRecord.
-type MutationOp uint8
-
-// Mutation kinds carried by MutationRecord.
-const (
-	MutInsert MutationOp = iota + 1
-	MutDelete
-)
-
-// MutationRecord describes one applied mutation for durability hooks:
-// the epoch the shard reached by applying it (epochs advance by exactly
-// one per record), the operation, its argument (the parent for inserts,
-// the leaf for deletes) and its result (the new vertex id for inserts,
-// the renumbered id for deletes — enough to re-apply the record
-// deterministically and to verify a replay).
-type MutationRecord struct {
-	Epoch  uint64
-	Op     MutationOp
-	Arg    int
-	Result int
-}
-
-// JournalFunc persists one mutation record. It is invoked while the
-// engine holds its mutation lock, after the pending batch has been
-// drained through the Quiesce barrier and the mutation has been applied
-// — so records are strictly ordered against both each other and batch
-// dispatch, and a record is only ever written for a mutation that
-// actually happened. An error fails the mutation call that produced the
+// JournalFunc persists one mutation record: the epoch the shard reached
+// by applying it (epochs advance by exactly one per record), the type
+// (persist.RecInsert or persist.RecDelete), its argument (the parent
+// for inserts, the leaf for deletes) and its result (the new vertex id
+// for inserts, the renumbered id for deletes — enough to re-apply the
+// record deterministically through ApplyRecord and verify it). It is
+// invoked while the engine holds its mutation lock, after the pending
+// batch has been drained through the Quiesce barrier and the mutation
+// has been applied — so records are strictly ordered against both each
+// other and batch dispatch, and a record is only ever written for a
+// mutation that actually happened. An error fails the mutation call that produced the
 // record; the in-memory mutation stands (the tree did change), but the
 // caller knows it is not durable.
-type JournalFunc func(MutationRecord) error
+type JournalFunc func(persist.Record) error
 
 // SetJournal installs (or, with nil, removes) the durability hook.
 // Install it after constructing or restoring the engine and before
 // serving mutations; recovery installs it only after WAL replay, so
-// replayed mutations are not journaled twice.
+// replayed records are not journaled twice.
 func (de *DynEngine) SetJournal(fn JournalFunc) {
 	de.mu.Lock()
 	de.journal = fn
@@ -275,7 +258,7 @@ func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 	if de.dyn.Inserts != before {
 		de.epoch++
 		de.dirty = true
-		if jerr := de.journalLocked(MutationRecord{Epoch: de.epoch, Op: MutInsert, Arg: parent, Result: v}); err == nil {
+		if jerr := de.journalLocked(persist.Record{Type: persist.RecInsert, Epoch: de.epoch, Arg: parent, Result: v}); err == nil {
 			err = jerr
 		}
 		return v, err
@@ -289,7 +272,7 @@ func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 // journalLocked invokes the durability hook, if any; de.mu must be held
 // (which is also what orders records against batch dispatch — the
 // caller drained the engine through Quiesce before mutating).
-func (de *DynEngine) journalLocked(rec MutationRecord) error {
+func (de *DynEngine) journalLocked(rec persist.Record) error {
 	if de.journal == nil {
 		return nil
 	}
@@ -316,7 +299,7 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 	if de.dyn.Deletes != before {
 		de.epoch++
 		de.dirty = true
-		if jerr := de.journalLocked(MutationRecord{Epoch: de.epoch, Op: MutDelete, Arg: v, Result: moved}); err == nil {
+		if jerr := de.journalLocked(persist.Record{Type: persist.RecDelete, Epoch: de.epoch, Arg: v, Result: moved}); err == nil {
 			err = jerr
 		}
 		return moved, err
@@ -337,18 +320,21 @@ var ErrReplicaGap = errors.New("engine: record epoch gap")
 // trusted and must be rebuilt from a snapshot.
 var ErrReplicaDiverged = errors.New("engine: replica diverged from owner")
 
-// ApplyRecord re-applies one journaled mutation to a replica engine —
-// the follower half of log-shipping replication. The engine's epoch is
-// the apply cursor: a record at or before it is a duplicate shipment
-// and is skipped (idempotence under owner retries), one exactly at
-// cursor+1 applies through the same Quiesce barrier as a local
-// mutation, and anything further ahead is ErrReplicaGap. The applied
-// result is verified against rec.Result; a mismatch is
-// ErrReplicaDiverged. A successful apply journals rec through the
-// installed hook, so a replica's own WAL tracks its cursor.
-func (de *DynEngine) ApplyRecord(rec MutationRecord) error {
-	if rec.Op != MutInsert && rec.Op != MutDelete {
-		return fmt.Errorf("engine: cannot apply record op %d", rec.Op)
+// ApplyRecord re-applies one journaled mutation: the one replay path,
+// shared by a follower applying shipped records, by boot recovery
+// replaying a WAL and by a rejoining owner applying its handback tail.
+// The engine's epoch is the apply cursor: a record at or before it is
+// a duplicate shipment and is skipped (idempotence under owner
+// retries), one exactly at cursor+1 applies through the same Quiesce
+// barrier as a local mutation, and anything further ahead is
+// ErrReplicaGap. Only RecInsert and RecDelete apply; a fence or an
+// unknown type is an error. The applied result is verified against
+// rec.Result; a mismatch is ErrReplicaDiverged. A successful apply
+// journals rec through the installed hook, so a replica's own WAL
+// tracks its cursor.
+func (de *DynEngine) ApplyRecord(rec persist.Record) error {
+	if rec.Type != persist.RecInsert && rec.Type != persist.RecDelete {
+		return fmt.Errorf("engine: cannot apply record type %d", rec.Type)
 	}
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -363,12 +349,12 @@ func (de *DynEngine) ApplyRecord(rec MutationRecord) error {
 	var got int
 	var err error
 	var applied bool
-	switch rec.Op {
-	case MutInsert:
+	switch rec.Type {
+	case persist.RecInsert:
 		before := de.dyn.Inserts
 		got, err = de.dyn.InsertLeaf(rec.Arg)
 		applied = de.dyn.Inserts != before
-	case MutDelete:
+	case persist.RecDelete:
 		before := de.dyn.Deletes
 		got, err = de.dyn.DeleteLeaf(rec.Arg)
 		applied = de.dyn.Deletes != before
@@ -379,12 +365,12 @@ func (de *DynEngine) ApplyRecord(rec MutationRecord) error {
 		if err == nil {
 			err = errors.New("mutation did not apply")
 		}
-		return fmt.Errorf("%w: op %d arg %d at epoch %d: %v", ErrReplicaDiverged, rec.Op, rec.Arg, rec.Epoch, err)
+		return fmt.Errorf("%w: type %d arg %d at epoch %d: %v", ErrReplicaDiverged, rec.Type, rec.Arg, rec.Epoch, err)
 	}
 	de.epoch++
 	de.dirty = true
 	if got != rec.Result {
-		return fmt.Errorf("%w: op %d arg %d at epoch %d produced %d, owner recorded %d", ErrReplicaDiverged, rec.Op, rec.Arg, rec.Epoch, got, rec.Result)
+		return fmt.Errorf("%w: type %d arg %d at epoch %d produced %d, owner recorded %d", ErrReplicaDiverged, rec.Type, rec.Arg, rec.Epoch, got, rec.Result)
 	}
 	// A post-apply rebuild error degrades serving, not state: the epoch
 	// advanced exactly as the owner's did, so the record still journals
@@ -510,40 +496,20 @@ func (de *DynEngine) Pending() int {
 	return inner.Pending()
 }
 
-// DynState is the complete durable state of a DynEngine: everything a
-// snapshot must carry so that RestoreDyn yields a shard serving
-// identical answers with identical accounting. Parents and Ranks are
-// parallel to vertex ids; Ranks are the dynamic layout's sparse parked
-// positions on a Side×Side grid (not a dense order).
-type DynState struct {
-	Parents []int
-	Ranks   []int
-	Side    int
-	Curve   string
-	Epsilon float64
-	// Epoch is the serving epoch (applied mutation count); WAL records
-	// continue from it.
-	Epoch uint64
-	// Drift is the dynamic layout's mutations-since-rebuild counter.
-	Drift int
-	// Lifetime counters, restored so restarts do not reset the
-	// maintenance-cost accounting.
-	Inserts, Deletes, Rebuilds uint64
-	ParkEnergy, MigrateEnergy  int64
-}
-
-// State captures the engine's durable state under the mutation lock, so
-// it is consistent with the epoch of the last journaled record — the
-// invariant compaction relies on (a snapshot at epoch E supersedes
-// exactly the WAL records with epoch <= E).
-func (de *DynEngine) State() DynState {
+// State captures the engine's complete durable state under the
+// mutation lock — everything RestoreDyn needs to yield a shard serving
+// identical answers with identical accounting — so it is consistent
+// with the epoch of the last journaled record, the invariant compaction
+// relies on (a snapshot at epoch E supersedes exactly the WAL records
+// with epoch <= E).
+func (de *DynEngine) State() persist.DynSnapshot {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	return DynState{
+	return persist.DynSnapshot{
 		Parents:       de.dyn.Parents(),
-		Ranks:         de.dyn.Ranks(),
-		Side:          de.dyn.Side(),
 		Curve:         de.curve.Name(),
+		Side:          de.dyn.Side(),
+		Ranks:         de.dyn.Ranks(),
 		Epsilon:       de.dyn.Epsilon(),
 		Epoch:         de.epoch,
 		Drift:         de.dyn.Drift(),
@@ -559,9 +525,9 @@ func (de *DynEngine) State() DynState {
 // or decoded from a snapshot): the dynamic layout is reconstructed and
 // invariant-checked, counters and epoch are restored, and the serving
 // state is refreshed exactly as NewDyn would. WAL records newer than
-// st.Epoch are the caller's to re-apply through InsertLeaf/DeleteLeaf
-// before installing a journal with SetJournal.
-func RestoreDyn(st DynState, opts Options) (*DynEngine, error) {
+// st.Epoch are the caller's to re-apply through ApplyRecord before
+// installing a journal with SetJournal.
+func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
 	name := st.Curve
 	if name == "" {
 		name = "hilbert"

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
@@ -80,8 +81,8 @@ func TestJournalOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []MutationRecord
-	de.SetJournal(func(rec MutationRecord) error {
+	var recs []persist.Record
+	de.SetJournal(func(rec persist.Record) error {
 		recs = append(recs, rec)
 		return nil
 	})
@@ -99,9 +100,9 @@ func TestJournalOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []MutationRecord{
-		{Epoch: 1, Op: MutInsert, Arg: 7, Result: v},
-		{Epoch: 2, Op: MutDelete, Arg: v, Result: moved},
+	want := []persist.Record{
+		{Type: persist.RecInsert, Epoch: 1, Arg: 7, Result: v},
+		{Type: persist.RecDelete, Epoch: 2, Arg: v, Result: moved},
 	}
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("journal = %+v, want %+v", recs, want)
@@ -118,7 +119,7 @@ func TestJournalFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("disk full")
-	de.SetJournal(func(MutationRecord) error { return sentinel })
+	de.SetJournal(func(persist.Record) error { return sentinel })
 	nBefore := de.N()
 	v, err := de.InsertLeaf(0)
 	if !errors.Is(err, sentinel) {
@@ -132,12 +133,112 @@ func TestJournalFailureSurfaces(t *testing.T) {
 	if de.N() != nBefore+1 || de.Epoch() != 1 {
 		t.Fatalf("in-memory mutation should stand: n=%d epoch=%d", de.N(), de.Epoch())
 	}
-	de.SetJournal(func(MutationRecord) error { return sentinel })
+	de.SetJournal(func(persist.Record) error { return sentinel })
 	moved, err := de.DeleteLeaf(v)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("DeleteLeaf = %v, want wrapped sentinel", err)
 	}
 	if moved != v {
 		t.Fatalf("DeleteLeaf returned moved %d with the journal error, want %d (last id)", moved, v)
+	}
+}
+
+// TestApplyRecord pins the one replay path that follower apply, boot
+// recovery and the handback tail share: duplicates skip without
+// journaling, a gap leaves the cursor alone, owner records reproduce the
+// owner's results and journal themselves, a record that does not
+// reproduce is ErrReplicaDiverged, and only inserts and deletes apply.
+func TestApplyRecord(t *testing.T) {
+	owner, err := NewDyn(tree.RandomAttachment(30, rng.New(8)), DynOptions{Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := owner.State()
+	var shipped []persist.Record
+	owner.SetJournal(func(rec persist.Record) error {
+		shipped = append(shipped, rec)
+		return nil
+	})
+	v, err := owner.InsertLeaf(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.InsertLeaf(v); err != nil {
+		t.Fatal(err)
+	}
+	leaf := 1
+	for !owner.IsLeaf(leaf) {
+		leaf++
+	}
+	// An original leaf, not the last id: the delete renumbers, so its
+	// result is worth verifying.
+	if moved, err := owner.DeleteLeaf(leaf); err != nil || moved == leaf {
+		t.Fatalf("DeleteLeaf(%d) = %d, %v; want a renumbering delete", leaf, moved, err)
+	}
+
+	replica, err := RestoreDyn(start, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled []persist.Record
+	replica.SetJournal(func(rec persist.Record) error {
+		journaled = append(journaled, rec)
+		return nil
+	})
+
+	if err := replica.ApplyRecord(shipped[1]); !errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("cursor+2 = %v, want ErrReplicaGap", err)
+	}
+	if replica.Epoch() != start.Epoch || replica.N() != len(start.Parents) || len(journaled) != 0 {
+		t.Fatalf("gap moved the replica: epoch %d n %d journaled %d", replica.Epoch(), replica.N(), len(journaled))
+	}
+	for _, rec := range shipped {
+		if err := replica.ApplyRecord(rec); err != nil {
+			t.Fatalf("ApplyRecord(%+v) = %v", rec, err)
+		}
+	}
+	if !reflect.DeepEqual(journaled, shipped) {
+		t.Fatalf("replica journaled %+v, owner shipped %+v", journaled, shipped)
+	}
+	ot, err := owner.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := replica.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rt.Parents(), ot.Parents()) {
+		t.Fatal("replica tree differs from the owner's")
+	}
+
+	for _, dup := range []persist.Record{shipped[0], shipped[len(shipped)-1]} {
+		if err := replica.ApplyRecord(dup); err != nil {
+			t.Fatalf("duplicate %+v = %v, want a skip", dup, err)
+		}
+	}
+	if replica.Epoch() != owner.Epoch() || len(journaled) != len(shipped) {
+		t.Fatalf("duplicates moved the replica: epoch %d, journaled %d", replica.Epoch(), len(journaled))
+	}
+
+	// The mutation applies but its result disagrees with the owner's.
+	wrong := persist.Record{Type: persist.RecInsert, Epoch: replica.Epoch() + 1, Arg: 0, Result: replica.N() + 1}
+	if err := replica.ApplyRecord(wrong); !errors.Is(err, ErrReplicaDiverged) {
+		t.Fatalf("wrong result = %v, want ErrReplicaDiverged", err)
+	}
+	// The mutation cannot apply at all: the root is not a leaf.
+	root := persist.Record{Type: persist.RecDelete, Epoch: replica.Epoch() + 1, Arg: 0}
+	if err := replica.ApplyRecord(root); !errors.Is(err, ErrReplicaDiverged) {
+		t.Fatalf("unappliable record = %v, want ErrReplicaDiverged", err)
+	}
+	if len(journaled) != len(shipped) {
+		t.Fatalf("diverged records journaled: %+v", journaled[len(shipped):])
+	}
+
+	for _, typ := range []persist.RecordType{persist.RecFence, 0, 9} {
+		rec := persist.Record{Type: typ, Epoch: replica.Epoch() + 1}
+		if err := replica.ApplyRecord(rec); err == nil || errors.Is(err, ErrReplicaGap) || errors.Is(err, ErrReplicaDiverged) {
+			t.Fatalf("record type %d = %v, want a type rejection", typ, err)
+		}
 	}
 }

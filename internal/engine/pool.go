@@ -6,6 +6,7 @@ import (
 
 	"spatialtree/internal/exec"
 	"spatialtree/internal/par"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/tree"
 )
 
@@ -156,7 +157,7 @@ func (p *Pool) NewDynShardBackend(t *tree.Tree, epsilon float64, backend string)
 // rebuilt from st (see RestoreDyn) with the pool's options and shared
 // cache and registered for FlushAll and Stats, exactly like a shard
 // created through NewDynShard.
-func (p *Pool) RestoreDynShard(st DynState) (*DynEngine, error) {
+func (p *Pool) RestoreDynShard(st persist.DynSnapshot) (*DynEngine, error) {
 	de, err := RestoreDyn(st, p.opts)
 	if err != nil {
 		return nil, err

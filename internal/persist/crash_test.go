@@ -1,4 +1,4 @@
-package persist
+package persist_test
 
 import (
 	"os"
@@ -9,42 +9,12 @@ import (
 	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/engine"
 	"spatialtree/internal/lca"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
 )
-
-// engineSnap captures a DynEngine's state as a DynSnapshot (the
-// conversion internal/server performs in production).
-func engineSnap(de *engine.DynEngine) DynSnapshot {
-	st := de.State()
-	return DynSnapshot{
-		Parents: st.Parents, Curve: st.Curve, Side: st.Side, Ranks: st.Ranks,
-		Epsilon: st.Epsilon, Epoch: st.Epoch, Drift: st.Drift,
-		Inserts: st.Inserts, Deletes: st.Deletes, Rebuilds: st.Rebuilds,
-		ParkEnergy: st.ParkEnergy, MigrateEnergy: st.MigrateEnergy,
-	}
-}
-
-func snapState(snap DynSnapshot) engine.DynState {
-	return engine.DynState{
-		Parents: snap.Parents, Ranks: snap.Ranks, Side: snap.Side, Curve: snap.Curve,
-		Epsilon: snap.Epsilon, Epoch: snap.Epoch, Drift: snap.Drift,
-		Inserts: snap.Inserts, Deletes: snap.Deletes, Rebuilds: snap.Rebuilds,
-		ParkEnergy: snap.ParkEnergy, MigrateEnergy: snap.MigrateEnergy,
-	}
-}
-
-func toRecord(rec engine.MutationRecord) Record {
-	r := Record{Epoch: rec.Epoch, Arg: rec.Arg, Result: rec.Result}
-	if rec.Op == engine.MutInsert {
-		r.Type = RecInsert
-	} else {
-		r.Type = RecDelete
-	}
-	return r
-}
 
 // randomMutation applies one random workload step: mostly inserts under
 // a random vertex, sometimes the deletion of a random non-root leaf.
@@ -71,28 +41,6 @@ func randomMutation(t *testing.T, de *engine.DynEngine, r *rng.RNG) {
 	}
 }
 
-// replay re-applies one record to a recovering engine, verifying the
-// deterministic outcome against what the log recorded.
-func replay(t *testing.T, de *engine.DynEngine, rec Record) {
-	t.Helper()
-	var got int
-	var err error
-	switch rec.Type {
-	case RecInsert:
-		got, err = de.InsertLeaf(rec.Arg)
-	case RecDelete:
-		got, err = de.DeleteLeaf(rec.Arg)
-	default:
-		t.Fatalf("unexpected record %+v", rec)
-	}
-	if err != nil {
-		t.Fatalf("replaying %+v: %v", rec, err)
-	}
-	if got != rec.Result || de.Epoch() != rec.Epoch {
-		t.Fatalf("replay diverged: %+v produced result %d at epoch %d", rec, got, de.Epoch())
-	}
-}
-
 // TestCrashRecoveryProperty is the durability pin: a random
 // mutate/query workload runs against a journaled dyn shard, the store
 // is killed by truncating the WAL at a random byte (record boundaries
@@ -111,31 +59,30 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// Tiny segments force rotations mid-workload; every other seed
 		// also compacts midway, so cuts land before, inside and after
 		// snapshot boundaries.
-		store := testStore(t, Options{Dir: dir, SegmentBytes: 200, CompactAfter: 1 << 30})
+		store := persist.OpenForTest(t, persist.Options{Dir: dir, SegmentBytes: 200, CompactAfter: 1 << 30})
 
 		base := tree.RandomAttachment(24+int(seed), rng.New(seed))
 		de, err := engine.NewDyn(base, engine.DynOptions{Epsilon: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, err := store.CreateShardLog("d1", engineSnap(de))
+		log, err := store.CreateShardLog("d1", de.State())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var journaled []Record
-		de.SetJournal(func(rec engine.MutationRecord) error {
-			pr := toRecord(rec)
-			if err := log.Append(pr); err != nil {
+		var journaled []persist.Record
+		de.SetJournal(func(rec persist.Record) error {
+			if err := log.Append(rec); err != nil {
 				return err
 			}
-			journaled = append(journaled, pr)
+			journaled = append(journaled, rec)
 			return nil
 		})
 
 		for m := 0; m < mutations; m++ {
 			randomMutation(t, de, r)
 			if m == mutations/2 && seed%2 == 0 {
-				if err := log.Compact(engineSnap(de)); err != nil {
+				if err := log.Compact(de.State()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -156,11 +103,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 
 		// Crash: truncate the newest WAL segment at a random byte.
-		segs, err := listSegments(filepath.Join(dir, "dyn", "d1"))
+		segs, err := persist.ListSegments(filepath.Join(dir, "dyn", "d1"))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("segments: %v %v", segs, err)
 		}
-		seg := segPath(filepath.Join(dir, "dyn", "d1"), segs[len(segs)-1])
+		seg := persist.SegPath(filepath.Join(dir, "dyn", "d1"), segs[len(segs)-1])
 		info, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +118,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 
 		// Recover.
-		store2 := testStore(t, Options{Dir: dir})
+		store2 := persist.OpenForTest(t, persist.Options{Dir: dir})
 		_, snap, recs, err := store2.OpenShardLog("d1")
 		if err != nil {
 			t.Fatalf("seed %d cut %d: recovery failed: %v", seed, cut, err)
@@ -180,7 +127,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// (b) The recovered records are exactly a prefix of the
 		// journaled post-snapshot stream — and the whole stream when the
 		// cut spared the file.
-		var post []Record
+		var post []persist.Record
 		for _, rec := range journaled {
 			if rec.Epoch > snap.Epoch {
 				post = append(post, rec)
@@ -195,7 +142,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 		// (c) Engine recovery vs sequential oracle replay of the same
 		// surviving prefix.
-		de2, err := engine.RestoreDyn(snapState(snap), engine.Options{})
+		de2, err := engine.RestoreDyn(snap, engine.Options{})
 		if err != nil {
 			t.Fatalf("seed %d cut %d: %v", seed, cut, err)
 		}
@@ -208,13 +155,15 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			t.Fatalf("seed %d cut %d: oracle restore: %v", seed, cut, err)
 		}
 		for _, rec := range recs {
-			replay(t, de2, rec)
+			if err := de2.ApplyRecord(rec); err != nil {
+				t.Fatalf("replaying %+v: %v", rec, err)
+			}
 			switch rec.Type {
-			case RecInsert:
+			case persist.RecInsert:
 				if _, err := oracle.InsertLeaf(rec.Arg); err != nil {
 					t.Fatal(err)
 				}
-			case RecDelete:
+			case persist.RecDelete:
 				if _, err := oracle.DeleteLeaf(rec.Arg); err != nil {
 					t.Fatal(err)
 				}

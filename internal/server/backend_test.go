@@ -43,6 +43,15 @@ func TestBackendPerTree(t *testing.T) {
 	if simResp.Cost.Messages == 0 {
 		t.Fatal("sim-backend shard served without model cost")
 	}
+	// Ad-hoc traffic of a registered structure joins the registered
+	// shard instead of getting one on the default backend.
+	var adhocResp QueryResponse
+	if err := postJSON(hs.URL, "/v1/query", QueryRequest{Parents: simParents, Kind: "treefix", Vals: vals}, &adhocResp); err != nil {
+		t.Fatal(err)
+	}
+	if adhocResp.Cost.Messages == 0 {
+		t.Fatal("ad-hoc query of a sim-registered structure served off its shard")
+	}
 	natVals := make([]int64, 61)
 	var natResp QueryResponse
 	if err := postJSON(hs.URL, "/v1/query", QueryRequest{TreeID: natReg.ID, Kind: "treefix", Vals: natVals}, &natResp); err != nil {

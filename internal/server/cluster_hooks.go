@@ -208,7 +208,6 @@ func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backe
 		return DynCreateResult{}, statusErrf(StatusBadRequest, "shard_id %s already exists", id)
 	}
 	s.dyns[id] = de
-	s.backends[id] = de.Backend()
 	s.mu.Unlock()
 	return DynCreateResult{ID: id, N: t.N(), Backend: de.Backend()}, nil
 }
@@ -263,7 +262,6 @@ func (s *Server) AdoptDynShard(id string, de *engine.DynEngine, log *persist.Sha
 	if log != nil {
 		s.logs[id] = log
 	}
-	s.backends[id] = de.Backend()
 	s.mu.Unlock()
 	// Outside s.mu: the pool's mutex is routing-class too, and routing
 	// locks do not nest.
@@ -288,7 +286,6 @@ func (s *Server) ReleaseDynShard(id string) (*engine.DynEngine, *persist.ShardLo
 	delete(s.dyns, id)
 	log := s.logs[id]
 	delete(s.logs, id)
-	delete(s.backends, id)
 	s.mu.Unlock()
 	// Outside s.mu, like AdoptDynShard: the pool's mutex is
 	// routing-class too, and routing locks do not nest.
@@ -330,21 +327,14 @@ func (s *Server) SnapshotDyn(id string) (blob []byte, epoch uint64, err error) {
 		return nil, 0, statusErrf(StatusNotFound, "unknown shard_id %s", id)
 	}
 	st := de.State()
-	return persist.EncodeDyn(dynSnapFromState(st)), st.Epoch, nil
+	return persist.EncodeDyn(st), st.Epoch, nil
 }
 
-// DynStateFromSnapshot converts a decoded persist snapshot into the
-// engine's restore state. Exported for the cluster tier's replica
-// apply; the inverse is DynSnapshotFromState.
-func DynStateFromSnapshot(snap persist.DynSnapshot) engine.DynState {
-	return dynStateFromSnap(snap)
-}
-
-// DynSnapshotFromState converts an engine state capture into the
-// persist codec's snapshot type.
-func DynSnapshotFromState(st engine.DynState) persist.DynSnapshot {
-	return dynSnapFromState(st)
-}
+// DynSnapshotFromState returns st unchanged: DynEngine.State already
+// produces the persist snapshot type.
+//
+// Deprecated: use the DynEngine.State result directly.
+func DynSnapshotFromState(st persist.DynSnapshot) persist.DynSnapshot { return st }
 
 // ClusterConfig returns the resolved cluster configuration block.
 func (s *Server) ClusterConfig() Cluster { return s.cfg.Cluster }

@@ -121,9 +121,9 @@ type Cluster struct {
 	VirtualNodes int
 	// Redirect makes a non-owner answer routable requests with
 	// StatusRedirect (HTTP 421) carrying the owner's address, instead
-	// of proxying to the owner on the client's behalf. Smart clients
-	// (wire.DialOptions.FollowRedirects) converge on owners themselves;
-	// proxying (the default) keeps dumb clients working.
+	// of proxying to the owner on the client's behalf. A caller that
+	// re-issues at that address talks to owners directly; proxying
+	// (the default) serves callers that do not.
 	Redirect bool
 }
 

@@ -7,8 +7,9 @@ package server
 // snapshots carry the light-first ranks, so recovery seeds the cache
 // with an O(n) reconstruction and the subsequent pool registration is a
 // cache hit instead of a fresh O(n log n) layout pipeline run per
-// shard. Dyn shards replay their WAL's surviving records through the
-// normal mutation path, verifying each record's result against the log.
+// shard. Dyn shards replay their WAL's surviving records through
+// DynEngine.ApplyRecord — the path followers apply shipped records
+// through — verifying each record's epoch and result against the log.
 
 import (
 	"fmt"
@@ -118,13 +119,13 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	de, err := s.pool.RestoreDynShard(dynStateFromSnap(snap))
+	de, err := s.pool.RestoreDynShard(snap)
 	if err != nil {
 		return 0, err
 	}
 	for _, r := range recs {
-		if err := replayRecord(de, r); err != nil {
-			return replayed, err
+		if err := de.ApplyRecord(r); err != nil {
+			return replayed, fmt.Errorf("replaying record at epoch %d: %w", r.Epoch, err)
 		}
 		replayed++
 	}
@@ -132,7 +133,6 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 	s.mu.Lock()
 	s.dyns[id] = de
 	s.logs[id] = log
-	s.backends[id] = de.Backend()
 	if k, ok := dynSeq(id); ok && k > s.nextDyn {
 		s.nextDyn = k
 	}
@@ -142,39 +142,15 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 		// runtime one in maybeCompact: a shard that recovered cleanly
 		// must not fail the whole boot because folding its long-but-
 		// valid log into a snapshot did not succeed.
-		_ = log.Compact(dynSnapFromState(de.State()))
+		_ = log.Compact(de.State())
 	}
 	return replayed, nil
 }
 
-// replayRecord re-applies one WAL record through the engine's normal
-// mutation path and verifies the outcome against what the log recorded
-// when the mutation originally ran — replay is deterministic, so any
-// disagreement means the snapshot and log do not belong together.
-func replayRecord(de *engine.DynEngine, r persist.Record) error {
-	var got int
-	var err error
-	switch r.Type {
-	case persist.RecInsert:
-		got, err = de.InsertLeaf(r.Arg)
-	case persist.RecDelete:
-		got, err = de.DeleteLeaf(r.Arg)
-	default:
-		return fmt.Errorf("unexpected WAL record type %d", r.Type)
-	}
-	if err != nil {
-		return fmt.Errorf("replaying record at epoch %d: %w", r.Epoch, err)
-	}
-	if got != r.Result || de.Epoch() != r.Epoch {
-		return fmt.Errorf("replay diverged at epoch %d: got result %d epoch %d, log says %d", r.Epoch, got, de.Epoch(), r.Result)
-	}
-	return nil
-}
-
 // journalFunc adapts a shard log into the engine's durability hook.
 func (s *Server) journalFunc(log *persist.ShardLog) engine.JournalFunc {
-	return func(rec engine.MutationRecord) error {
-		if err := log.Append(persistRecord(rec)); err != nil {
+	return func(rec persist.Record) error {
+		if err := log.Append(rec); err != nil {
 			return err
 		}
 		s.journaled.Add(1)
@@ -190,7 +166,7 @@ func (s *Server) persistDynCreate(id string, de *engine.DynEngine) error {
 	if s.cfg.Durability.Store == nil {
 		return nil
 	}
-	log, err := s.cfg.Durability.Store.CreateShardLog(id, dynSnapFromState(de.State()))
+	log, err := s.cfg.Durability.Store.CreateShardLog(id, de.State())
 	if err != nil {
 		return err
 	}
@@ -211,7 +187,7 @@ func (s *Server) maybeCompact(id string, de *engine.DynEngine) {
 	if log == nil || !log.NeedsCompact() {
 		return
 	}
-	_ = log.Compact(dynSnapFromState(de.State()))
+	_ = log.Compact(de.State())
 }
 
 // repairJournal restores a shard's durability after a failed append:
@@ -232,7 +208,7 @@ func (s *Server) repairJournal(id string, de *engine.DynEngine) {
 	if log.LastEpoch() >= st.Epoch {
 		return // log is not behind; nothing to repair
 	}
-	_ = log.Compact(dynSnapFromState(st))
+	_ = log.Compact(st)
 }
 
 // persistTree saves a registered tree's placement snapshot.
@@ -249,50 +225,6 @@ func (s *Server) persistTree(id string, eng *engine.Engine) error {
 		Side:    p.Side,
 		Ranks:   append([]int(nil), p.Order.Rank...),
 	})
-}
-
-func persistRecord(rec engine.MutationRecord) persist.Record {
-	r := persist.Record{Epoch: rec.Epoch, Arg: rec.Arg, Result: rec.Result}
-	if rec.Op == engine.MutInsert {
-		r.Type = persist.RecInsert
-	} else {
-		r.Type = persist.RecDelete
-	}
-	return r
-}
-
-func dynSnapFromState(st engine.DynState) persist.DynSnapshot {
-	return persist.DynSnapshot{
-		Parents:       st.Parents,
-		Curve:         st.Curve,
-		Side:          st.Side,
-		Ranks:         st.Ranks,
-		Epsilon:       st.Epsilon,
-		Epoch:         st.Epoch,
-		Drift:         st.Drift,
-		Inserts:       st.Inserts,
-		Deletes:       st.Deletes,
-		Rebuilds:      st.Rebuilds,
-		ParkEnergy:    st.ParkEnergy,
-		MigrateEnergy: st.MigrateEnergy,
-	}
-}
-
-func dynStateFromSnap(snap persist.DynSnapshot) engine.DynState {
-	return engine.DynState{
-		Parents:       snap.Parents,
-		Ranks:         snap.Ranks,
-		Side:          snap.Side,
-		Curve:         snap.Curve,
-		Epsilon:       snap.Epsilon,
-		Epoch:         snap.Epoch,
-		Drift:         snap.Drift,
-		Inserts:       snap.Inserts,
-		Deletes:       snap.Deletes,
-		Rebuilds:      snap.Rebuilds,
-		ParkEnergy:    snap.ParkEnergy,
-		MigrateEnergy: snap.MigrateEnergy,
-	}
 }
 
 // dynSeq extracts the numeric suffix of a dyn shard id ("d17" → 17).

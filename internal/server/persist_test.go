@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"spatialtree/internal/engine"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/tree"
+	"spatialtree/internal/wire"
 )
 
 func openTestStore(t *testing.T, dir string, opts persist.Options) *persist.Store {
@@ -210,5 +213,48 @@ func TestRestartCompaction(t *testing.T) {
 	rt := tree.MustFromParents(testParents(40, 9))
 	if got := resp.Sums[rt.Root()]; got != int64(40+muts) {
 		t.Fatalf("root subtree sum %d, want %d", got, 40+muts)
+	}
+}
+
+// TestRecoverRejectsDivergedWAL: recovery replays through
+// DynEngine.ApplyRecord, so a WAL record whose result the replay does
+// not reproduce fails the boot with ErrReplicaDiverged instead of
+// serving a shard that no longer matches its log.
+func TestRecoverRejectsDivergedWAL(t *testing.T) {
+	dir := t.TempDir()
+	store := openTestStore(t, dir, persist.Options{})
+	s1 := New(Config{Durability: Durability{Store: store}})
+	created, err := s1.DynCreateLocal("", testParents(20, 11), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s1.DynMutate(created.ID, wire.OpInsert, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next insert would create vertex 23; the log claims 24.
+	store2 := openTestStore(t, dir, persist.Options{})
+	log, _, _, err := store2.OpenShardLog(created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(persist.Record{Type: persist.RecInsert, Epoch: log.LastEpoch() + 1, Arg: 0, Result: 24}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{Durability: Durability{Store: openTestStore(t, dir, persist.Options{})}})
+	if _, err := s2.Recover(); !errors.Is(err, engine.ErrReplicaDiverged) {
+		t.Fatalf("Recover = %v, want ErrReplicaDiverged", err)
 	}
 }

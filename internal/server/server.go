@@ -99,12 +99,11 @@ type Server struct {
 	wireConns     map[net.Conn]struct{}
 	wireListeners map[net.Listener]struct{}
 
-	mu        sync.Mutex //spatialvet:lockclass routing
-	trees     map[string]*tree.Tree
+	mu        sync.Mutex                //spatialvet:lockclass routing
+	trees     map[string]*engine.Engine // registered tree id -> the pool shard serving it
 	dyns      map[string]*engine.DynEngine
 	logs      map[string]*persist.ShardLog // per-dyn-shard WALs (nil Store: empty)
 	adhoc     map[uint64]struct{}          // fingerprints of pool shards auto-created for ad-hoc query trees
-	backends  map[string]string            // tree id / dyn shard id -> serving backend
 	nextDyn   int
 	recovered RecoveryStats
 }
@@ -123,15 +122,14 @@ func New(cfg Config) *Server {
 		ShadowMeter: cfg.ShadowMeter,
 	}
 	s := &Server{
-		cfg:      cfg,
-		pool:     engine.NewPool(cfg.Scheduler.Workers, opts),
-		engOpts:  opts,
-		sem:      make(chan struct{}, cfg.Limits.QueueLimit),
-		trees:    make(map[string]*tree.Tree),
-		dyns:     make(map[string]*engine.DynEngine),
-		logs:     make(map[string]*persist.ShardLog),
-		adhoc:    make(map[uint64]struct{}),
-		backends: make(map[string]string),
+		cfg:     cfg,
+		pool:    engine.NewPool(cfg.Scheduler.Workers, opts),
+		engOpts: opts,
+		sem:     make(chan struct{}, cfg.Limits.QueueLimit),
+		trees:   make(map[string]*engine.Engine),
+		dyns:    make(map[string]*engine.DynEngine),
+		logs:    make(map[string]*persist.ShardLog),
+		adhoc:   make(map[uint64]struct{}),
 
 		wireConns:     make(map[net.Conn]struct{}),
 		wireListeners: make(map[net.Listener]struct{}),
@@ -285,13 +283,13 @@ func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, 
 	fp := engine.Fingerprint(t)
 	id := treeID(fp)
 	s.mu.Lock()
-	_, registered := s.trees[id]
+	prev, registered := s.trees[id]
 	// known means this registration retains nothing new: a pool shard
 	// for (fingerprint, backend) already exists. A re-registration that
 	// switches backends creates a fresh shard (the pool keys on the
 	// pair), so it must pass the budget check like any first sight —
 	// otherwise backend switching would be a MaxShards bypass.
-	known := registered && s.backends[id] == backend
+	known := registered && prev.Backend() == backend
 	if !registered {
 		// A shard auto-created for this structure's ad-hoc traffic
 		// already exists (on the default backend); promoting it to a
@@ -315,8 +313,7 @@ func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, 
 		}
 	}
 	s.mu.Lock()
-	s.trees[id] = t
-	s.backends[id] = backend
+	s.trees[id] = eng
 	// A promoted ad-hoc shard is now accounted as registered; free its
 	// slot in the ad-hoc half of the budget.
 	delete(s.adhoc, fp)
@@ -352,7 +349,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	be := s.backends[id]
+	be := s.trees[id].Backend()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, RegisterResponse{ID: id, N: t.N(), Backend: be})
 }
@@ -410,11 +407,12 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 	}
 
 	// Route. A shard id resolves in the local table, then through the
-	// cluster tier; a tree id or ad-hoc parents resolve through engineFor.
+	// cluster tier; a tree id in the registration table; ad-hoc parents
+	// through engineFor.
 	var (
-		sh submitter
-		de *engine.DynEngine
-		t  *tree.Tree
+		sh  submitter
+		de  *engine.DynEngine
+		eng *engine.Engine
 	)
 	switch {
 	case q.ShardID != "":
@@ -439,25 +437,25 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 		sh = de
 	case q.TreeID != "":
 		s.mu.Lock()
-		t = s.trees[q.TreeID]
+		eng = s.trees[q.TreeID]
 		s.mu.Unlock()
-		if t == nil {
+		if eng == nil {
 			return statusErrf(StatusNotFound, "unknown tree_id %s", q.TreeID)
 		}
+		sh = eng
 	case len(q.Parents) > 0:
-		if t, err = tree.FromParents(q.Parents); err != nil {
+		t, err := tree.FromParents(q.Parents)
+		if err != nil {
 			return badRequest(err)
 		}
-	default:
-		return badRequest(errors.New("shard_id, tree_id or parents required"))
-	}
-	if t != nil {
-		eng, retire, err := s.engineFor(t)
-		if err != nil {
+		var retire func()
+		if eng, retire, err = s.engineFor(t); err != nil {
 			return err
 		}
 		defer retire()
 		sh = eng
+	default:
+		return badRequest(errors.New("shard_id, tree_id or parents required"))
 	}
 
 	// Submit: the one conversion of a query into kernel types. It never
@@ -483,12 +481,15 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 		}
 		fut = sh.SubmitMinCut(scratch.edges)
 	case wire.KindExpr:
+		var t *tree.Tree
 		if de != nil {
 			// A dyn shard's tree changes with mutations: snapshot the
 			// current one. Failing to is the server's fault.
 			if t, err = de.Tree(); err != nil {
 				return err
 			}
+		} else {
+			t = eng.Tree()
 		}
 		scratch.kinds = scratch.kinds[:0]
 		for i, k := range q.ExprKinds {
@@ -596,8 +597,9 @@ func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
 // engineFor resolves the shard serving an ad-hoc query tree. Known
 // trees (registered, or ad-hoc structures already given a shard) join
 // their pooled shard — equal fingerprints coalesce into one batch
-// window, and a registered tree's traffic runs on whatever backend it
-// was registered with (ad-hoc structures use the server default). New
+// window, and a registered structure's traffic runs on the engine its
+// latest registration chose (ad-hoc structures use the server
+// default). New
 // ad-hoc structures get a pooled shard only while the ad-hoc half of
 // the MaxShards budget lasts; the other half stays reserved for
 // explicit registration, so unauthenticated one-off traffic can bound
@@ -616,22 +618,18 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 	// of where it is read.
 	poolSize := s.pool.Size()
 	s.mu.Lock()
-	backend := s.cfg.Backend
-	_, known := s.trees[id]
-	if known {
-		if be, ok := s.backends[id]; ok {
-			backend = be
-		}
-	} else {
-		_, known = s.adhoc[fp]
-		if !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize < s.cfg.Limits.MaxShards {
-			s.adhoc[fp] = struct{}{}
-			known = true
-		}
+	if eng := s.trees[id]; eng != nil {
+		s.mu.Unlock()
+		return eng, func() {}, nil
+	}
+	_, known := s.adhoc[fp]
+	if !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize < s.cfg.Limits.MaxShards {
+		s.adhoc[fp] = struct{}{}
+		known = true
 	}
 	s.mu.Unlock()
 	if known {
-		eng, err := s.pool.EngineBackend(t, backend)
+		eng, err := s.pool.EngineBackend(t, s.cfg.Backend)
 		return eng, func() {}, err
 	}
 	opts := s.engOpts
@@ -739,8 +737,11 @@ func (s *Server) Metrics() MetricsResponse {
 	}
 	recovered := s.recovered
 	backendShards := map[string]int{}
-	for _, be := range s.backends {
-		backendShards[be]++
+	for _, eng := range s.trees {
+		backendShards[eng.Backend()]++
+	}
+	for _, de := range s.dyns {
+		backendShards[de.Backend()]++
 	}
 	// Ad-hoc pool shards were created on the default backend.
 	backendShards[s.cfg.Backend] += len(s.adhoc)

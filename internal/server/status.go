@@ -132,8 +132,8 @@ func Errf(st Status, format string, args ...any) error {
 
 // RedirectTo reports that the node at addr owns the addressed shard.
 // Classify maps it to StatusRedirect; both render paths carry addr
-// (HTTP in the body and X-Spatialtree-Owner, wire as the error message
-// FollowRedirects dials).
+// (HTTP in the body and X-Spatialtree-Owner, wire as the error message),
+// the address a caller re-issues the request at.
 func RedirectTo(addr string) error { return redirectError{Addr: addr} }
 
 // StatusFromWire maps a wire status back into the vocabulary — the
@@ -217,8 +217,8 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 // wireErr classifies err for the binary surface: its wire status and
-// the message to carry (redirects carry the bare owner address — the
-// contract FollowRedirects dials).
+// the message to carry (redirects carry the bare owner address, where
+// the caller re-issues the request).
 func wireErr(err error) (wire.Status, string) {
 	var re redirectError
 	if errors.As(err, &re) {

@@ -9,22 +9,14 @@ import (
 	"time"
 )
 
-// Client option defaults.
-const (
-	// DefaultDialTimeout bounds the TCP connect when
-	// DialOptions.DialTimeout is zero.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultRetryBackoff is the first retry sleep when
-	// DialOptions.RetryBackoff is zero.
-	DefaultRetryBackoff = 10 * time.Millisecond
-	// MaxRetryBackoff caps the doubling retry sleep.
-	MaxRetryBackoff = time.Second
-)
+// DefaultDialTimeout bounds the TCP connect when DialOptions.DialTimeout
+// is zero.
+const DefaultDialTimeout = 5 * time.Second
 
 // DialOptions configures a Client. The zero value dials with
-// DefaultDialTimeout, waits on responses without bound, accepts frames
-// up to DefaultMaxFrame, surfaces redirects to the caller and never
-// retries — the PR 5 client's behavior.
+// DefaultDialTimeout, waits on responses without bound and accepts
+// frames up to DefaultMaxFrame. Every non-OK status, a redirect
+// included, comes back to the caller as an *Error.
 type DialOptions struct {
 	// DialTimeout bounds the TCP connect (0 means DefaultDialTimeout).
 	DialTimeout time.Duration
@@ -37,21 +29,6 @@ type DialOptions struct {
 	// MaxFrame bounds accepted response payloads (<= 0 means
 	// DefaultMaxFrame).
 	MaxFrame int
-	// FollowRedirects is the maximum number of StatusRedirect hops a
-	// call chases before surfacing the redirect as its error. Redirect
-	// targets are dialed lazily with these same options and cached on
-	// the client, so a smart client converges on shard owners after one
-	// hop per shard. 0 surfaces every redirect.
-	FollowRedirects int
-	// RetryUnavailable is the number of times a call rejected with
-	// StatusUnavailable (server draining — the request was not admitted,
-	// so re-sending cannot double-apply) is retried before the status is
-	// surfaced. 0 never retries.
-	RetryUnavailable int
-	// RetryBackoff is the sleep before the first retry, doubled per
-	// retry and capped at MaxRetryBackoff (0 means
-	// DefaultRetryBackoff).
-	RetryBackoff time.Duration
 }
 
 // Client speaks the binary protocol to one server connection. It is
@@ -72,12 +49,6 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]chan response
 	err     error // terminal connection error, set once
-
-	// children caches lazily-dialed redirect targets, keyed by address;
-	// they share opts (with redirect-chasing disabled — the hop loop
-	// lives on this client) and close with it.
-	cmu      sync.Mutex
-	children map[string]*Client
 }
 
 type response struct {
@@ -170,103 +141,14 @@ func (c *Client) wait(ch chan response) response {
 	}
 }
 
-// retried runs do with the retry-on-unavailable policy: a call the
-// server refused at admission (StatusUnavailable) was never applied, so
-// it is safe to re-send after a doubling, capped backoff.
-func (c *Client) retried(on *Client, do func(*Client) (any, error)) (any, error) {
-	backoff := c.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	for try := 0; ; try++ {
-		msg, err := do(on)
-		var we *Error
-		if err != nil && errors.As(err, &we) && we.Status == StatusUnavailable &&
-			try < c.opts.RetryUnavailable {
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > MaxRetryBackoff {
-				backoff = MaxRetryBackoff
-			}
-			continue
-		}
-		return msg, err
-	}
-}
-
-// routed runs do with both client policies: unavailable retries on each
-// connection, and redirect-chasing across connections (each hop dialing
-// the owner address the redirect named, bounded by FollowRedirects).
-func (c *Client) routed(do func(*Client) (any, error)) (any, error) {
-	cur := c
-	for hops := 0; ; hops++ {
-		msg, err := c.retried(cur, do)
-		var we *Error
-		if err == nil || !errors.As(err, &we) || we.Status != StatusRedirect ||
-			we.Msg == "" || hops >= c.opts.FollowRedirects {
-			return msg, err
-		}
-		next, derr := c.child(we.Msg)
-		if derr != nil {
-			return nil, fmt.Errorf("wire: following redirect to %s: %w", we.Msg, derr)
-		}
-		cur = next
-	}
-}
-
-// child returns the cached client for a redirect target, dialing it if
-// absent or dead. The dial happens outside cmu; a concurrent dial for
-// the same address keeps the first registered client.
-func (c *Client) child(addr string) (*Client, error) {
-	c.cmu.Lock()
-	if cc := c.children[addr]; cc != nil {
-		cc.mu.Lock()
-		dead := cc.err != nil
-		cc.mu.Unlock()
-		if !dead {
-			c.cmu.Unlock()
-			return cc, nil
-		}
-		delete(c.children, addr)
-	}
-	c.cmu.Unlock()
-
-	opts := c.opts
-	opts.FollowRedirects = 0 // hop chasing lives on the root client
-	cc, err := Dial(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if prior := c.children[addr]; prior != nil {
-		prior.mu.Lock()
-		dead := prior.err != nil
-		prior.mu.Unlock()
-		if !dead {
-			go cc.Close()
-			return prior, nil
-		}
-	}
-	if c.children == nil {
-		c.children = make(map[string]*Client)
-	}
-	c.children[addr] = cc
-	return cc, nil
-}
-
 // Do sends q and waits for its response. The query's ID field is
 // assigned by the client; concurrent Do calls are pipelined. A non-OK
 // server response comes back as an *Error (inspect its Status); a
 // transport failure fails every in-flight call with the same error.
-// Redirects are chased and unavailable rejections retried per the
-// client's DialOptions.
 func (c *Client) Do(q *Query) (*Result, error) {
-	msg, err := c.routed(func(cc *Client) (any, error) {
-		return cc.call(func(dst []byte, id uint64) []byte {
-			q.ID = id
-			return AppendQuery(dst, q)
-		})
+	msg, err := c.call(func(dst []byte, id uint64) []byte {
+		q.ID = id
+		return AppendQuery(dst, q)
 	})
 	if err != nil {
 		return nil, err
@@ -276,11 +158,9 @@ func (c *Client) Do(q *Query) (*Result, error) {
 
 // DynCreate creates a mutable shard and returns its identity.
 func (c *Client) DynCreate(dc *DynCreate) (*DynCreated, error) {
-	msg, err := c.routed(func(cc *Client) (any, error) {
-		return cc.call(func(dst []byte, id uint64) []byte {
-			dc.ID = id
-			return AppendDynCreate(dst, dc)
-		})
+	msg, err := c.call(func(dst []byte, id uint64) []byte {
+		dc.ID = id
+		return AppendDynCreate(dst, dc)
 	})
 	if err != nil {
 		return nil, err
@@ -288,15 +168,11 @@ func (c *Client) DynCreate(dc *DynCreate) (*DynCreated, error) {
 	return msg.(*DynCreated), nil
 }
 
-// Mutate inserts or deletes a leaf of a mutable shard. A mutation
-// rejected with StatusUnavailable was refused at admission — never
-// applied — so the retry policy is as safe here as for queries.
+// Mutate inserts or deletes a leaf of a mutable shard.
 func (c *Client) Mutate(m *Mutate) (*Mutated, error) {
-	msg, err := c.routed(func(cc *Client) (any, error) {
-		return cc.call(func(dst []byte, id uint64) []byte {
-			m.ID = id
-			return AppendMutate(dst, m)
-		})
+	msg, err := c.call(func(dst []byte, id uint64) []byte {
+		m.ID = id
+		return AppendMutate(dst, m)
 	})
 	if err != nil {
 		return nil, err
@@ -304,8 +180,7 @@ func (c *Client) Mutate(m *Mutate) (*Mutated, error) {
 	return msg.(*Mutated), nil
 }
 
-// ShipSnapshot ships a replica snapshot (cluster replication; not
-// redirected — the shipper chose the follower deliberately).
+// ShipSnapshot ships a replica snapshot (cluster replication).
 func (c *Client) ShipSnapshot(s *RepSnapshot) (*RepAck, error) {
 	msg, err := c.call(func(dst []byte, id uint64) []byte {
 		s.ID = id
@@ -317,8 +192,7 @@ func (c *Client) ShipSnapshot(s *RepSnapshot) (*RepAck, error) {
 	return msg.(*RepAck), nil
 }
 
-// ShipRecords ships replica WAL records (cluster replication; not
-// redirected, like ShipSnapshot).
+// ShipRecords ships replica WAL records (cluster replication).
 func (c *Client) ShipRecords(r *RepRecords) (*RepAck, error) {
 	msg, err := c.call(func(dst []byte, id uint64) []byte {
 		r.ID = id
@@ -331,8 +205,7 @@ func (c *Client) ShipRecords(r *RepRecords) (*RepAck, error) {
 }
 
 // Handback offers a shard back to the peer currently covering it — the
-// rejoin reconciliation conversation (cluster tier; not redirected, the
-// rejoiner chose the successor deliberately, like ShipSnapshot).
+// rejoin reconciliation conversation (cluster tier).
 func (c *Client) Handback(o *HandbackOffer) (*HandbackGrant, error) {
 	msg, err := c.call(func(dst []byte, id uint64) []byte {
 		o.ID = id
@@ -375,18 +248,10 @@ func (c *Client) Ping() error {
 	return r.err
 }
 
-// Close tears down the connection and every cached redirect client;
-// in-flight calls fail. Close is idempotent: repeated calls are no-ops
-// returning nil.
+// Close tears down the connection; in-flight calls fail. Close is
+// idempotent: repeated calls are no-ops returning nil.
 func (c *Client) Close() error {
 	c.fail(errClosed)
-	c.cmu.Lock()
-	kids := c.children
-	c.children = nil
-	c.cmu.Unlock()
-	for _, cc := range kids {
-		_ = cc.Close()
-	}
 	return nil
 }
 
