@@ -285,7 +285,10 @@ func BenchmarkE12Parallel(b *testing.B) {
 // all on one n=2^14 tree. The naive path rebuilds the light-first
 // layout and runs a fresh simulator per call; the engine path gets its
 // placement from the layout cache and coalesces the whole workload's
-// LCA traffic into a single spatial run.
+// LCA traffic into a single spatial run. It is a sim-backend
+// (model-cost) benchmark: the engine arm leaves Backend unset, so both
+// arms run exec.Sim; native serving speed is measured by E16, E17 and
+// the bench module's open-loop load generator.
 func BenchmarkE13EngineThroughput(b *testing.B) {
 	t := tree.RandomAttachment(benchN, rng.New(30))
 	const (
@@ -387,7 +390,9 @@ func churnMutation(b *testing.B, mt dynlayout.MutTree, r *rng.RNG, m, origN int)
 // after every mutation, revalidate the tree and rebuild the light-first
 // layout from scratch. The dynamic arm applies O(1) parked mutations
 // and refreshes its serving state lazily, once per query round — the
-// acceptance target is ≥2× on wall clock.
+// acceptance target is ≥2× on wall clock. It is a sim-backend
+// (model-cost) benchmark: the dyn-engine arm leaves Backend unset, so
+// its LCA batches run exec.Sim, as the naive arm's do.
 func BenchmarkE14DynChurn(b *testing.B) {
 	const (
 		mutations  = benchN / 20 // 5% churn

@@ -24,9 +24,10 @@
 // By default the engines run under the background autoflush scheduler
 // (-flush-delay): waiting clients no longer force a flush, so a round's
 // sub-batches keep coalescing with other clients' until the window
-// fills or the deadline fires — the same adaptive batching the
-// spatialtreed daemon serves over HTTP. -flush-delay 0 restores the
-// explicit Flush/Wait semantics of the earlier PRs.
+// fills or the deadline fires — the linger spatialtreed serves only
+// when -max-delay is set. -flush-delay 0 gives the daemon's default
+// instead: an idle engine runs a waited request at once, and requests
+// that arrive while a batch runs join the next one.
 //
 // Usage:
 //
@@ -89,7 +90,7 @@ func main() {
 		churn   = flag.Int("churn", 0, "1 in k rounds mutates its tree (insert+delete) before serving (0 = immutable forest)")
 		restart = flag.Int("restart", 4, "immutable forest only: 1 in k rounds uses an ephemeral engine rebuilt from the shared cache, modeling shard restarts (0 = never)")
 		epsilon = flag.Float64("epsilon", 0.2, "dynamic layout rebuild threshold (churn mode)")
-		fldelay = flag.Duration("flush-delay", time.Millisecond, "autoflush scheduler deadline; 0 disables the scheduler (explicit Flush/Wait semantics)")
+		fldelay = flag.Duration("flush-delay", time.Millisecond, "autoflush scheduler deadline; 0 disables it (an idle engine runs a waited request at once)")
 		backend = flag.String("backend", "native", "engine execution backend: native (goroutine-parallel) or sim (model-cost metering)")
 		shadow  = flag.Int("shadow-meter", 0, "with -backend native, sample 1 in N batches through a shadow sim run (0 = off)")
 		tcp     = flag.String("tcp", "", "replay against a remote spatialtreed binary-protocol listener at this address instead of in-process (see docs/protocol.md; incompatible with -naive/-churn/-restart)")
@@ -242,8 +243,8 @@ func main() {
 	fmt.Printf("engine: batches=%d requests=%d coalescing=%.1f req/batch lca-queries=%d lca-runs=%d\n",
 		st.Batches, st.Requests, float64(st.Requests)/float64(max64(st.Batches, 1)),
 		st.LCAQueries, st.LCARuns)
-	fmt.Printf("scheduler: size-flushes=%d deadline-flushes=%d flush-delay=%v\n",
-		st.SizeFlushes, st.DeadlineFlushes, *fldelay)
+	fmt.Printf("scheduler: size-flushes=%d deadline-flushes=%d idle-flushes=%d flush-delay=%v\n",
+		st.SizeFlushes, st.DeadlineFlushes, st.IdleFlushes, *fldelay)
 	fmt.Printf("cache: hits=%d misses=%d evictions=%d size=%d hit-rate=%.1f%%\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Size,
 		100*st.Cache.HitRate())

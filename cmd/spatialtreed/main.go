@@ -1,9 +1,10 @@
 // Command spatialtreed is the network serving daemon: it exposes the
 // batched query engines over HTTP/JSON (see internal/server) with an
-// adaptive batch scheduler per shard — requests are enqueued on
-// arrival and dispatched to shared simulator runs when a shard
-// accumulates -max-batch requests or its oldest request has waited
-// -max-delay, whichever comes first. Admission is a bounded queue
+// adaptive batch scheduler per shard — an idle shard runs a request at
+// once, and requests that arrive while a batch runs are dispatched
+// together as the next batch, up to -max-batch of them. -max-delay opts
+// into a linger instead: a batch waits until its oldest request has
+// waited that long or -max-batch fills it. Admission is a bounded queue
 // (-queue) that answers 429 under pressure; SIGINT/SIGTERM triggers a
 // graceful drain that resolves every in-flight request before exit.
 //
@@ -97,7 +98,7 @@ func main() {
 		readHdr  = flag.Duration("read-header-timeout", 10*time.Second, "HTTP request-header read budget (slow-loris guard)")
 		idleTO   = flag.Duration("idle-timeout", server.DefaultTCPIdleTimeout, "per-connection idle budget (HTTP keep-alive and binary-protocol frame gap)")
 		maxBatch = flag.Int("max-batch", server.DefaultMaxBatch, "scheduler size trigger: flush a shard at this many pending requests")
-		maxDelay = flag.Duration("max-delay", server.DefaultMaxDelay, "scheduler deadline trigger: flush a shard once its oldest request waited this long")
+		maxDelay = flag.Duration("max-delay", 0, "opt-in linger: hold a shard's pending batch until its oldest request waited this long (0 = run at once when the shard is idle)")
 		queue    = flag.Int("queue", server.DefaultQueueLimit, "admission limit: concurrent requests beyond this get 429")
 		shards   = flag.Int("max-shards", server.DefaultMaxShards, "retained per-tree serving state bound; registrations beyond it get 429")
 		workers  = flag.Int("workers", 0, "parallel shard flush workers (0 = GOMAXPROCS)")
@@ -292,7 +293,7 @@ func main() {
 		}
 	}
 	m := srv.Metrics()
-	fmt.Printf("served: requests=%d batches=%d (%.1f req/batch) size-flushes=%d deadline-flushes=%d rejected=%d\n",
+	fmt.Printf("served: requests=%d batches=%d (%.1f req/batch) size-flushes=%d deadline-flushes=%d idle-flushes=%d rejected=%d\n",
 		m.Scheduler.Requests, m.Scheduler.Batches, m.Scheduler.RequestsPerBatch,
-		m.Scheduler.SizeFlushes, m.Scheduler.DeadlineFlushes, m.Server.Rejected)
+		m.Scheduler.SizeFlushes, m.Scheduler.DeadlineFlushes, m.Scheduler.IdleFlushes, m.Server.Rejected)
 }

@@ -229,8 +229,9 @@ func (de *DynEngine) engineLocked() (*Engine, error) {
 
 // drainLocked quiesces the inner engine so that every already-submitted
 // request resolves against the pre-mutation tree AND every in-flight
-// batch — the autoflush timer may have dispatched one — has recorded
-// its counters before the engine can be retired by a refresh.
+// batch — the autoflush timer or a serving batch's hand-off may have
+// dispatched one — has recorded its counters before the engine can be
+// retired by a refresh.
 func (de *DynEngine) drainLocked() {
 	if de.inner != nil {
 		de.inner.Quiesce()

@@ -23,10 +23,21 @@
 //
 //   - the number of pending requests reaches Options.Window (the
 //     filling submitter runs the batch on its own goroutine);
-//   - the autoflush deadline expires (see below);
 //   - a caller invokes Flush explicitly;
-//   - a caller invokes Future.Wait on an unresolved future (Wait flushes
-//     the engine so that waiting can never deadlock).
+//   - with no autoflush deadline armed (the default), the engine is
+//     idle: Future.Wait on a pending request runs the batch on the
+//     caller's goroutine when no batch of the engine is serving, and
+//     the last serving batch, once its futures have resolved, hands
+//     whatever became pending meanwhile to a new goroutine as the next
+//     batch (a batch's shadow run, see below, does not count as
+//     serving);
+//   - with a deadline armed, it expires (see below).
+//
+// Without a deadline, dispatch is work-conserving, like a group commit:
+// an idle engine never makes a request wait, and requests that arrive
+// while a batch runs coalesce into the next one. Submitting N requests
+// to an otherwise quiet engine and then calling Flush still runs them as
+// one batch, because Submit itself dispatches only on the window.
 //
 // # Autoflush scheduler
 //
@@ -34,15 +45,17 @@
 // background batch scheduler with two triggers: a batch is dispatched
 // when it reaches maxBatch pending requests (the Window mechanism) or
 // when its oldest request has waited maxDelay, whichever comes first.
-// Under the scheduler, explicit Flush becomes optional: Future.Wait no
-// longer forces an early flush — it simply blocks, because the deadline
-// guarantees progress — so concurrently submitted requests keep
-// coalescing into shared runs even while every submitter is already
-// waiting. This adapts batch size to the arrival rate: under heavy
-// traffic batches fill to maxBatch and the deadline never fires; under
-// trickle traffic the deadline bounds latency at maxDelay.
-// Stats.SizeFlushes and Stats.DeadlineFlushes count how often each
-// trigger dispatched a batch.
+// The deadline is an opt-in linger: Future.Wait no longer dispatches —
+// it simply blocks, because the deadline guarantees progress — and a
+// serving batch hands nothing off, so concurrently submitted requests
+// keep coalescing for up to maxDelay even while every submitter is
+// already waiting. Under heavy traffic batches fill to maxBatch and the
+// deadline never fires; under trickle traffic every request waits out
+// maxDelay. Deadline batches do not wait for each other, so one
+// engine's batches may overlap across cores, where work-conserving
+// dispatch serves one idle-dispatched batch at a time.
+// Stats.SizeFlushes, Stats.DeadlineFlushes and Stats.IdleFlushes count
+// how often each trigger dispatched a batch.
 //
 // # Execution backends
 //
@@ -71,9 +84,9 @@
 //
 // Flush blocks the calling goroutine until every request it picked up
 // has resolved; submissions racing with a Flush land in the next batch.
-// Future.Wait blocks until its own batch has run, triggering a flush if
-// the batch is still pending. Concurrent Flush calls run disjoint
-// batches in parallel on independent simulators.
+// Future.Wait blocks until its own batch has run, running it itself
+// when the engine is idle (see above). Concurrent Flush calls run
+// disjoint batches in parallel on independent simulators.
 //
 // # Layout cache
 //
@@ -121,9 +134,10 @@ type Options struct {
 	Cache *LayoutCache
 	// FlushDelay, when positive, arms the background autoflush
 	// scheduler at construction, as if StartAutoFlush(Window, FlushDelay)
-	// had been called: a pending batch is dispatched once its oldest
-	// request has waited FlushDelay, even if nothing fills the window.
-	// Zero leaves the scheduler off (explicit Flush/Wait semantics).
+	// had been called: a pending batch lingers until its oldest request
+	// has waited FlushDelay, unless the window fills first. Zero leaves
+	// the scheduler off: an idle engine dispatches at once (see the
+	// package documentation's "Batching semantics").
 	FlushDelay time.Duration
 	// Backend names the execution backend batches run on: exec.Sim
 	// ("sim", exact model-cost metering — the default here) or
@@ -166,10 +180,15 @@ type Stats struct {
 	// reached the window (the scheduler's MaxBatch trigger).
 	SizeFlushes uint64
 	// DeadlineFlushes counts batches dispatched by the autoflusher's
-	// MaxDelay deadline. Batches - SizeFlushes - DeadlineFlushes is the
-	// number of explicit flushes (Flush, Wait, StopAutoFlush) that had
-	// work.
+	// MaxDelay deadline.
 	DeadlineFlushes uint64
+	// IdleFlushes counts batches dispatched because no batch of the
+	// engine was serving and no deadline was armed: by Future.Wait on
+	// the caller's goroutine, or handed off by the last serving batch
+	// once its futures resolved. Batches - SizeFlushes -
+	// DeadlineFlushes - IdleFlushes is the number of explicit flushes
+	// (Flush, Quiesce, StopAutoFlush) that had work.
+	IdleFlushes uint64
 	// ShadowBatches counts batches a non-sim engine additionally ran
 	// through the shadow sim backend (Options.ShadowMeter sampling).
 	ShadowBatches uint64
@@ -199,6 +218,7 @@ func (s *Stats) Add(o Stats) {
 	s.LCARuns += o.LCARuns
 	s.SizeFlushes += o.SizeFlushes
 	s.DeadlineFlushes += o.DeadlineFlushes
+	s.IdleFlushes += o.IdleFlushes
 	s.ShadowBatches += o.ShadowBatches
 	s.ShadowMismatches += o.ShadowMismatches
 	s.Cost = s.Cost.Plus(o.Cost)
@@ -257,15 +277,15 @@ func (f *Future) Done() bool {
 	}
 }
 
-// Wait returns the result, flushing the engine first if this request's
-// batch has not run yet (so Wait never deadlocks on an idle engine).
-// When the engine's autoflush scheduler is armed, Wait does not flush —
-// it just blocks, because the deadline guarantees progress and an eager
-// flush here would defeat the scheduler's coalescing.
+// Wait returns the result. If the request is still pending and the
+// engine is idle — no batch serving, no autoflush deadline armed — Wait
+// runs the pending batch on the caller's goroutine. Otherwise it just
+// blocks: the serving batch's hand-off or the armed deadline dispatches
+// the request, so Wait never deadlocks.
 func (f *Future) Wait() Result {
 	if !f.Done() {
-		if f.e != nil && !f.e.scheduled() {
-			f.e.Flush()
+		if f.e != nil {
+			f.e.runIfIdle(f)
 		}
 		<-f.done
 	}
@@ -396,6 +416,13 @@ type Engine struct {
 	// flight — not just no pending requests.
 	running int
 	idle    sync.Cond
+	// serving counts the running batches whose futures have not all
+	// resolved yet. Work-conserving dispatch waits only on these, so a
+	// batch's shadow run never holds up the next batch.
+	serving int
+	// beforeRun, when non-nil, is called at the top of every runBatch;
+	// tests set it before any submission to hold a batch running.
+	beforeRun func()
 	// Autoflush scheduler state, all under mu. afDelay > 0 means the
 	// scheduler is armed; afTimer is non-nil exactly while a pending
 	// batch awaits its deadline.
@@ -682,6 +709,7 @@ func (e *Engine) takeBatchLocked() ([]*request, uint64) {
 	e.batchSeq++
 	if len(batch) > 0 {
 		e.running++
+		e.serving++
 		e.stats.Batches++
 		e.stats.Requests += uint64(len(batch))
 		lcaRuns := uint64(0)
@@ -720,11 +748,25 @@ func (e *Engine) flushDeadline(seq uint64) {
 	e.runBatch(batch, s)
 }
 
-// scheduled reports whether the autoflush scheduler is armed.
-func (e *Engine) scheduled() bool {
+// runIfIdle is Wait's dispatch: when no deadline is armed and no batch
+// of e is serving, f's unresolved request can only be pending, so the
+// pending batch runs on the caller's goroutine — or on a new one when
+// the engine is shadow-metered, so that the caller's reply never waits
+// for a sampled batch's shadow run.
+func (e *Engine) runIfIdle(f *Future) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.afDelay > 0
+	if e.afDelay > 0 || e.serving > 0 || f.Done() {
+		e.mu.Unlock()
+		return
+	}
+	batch, seq := e.takeBatchLocked()
+	e.stats.IdleFlushes++
+	e.mu.Unlock()
+	if e.shadow != nil {
+		go e.runBatch(batch, seq)
+		return
+	}
+	e.runBatch(batch, seq)
 }
 
 // StartAutoFlush arms the background batch scheduler: a pending batch
@@ -765,7 +807,7 @@ func (e *Engine) StartAutoFlush(maxBatch int, maxDelay time.Duration) {
 // StopAutoFlush disarms the scheduler and flushes whatever is pending,
 // so no future submitted under the scheduler is ever stranded waiting
 // for a deadline that will no longer fire. The engine reverts to
-// explicit Flush/Wait semantics.
+// work-conserving dispatch (see the package documentation).
 func (e *Engine) StopAutoFlush() {
 	e.mu.Lock()
 	e.afDelay = 0
@@ -789,11 +831,12 @@ func (e *Engine) Flush() {
 }
 
 // Quiesce flushes pending work and then blocks until every in-flight
-// batch — including ones another goroutine or the autoflush timer
-// dispatched — has finished running and recorded its stats. After
-// Quiesce returns (and absent concurrent submissions) the engine is
-// fully idle; DynEngine uses this as its pre-mutation barrier so no
-// batch counters are lost when an epoch's engine is retired.
+// batch — including ones another goroutine, the autoflush timer or a
+// serving batch's hand-off dispatched — has finished running and
+// recorded its stats. After Quiesce returns (and absent concurrent
+// submissions) the engine is fully idle; DynEngine uses this as its
+// pre-mutation barrier so no batch counters are lost when an epoch's
+// engine is retired.
 func (e *Engine) Quiesce() {
 	e.Flush()
 	e.mu.Lock()
@@ -833,8 +876,16 @@ func copyShadowInputs(batch []*request) {
 
 // runBatch executes one detached batch on a fresh backend run. It is
 // called without e.mu held; distinct batches may run concurrently on
-// independent runs.
+// independent runs. With no deadline armed, the last serving batch
+// hands the requests that became pending meanwhile to a new goroutine
+// as the next batch as soon as its own futures have resolved — before
+// any shadow run, which stays off the serving path. That goroutine runs
+// this same function and exits, and Quiesce waits for it through the
+// running count, which never reads zero between the two batches.
 func (e *Engine) runBatch(batch []*request, seq uint64) {
+	if e.beforeRun != nil {
+		e.beforeRun()
+	}
 	// The shadow-sampling decision is taken before serving so a sampled
 	// batch's inputs can be copied out while they are still stable.
 	sampled := e.shadow != nil && (e.shadowTick.Add(1)-1)%uint64(e.shadowN) == 0
@@ -881,6 +932,20 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 		resolveLCA(lcaReqs, answers, cost, err)
 	}
 	elapsed := time.Since(start)
+
+	var next []*request
+	var nextSeq uint64
+	e.mu.Lock()
+	e.serving--
+	if e.serving == 0 && e.afDelay == 0 && len(e.pending) > 0 {
+		next, nextSeq = e.takeBatchLocked()
+		e.stats.IdleFlushes++
+	}
+	e.mu.Unlock()
+	if next != nil {
+		// A new goroutine, so this batch's own caller is not delayed.
+		go e.runBatch(next, nextSeq)
+	}
 
 	// The dispatch counters were folded in by takeBatchLocked; only the
 	// run's cost and the shadow sample are known now.

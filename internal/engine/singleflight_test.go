@@ -145,6 +145,12 @@ func TestStatsAddFolding(t *testing.T) {
 			Stats{Batches: 4, Requests: 8, LCAQueries: 1, LCARuns: 2, Cost: machine.Cost{Energy: 1, Messages: 1, Depth: 1}},
 			Stats{Batches: 5, Requests: 10, LCAQueries: 4, LCARuns: 3, Cost: machine.Cost{Energy: 6, Messages: 3, Depth: 8}},
 		},
+		{
+			"trigger counts sum",
+			Stats{SizeFlushes: 1, DeadlineFlushes: 2, IdleFlushes: 3},
+			Stats{SizeFlushes: 4, DeadlineFlushes: 5, IdleFlushes: 6},
+			Stats{SizeFlushes: 5, DeadlineFlushes: 7, IdleFlushes: 9},
+		},
 	} {
 		got := tc.a
 		got.Add(tc.b)

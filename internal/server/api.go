@@ -191,9 +191,12 @@ type ServerMetrics struct {
 }
 
 // SchedulerMetrics reports the adaptive batch scheduler: configuration
-// plus how traffic actually dispatched. RequestsPerBatch is the
-// coalescing factor — values above 1 mean the scheduler merged
-// concurrent requests into shared simulator runs.
+// plus how traffic actually dispatched. Each batch is counted under the
+// trigger that dispatched it: MaxBatch filled (SizeFlushes), the
+// MaxDelay linger expired (DeadlineFlushes), or the shard was idle
+// (IdleFlushes); the rest were explicit flushes, such as a drain's.
+// RequestsPerBatch is the coalescing factor — values above 1 mean the
+// scheduler merged concurrent requests into shared runs.
 type SchedulerMetrics struct {
 	MaxBatch         int     `json:"max_batch"`
 	MaxDelayMillis   float64 `json:"max_delay_ms"`
@@ -201,6 +204,7 @@ type SchedulerMetrics struct {
 	Requests         uint64  `json:"requests"`
 	SizeFlushes      uint64  `json:"size_flushes"`
 	DeadlineFlushes  uint64  `json:"deadline_flushes"`
+	IdleFlushes      uint64  `json:"idle_flushes"`
 	RequestsPerBatch float64 `json:"requests_per_batch"`
 }
 

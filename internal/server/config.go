@@ -18,7 +18,6 @@ import (
 // Defaults used by New when the corresponding Config field is zero.
 const (
 	DefaultMaxBatch      = 64
-	DefaultMaxDelay      = 2 * time.Millisecond
 	DefaultQueueLimit    = 1024
 	DefaultCacheCapacity = 128
 	DefaultBodyLimit     = 64 << 20
@@ -44,9 +43,15 @@ type Scheduler struct {
 	// is dispatched as soon as it holds this many requests (0 means
 	// DefaultMaxBatch).
 	MaxBatch int
-	// MaxDelay is the scheduler's deadline trigger: a pending batch is
-	// dispatched once its oldest request has waited this long (0 means
-	// DefaultMaxDelay).
+	// MaxDelay is an opt-in linger: when positive, a shard's pending
+	// batch waits until its oldest request has waited this long (or
+	// MaxBatch fills it), so concurrent requests can coalesce. 0, the
+	// default, dispatches at once whenever the shard is idle and
+	// coalesces requests that arrive while a batch runs into the next
+	// one; see the engine package's "Batching semantics". Under the
+	// linger one shard's deadline batches may overlap across cores;
+	// without it a shard serves one batch at a time unless MaxBatch
+	// fills another.
 	MaxDelay time.Duration
 	// Workers bounds the pool's parallel shard flushes (0 means
 	// GOMAXPROCS).
@@ -172,9 +177,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Scheduler.MaxBatch <= 0 {
 		cfg.Scheduler.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.Scheduler.MaxDelay <= 0 {
-		cfg.Scheduler.MaxDelay = DefaultMaxDelay
 	}
 	if cfg.Limits.QueueLimit <= 0 {
 		cfg.Limits.QueueLimit = DefaultQueueLimit

@@ -6,10 +6,12 @@
 // encoded back by the codec it came from. The server separates request
 // arrival from batch execution the way the paper separates layout
 // construction from kernel runs — handlers enqueue work and wait on
-// futures while a per-shard adaptive scheduler (the engines' autoflush:
-// MaxBatch requests or a MaxDelay deadline, whichever comes first)
-// decides when simulator runs actually happen, so concurrent clients
-// hitting one tree coalesce into far fewer runs than requests.
+// futures while each shard's engine decides when kernel runs actually
+// happen. By default dispatch is work-conserving: an idle shard runs a
+// request at once, and requests that arrive while a batch runs coalesce
+// into the next one, up to MaxBatch. A positive MaxDelay opts into a
+// linger instead: a batch waits until its oldest request has waited
+// MaxDelay or MaxBatch fills it, whichever comes first.
 //
 // HTTP endpoints:
 //
@@ -633,12 +635,11 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 		return eng, func() {}, err
 	}
 	opts := s.engOpts
-	// No scheduler on a single-request engine: nothing can ever join
-	// its batch, so Wait should flush at once instead of sleeping out
-	// the MaxDelay deadline. No shadow metering either — a fresh
-	// engine's first batch is always sampled, which would shadow-run
-	// the simulator on every over-budget request; pool shards carry the
-	// sampling instead.
+	// No linger on a single-request engine: nothing can ever join its
+	// batch, so Wait should run it at once even when MaxDelay is set.
+	// No shadow metering either — a fresh engine's first batch is
+	// always sampled, which would shadow-run the simulator on every
+	// over-budget request; pool shards carry the sampling instead.
 	opts.FlushDelay = 0
 	opts.ShadowMeter = 0
 	eng, err := engine.New(t, opts)
@@ -803,6 +804,7 @@ func (s *Server) Metrics() MetricsResponse {
 			Requests:         st.Requests,
 			SizeFlushes:      st.SizeFlushes,
 			DeadlineFlushes:  st.DeadlineFlushes,
+			IdleFlushes:      st.IdleFlushes,
 			RequestsPerBatch: perBatch,
 		},
 		Engine: EngineMetrics{

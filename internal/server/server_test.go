@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"spatialtree/internal/lca"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
+	"spatialtree/internal/wire"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -128,6 +131,131 @@ func TestSizeFlush(t *testing.T) {
 	}
 	if m.Engine.LCARuns != 1 || m.Engine.LCAQueries != batch {
 		t.Fatalf("lca runs=%d queries=%d, want the batch coalesced into one run", m.Engine.LCARuns, m.Engine.LCAQueries)
+	}
+}
+
+// TestIdleDispatchDefault: under the zero Config nothing lingers.
+// Sequential queries over the binary listener and over HTTP each find
+// their shard idle, so every batch is an idle dispatch, none waits for
+// a deadline, and /metrics reports no linger configured.
+func TestIdleDispatchDefault(t *testing.T) {
+	const perListener = 20
+	s, hs := newTestServer(t, Config{})
+	cl := newWireServer(t, s)
+	parents := testParents(120, 3)
+	oracle := lca.NewOracle(tree.MustFromParents(parents))
+	var reg RegisterResponse
+	if err := postJSON(hs.URL, "/v1/trees", RegisterRequest{Parents: parents}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < perListener; i++ {
+		u, v := i, 119-2*i
+		res, err := cl.Do(&wire.Query{Kind: wire.KindLCA, TreeID: reg.ID, Queries: []wire.LCAQuery{{U: u, V: v}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle.LCA(u, v); len(res.Answers) != 1 || res.Answers[0] != want {
+			t.Fatalf("binary lca(%d,%d) = %v, want [%d]", u, v, res.Answers, want)
+		}
+	}
+	for i := 0; i < perListener; i++ {
+		u, v := 2*i, 100-i
+		var resp QueryResponse
+		if err := postJSON(hs.URL, "/v1/query", QueryRequest{TreeID: reg.ID, Kind: "lca", Queries: []LCAQuery{{U: u, V: v}}}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle.LCA(u, v); len(resp.Answers) != 1 || resp.Answers[0] != want {
+			t.Fatalf("http lca(%d,%d) = %v, want [%d]", u, v, resp.Answers, want)
+		}
+	}
+	m := getMetrics(t, hs.URL).Scheduler
+	if m.Requests != 2*perListener || m.MaxDelayMillis != 0 {
+		t.Fatalf("scheduler = %+v, want %d requests and max_delay_ms 0", m, 2*perListener)
+	}
+	if m.DeadlineFlushes != 0 || m.IdleFlushes != m.Batches {
+		t.Fatalf("scheduler = %+v, want every batch an idle flush and no deadline flush", m)
+	}
+}
+
+// TestIdleDispatchConcurrentClients: under the zero Config, concurrent
+// HTTP clients and pipelined binary connections race the hand-off on
+// four shards. Every answer is right, every request is counted, and
+// every batch is an idle dispatch or a MaxBatch fill — none waits for a
+// deadline.
+func TestIdleDispatchConcurrentClients(t *testing.T) {
+	const forest, httpClients, wireConns, perConn = 4, 48, 4, 12
+	s, hs := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.ServeBinary(ln) }()
+	t.Cleanup(s.CloseBinary)
+	ids := make([]string, forest)
+	oracles := make([]*lca.Oracle, forest)
+	for i := range ids {
+		parents := testParents(300, 10+uint64(i))
+		var reg RegisterResponse
+		if err := postJSON(hs.URL, "/v1/trees", RegisterRequest{Parents: parents}, &reg); err != nil {
+			t.Fatal(err)
+		}
+		ids[i], oracles[i] = reg.ID, lca.NewOracle(tree.MustFromParents(parents))
+	}
+	check := func(via string, i, u, v int, got []int) error {
+		if want := oracles[i%forest].LCA(u, v); len(got) != 1 || got[0] != want {
+			return fmt.Errorf("%s lca(%d,%d) on tree %d = %v, want [%d]", via, u, v, i%forest, got, want)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, httpClients+wireConns*perConn)
+	for i := 0; i < httpClients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			u, v := i%300, (i*7)%300
+			var resp QueryResponse
+			err := postJSON(hs.URL, "/v1/query", QueryRequest{TreeID: ids[i%forest], Kind: "lca", Queries: []LCAQuery{{U: u, V: v}}}, &resp)
+			if err == nil {
+				err = check("http", i, u, v, resp.Answers)
+			}
+			errs <- err
+		}(i)
+	}
+	for c := 0; c < wireConns; c++ {
+		cl, err := wire.Dial(ln.Addr().String(), wire.DialOptions{DialTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		for j := 0; j < perConn; j++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				u, v := (i*11)%300, (i*13+5)%300
+				res, err := cl.Do(&wire.Query{Kind: wire.KindLCA, TreeID: ids[i%forest], Queries: []wire.LCAQuery{{U: u, V: v}}})
+				if err == nil {
+					err = check("binary", i, u, v, res.Answers)
+				}
+				errs <- err
+			}(c*perConn + j)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := getMetrics(t, hs.URL).Scheduler
+	if m.Requests != httpClients+wireConns*perConn {
+		t.Fatalf("requests = %d, want %d", m.Requests, httpClients+wireConns*perConn)
+	}
+	if m.DeadlineFlushes != 0 || m.SizeFlushes+m.IdleFlushes != m.Batches {
+		t.Fatalf("scheduler = %+v: every batch must be an idle dispatch or a MaxBatch fill", m)
 	}
 }
 

@@ -23,10 +23,10 @@
 //     use, and PRAM baselines for comparison;
 //   - a batched query engine (Engine, EnginePool) that amortizes one
 //     cached layout across many request batches and coalesces
-//     concurrently submitted work into shared runs, with an optional
-//     background autoflush scheduler (StartAutoFlush /
-//     EngineOptions.FlushDelay) dispatching batches on a size or
-//     deadline trigger;
+//     concurrently submitted work into shared runs: an idle engine
+//     runs a waited request at once, work that arrives while a batch
+//     runs joins the next one, and an optional autoflush deadline
+//     (StartAutoFlush / EngineOptions.FlushDelay) lingers instead;
 //   - pluggable execution backends (EngineOptions.Backend): "sim" runs
 //     every batch on the spatial-computer simulator with exact model
 //     costs (the default for direct engine users), "native" serves the
@@ -366,14 +366,15 @@ func NewDynamicLayout(t *Tree, curveName string, epsilon float64) (*DynamicLayou
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine: curve, auto-flush window, Las
-// Vegas seed, an optional shared LayoutCache, and the autoflush
-// scheduler's deadline (FlushDelay; see Engine.StartAutoFlush).
+// Vegas seed, an optional shared LayoutCache, and an optional linger,
+// the autoflush scheduler's deadline (FlushDelay; see
+// Engine.StartAutoFlush). Without one, an idle engine dispatches at once.
 type EngineOptions = engine.Options
 
 // EngineStats snapshots an engine's lifetime counters: batches,
-// requests, coalesced LCA traffic, scheduler trigger counts
-// (size-triggered vs deadline-triggered flushes), accumulated model
-// cost, and layout-cache hits/misses/evictions.
+// requests, coalesced LCA traffic, scheduler trigger counts (size,
+// deadline and idle flushes; the rest were explicit), accumulated
+// model cost, and layout-cache hits/misses/evictions.
 type EngineStats = engine.Stats
 
 // EngineResult is the resolved outcome of one submitted request.
