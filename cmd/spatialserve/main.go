@@ -92,7 +92,6 @@ func main() {
 		epsilon = flag.Float64("epsilon", 0.2, "dynamic layout rebuild threshold (churn mode)")
 		fldelay = flag.Duration("flush-delay", time.Millisecond, "autoflush scheduler deadline; 0 disables it (an idle engine runs a waited request at once)")
 		backend = flag.String("backend", "native", "engine execution backend: native (goroutine-parallel) or sim (model-cost metering)")
-		shadow  = flag.Int("shadow-meter", 0, "with -backend native, sample 1 in N batches through a shadow sim run (0 = off)")
 		tcp     = flag.String("tcp", "", "replay against a remote spatialtreed binary-protocol listener at this address instead of in-process (see docs/protocol.md; incompatible with -naive/-churn/-restart)")
 	)
 	flag.Parse()
@@ -129,13 +128,12 @@ func main() {
 	}
 
 	opts := engine.Options{
-		Curve:       *curve,
-		Window:      *window,
-		Seed:        *seed,
-		Cache:       engine.NewLayoutCache(2 * *trees),
-		FlushDelay:  *fldelay,
-		Backend:     *backend,
-		ShadowMeter: *shadow,
+		Curve:      *curve,
+		Window:     *window,
+		Seed:       *seed,
+		Cache:      engine.NewLayoutCache(2 * *trees),
+		FlushDelay: *fldelay,
+		Backend:    *backend,
 	}
 	pool := engine.NewPool(*workers, opts)
 
@@ -230,15 +228,11 @@ func main() {
 	ephemMu.Lock()
 	st.Add(ephemStats)
 	ephemMu.Unlock()
-	switch {
-	case *backend == exec.Sim:
+	if *backend == exec.Sim {
 		fmt.Printf("model: energy=%d messages=%d depth=%d (summed over batch runs)\n",
 			st.Cost.Energy, st.Cost.Messages, st.Cost.Depth)
-	case st.ShadowBatches > 0:
-		fmt.Printf("model: energy=%d messages=%d depth=%d (sampled: %d of %d batches shadow-metered, %d mismatches)\n",
-			st.Cost.Energy, st.Cost.Messages, st.Cost.Depth, st.ShadowBatches, st.Batches, st.ShadowMismatches)
-	default:
-		fmt.Printf("model: unmetered (backend=%s; use -backend sim or -shadow-meter N for model costs)\n", *backend)
+	} else {
+		fmt.Printf("model: unmetered (backend=%s; use -backend sim for model costs)\n", *backend)
 	}
 	fmt.Printf("engine: batches=%d requests=%d coalescing=%.1f req/batch lca-queries=%d lca-runs=%d\n",
 		st.Batches, st.Requests, float64(st.Requests)/float64(max64(st.Batches, 1)),

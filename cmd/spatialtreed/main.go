@@ -33,14 +33,12 @@
 //	spatialtreed -preload 4 -preload-n 4096   # seed a 4-tree forest, ids logged
 //	spatialtreed -data-dir /var/lib/spatialtree  # durable shards + warm restart
 //	spatialtreed -backend sim                 # meter every batch on the simulator
-//	spatialtreed -shadow-meter 16             # native serving, 1-in-16 sim sampling
 //
 // Serving runs on the native goroutine-parallel backend by default;
 // -backend sim routes every batch through the spatial-computer
-// simulator (exact model Energy/Depth in /metrics, at simulator speed),
-// and -shadow-meter N keeps native serving while sampling one batch in
-// N through a shadow sim run for metering and cross-validation.
-// Register/create requests may override the backend per shard.
+// simulator (exact model Energy/Depth in /metrics, at simulator speed).
+// Register/create requests may override the backend per shard, so one
+// daemon can meter a tree on sim while serving the rest natively.
 //
 // With -data-dir, registered trees and mutable shards survive restarts:
 // trees persist as placement snapshots (recovered without re-running
@@ -107,7 +105,6 @@ func main() {
 		cacheCap = flag.Int("cache-cap", server.DefaultCacheCapacity, "layout cache capacity (placements)")
 		epsilon  = flag.Float64("epsilon", 0.2, "default drift budget of mutable shards")
 		backend  = flag.String("backend", "native", "default execution backend: native (goroutine-parallel serving) or sim (spatial-computer simulator with exact model-cost metering); register/create requests may override per shard")
-		shadow   = flag.Int("shadow-meter", 0, "with -backend native, sample 1 in N batches through a shadow sim run so /metrics keeps (sampled) model energy/depth and validates results (0 = off)")
 		preload  = flag.Int("preload", 0, "register this many random trees at startup (ids logged)")
 		preN     = flag.Int("preload-n", 4096, "vertices per preloaded tree")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
@@ -182,11 +179,10 @@ func main() {
 			VirtualNodes: *vnodes,
 			Redirect:     *redirect,
 		},
-		Curve:       *curve,
-		Seed:        *seed,
-		Epsilon:     *epsilon,
-		Backend:     *backend,
-		ShadowMeter: *shadow,
+		Curve:   *curve,
+		Seed:    *seed,
+		Epsilon: *epsilon,
+		Backend: *backend,
 	})
 	if store != nil {
 		rs, err := srv.Recover()

@@ -81,11 +81,10 @@ func TestAutoFlushSize(t *testing.T) {
 // lets concurrent waiters keep coalescing.
 func TestAutoFlushWaitDoesNotForceFlush(t *testing.T) {
 	tr := testTree(120, 4)
-	eng, err := New(tr, Options{Window: 1 << 20})
+	eng, err := New(tr, Options{Window: 1 << 20, FlushDelay: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.StartAutoFlush(0, 40*time.Millisecond)
 	const waiters = 8
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {

@@ -80,7 +80,7 @@ func TestLCACostApportioned(t *testing.T) {
 
 // TestNativeBackendServing runs the full request surface on a native
 // engine and checks results against oracles and the metering contract
-// (no model cost without shadow sampling).
+// (a native engine reports no model cost).
 func TestNativeBackendServing(t *testing.T) {
 	tr := tree.RandomAttachment(513, rng.New(3))
 	n := tr.N()
@@ -156,66 +156,6 @@ func TestNativeBackendServing(t *testing.T) {
 	}
 	if want := x.EvalSequential()[x.Tree.Root()]; res.Value != want {
 		t.Fatalf("expr %d, want %d", res.Value, want)
-	}
-}
-
-// TestShadowMeter pins shadow sampling: with ShadowMeter=2, half the
-// batches run through the sim shadow, model cost becomes observable,
-// and — since both backends compute the same functions — zero
-// mismatches are recorded.
-func TestShadowMeter(t *testing.T) {
-	tr := tree.RandomAttachment(128, rng.New(8))
-	n := tr.N()
-	eng, err := New(tr, Options{Backend: exec.Native, ShadowMeter: 2, Window: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]int64, n)
-	r := rng.New(9)
-	for i := range vals {
-		vals[i] = int64(r.Intn(100))
-	}
-	x := exprtree.Random((n+1)/2, rng.New(10))
-	_ = x
-	for batch := 0; batch < 4; batch++ {
-		futs := []*Future{
-			eng.SubmitTreefix(vals, treefix.Add),
-			eng.SubmitTopDown(vals, treefix.Xor),
-			eng.SubmitLCA([]lca.Query{{U: r.Intn(n), V: r.Intn(n)}}),
-			eng.SubmitMinCut(mincut.RandomGraph(tr, 8, 5, rng.New(uint64(batch)))),
-		}
-		eng.Flush()
-		for _, f := range futs {
-			if res := f.Wait(); res.Err != nil {
-				t.Fatal(res.Err)
-			}
-		}
-	}
-	st := eng.Stats()
-	if st.Batches != 4 {
-		t.Fatalf("batches = %d, want 4", st.Batches)
-	}
-	if st.ShadowBatches != 2 {
-		t.Fatalf("shadow batches = %d, want 2 (1-in-2 of 4)", st.ShadowBatches)
-	}
-	if st.ShadowMismatches != 0 {
-		t.Fatalf("shadow mismatches = %d: backends disagree", st.ShadowMismatches)
-	}
-	if st.Cost.Energy <= 0 || st.Cost.Depth <= 0 {
-		t.Fatalf("shadow sampling recorded no model cost: %+v", st.Cost)
-	}
-
-	// A sim engine ignores the knob: no shadow accounting on top of full
-	// metering.
-	sim, err := New(tr, Options{Backend: exec.Sim, ShadowMeter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := sim.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if st := sim.Stats(); st.ShadowBatches != 0 {
-		t.Fatalf("sim engine shadow batches = %d", st.ShadowBatches)
 	}
 }
 
@@ -329,42 +269,5 @@ func TestDynNativeBackend(t *testing.T) {
 	}
 	if st := de.Stats(); st.Engine.Cost.Energy != 0 {
 		t.Fatalf("native dyn engine accumulated model cost: %+v", st.Engine.Cost)
-	}
-}
-
-// TestShadowMeterCallerBufferReuse pins the satellite contract behind
-// the binary listener's scratch reuse: with shadow metering on, the
-// engine copies a sampled batch's inputs out before the future
-// resolves, so a caller may overwrite its slices the moment Wait
-// returns. Run under -race this fails if the shadow run reads the
-// caller's buffer after the reply.
-func TestShadowMeterCallerBufferReuse(t *testing.T) {
-	de, err := NewDyn(tree.RandomAttachment(64, rng.New(7)),
-		DynOptions{Options: Options{Backend: exec.Native, ShadowMeter: 1, Window: 1}, Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]int64, de.N())
-	queries := make([]lca.Query, 8)
-	for i := 0; i < 50; i++ {
-		for j := range vals {
-			vals[j] = int64(i + j)
-		}
-		if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		for j := range queries {
-			queries[j] = lca.Query{U: (i + j) % de.N(), V: j % de.N()}
-		}
-		if res := de.SubmitLCA(queries).Wait(); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	st := de.Stats()
-	if st.Engine.ShadowBatches == 0 {
-		t.Fatal("shadow meter sampled nothing; the reuse contract went untested")
-	}
-	if st.Engine.ShadowMismatches != 0 {
-		t.Fatalf("%d shadow mismatches: the shadow run saw overwritten inputs", st.Engine.ShadowMismatches)
 	}
 }

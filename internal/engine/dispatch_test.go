@@ -4,17 +4,19 @@ package engine
 // armed: Wait on an idle engine runs the pending batch itself, and the
 // last running batch hands requests that arrived meanwhile to a new
 // goroutine as the next batch. A batchGate holds chosen batches at the
-// top of runBatch, and a heldBackend holds a shadow run, so "a batch is
-// running" is a fact the test arranges rather than a timing accident.
+// top of runBatch, so "a batch is running" is a fact the test arranges
+// rather than a timing accident.
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"spatialtree/internal/exec"
 	"spatialtree/internal/lca"
+	"spatialtree/internal/treefix"
 )
 
 // batchGate holds the first len(release) batches an engine starts: the
@@ -207,114 +209,73 @@ func TestDynMutationKeepsSchedulerStatsHandoff(t *testing.T) {
 	}
 }
 
-// heldBackend wraps a shadow backend and holds its first Run until
-// release is closed; later runs pass straight through.
-type heldBackend struct {
-	exec.Backend
-	runs    atomic.Int32
-	started chan struct{}
-	release chan struct{}
-}
-
-func (h *heldBackend) Run(seed uint64) exec.Run {
-	if h.runs.Add(1) == 1 {
-		close(h.started)
-		<-h.release
-	}
-	return h.Backend.Run(seed)
-}
-
-// within fails the test unless done is closed within a generous bound;
-// it guards steps that must not wait for a held shadow run.
-func within(t *testing.T, done <-chan struct{}, what string) {
-	t.Helper()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s: still blocked after 10s behind a held shadow run", what)
-	}
-}
-
-// TestShadowRunOffServingPath: a shadow-metered batch stops counting as
-// serving once its futures resolve, so its shadow run holds up nobody.
-// While the first batch's shadow run is held, its own caller has its
-// answer, the k requests that queued behind it are handed off and
-// answered, a fresh Wait finds the engine idle and runs a batch of its
-// own, and only Quiesce waits for the shadow run.
-func TestShadowRunOffServingPath(t *testing.T) {
-	const k = 4
+// TestCallerBufferReuse pins the contract the binary listener's decode
+// scratch relies on: the engine reads a request's inputs only before
+// its future resolves, so a caller may overwrite them the moment Wait
+// returns. With no deadline armed every batch is idle-dispatched or
+// handed off; under -race this fails if any engine-side read of a
+// caller's buffer outlives its reply.
+func TestCallerBufferReuse(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 40
+	)
 	tr := testTree(300, 12)
-	eng, err := New(tr, Options{Window: 1 << 20, Backend: "native", ShadowMeter: 1})
+	n := tr.N()
+	eng, err := New(tr, Options{Window: 1 << 20, Backend: "native"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newBatchGate(1)
-	eng.beforeRun = g.hook
-	held := &heldBackend{Backend: eng.shadow, started: make(chan struct{}), release: make(chan struct{})}
-	eng.shadow = held
 	oracle := lca.NewOracle(tr)
-	qs := make([][]lca.Query, k+2)
-	for i := range qs {
-		qs[i] = []lca.Query{{U: i, V: 5*i + 11}, {U: 3 * i, V: 200 - i}}
-	}
-	results := make([]Result, k+2)
-
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0] = eng.SubmitLCA(qs[0]).Wait()
-	}()
-	<-g.started[0]
-	var submitted sync.WaitGroup
-	for i := 1; i <= k; i++ {
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		submitted.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			fut := eng.SubmitLCA(qs[i])
-			submitted.Done()
-			results[i] = fut.Wait()
-		}(i)
-	}
-	submitted.Wait()
-	close(g.release[0])
-	<-held.started // the first batch has served and is now in its shadow run
+			vals := make([]int64, n)
+			queries := make([]lca.Query, 8)
+			want := make([]int, len(queries))
+			for r := 0; r < rounds; r++ {
+				for v := range vals {
+					vals[v] = int64(g*rounds + r + v)
+				}
+				wantSums := treefix.SequentialBottomUp(tr, vals, treefix.Add)
+				res := eng.SubmitTreefix(vals, treefix.Add).Wait()
+				for v := range vals {
+					vals[v] = -1
+				}
+				if res.Err != nil || !slices.Equal(res.Sums, wantSums) {
+					errs <- fmt.Sprintf("goroutine %d round %d: treefix sums wrong (err %v)", g, r, res.Err)
+					return
+				}
 
-	answered := make(chan struct{})
-	go func() { wg.Wait(); close(answered) }()
-	within(t, answered, "the first batch's caller and the handed-off waiters")
-	fresh := make(chan struct{})
-	go func() {
-		results[k+1] = eng.SubmitLCA(qs[k+1]).Wait()
-		close(fresh)
-	}()
-	within(t, fresh, "a Wait on a shard whose only running batch is shadowing")
-
-	st := eng.Stats()
-	if st.Batches != 3 || st.IdleFlushes != 3 || st.Requests != k+2 {
-		t.Fatalf("stats = %+v, want %d requests in 3 idle-dispatched batches", st, k+2)
-	}
-	quiesced := make(chan struct{})
-	go func() { eng.Quiesce(); close(quiesced) }()
-	select {
-	case <-quiesced:
-		t.Fatal("Quiesce returned while a shadow run was still held")
-	case <-time.After(noSecondBatch):
-	}
-	close(held.release)
-	<-quiesced
-	if st := eng.Stats(); st.ShadowBatches != 3 || st.ShadowMismatches != 0 {
-		t.Fatalf("stats = %+v, want 3 shadow-metered batches and no mismatch", st)
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
-		}
-		for j, q := range qs[i] {
-			if want := oracle.LCA(q.U, q.V); res.Answers[j] != want {
-				t.Fatalf("request %d: lca(%d,%d) = %d, want %d", i, q.U, q.V, res.Answers[j], want)
+				for j := range queries {
+					queries[j] = lca.Query{U: (g + r + j) % n, V: (7*g + 3*j + r) % n}
+					want[j] = oracle.LCA(queries[j].U, queries[j].V)
+				}
+				res = eng.SubmitLCA(queries).Wait()
+				for j := range queries {
+					queries[j] = lca.Query{U: n - 1 - j, V: 0}
+				}
+				if res.Err != nil || !slices.Equal(res.Answers, want) {
+					errs <- fmt.Sprintf("goroutine %d round %d: LCA answers %v, want %v (err %v)", g, r, res.Answers, want, res.Err)
+					return
+				}
 			}
-		}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	eng.Quiesce()
+	st := eng.Stats()
+	if st.Requests != 2*goroutines*rounds {
+		t.Fatalf("requests = %d, want %d", st.Requests, 2*goroutines*rounds)
+	}
+	if st.IdleFlushes != st.Batches || st.SizeFlushes != 0 || st.DeadlineFlushes != 0 {
+		t.Fatalf("stats = %+v, want every batch idle-dispatched or handed off", st)
 	}
 }

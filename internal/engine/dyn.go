@@ -204,11 +204,6 @@ func (de *DynEngine) refreshLocked() error {
 		st := de.inner.Stats()
 		st.Cache = CacheStats{} // cache counters are global, not per-epoch
 		de.retired.Add(st)
-		// Shadow sampling is a per-shard rate, not per-epoch: carry the
-		// tick across inner engines, or every post-mutation epoch would
-		// sample its first batch and churny shards would shadow-run the
-		// simulator on nearly every batch.
-		inner.shadowTick.Store(de.inner.shadowTick.Load())
 	}
 	de.inner = inner
 	de.dirty = false
@@ -229,7 +224,7 @@ func (de *DynEngine) engineLocked() (*Engine, error) {
 
 // drainLocked quiesces the inner engine so that every already-submitted
 // request resolves against the pre-mutation tree AND every in-flight
-// batch — the autoflush timer or a serving batch's hand-off may have
+// batch — the autoflush timer or a running batch's hand-off may have
 // dispatched one — has recorded its counters before the engine can be
 // retired by a refresh.
 func (de *DynEngine) drainLocked() {

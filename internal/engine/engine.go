@@ -26,11 +26,10 @@
 //   - a caller invokes Flush explicitly;
 //   - with no autoflush deadline armed (the default), the engine is
 //     idle: Future.Wait on a pending request runs the batch on the
-//     caller's goroutine when no batch of the engine is serving, and
-//     the last serving batch, once its futures have resolved, hands
+//     caller's goroutine when no batch of the engine is running, and
+//     the last running batch, once its futures have resolved, hands
 //     whatever became pending meanwhile to a new goroutine as the next
-//     batch (a batch's shadow run, see below, does not count as
-//     serving);
+//     batch;
 //   - with a deadline armed, it expires (see below).
 //
 // Without a deadline, dispatch is work-conserving, like a group commit:
@@ -41,19 +40,19 @@
 //
 // # Autoflush scheduler
 //
-// StartAutoFlush (or Options.FlushDelay at construction) arms a
-// background batch scheduler with two triggers: a batch is dispatched
-// when it reaches maxBatch pending requests (the Window mechanism) or
-// when its oldest request has waited maxDelay, whichever comes first.
-// The deadline is an opt-in linger: Future.Wait no longer dispatches —
-// it simply blocks, because the deadline guarantees progress — and a
-// serving batch hands nothing off, so concurrently submitted requests
-// keep coalescing for up to maxDelay even while every submitter is
-// already waiting. Under heavy traffic batches fill to maxBatch and the
-// deadline never fires; under trickle traffic every request waits out
-// maxDelay. Deadline batches do not wait for each other, so one
-// engine's batches may overlap across cores, where work-conserving
-// dispatch serves one idle-dispatched batch at a time.
+// Options.FlushDelay arms, at construction, a background batch
+// scheduler with two triggers: a batch is dispatched when it reaches
+// Window pending requests or when its oldest request has waited
+// FlushDelay, whichever comes first. The deadline is an opt-in linger:
+// Future.Wait no longer dispatches — it simply blocks, because the
+// deadline guarantees progress — and a running batch hands nothing off,
+// so concurrently submitted requests keep coalescing for up to
+// FlushDelay even while every submitter is already waiting. Under heavy
+// traffic batches fill to Window and the deadline never fires; under
+// trickle traffic every request waits out FlushDelay. Deadline batches
+// do not wait for each other, so one engine's batches may overlap
+// across cores, where work-conserving dispatch runs one idle-dispatched
+// batch at a time. StopAutoFlush disarms the scheduler.
 // Stats.SizeFlushes, Stats.DeadlineFlushes and Stats.IdleFlushes count
 // how often each trigger dispatched a batch.
 //
@@ -67,12 +66,10 @@
 // or "native" (goroutine-parallel kernels with zero simulator
 // bookkeeping — the serving default in internal/server, typically an
 // order of magnitude faster on wall clock). Both backends produce
-// identical results; only the cost accounting differs. A native engine
-// can additionally arm shadow metering (Options.ShadowMeter): every
-// N-th batch also runs through a sim backend whose results are compared
-// against the served ones (Stats.ShadowMismatches) and whose model cost
-// feeds Stats.Cost, so sampled Energy/Depth stay observable without
-// paying instrumentation on every batch.
+// identical results; only the cost accounting differs. A caller that
+// needs the model cost of a tree's traffic serves it on a sim engine;
+// the repository's differential tests check offline that the backends
+// agree.
 //
 // LCA requests in the same batch are additionally coalesced: their
 // query slices are concatenated into one batched run (whose fixed cost
@@ -133,11 +130,11 @@ type Options struct {
 	// to amortize layouts across trees and engine lifetimes.
 	Cache *LayoutCache
 	// FlushDelay, when positive, arms the background autoflush
-	// scheduler at construction, as if StartAutoFlush(Window, FlushDelay)
-	// had been called: a pending batch lingers until its oldest request
-	// has waited FlushDelay, unless the window fills first. Zero leaves
-	// the scheduler off: an idle engine dispatches at once (see the
-	// package documentation's "Batching semantics").
+	// scheduler at construction: a pending batch lingers until its
+	// oldest request has waited FlushDelay, unless the window fills
+	// first. StopAutoFlush disarms it. Zero leaves the scheduler off: an
+	// idle engine dispatches at once (see the package documentation's
+	// "Batching semantics").
 	FlushDelay time.Duration
 	// Backend names the execution backend batches run on: exec.Sim
 	// ("sim", exact model-cost metering — the default here) or
@@ -145,22 +142,13 @@ type Options struct {
 	// bookkeeping — the serving layer's default). See the package
 	// documentation's "Execution backends" section.
 	Backend string
-	// ShadowMeter, when positive on a non-sim engine, shadow-runs every
-	// ShadowMeter-th batch through a sim backend as well: served results
-	// are validated against it (Stats.ShadowMismatches) and the shadow
-	// run's model cost accumulates into Stats.Cost. Sampled batches pay
-	// the simulator's wall-clock price — that is the sampling trade-off.
-	// Ignored on sim engines, where every batch is already metered.
+	// Deprecated: ignored. Serve on Backend "sim" for model costs.
 	ShadowMeter int
 }
 
 // DefaultWindow is the automatic-flush threshold used when
 // Options.Window is not positive.
 const DefaultWindow = 64
-
-// DefaultFlushDelay is the deadline used by StartAutoFlush when its
-// maxDelay argument is not positive.
-const DefaultFlushDelay = 2 * time.Millisecond
 
 // Stats is a snapshot of an engine's lifetime counters.
 type Stats struct {
@@ -183,25 +171,15 @@ type Stats struct {
 	// MaxDelay deadline.
 	DeadlineFlushes uint64
 	// IdleFlushes counts batches dispatched because no batch of the
-	// engine was serving and no deadline was armed: by Future.Wait on
-	// the caller's goroutine, or handed off by the last serving batch
+	// engine was running and no deadline was armed: by Future.Wait on
+	// the caller's goroutine, or handed off by the last running batch
 	// once its futures resolved. Batches - SizeFlushes -
 	// DeadlineFlushes - IdleFlushes is the number of explicit flushes
 	// (Flush, Quiesce, StopAutoFlush) that had work.
 	IdleFlushes uint64
-	// ShadowBatches counts batches a non-sim engine additionally ran
-	// through the shadow sim backend (Options.ShadowMeter sampling).
-	ShadowBatches uint64
-	// ShadowMismatches counts requests whose shadow-run result differed
-	// from the served one. Always zero unless a backend is wrong: the
-	// backends compute the same functions.
-	ShadowMismatches uint64
-	// Cost accumulates the exact spatial-model cost over batches that
-	// ran on (or were shadow-sampled through) the simulator: every batch
-	// for a sim engine, the ShadowBatches for a shadow-metered native
-	// one, nothing for an unmetered native engine. Depths add as if the
-	// metered batches ran back to back. Cost and the shadow counters are
-	// folded in once a batch has finished running.
+	// Cost accumulates the exact spatial-model cost of every batch a sim
+	// engine ran; zero on native. Depths add as if the batches ran back
+	// to back. Cost is folded in once a batch has finished running.
 	Cost machine.Cost
 	// Cache is the layout cache's traffic (shared counters if the cache
 	// is shared).
@@ -219,15 +197,13 @@ func (s *Stats) Add(o Stats) {
 	s.SizeFlushes += o.SizeFlushes
 	s.DeadlineFlushes += o.DeadlineFlushes
 	s.IdleFlushes += o.IdleFlushes
-	s.ShadowBatches += o.ShadowBatches
-	s.ShadowMismatches += o.ShadowMismatches
 	s.Cost = s.Cost.Plus(o.Cost)
 }
 
 // BatchProfile describes one dispatched batch to an installed profile
 // observer.
 type BatchProfile struct {
-	// Elapsed is the serving run's wall-clock (excluding any shadow run).
+	// Elapsed is the batch's backend-run wall-clock.
 	Elapsed time.Duration
 }
 
@@ -250,7 +226,7 @@ type Result struct {
 	Value int64
 	// Cost is the spatial-model cost attributed to this request: its
 	// incremental share of the batch's metered run (identically zero on
-	// an unmetered native engine). Coalesced LCA requests report a
+	// a native engine). Coalesced LCA requests report a
 	// per-query-proportional share of their shared run's Energy and
 	// Messages — shares sum exactly to the run's totals, so summing
 	// per-request costs never over-counts — and the full run Depth (the
@@ -278,9 +254,9 @@ func (f *Future) Done() bool {
 }
 
 // Wait returns the result. If the request is still pending and the
-// engine is idle — no batch serving, no autoflush deadline armed — Wait
+// engine is idle — no batch running, no autoflush deadline armed — Wait
 // runs the pending batch on the caller's goroutine. Otherwise it just
-// blocks: the serving batch's hand-off or the armed deadline dispatches
+// blocks: the running batch's hand-off or the armed deadline dispatches
 // the request, so Wait never deadlocks.
 func (f *Future) Wait() Result {
 	if !f.Done() {
@@ -337,13 +313,12 @@ type request struct {
 // Request structs and batch slices are pooled: the serving hot path
 // submits thousands of short-lived requests per second, and their
 // headers were the engine's dominant steady-state allocation. A request
-// is recycled only at the very end of runBatch — after its future has
-// resolved AND any shadow run has re-read its inputs — so no live
-// reference survives the Put. The caller-owned payload slices (vals,
-// queries, edges) are only unreferenced, never reused; on
-// shadow-sampled batches they are swapped for engine-owned copies
-// before any future resolves (copyShadowInputs), so a caller may reuse
-// its buffers the moment its future resolves.
+// is recycled only at the very end of runBatch, after its future has
+// resolved, so no live reference survives the Put. The caller-owned
+// payload slices (vals, queries, edges) are only unreferenced, never
+// reused, and runBatch reads a request's inputs only before resolving
+// its future, so a caller may reuse its buffers the moment Wait
+// returns.
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 func newRequest() *request { return requestPool.Get().(*request) }
@@ -356,8 +331,8 @@ var batchPool = sync.Pool{New: func() any {
 }}
 
 // recycleBatch returns a finished batch's requests and backing slice to
-// their pools; the batch must have no live references (futures resolved,
-// shadow run complete).
+// their pools; the batch must have no live references (every future
+// resolved).
 func recycleBatch(batch []*request) {
 	for i, req := range batch {
 		*req = request{}
@@ -380,17 +355,9 @@ type Engine struct {
 	seed   uint64
 	cache  *LayoutCache
 
-	// backend executes batches; shadow (nil unless shadow metering is
-	// armed) is the sim backend that samples every shadowN-th batch of a
-	// non-sim engine for model cost and result validation.
+	// backend executes batches; backendName is its resolved name.
 	backendName string
 	backend     exec.Backend
-	shadow      exec.Backend
-	shadowN     int
-	// shadowTick counts dispatched non-empty batches; every shadowN-th
-	// one is shadow-sampled. A dedicated counter, not batchSeq: empty
-	// flushes burn sequence numbers, which would skew the sampling rate.
-	shadowTick atomic.Uint64
 
 	// profileFn, when non-nil, observes every dispatched batch (see
 	// ProfileFunc). Atomic so SetProfile never races runBatch.
@@ -411,15 +378,12 @@ type Engine struct {
 	batchSeq uint64
 	stats    Stats
 	// running counts detached batches whose runBatch has not finished;
-	// idle (on mu) is broadcast when it returns to zero. Quiesce waits
-	// on it so callers can observe a moment with no simulator work in
-	// flight — not just no pending requests.
+	// idle (on mu) is broadcast when it returns to zero. Work-conserving
+	// dispatch gates on it, and Quiesce waits on it so callers can
+	// observe a moment with no backend work in flight — not just no
+	// pending requests.
 	running int
 	idle    sync.Cond
-	// serving counts the running batches whose futures have not all
-	// resolved yet. Work-conserving dispatch waits only on these, so a
-	// batch's shadow run never holds up the next batch.
-	serving int
 	// beforeRun, when non-nil, is called at the top of every runBatch;
 	// tests set it before any submission to hold a batch running.
 	beforeRun func()
@@ -464,31 +428,22 @@ func New(t *tree.Tree, opts Options) (*Engine, error) {
 		e.afDelay = opts.FlushDelay
 	}
 	e.idle.L = &e.mu
-	if err := e.initBackend(opts); err != nil {
+	if err := e.initBackend(opts.Backend); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// initBackend resolves Options.Backend, builds the execution backend on
-// the engine's placement, and arms shadow metering when requested. It
-// must run after the placement and orderRank machinery are in place.
-func (e *Engine) initBackend(opts Options) error {
-	e.backendName = exec.Normalize(opts.Backend)
-	cfg := exec.Config{Tree: e.t, Placement: e.p, OrderRank: e.orderRank}
-	be, err := exec.New(e.backendName, cfg)
+// initBackend resolves the backend name (Options.Backend) and builds the
+// execution backend on the engine's placement. It must run after the
+// placement and orderRank machinery are in place.
+func (e *Engine) initBackend(name string) error {
+	e.backendName = exec.Normalize(name)
+	be, err := exec.New(e.backendName, exec.Config{Tree: e.t, Placement: e.p, OrderRank: e.orderRank})
 	if err != nil {
 		return err
 	}
 	e.backend = be
-	if opts.ShadowMeter > 0 && e.backendName != exec.Sim {
-		sh, err := exec.New(exec.Sim, cfg)
-		if err != nil {
-			return err
-		}
-		e.shadow = sh
-		e.shadowN = opts.ShadowMeter
-	}
 	return nil
 }
 
@@ -537,7 +492,7 @@ func newWithPlacement(t *tree.Tree, p *layout.Placement, opts Options) (*Engine,
 		e.afDelay = opts.FlushDelay
 	}
 	e.idle.L = &e.mu
-	if err := e.initBackend(opts); err != nil {
+	if err := e.initBackend(opts.Backend); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -709,7 +664,6 @@ func (e *Engine) takeBatchLocked() ([]*request, uint64) {
 	e.batchSeq++
 	if len(batch) > 0 {
 		e.running++
-		e.serving++
 		e.stats.Batches++
 		e.stats.Requests += uint64(len(batch))
 		lcaRuns := uint64(0)
@@ -749,59 +703,18 @@ func (e *Engine) flushDeadline(seq uint64) {
 }
 
 // runIfIdle is Wait's dispatch: when no deadline is armed and no batch
-// of e is serving, f's unresolved request can only be pending, so the
-// pending batch runs on the caller's goroutine — or on a new one when
-// the engine is shadow-metered, so that the caller's reply never waits
-// for a sampled batch's shadow run.
+// of e is running, f's unresolved request can only be pending, so the
+// pending batch runs on the caller's goroutine.
 func (e *Engine) runIfIdle(f *Future) {
 	e.mu.Lock()
-	if e.afDelay > 0 || e.serving > 0 || f.Done() {
+	if e.afDelay > 0 || e.running > 0 || f.Done() {
 		e.mu.Unlock()
 		return
 	}
 	batch, seq := e.takeBatchLocked()
 	e.stats.IdleFlushes++
 	e.mu.Unlock()
-	if e.shadow != nil {
-		go e.runBatch(batch, seq)
-		return
-	}
 	e.runBatch(batch, seq)
-}
-
-// StartAutoFlush arms the background batch scheduler: a pending batch
-// is dispatched when it reaches maxBatch requests (maxBatch > 0 replaces
-// the engine's window) or when its oldest request has waited maxDelay
-// (<= 0 means DefaultFlushDelay), whichever comes first. With the
-// scheduler armed, explicit Flush becomes optional and Future.Wait no
-// longer forces an early flush. Restarting an armed scheduler just
-// updates the parameters; requests already pending are rescheduled
-// under them.
-func (e *Engine) StartAutoFlush(maxBatch int, maxDelay time.Duration) {
-	if maxDelay <= 0 {
-		maxDelay = DefaultFlushDelay
-	}
-	var batch []*request
-	var seq uint64
-	e.mu.Lock()
-	if maxBatch > 0 {
-		e.window = maxBatch
-	}
-	e.afDelay = maxDelay
-	if e.afTimer != nil {
-		e.afTimer.Stop()
-		e.afTimer = nil
-	}
-	if len(e.pending) >= e.window {
-		batch, seq = e.takeBatchLocked()
-		e.stats.SizeFlushes++
-	} else if len(e.pending) > 0 {
-		e.armTimerLocked()
-	}
-	e.mu.Unlock()
-	if batch != nil {
-		e.runBatch(batch, seq)
-	}
 }
 
 // StopAutoFlush disarms the scheduler and flushes whatever is pending,
@@ -832,7 +745,7 @@ func (e *Engine) Flush() {
 
 // Quiesce flushes pending work and then blocks until every in-flight
 // batch — including ones another goroutine, the autoflush timer or a
-// serving batch's hand-off dispatched — has finished running and
+// running batch's hand-off dispatched — has finished running and
 // recorded its stats. After Quiesce returns (and absent concurrent
 // submissions) the engine is fully idle; DynEngine uses this as its
 // pre-mutation barrier so no batch counters are lost when an epoch's
@@ -847,50 +760,22 @@ func (e *Engine) Quiesce() {
 }
 
 // batchSeed derives the per-batch Las Vegas seed: deterministic per
-// (engine seed, batch index), shared by the serving run and any shadow
-// run of the same batch.
+// (engine seed, batch index).
 func (e *Engine) batchSeed(seq uint64) uint64 {
 	return e.seed ^ (seq+1)*0x9e3779b97f4a7c15
 }
 
-// copyShadowInputs replaces the batch's caller-owned payload slices with
-// engine-owned copies. It runs before any future resolves, while the
-// submission contract still guarantees the inputs are stable, so that
-// the shadow run's later re-read never touches caller memory: callers
-// (notably the wire path's connection-local decode scratch) may reuse
-// their buffers the moment their futures resolve, even on sampled
-// batches.
-func copyShadowInputs(batch []*request) {
-	for _, req := range batch {
-		req.vals = slices.Clone(req.vals)
-		req.queries = slices.Clone(req.queries)
-		req.edges = slices.Clone(req.edges)
-		if req.expr != nil {
-			cp := *req.expr
-			cp.Kind = slices.Clone(cp.Kind)
-			cp.Val = slices.Clone(cp.Val)
-			req.expr = &cp
-		}
-	}
-}
-
 // runBatch executes one detached batch on a fresh backend run. It is
 // called without e.mu held; distinct batches may run concurrently on
-// independent runs. With no deadline armed, the last serving batch
-// hands the requests that became pending meanwhile to a new goroutine
-// as the next batch as soon as its own futures have resolved — before
-// any shadow run, which stays off the serving path. That goroutine runs
-// this same function and exits, and Quiesce waits for it through the
-// running count, which never reads zero between the two batches.
+// independent runs. With no deadline armed, the last running batch,
+// once its own futures have resolved, hands the requests that became
+// pending meanwhile to a new goroutine as the next batch. That
+// goroutine runs this same function and exits, and Quiesce waits for it
+// through the running count, which never reads zero between the two
+// batches.
 func (e *Engine) runBatch(batch []*request, seq uint64) {
 	if e.beforeRun != nil {
 		e.beforeRun()
-	}
-	// The shadow-sampling decision is taken before serving so a sampled
-	// batch's inputs can be copied out while they are still stable.
-	sampled := e.shadow != nil && (e.shadowTick.Add(1)-1)%uint64(e.shadowN) == 0
-	if sampled {
-		copyShadowInputs(batch)
 	}
 	pf := e.profileFn.Load()
 	start := time.Now()
@@ -933,13 +818,20 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 	}
 	elapsed := time.Since(start)
 
+	// The dispatch counters were folded in by takeBatchLocked; only the
+	// run's cost is known now. A hand-off takes the pending work in the
+	// same critical section that retires this batch, so running goes
+	// straight back to 1 and Quiesce never sees zero between the two.
 	var next []*request
 	var nextSeq uint64
 	e.mu.Lock()
-	e.serving--
-	if e.serving == 0 && e.afDelay == 0 && len(e.pending) > 0 {
+	e.stats.Cost = e.stats.Cost.Plus(run.Cost())
+	e.running--
+	if e.running == 0 && e.afDelay == 0 && len(e.pending) > 0 {
 		next, nextSeq = e.takeBatchLocked()
 		e.stats.IdleFlushes++
+	} else if e.running == 0 {
+		e.idle.Broadcast()
 	}
 	e.mu.Unlock()
 	if next != nil {
@@ -947,30 +839,11 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 		go e.runBatch(next, nextSeq)
 	}
 
-	// The dispatch counters were folded in by takeBatchLocked; only the
-	// run's cost and the shadow sample are known now.
-	st := Stats{Cost: run.Cost()}
-	if sampled {
-		sb, mismatches, cost := e.runShadow(batch, seq)
-		st.ShadowBatches = sb
-		st.ShadowMismatches = mismatches
-		st.Cost = st.Cost.Plus(cost)
-	}
-
-	e.mu.Lock()
-	e.stats.Add(st)
-	e.running--
-	if e.running == 0 {
-		e.idle.Broadcast()
-	}
-	e.mu.Unlock()
-
 	if pf != nil {
 		(*pf)(BatchProfile{Elapsed: elapsed})
 	}
 
-	// Every future is resolved and the shadow run (if any) re-read only
-	// the engine-owned input copies, so the batch can be recycled.
+	// Every future is resolved, so the batch can be recycled.
 	recycleBatch(batch)
 }
 
@@ -1003,69 +876,4 @@ func resolveLCA(lcaReqs []*request, answers []int, cost machine.Cost, err error)
 		req.fut.resolve(res)
 		off += m
 	}
-}
-
-// runShadow re-executes a served batch through the shadow sim backend
-// with the batch's own seed: the model cost the sim backend would have
-// recorded, plus validation of every served result against the
-// simulator's. Futures are already resolved, so their results are
-// stable reads here.
-func (e *Engine) runShadow(batch []*request, seq uint64) (batches, mismatches uint64, cost machine.Cost) {
-	run := e.shadow.Run(e.batchSeed(seq))
-	var lcaReqs []*request
-	for _, req := range batch {
-		served := req.fut.res
-		switch req.kind {
-		case kindBottomUp:
-			sums, err := run.BottomUp(req.vals, req.op)
-			if bothOK(err, served.Err) && !slices.Equal(sums, served.Sums) {
-				mismatches++
-			}
-		case kindTopDown:
-			sums, err := run.TopDown(req.vals, req.op)
-			if bothOK(err, served.Err) && !slices.Equal(sums, served.Sums) {
-				mismatches++
-			}
-		case kindMinCut:
-			res, err := run.MinCut(req.edges)
-			if bothOK(err, served.Err) &&
-				(res.MinWeight != served.MinCut.MinWeight || !slices.Equal(res.Cuts, served.MinCut.Cuts)) {
-				mismatches++
-			}
-		case kindExpr:
-			v, err := run.Expr(req.expr)
-			if bothOK(err, served.Err) && v != served.Value {
-				mismatches++
-			}
-		case kindLCA:
-			lcaReqs = append(lcaReqs, req)
-		}
-	}
-	if len(lcaReqs) > 0 {
-		total := 0
-		for _, req := range lcaReqs {
-			total += len(req.queries)
-		}
-		all := make([]lca.Query, 0, total)
-		for _, req := range lcaReqs {
-			all = append(all, req.queries...)
-		}
-		answers, err := run.LCA(all)
-		off := 0
-		for _, req := range lcaReqs {
-			m := len(req.queries)
-			served := req.fut.res
-			if bothOK(err, served.Err) && !slices.Equal(answers[off:off+m], served.Answers) {
-				mismatches++
-			}
-			off += m
-		}
-	}
-	return 1, mismatches, run.Cost()
-}
-
-// bothOK reports that neither the shadow run nor the served request
-// failed, so their payloads are comparable.
-func bothOK(shadowErr, servedErr error) bool {
-	return shadowErr == nil && servedErr == nil
 }

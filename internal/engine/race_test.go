@@ -315,11 +315,10 @@ func TestStatsCountedBeforeReply(t *testing.T) {
 		rounds     = 40
 	)
 	tr := tree.RandomAttachment(64, rng.New(7))
-	eng, err := New(tr, Options{Backend: "native"})
+	eng, err := New(tr, Options{Backend: "native", Window: 4, FlushDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.StartAutoFlush(4, time.Millisecond)
 	defer eng.StopAutoFlush()
 	vals := make([]int64, tr.N())
 	var replies, queries atomic.Uint64

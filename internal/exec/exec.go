@@ -11,8 +11,8 @@
 //     and per-processor dependency clocks — the paper's cost model,
 //     byte-for-byte the engine's historical serving path. This is the
 //     metering and validation backend: use it when the model costs ARE
-//     the product (experiments, /metrics energy accounting, shadow
-//     validation), not for wall-clock throughput.
+//     the product (experiments, /metrics energy accounting, the
+//     backend-differential tests), not for wall-clock throughput.
 //
 //   - Native ("native"): goroutine-parallel kernels with zero simulator
 //     bookkeeping — treefix via Euler-tour scans (internal/treefix
@@ -26,9 +26,8 @@
 // Both backends compute identical results on identical inputs (the
 // backend-differential suite pins this); they differ only in cost —
 // wall-clock versus model. Run.Cost reports the model counters consumed
-// so far in the batch: exact for sim, zero for native (the engine's
-// shadow-metering mode samples batches through a sim run when model
-// costs are still wanted on a native engine).
+// so far in the batch: exact for sim, zero for native (a tree whose
+// model costs are wanted is served on sim).
 package exec
 
 import (

@@ -85,6 +85,5 @@ func (run nativeRun) Expr(x *exprtree.Expr) (int64, error) {
 }
 
 // Cost is identically zero: native execution does no model accounting.
-// Engines that still want sampled model costs arm shadow metering,
-// which runs 1-in-N batches through a sim Run as well.
+// A tree whose model costs are wanted is served on a sim backend.
 func (nativeRun) Cost() machine.Cost { return machine.Cost{} }

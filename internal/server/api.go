@@ -228,17 +228,11 @@ type CacheMetrics struct {
 }
 
 // BackendMetrics reports the execution-backend layer: the serving
-// default, retained shards per backend (registered trees + dyn shards +
-// ad-hoc pool shards), and — when shadow metering is armed — how many
-// batches were sampled through the sim backend and whether any served
-// result disagreed with the simulator (mismatches should always read
-// zero; a non-zero value means a backend bug).
+// default and retained shards per backend (registered trees + dyn
+// shards + ad-hoc pool shards).
 type BackendMetrics struct {
-	Default          string         `json:"default"`
-	ShadowMeter      int            `json:"shadow_meter,omitempty"`
-	Shards           map[string]int `json:"shards"`
-	ShadowBatches    uint64         `json:"shadow_batches"`
-	ShadowMismatches uint64         `json:"shadow_mismatches"`
+	Default string         `json:"default"`
+	Shards  map[string]int `json:"shards"`
 }
 
 // DynMetrics aggregates the mutable shards.

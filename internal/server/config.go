@@ -166,11 +166,6 @@ type Config struct {
 	// come back on this default (the backend is a serving-time knob, not
 	// part of the durable state — re-register to override after boot).
 	Backend string
-	// ShadowMeter, when > 0 with a native default backend, samples every
-	// N-th batch of each shard through a shadow sim run: /metrics keeps
-	// reporting (sampled) model Energy/Depth and counts any
-	// native-vs-sim result mismatches, at 1/N of the simulator's cost.
-	ShadowMeter int
 }
 
 // withDefaults resolves every zero field to its documented default.

@@ -115,13 +115,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	opts := engine.Options{
-		Curve:       cfg.Curve,
-		Window:      cfg.Scheduler.MaxBatch,
-		Seed:        cfg.Seed,
-		Cache:       engine.NewLayoutCache(cfg.Limits.CacheCapacity),
-		FlushDelay:  cfg.Scheduler.MaxDelay,
-		Backend:     cfg.Backend,
-		ShadowMeter: cfg.ShadowMeter,
+		Curve:      cfg.Curve,
+		Window:     cfg.Scheduler.MaxBatch,
+		Seed:       cfg.Seed,
+		Cache:      engine.NewLayoutCache(cfg.Limits.CacheCapacity),
+		FlushDelay: cfg.Scheduler.MaxDelay,
+		Backend:    cfg.Backend,
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -637,11 +636,7 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 	opts := s.engOpts
 	// No linger on a single-request engine: nothing can ever join its
 	// batch, so Wait should run it at once even when MaxDelay is set.
-	// No shadow metering either — a fresh engine's first batch is
-	// always sampled, which would shadow-run the simulator on every
-	// over-budget request; pool shards carry the sampling instead.
 	opts.FlushDelay = 0
-	opts.ShadowMeter = 0
 	eng, err := engine.New(t, opts)
 	if err != nil {
 		return nil, nil, err
@@ -823,11 +818,8 @@ func (s *Server) Metrics() MetricsResponse {
 			HitRate:   st.Cache.HitRate(),
 		},
 		Backends: BackendMetrics{
-			Default:          s.cfg.Backend,
-			ShadowMeter:      s.cfg.ShadowMeter,
-			Shards:           backendShards,
-			ShadowBatches:    st.ShadowBatches,
-			ShadowMismatches: st.ShadowMismatches,
+			Default: s.cfg.Backend,
+			Shards:  backendShards,
 		},
 		Dyn:     dyn,
 		Wire:    wm,

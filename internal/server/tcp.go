@@ -139,10 +139,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		case wire.FrameQuery:
-			// The decode scratch is reused frame to frame even under
-			// shadow metering: the engine copies a sampled batch's inputs
-			// out before any future resolves (engine.copyShadowInputs),
-			// so no engine-side read of these buffers survives the reply.
+			// The decode scratch is reused frame to frame: the engine
+			// reads a request's inputs only before its future resolves
+			// (pinned by engine.TestCallerBufferReuse), so no engine-side
+			// read of these buffers survives the reply.
 			if err := q.Decode(payload); err != nil {
 				badFrame(err)
 				return

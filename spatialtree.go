@@ -26,14 +26,12 @@
 //     concurrently submitted work into shared runs: an idle engine
 //     runs a waited request at once, work that arrives while a batch
 //     runs joins the next one, and an optional autoflush deadline
-//     (StartAutoFlush / EngineOptions.FlushDelay) lingers instead;
+//     (EngineOptions.FlushDelay) lingers instead;
 //   - pluggable execution backends (EngineOptions.Backend): "sim" runs
 //     every batch on the spatial-computer simulator with exact model
 //     costs (the default for direct engine users), "native" serves the
 //     same kernels with goroutine parallelism and no simulator
-//     bookkeeping (the serving daemon's default; >10x on wall clock),
-//     optionally shadow-metered (EngineOptions.ShadowMeter) so sampled
-//     model costs stay observable;
+//     bookkeeping (the serving daemon's default; >10x on wall clock);
 //   - a mutable serving path (DynEngine) wiring the §VII dynamic layout
 //     into the engine: leaf inserts/deletes between batches, with
 //     epoch-versioned placements instead of rebuild-per-mutation;
@@ -366,9 +364,10 @@ func NewDynamicLayout(t *Tree, curveName string, epsilon float64) (*DynamicLayou
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine: curve, auto-flush window, Las
-// Vegas seed, an optional shared LayoutCache, and an optional linger,
-// the autoflush scheduler's deadline (FlushDelay; see
-// Engine.StartAutoFlush). Without one, an idle engine dispatches at once.
+// Vegas seed, an optional shared LayoutCache, the execution backend,
+// and an optional linger, the autoflush scheduler's deadline
+// (FlushDelay; Engine.StopAutoFlush disarms it). Without one, an idle
+// engine dispatches at once.
 type EngineOptions = engine.Options
 
 // EngineStats snapshots an engine's lifetime counters: batches,
