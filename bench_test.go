@@ -247,7 +247,9 @@ func BenchmarkE11LCA(b *testing.B) {
 }
 
 // BenchmarkE12Parallel measures the goroutine executors' wall-clock
-// scaling (treefix bottom-up sum; see also the LCA engine below).
+// scaling (treefix bottom-up under +, where n = 2^20 is above
+// treefix.ParallelMin, so every row but workers=1 splits the pass; see
+// also the LCA engine below).
 func BenchmarkE12Parallel(b *testing.B) {
 	t := tree.RandomAttachment(1<<20, rng.New(13))
 	vals := make([]int64, t.N())
@@ -259,7 +261,9 @@ func BenchmarkE12Parallel(b *testing.B) {
 			e := treefix.NewEngine(t, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.BottomUpSum(vals)
+				if _, err := e.BottomUp(vals, treefix.Add); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -464,7 +468,7 @@ func BenchmarkE14DynChurn(b *testing.B) {
 // BenchmarkE16NativeBackend measures the execution-backend layer on an
 // E13-style batched treefix workload at n=2^14: 16 coalesced treefix
 // requests (bottom-up and top-down, operators cycling through the
-// registry so every native dispatch path is on the clock) per
+// registry so every operator is on the clock) per
 // iteration, identical on both arms. The sim arm is the engine's
 // historical serving path — every batch through the spatial-computer
 // simulator with per-message accounting; the native arm runs the same

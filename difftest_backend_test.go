@@ -43,9 +43,18 @@ func backendEngines(t *testing.T, tr *Tree, seed uint64, simMax int) map[string]
 
 const diffSimMax = 257
 
+// TestBackendDifferentialTreefix runs every diffSizes size, and the
+// native arm alone on both sides of treefix.ParallelMin, where a native
+// engine with more than one worker starts splitting its passes.
 func TestBackendDifferentialTreefix(t *testing.T) {
-	for _, n := range diffSizes {
-		for _, seed := range diffSeeds {
+	sizes := append(diffSizes[:len(diffSizes):len(diffSizes)],
+		treefix.ParallelMin-1, treefix.ParallelMin, treefix.ParallelMin+1)
+	for _, n := range sizes {
+		seeds := diffSeeds
+		if n >= treefix.ParallelMin-1 {
+			seeds = diffSeeds[:1]
+		}
+		for _, seed := range seeds {
 			for ti, tr := range diffTrees(n, seed) {
 				engines := backendEngines(t, tr, seed, diffSimMax)
 				for _, op := range diffOps {

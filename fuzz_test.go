@@ -326,10 +326,10 @@ func headerTruncLen(frame []byte) int {
 // FuzzNativeTreefix differential-fuzzes the native treefix executor:
 // any parent array the tree validator accepts, under any registered
 // operator and any value assignment, must produce exactly the
-// sequential oracle's bottom-up and top-down folds — across every
-// dispatch path (prefix-scan difference, sparse range table, pointer
-// doubling, host fallback) and both the single-worker and parallel
-// grains.
+// sequential oracle's bottom-up and top-down folds, at one worker and
+// at four. Fuzzed trees stay below treefix.ParallelMin, so both runs
+// take the one-pass; the split pass is pinned by the treefix package's
+// TestEngineSplit and TestEngineGeneralOps.
 func FuzzNativeTreefix(f *testing.F) {
 	f.Add([]byte{0xff}, byte(0), uint64(1))                               // single vertex, add
 	f.Add([]byte{0xff, 0x00, 0x00, 0x01, 0x01}, byte(1), uint64(2))       // binary tree, max

@@ -396,7 +396,8 @@ func (de *DynEngine) Epsilon() float64 {
 
 // Backend returns the shard's resolved execution-backend name. Every
 // epoch's inner engine runs on it: the backend's per-tree preprocessing
-// (Euler tour positions, lazily the LCA table) is rebuilt at each
+// (on native, the treefix preorder and the LCA table, each built on the
+// epoch's first request that needs it) is rebuilt after each
 // serving-state refresh, an O(n)-to-O(n log n) cost of the same class
 // as the placement refresh it rides along with.
 func (de *DynEngine) Backend() string { return exec.Normalize(de.opts.Backend) }

@@ -14,14 +14,16 @@
 //     the product (experiments, /metrics energy accounting, the
 //     backend-differential tests), not for wall-clock throughput.
 //
-//   - Native ("native"): goroutine-parallel kernels with zero simulator
-//     bookkeeping — treefix via Euler-tour scans (internal/treefix
-//     Engine, any registered operator), LCA via the sparse-table engine,
-//     min-cut via the parallel D−2I decomposition, expression evaluation
-//     via parallel Miller-Reif rakes. Per-tree preprocessing is built
-//     once per backend and amortized across batches, the way the paper
-//     amortizes layout construction (Section I-D). This is the serving
-//     default: as fast as the hardware allows.
+//   - Native ("native"): CPU kernels with zero simulator bookkeeping —
+//     treefix as one O(n) pass over a recorded preorder (internal/treefix
+//     Engine, any operator; split across goroutines from
+//     treefix.ParallelMin vertices), LCA via the sparse-table engine,
+//     min-cut via the D−2I decomposition over those two, expression
+//     evaluation via parallel Miller-Reif rakes. Each kernel's per-tree
+//     preprocessing is built on its first use and amortized across
+//     batches, the way the paper amortizes layout construction
+//     (Section I-D). This is the serving default: as fast as the
+//     hardware allows.
 //
 // Both backends compute identical results on identical inputs (the
 // backend-differential suite pins this); they differ only in cost —

@@ -251,3 +251,28 @@ func TestNativeHammer(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNativeBuildsKernelsLazily pins that a native backend builds each
+// kernel's preprocessing on first use: a shard that has served only LCA
+// has not recorded the treefix preorder, and its first treefix request
+// does.
+func TestNativeBuildsKernelsLazily(t *testing.T) {
+	tr := tree.RandomAttachment(256, rng.New(3))
+	be, err := New(Native, testConfig(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := be.(*nativeBackend)
+	if _, err := be.Run(1).LCA([]lca.Query{{U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if nb.tfEng != nil {
+		t.Fatal("an LCA-only native backend built its treefix engine")
+	}
+	if _, err := be.Run(2).TopDown(make([]int64, tr.N()), treefix.Max); err != nil {
+		t.Fatal(err)
+	}
+	if nb.tfEng == nil {
+		t.Fatal("a treefix request did not build the treefix engine")
+	}
+}

@@ -12,21 +12,22 @@ import (
 )
 
 // nativeBackend is the goroutine-parallel backend: per-tree
-// preprocessing built once and shared by every batch, kernels executed
-// with fork-join parallelism (internal/par) and no simulator
-// bookkeeping. The treefix tour positions are built eagerly (O(n), and
-// nearly every workload needs them); the LCA sparse table and the
-// min-cut executor are built on first use — an LCA-free shard never
-// pays the O(n log n) table.
+// preprocessing shared by every batch, kernels executed with no
+// simulator bookkeeping. Each kernel's preprocessing — the treefix
+// preorder, the LCA sparse table, the min-cut executor on top of both —
+// is built on its first use, so a shard pays only for the kernels it
+// serves: an LCA-only shard never records the preorder, and a
+// treefix-only shard never builds the O(n log n) table.
 type nativeBackend struct {
 	t       *tree.Tree
 	workers int
-	tf      *treefix.Engine
 	// run is the pre-boxed Run value: Run() sits on the per-batch hot
 	// path and reboxing nativeRun into the interface there would cost an
 	// allocation per batch.
 	run Run
 
+	tfOnce  sync.Once
+	tfEng   *treefix.Engine
 	lcaOnce sync.Once
 	lcaEng  *lca.Engine
 	mcOnce  sync.Once
@@ -34,16 +35,17 @@ type nativeBackend struct {
 }
 
 func newNative(cfg Config) *nativeBackend {
-	b := &nativeBackend{
-		t:       cfg.Tree,
-		workers: cfg.Workers,
-		tf:      treefix.NewEngine(cfg.Tree, cfg.Workers),
-	}
+	b := &nativeBackend{t: cfg.Tree, workers: cfg.Workers}
 	b.run = nativeRun{b}
 	return b
 }
 
 func (b *nativeBackend) Name() string { return Native }
+
+func (b *nativeBackend) treefix() *treefix.Engine {
+	b.tfOnce.Do(func() { b.tfEng = treefix.NewEngine(b.t, b.workers) })
+	return b.tfEng
+}
 
 func (b *nativeBackend) lca() *lca.Engine {
 	b.lcaOnce.Do(func() { b.lcaEng = lca.NewEngine(b.t, b.workers) })
@@ -51,7 +53,7 @@ func (b *nativeBackend) lca() *lca.Engine {
 }
 
 func (b *nativeBackend) mincut() *mincut.Parallel {
-	b.mcOnce.Do(func() { b.mc = mincut.NewParallel(b.t, b.tf, b.lca(), b.workers) })
+	b.mcOnce.Do(func() { b.mc = mincut.NewParallel(b.t, b.treefix(), b.lca(), b.workers) })
 	return b.mc
 }
 
@@ -64,11 +66,11 @@ func (b *nativeBackend) Run(uint64) Run { return b.run }
 type nativeRun struct{ b *nativeBackend }
 
 func (run nativeRun) BottomUp(vals []int64, op treefix.Op) ([]int64, error) {
-	return run.b.tf.BottomUp(vals, op)
+	return run.b.treefix().BottomUp(vals, op)
 }
 
 func (run nativeRun) TopDown(vals []int64, op treefix.Op) ([]int64, error) {
-	return run.b.tf.TopDown(vals, op)
+	return run.b.treefix().TopDown(vals, op)
 }
 
 func (run nativeRun) LCA(queries []lca.Query) ([]int, error) {

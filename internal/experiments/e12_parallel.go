@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "E12",
 		Title: "Wall-clock scalability of the goroutine executors",
-		Claim: "The paper's algorithms assume fine-grained hardware parallelism; the CPU executors (Euler-tour treefix, sparse-table LCA) must scale with cores (the repro-band caveat: fork-join on goroutines)",
+		Claim: "The paper's algorithms assume fine-grained hardware parallelism; the CPU executors (range-split preorder treefix, sparse-table LCA) must scale with cores (the repro-band caveat: fork-join on goroutines)",
 		Run:   runE12,
 	})
 }
@@ -41,11 +41,15 @@ func runE12(cfg Config) []*xstat.Table {
 	for _, w := range workersList {
 		e := treefix.NewEngine(t, w)
 		start := time.Now()
-		bu := e.BottomUpSum(vals)
+		if _, err := e.BottomUp(vals, treefix.Add); err != nil {
+			panic(err) // vals is sized to the tree and Add has a Combine
+		}
 		buMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
-		e.TopDownSum(vals)
+		if _, err := e.TopDown(vals, treefix.Add); err != nil {
+			panic(err)
+		}
 		tdMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
@@ -64,10 +68,13 @@ func runE12(cfg Config) []*xstat.Table {
 		if w == 1 {
 			base = buMS
 		}
-		_ = bu
 		tb.Add(xstat.I(w), xstat.F(buMS, 1), xstat.F(tdMS, 1),
 			xstat.F(buildMS, 1), xstat.F(qMS, 1), xstat.F(base/buMS, 2)+"x")
 	}
-	tb.Note("speedups are bounded by the two memory-bound prefix passes; see bench_test.go for testing.B numbers")
+	path := "every row runs the sequential one-pass: n is below treefix.ParallelMin = " + xstat.I(treefix.ParallelMin)
+	if n >= treefix.ParallelMin {
+		path = "the workers=1 row runs the sequential one-pass; every other row splits the preorder into one range per worker (n ≥ treefix.ParallelMin = " + xstat.I(treefix.ParallelMin) + ")"
+	}
+	tb.Note("treefix (+ through Engine.BottomUp/TopDown): " + path + "; speedups are bounded by memory traffic on the shared output; see internal/treefix BenchmarkEnginePaths for testing.B numbers")
 	return []*xstat.Table{tb}
 }

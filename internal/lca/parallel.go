@@ -96,11 +96,28 @@ func (e *Engine) query(u, v int) int {
 
 // BatchLCA answers all queries in parallel.
 func (e *Engine) BatchLCA(queries []Query) []int {
-	out := make([]int, len(queries))
+	return e.BatchLCAInto(nil, queries)
+}
+
+// BatchLCAInto answers all queries in parallel into dst, reusing its
+// storage when it has room, and returns dst resized to len(queries).
+func (e *Engine) BatchLCAInto(dst []int, queries []Query) []int {
+	if cap(dst) < len(queries) {
+		dst = make([]int, len(queries))
+	}
+	dst = dst[:len(queries)]
+	if e.work == 1 {
+		e.answer(dst, queries) // no fork-join closure to allocate
+		return dst
+	}
 	par.For(len(queries), e.work, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.query(queries[i].U, queries[i].V)
-		}
+		e.answer(dst[lo:hi], queries[lo:hi])
 	})
-	return out
+	return dst
+}
+
+func (e *Engine) answer(dst []int, queries []Query) {
+	for i, q := range queries {
+		dst[i] = e.query(q.U, q.V)
+	}
 }

@@ -4,27 +4,38 @@ import (
 	"sync"
 
 	"spatialtree/internal/lca"
-	"spatialtree/internal/par"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
 )
 
-// Parallel is the goroutine-parallel executor of the 1-respecting
-// minimum cut: the same D(v) − 2·I(v) decomposition as OneRespecting,
-// with the two treefix sums on the Euler-tour engine and the edge LCAs
-// on the sparse-table engine — no simulator, no model accounting. It is
-// the native serving backend's min-cut kernel.
+// Parallel is the native executor of the 1-respecting minimum cut: the
+// same D(v) − 2·I(v) decomposition as OneRespecting, with the two
+// subtree sums on the treefix Engine and the edge LCAs on the
+// goroutine-parallel sparse-table engine — no simulator, no model
+// accounting. It is the native serving backend's min-cut kernel.
 //
-// The preprocessing (tour positions, sparse table) is built once per
-// tree and amortized across calls, mirroring how OneRespecting amortizes
-// the light-first layout; OneRespecting answers the same queries with
-// exact spatial-model costs, and OneRespectingSequential remains the
+// The preprocessing (preorder, sparse table) is built once per tree and
+// amortized across calls, mirroring how OneRespecting amortizes the
+// light-first layout; OneRespecting answers the same queries with exact
+// spatial-model costs, and OneRespectingSequential remains the
 // brute-force oracle both are tested against.
 type Parallel struct {
-	t       *tree.Tree
-	tf      *treefix.Engine
-	le      *lca.Engine
-	workers int
+	t  *tree.Tree
+	tf *treefix.Engine
+	le *lca.Engine
+	// scratch recycles a call's working arrays, so that Result.Cuts is
+	// the only per-call allocation that grows with the input. Each call
+	// takes its own *workspace, so concurrent calls never share one.
+	scratch sync.Pool
+}
+
+// workspace holds one call's working arrays: weighted degrees (then
+// D(v) in place), internal edge weights (then I(v) in place), and the
+// LCA queries, their edge indices and answers.
+type workspace struct {
+	wdeg, val []int64
+	queries   []lca.Query
+	idx, ans  []int
 }
 
 // NewParallel builds the executor for t. tf and le may be shared,
@@ -37,7 +48,7 @@ func NewParallel(t *tree.Tree, tf *treefix.Engine, le *lca.Engine, workers int) 
 	if le == nil {
 		le = lca.NewEngine(t, workers)
 	}
-	return &Parallel{t: t, tf: tf, le: le, workers: workers}
+	return &Parallel{t: t, tf: tf, le: le}
 }
 
 // OneRespecting computes all 1-respecting cut weights of edges against
@@ -49,83 +60,61 @@ func (p *Parallel) OneRespecting(edges []Edge) (Result, error) {
 		return Result{}, err
 	}
 	n := p.t.N()
+	ws, _ := p.scratch.Get().(*workspace)
+	if ws == nil {
+		ws = new(workspace)
+	}
+	defer p.scratch.Put(ws)
 
-	// Weighted degrees, then D(v) by treefix. The per-edge accumulation
-	// stays sequential: both endpoints of every edge are write targets,
-	// and O(m) additions are noise next to the folds they feed.
-	wdeg := make([]int64, n)
-	queries := make([]lca.Query, 0, len(edges))
-	idx := make([]int, 0, len(edges))
+	// Weighted degrees, then D(v) by treefix.
+	ws.wdeg = zeroed(ws.wdeg, n)
+	ws.queries, ws.idx = ws.queries[:0], ws.idx[:0]
 	for i, e := range edges {
 		if e.U == e.V {
 			continue // self-loops never cross a cut
 		}
-		wdeg[e.U] += e.W
-		wdeg[e.V] += e.W
-		queries = append(queries, lca.Query{U: e.U, V: e.V})
-		idx = append(idx, i)
+		ws.wdeg[e.U] += e.W
+		ws.wdeg[e.V] += e.W
+		ws.queries = append(ws.queries, lca.Query{U: e.U, V: e.V})
+		ws.idx = append(ws.idx, i)
 	}
-	dSums := p.tf.BottomUpSum(wdeg)
+	p.tf.BottomUpSumInPlace(ws.wdeg)
 
-	// LCA of every edge, batched over the query list in parallel.
-	answers := p.le.BatchLCA(queries)
-
-	// Per-vertex internal-edge weight val(u) = Σ w(e) over edges with
-	// lca(e) = u, then I(v) by treefix.
-	val := make([]int64, n)
-	for qi, a := range answers {
-		val[a] += edges[idx[qi]].W
+	// LCA of every edge, batched over the query list in parallel; then
+	// the per-vertex internal-edge weight val(u) = Σ w(e) over edges with
+	// lca(e) = u, and I(v) by treefix.
+	ws.ans = p.le.BatchLCAInto(ws.ans, ws.queries)
+	ws.val = zeroed(ws.val, n)
+	for qi, a := range ws.ans {
+		ws.val[a] += edges[ws.idx[qi]].W
 	}
-	iSums := p.tf.BottomUpSum(val)
+	p.tf.BottomUpSumInPlace(ws.val)
 
-	// cut(v) = D(v) − 2·I(v); the arg-min matches the sequential scan's
-	// tie-break (the smallest vertex achieving the minimum) by combining
-	// per-chunk minima left to right with a strict comparison.
+	// cut(v) = D(v) − 2·I(v); the ascending scan with a strict < keeps the
+	// smallest vertex achieving the minimum, as OneRespectingSequential
+	// does.
 	res := Result{Cuts: make([]int64, n), ArgVertex: -1}
-	workers := p.workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	type chunkMin struct {
-		weight int64
-		arg    int
-	}
-	var mu chunkBox
 	root := p.t.Root()
-	par.For(n, workers, func(lo, hi int) {
-		best := chunkMin{arg: -1}
-		for v := lo; v < hi; v++ {
-			if v == root {
-				continue
-			}
-			cut := dSums[v] - 2*iSums[v]
-			res.Cuts[v] = cut
-			if best.arg == -1 || cut < best.weight {
-				best = chunkMin{weight: cut, arg: v}
-			}
+	for v := range res.Cuts {
+		if v == root {
+			continue
 		}
-		if best.arg != -1 {
-			mu.add(best.weight, best.arg)
+		cut := ws.wdeg[v] - 2*ws.val[v]
+		res.Cuts[v] = cut
+		if res.ArgVertex == -1 || cut < res.MinWeight {
+			res.MinWeight, res.ArgVertex = cut, v
 		}
-	})
-	res.MinWeight, res.ArgVertex = mu.weight, mu.arg
+	}
 	return res, nil
 }
 
-// chunkBox folds per-chunk minima under a mutex, preferring the smaller
-// weight and, on ties, the smaller vertex id — the order a sequential
-// ascending scan with strict < would produce.
-type chunkBox struct {
-	mu     sync.Mutex
-	arg    int
-	weight int64
-	seen   bool
-}
-
-func (b *chunkBox) add(weight int64, arg int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.seen || weight < b.weight || (weight == b.weight && arg < b.arg) {
-		b.weight, b.arg, b.seen = weight, arg, true
+// zeroed returns s resized to n zeroed entries, reusing its storage
+// when it has room.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }

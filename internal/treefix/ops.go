@@ -12,11 +12,12 @@
 //     O(1) algorithm state per processor and every message charged
 //     (Lemmas 10-12: O(n log n) energy; O(log n) depth for bounded
 //     degree, O(log² n) otherwise, with high probability).
-//   - Engine.BottomUp / TopDown: goroutine-parallel executors under any
-//     registered operator (Euler-tour scans, range tables and pointer
-//     doubling chosen by the operator's capabilities) — the native
-//     serving backend's treefix kernel. BottomUpSum / TopDownSum remain
-//     the specialized + fast paths.
+//   - Engine.BottomUp / TopDown: the native serving backend's treefix
+//     kernel. One pass over a preorder recorded once per tree: O(n)
+//     work for any operator, and the output is the only allocation.
+//     From ParallelMin vertices, an engine with more than one worker
+//     splits the pass into one preorder range per goroutine.
+//     BottomUpSum / TopDownSum are the + versions, always one pass.
 package treefix
 
 import "fmt"
@@ -24,55 +25,26 @@ import "fmt"
 // Op is the associative operator of a treefix sum. Bottom-up treefix
 // folds children in unspecified order, so Combine must be commutative
 // (the paper's examples: sum, maximum). Identity must satisfy
-// Combine(Identity, x) == x.
-//
-// The optional capability fields drive the goroutine-parallel Engine's
-// dispatch: an invertible operator (a group, like add or xor) is
-// executed as a prefix-scan difference over the Euler tour, an
-// idempotent one (max, min) as a sparse range table; operators with
-// neither capability still execute through slower generic paths. The
-// spatial-simulator executors ignore both fields — contraction only
-// needs Combine.
+// Combine(Identity, x) == x. Every executor needs only Combine; Name
+// labels the operator and selects no code path.
 type Op struct {
 	Name     string
 	Identity int64
 	Combine  func(a, b int64) int64
-	// Invert, when non-nil, returns the group inverse of x under
-	// Combine: Combine(x, Invert(x)) == Identity. Only meaningful for
-	// commutative operators.
-	Invert func(x int64) int64
-	// Idempotent reports Combine(x, x) == x.
-	Idempotent bool
 }
 
 // Add is the + operator (the paper's subtree-size and prefix use cases).
-var Add = Op{Name: "add", Identity: 0,
-	Combine: func(a, b int64) int64 { return a + b },
-	Invert:  func(x int64) int64 { return -x },
-}
+var Add = Op{Name: "add", Identity: 0, Combine: func(a, b int64) int64 { return a + b }}
 
 // Max folds to the maximum value.
-var Max = Op{Name: "max", Identity: -1 << 62, Idempotent: true, Combine: func(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}}
+var Max = Op{Name: "max", Identity: -1 << 62, Combine: func(a, b int64) int64 { return max(a, b) }}
 
 // Min folds to the minimum value.
-var Min = Op{Name: "min", Identity: 1 << 62, Idempotent: true, Combine: func(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}}
+var Min = Op{Name: "min", Identity: 1 << 62, Combine: func(a, b int64) int64 { return min(a, b) }}
 
 // Xor folds with exclusive-or; useful in tests because it is its own
 // inverse.
-var Xor = Op{Name: "xor", Identity: 0,
-	Combine: func(a, b int64) int64 { return a ^ b },
-	Invert:  func(x int64) int64 { return x },
-}
+var Xor = Op{Name: "xor", Identity: 0, Combine: func(a, b int64) int64 { return a ^ b }}
 
 // OpByName returns a registered operator. An unknown name is a caller
 // mistake: the error satisfies errors.Is(err, ErrInvalid) so the

@@ -3,16 +3,15 @@ package treefix
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"spatialtree/internal/par"
 	"spatialtree/internal/tree"
 )
 
-// ErrUnsupportedOp reports an operator the goroutine-parallel Engine
-// cannot execute (no Combine function). Before the op generalization the
-// engine silently computed + whatever the caller asked for; now a
-// malformed operator is a typed error instead of wrong sums.
+// ErrUnsupportedOp reports an operator the Engine cannot execute (no
+// Combine function): a malformed operator is a typed error instead of
+// wrong sums.
 var ErrUnsupportedOp = errors.New("treefix: operator not executable by the parallel engine")
 
 // ErrInvalid marks caller mistakes — a request the engine rejects on
@@ -30,78 +29,79 @@ func (e invalidError) Unwrap() error        { return e.error }
 // holds) while preserving its message verbatim.
 func invalid(err error) error { return invalidError{err} }
 
-// Engine is the goroutine-parallel treefix executor: the native serving
-// backend's treefix kernel (and the wall-clock arm of experiment E12).
-// It precomputes the Euler tour positions of the tree once (the paper
-// amortizes layout/preprocessing across iterations, Section I-D) and
-// then answers bottom-up and top-down treefix sums with parallel passes
-// over the edge tour.
+// ParallelMin is the vertex count from which an engine with more than
+// one worker splits BottomUp and TopDown across goroutines.
+// BenchmarkEnginePaths sets it. On a 2-vCPU host (nproc = 2, two
+// workers, RandomAttachment trees, median of 5) the split pass first
+// beats the one-pass under every operator in both directions at 2^19
+// (0.70–0.96× the one-pass's time; 0.55–0.76× at 2^20). Top-down alone
+// already wins from 2^17 (0.74–0.86×), but bottom-up still loses at
+// 2^17 (1.55–1.89×) and is even at 2^18 (0.89–1.05×): below 2^19 the
+// workers contend for the cache lines of the shared output.
+// BottomUpSum and TopDownSum never split: their one-pass, with + inlined,
+// beats add's split pass at every size up to 2^20 (13.8 vs 16.3 ms
+// bottom-up and 12.8 vs 13.6 ms top-down at 2^20).
+const ParallelMin = 1 << 19
+
+// Engine is the native treefix executor: the native serving backend's
+// treefix kernel (and the wall-clock arm of experiment E12). NewEngine
+// walks the tree once and records its preorder (the paper amortizes
+// preprocessing across iterations, Section I-D); every call after that
+// is one pass over the preorder, O(n) work for any operator whose only
+// allocation is the output.
 //
-// BottomUp and TopDown accept any registered operator and dispatch on
-// its capabilities: invertible operators (add, xor) run as prefix-scan
-// differences over the tour; idempotent operators (max, min) answer
-// subtree folds from a sparse range table and root-path folds by
-// parent-pointer doubling; any other commutative operator falls back to
-// the host rake/compress contraction (the sequential oracle). The
-// *Sum methods remain the specialized + fast paths.
+// From ParallelMin vertices, an engine with more than one worker cuts
+// the preorder into one contiguous range per worker for BottomUp and
+// TopDown. Each worker runs the pass over its range; the vertices whose
+// fold crosses a range boundary — ancestors of a later range's first
+// vertex, and vertices whose parent lies in an earlier range — are
+// folded sequentially, after the ranges bottom-up and before them
+// top-down. The work stays O(n) and the output stays the only
+// allocation besides the goroutines.
 type Engine struct {
 	t *tree.Tree
-	// downPos[v], upPos[v]: positions of v's down/up edge in the Euler
-	// edge tour (root: virtual positions -1 and 2(n-1)).
-	downPos, upPos []int32
-	// maxDepth is the deepest vertex's depth, recorded during the tour
-	// DFS so topDownDoubling knows its round count without re-walking
-	// the tree per request.
-	maxDepth int
-	workers  int
-	// scratch recycles the 2(n-1)+1-sized tour contribution arrays the
-	// prefix-scan kernels build per call: on the serving hot path these
-	// were the engine's dominant per-request allocation (256 KiB per
-	// treefix call at n = 2^14). Contents of a pooled array are stale —
-	// every kernel fills (zero or identity) before scattering.
-	scratch sync.Pool
+	// pre lists the vertices in DFS preorder, so every parent precedes
+	// its children; preParent[i] is the parent of pre[i] (preParent[0],
+	// the root's, is -1).
+	pre, preParent []int32
+	// bounds cuts positions 1..n-1 of pre into ranges, range r being
+	// [bounds[r], bounds[r+1]); cross lists in increasing order the
+	// positions whose fold crosses a range boundary, and
+	// cross[crossAt[r]:crossAt[r+1]] are those inside range r. A one-pass
+	// engine has one range and nothing crossing.
+	bounds, crossAt []int
+	cross           []int32
 }
 
-// getContrib returns a scratch array of the given length with
-// unspecified contents; return it with putContrib after the last read.
-func (e *Engine) getContrib(size int) []int64 {
-	if p, ok := e.scratch.Get().(*[]int64); ok && cap(*p) >= size {
-		return (*p)[:size]
-	}
-	return make([]int64, size)
-}
-
-// getContribZero is getContrib with the array zero-filled.
-func (e *Engine) getContribZero(size int) []int64 {
-	s := e.getContrib(size)
-	par.For(size, e.workers, func(lo, hi int) {
-		clear(s[lo:hi])
-	})
-	return s
-}
-
-func (e *Engine) putContrib(s []int64) { e.scratch.Put(&s) }
-
-// NewEngine builds the tour positions with a host DFS.
+// NewEngine records the preorder with one host DFS. workers <= 0 means
+// par.Workers().
 func NewEngine(t *tree.Tree, workers int) *Engine {
-	n := t.N()
-	e := &Engine{
-		t:       t,
-		downPos: make([]int32, n),
-		upPos:   make([]int32, n),
-		workers: workers,
+	if workers <= 0 {
+		workers = par.Workers()
 	}
+	if t.N() < ParallelMin {
+		workers = 1
+	}
+	return newEngine(t, workers)
+}
+
+// newEngine builds the engine with one range per worker, whatever the
+// tree's size.
+func newEngine(t *tree.Tree, workers int) *Engine {
+	n := t.N()
+	e := &Engine{t: t}
 	if n == 0 {
 		return e
 	}
-	pos := int32(0)
-	root := t.Root()
-	e.downPos[root] = -1
-	e.upPos[root] = int32(2 * (n - 1))
+	e.pre = make([]int32, 0, n)
+	e.preParent = make([]int32, 0, n)
 	type frame struct {
 		v    int
 		next int
 	}
+	root := t.Root()
+	e.pre = append(e.pre, int32(root))
+	e.preParent = append(e.preParent, -1)
 	stack := []frame{{root, 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -109,59 +109,54 @@ func NewEngine(t *tree.Tree, workers int) *Engine {
 		if f.next < len(ch) {
 			c := ch[f.next]
 			f.next++
-			e.downPos[c] = pos
-			pos++
+			e.pre = append(e.pre, int32(c))
+			e.preParent = append(e.preParent, int32(f.v))
 			stack = append(stack, frame{c, 0})
-			if d := len(stack) - 1; d > e.maxDepth {
-				e.maxDepth = d
-			}
 			continue
-		}
-		if f.v != root {
-			e.upPos[f.v] = pos
-			pos++
 		}
 		stack = stack[:len(stack)-1]
 	}
+	e.split(min(workers, n))
 	return e
 }
 
-// BottomUpSum returns the subtree sums of vals under + using parallel
-// prefix sums over the Euler tour: the down edges of v's subtree occupy
-// the contiguous tour range (downPos[v], upPos[v]), so the subtree sum is
-// a prefix-sum difference plus v's own value... realized by scattering
-// each non-root vertex's value to its down-edge position.
-func (e *Engine) BottomUpSum(vals []int64) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
+// split cuts positions 1..n-1 of the preorder into k equal ranges and
+// records the positions whose fold crosses a range boundary.
+func (e *Engine) split(k int) {
+	n := len(e.pre)
+	e.bounds = make([]int, k+1)
+	for r := range e.bounds {
+		e.bounds[r] = 1 + r*(n-1)/k
 	}
-	if n == 1 {
-		out[0] = vals[0]
-		return out
+	e.crossAt = make([]int, k+1)
+	if k == 1 {
+		return
 	}
-	L := 2 * (n - 1)
-	contrib := e.getContribZero(L + 1) // shifted by one: prefix[0] = 0
-	root := e.t.Root()
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]+1] = vals[v]
-			}
+	rank := make([]int32, n)
+	for i, v := range e.pre {
+		rank[v] = int32(i)
+	}
+	crosses := make([]bool, n)
+	for r := 1; r < k; r++ {
+		// An ancestor of a range's first vertex still has children in a
+		// later range when its own range finishes.
+		for v := e.preParent[e.bounds[r]]; v != -1 && !crosses[rank[v]]; v = int32(e.t.Parent(int(v))) {
+			crosses[rank[v]] = true
 		}
-	})
-	par.PrefixSumInt64(contrib, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			// Down edges inside v's subtree span positions
-			// [downPos[v]+1, upPos[v]-1]; with the +1 shift the sum is
-			// contrib[upPos[v]] - contrib[downPos[v]+1] plus v's value.
-			out[v] = vals[v] + contrib[e.upPos[v]] - contrib[e.downPos[v]+1]
+	}
+	r := 0
+	for i := 1; i < n; i++ {
+		for i >= e.bounds[r+1] {
+			r++
 		}
-	})
-	e.putContrib(contrib)
-	return out
+		// A vertex whose parent lies in an earlier range folds across it.
+		if int(rank[e.preParent[i]]) < e.bounds[r] || crosses[i] {
+			e.cross = append(e.cross, int32(i))
+		}
+	}
+	for r := range e.crossAt {
+		e.crossAt[r], _ = slices.BinarySearch(e.cross, int32(e.bounds[r]))
+	}
 }
 
 // BottomUp returns the subtree folds of vals under op. op must be
@@ -171,25 +166,12 @@ func (e *Engine) BottomUpSum(vals []int64) []int64 {
 //
 //spatialvet:errclass
 func (e *Engine) BottomUp(vals []int64, op Op) ([]int64, error) {
-	n := e.t.N()
-	if len(vals) != n {
-		return nil, invalid(fmt.Errorf("treefix: vals has %d entries for %d vertices", len(vals), n))
+	if err := e.check(vals, op); err != nil {
+		return nil, err
 	}
-	switch {
-	case op.Combine == nil:
-		return nil, fmt.Errorf("%w: op %q has no Combine", ErrUnsupportedOp, op.Name)
-	case op.Name == Add.Name:
-		return e.BottomUpSum(vals), nil
-	case op.Invert != nil:
-		return e.bottomUpInvertible(vals, op), nil
-	case op.Idempotent:
-		return e.bottomUpIdempotent(vals, op), nil
-	default:
-		// Host rake/compress fallback: the sequential contraction
-		// handles any commutative operator, and for a single core it is
-		// also the fastest executor the repository ships.
-		return SequentialBottomUp(e.t, vals, op), nil
-	}
+	out := slices.Clone(vals)
+	e.up(out, op.Combine)
+	return out, nil
 }
 
 // TopDown returns the root-path folds of vals under op (associative;
@@ -197,270 +179,126 @@ func (e *Engine) BottomUp(vals []int64, op Op) ([]int64, error) {
 //
 //spatialvet:errclass
 func (e *Engine) TopDown(vals []int64, op Op) ([]int64, error) {
-	n := e.t.N()
-	if len(vals) != n {
-		return nil, invalid(fmt.Errorf("treefix: vals has %d entries for %d vertices", len(vals), n))
+	if err := e.check(vals, op); err != nil {
+		return nil, err
 	}
-	switch {
-	case op.Combine == nil:
-		return nil, fmt.Errorf("%w: op %q has no Combine", ErrUnsupportedOp, op.Name)
-	case op.Name == Add.Name:
-		return e.TopDownSum(vals), nil
-	case op.Invert != nil:
-		return e.topDownInvertible(vals, op), nil
-	default:
-		// Parent-pointer doubling computes root-path prefixes for any
-		// associative operator in O(log depth) rounds of O(n) work.
-		return e.topDownDoubling(vals, op), nil
-	}
+	out := make([]int64, len(vals))
+	e.down(out, vals, op.Combine)
+	return out, nil
 }
 
-// bottomUpInvertible generalizes BottomUpSum to any group operator: the
-// down edges of v's subtree occupy a contiguous tour range, so the
-// subtree fold is prefix(upPos[v]) ⊕ Invert(prefix(downPos[v]+1]) —
-// exactly the prefix-sum difference, spelled with Combine/Invert.
-func (e *Engine) bottomUpInvertible(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
+//spatialvet:errclass
+func (e *Engine) check(vals []int64, op Op) error {
+	if n := e.t.N(); len(vals) != n {
+		return invalid(fmt.Errorf("treefix: vals has %d entries for %d vertices", len(vals), n))
 	}
-	if n == 1 {
-		out[0] = vals[0]
-		return out
+	if op.Combine == nil {
+		return fmt.Errorf("%w: op %q has no Combine", ErrUnsupportedOp, op.Name)
 	}
-	L := 2 * (n - 1)
-	contrib := e.getContrib(L + 1) // shifted by one: prefix[0] = Identity
-	root := e.t.Root()
-	par.For(L+1, e.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			contrib[i] = op.Identity
-		}
-	})
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]+1] = vals[v]
-			}
-		}
-	})
-	par.ScanInt64(contrib, op.Identity, op.Combine, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			below := op.Combine(contrib[e.upPos[v]], op.Invert(contrib[e.downPos[v]+1]))
-			out[v] = op.Combine(vals[v], below)
-		}
-	})
-	e.putContrib(contrib)
+	return nil
+}
+
+// BottomUpSum returns the subtree sums of vals under +.
+func (e *Engine) BottomUpSum(vals []int64) []int64 {
+	out := slices.Clone(vals)
+	e.BottomUpSumInPlace(out)
 	return out
 }
 
-// bottomUpIdempotent answers subtree folds of a non-invertible
-// idempotent operator (max, min) from a sparse table over the edge
-// tour: overlapping power-of-two windows are harmless exactly because
-// the operator is idempotent. O(n log n) build (parallel over rows),
-// O(1) per vertex.
-func (e *Engine) bottomUpIdempotent(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
-	}
-	if n == 1 {
-		out[0] = vals[0]
-		return out
-	}
-	L := 2 * (n - 1)
-	contrib := e.getContrib(L)
-	root := e.t.Root()
-	par.For(L, e.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			contrib[i] = op.Identity
-		}
-	})
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]] = vals[v]
-			}
-		}
-	})
-	fold := newRangeTable(contrib, op, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			// Down edges strictly inside v's subtree span tour positions
-			// [downPos[v]+1, upPos[v]-1] (empty for leaves).
-			out[v] = op.Combine(vals[v], fold(int(e.downPos[v])+1, int(e.upPos[v])-1))
-		}
-	})
-	e.putContrib(contrib)
-	return out
-}
-
-// newRangeTable builds a sparse table over contrib and returns an
-// inclusive range-fold function; ranges outside or empty fold to the
-// identity. Requires an idempotent op.
-func newRangeTable(contrib []int64, op Op, workers int) func(lo, hi int) int64 {
-	m := len(contrib)
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	table := make([][]int64, 0, levels)
-	table = append(table, contrib)
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		rows := m - width + 1
-		if rows <= 0 {
-			break
-		}
-		row := make([]int64, rows)
-		prev := table[k-1]
-		half := width / 2
-		par.For(rows, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row[i] = op.Combine(prev[i], prev[i+half])
-			}
-		})
-		table = append(table, row)
-	}
-	logs := make([]uint8, m+1)
-	for i := 2; i <= m; i++ {
-		logs[i] = logs[i/2] + 1
-	}
-	return func(lo, hi int) int64 {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= m {
-			hi = m - 1
-		}
-		if lo > hi {
-			return op.Identity
-		}
-		k := logs[hi-lo+1]
-		return op.Combine(table[k][lo], table[k][hi-(1<<k)+1])
+// BottomUpSumInPlace replaces vals with its subtree sums under +,
+// allocating nothing.
+func (e *Engine) BottomUpSumInPlace(vals []int64) {
+	for i := len(e.pre) - 1; i > 0; i-- {
+		vals[e.preParent[i]] += vals[e.pre[i]]
 	}
 }
 
-// topDownInvertible generalizes TopDownSum: each vertex deposits its
-// value at its down edge and the inverse at its up edge, so the scan
-// prefix at downPos[v] is exactly the fold over v's root path below the
-// root (entering a subtree adds the value, leaving cancels it).
-func (e *Engine) topDownInvertible(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
-	}
-	root := e.t.Root()
-	if n == 1 {
-		out[root] = vals[root]
-		return out
-	}
-	L := 2 * (n - 1)
-	contrib := e.getContrib(L)
-	par.For(L, e.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			contrib[i] = op.Identity
-		}
-	})
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]] = vals[v]
-				contrib[e.upPos[v]] = op.Invert(vals[v])
-			}
-		}
-	})
-	par.ScanInt64(contrib, op.Identity, op.Combine, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v == root {
-				out[v] = vals[root]
-			} else {
-				out[v] = op.Combine(vals[root], contrib[e.downPos[v]])
-			}
-		}
-	})
-	e.putContrib(contrib)
-	return out
-}
-
-// topDownDoubling computes root-path folds for any associative operator
-// by parent-pointer doubling: after round k, out[v] folds vals over the
-// path segment of length min(2^k, depth(v)+1) ending at v, and jump[v]
-// points 2^k ancestors up (or -1 past the root). O(log depth) rounds,
-// double-buffered so each round is a race-free parallel map.
-func (e *Engine) topDownDoubling(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
-	}
-	maxDepth := e.maxDepth
-	jump := make([]int32, n)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			out[v] = vals[v]
-			jump[v] = int32(e.t.Parent(v))
-		}
-	})
-	nout := make([]int64, n)
-	njump := make([]int32, n)
-	for span := 1; span <= maxDepth; span *= 2 {
-		par.For(n, e.workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if j := jump[v]; j >= 0 {
-					// out[j]'s segment ends just above out[v]'s: prepend.
-					nout[v] = op.Combine(out[j], out[v])
-					njump[v] = jump[j]
-				} else {
-					nout[v] = out[v]
-					njump[v] = -1
-				}
-			}
-		})
-		out, nout = nout, out
-		jump, njump = njump, jump
-	}
-	return out
-}
-
-// TopDownSum returns the root-path sums of vals under +: each vertex's
-// down edge contributes +val, its up edge -val, and the prefix at
-// downPos[v] (inclusive) plus the root's value is the path sum.
+// TopDownSum returns the root-path sums of vals under +.
 func (e *Engine) TopDownSum(vals []int64) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
+	out := make([]int64, len(vals))
+	if len(e.pre) == 0 {
 		return out
 	}
-	root := e.t.Root()
-	if n == 1 {
-		out[root] = vals[root]
-		return out
+	out[e.pre[0]] = vals[e.pre[0]]
+	for i := 1; i < len(e.pre); i++ {
+		v := e.pre[i]
+		out[v] = out[e.preParent[i]] + vals[v]
 	}
-	L := 2 * (n - 1)
-	contrib := e.getContribZero(L)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]] += vals[v]
-				contrib[e.upPos[v]] -= vals[v]
-			}
-		}
-	})
-	par.PrefixSumInt64(contrib, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v == root {
-				out[v] = vals[root]
-			} else {
-				out[v] = vals[root] + contrib[e.downPos[v]]
-			}
-		}
-	})
-	e.putContrib(contrib)
 	return out
+}
+
+// up folds every vertex's subtree into its entry of out: each range in
+// its own goroutine, then the boundary-crossing positions in reverse
+// preorder, once everything below them is final.
+func (e *Engine) up(out []int64, combine func(a, b int64) int64) {
+	if k := len(e.bounds) - 1; k > 1 {
+		par.For(k, k, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				e.upRange(out, r, combine)
+			}
+		})
+	} else if k == 1 {
+		e.upRange(out, 0, combine) // no fork-join closure to allocate
+	}
+	for j := len(e.cross) - 1; j >= 0; j-- {
+		i := e.cross[j]
+		p := e.preParent[i]
+		out[p] = combine(out[p], out[e.pre[i]])
+	}
+}
+
+// upRange folds range r's positions into their parents in reverse
+// preorder, so each vertex is final before it is folded; it skips the
+// positions that cross a range boundary.
+func (e *Engine) upRange(out []int64, r int, combine func(a, b int64) int64) {
+	cross := e.cross[e.crossAt[r]:e.crossAt[r+1]]
+	next := len(cross) - 1
+	for i := e.bounds[r+1] - 1; i >= e.bounds[r]; i-- {
+		if next >= 0 && int(cross[next]) == i {
+			next--
+			continue
+		}
+		p := e.preParent[i]
+		out[p] = combine(out[p], out[e.pre[i]])
+	}
+}
+
+// down writes every vertex's root-path fold to out: the root and the
+// boundary-crossing positions first, in preorder, then each range in
+// its own goroutine.
+func (e *Engine) down(out, vals []int64, combine func(a, b int64) int64) {
+	if len(e.pre) == 0 {
+		return
+	}
+	root := e.pre[0]
+	out[root] = vals[root]
+	for _, i := range e.cross {
+		v := e.pre[i]
+		out[v] = combine(out[e.preParent[i]], vals[v])
+	}
+	if k := len(e.bounds) - 1; k > 1 {
+		par.For(k, k, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				e.downRange(out, vals, r, combine)
+			}
+		})
+	} else {
+		e.downRange(out, vals, 0, combine)
+	}
+}
+
+// downRange computes range r's positions in preorder, so each parent is
+// final before its children read it; it skips the positions that cross
+// a range boundary.
+func (e *Engine) downRange(out, vals []int64, r int, combine func(a, b int64) int64) {
+	cross := e.cross[e.crossAt[r]:e.crossAt[r+1]]
+	next := 0
+	for i := e.bounds[r]; i < e.bounds[r+1]; i++ {
+		if next < len(cross) && int(cross[next]) == i {
+			next++
+			continue
+		}
+		v := e.pre[i]
+		out[v] = combine(out[e.preParent[i]], vals[v])
+	}
 }

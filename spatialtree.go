@@ -433,8 +433,10 @@ func NewDynEngine(t *Tree, opts DynEngineOptions) (*DynEngine, error) {
 	return engine.NewDyn(t, opts)
 }
 
-// ParallelTreefixEngine returns the goroutine-parallel treefix executor
-// (+ operator) for wall-clock use; workers <= 0 means GOMAXPROCS.
+// ParallelTreefixEngine returns the native treefix executor for
+// wall-clock use: one O(n) pass per call under any Op, split across
+// workers from treefix.ParallelMin vertices; workers <= 0 means
+// GOMAXPROCS.
 func ParallelTreefixEngine(t *Tree, workers int) *treefix.Engine {
 	return treefix.NewEngine(t, workers)
 }
