@@ -274,7 +274,7 @@ func BenchmarkE12Parallel(b *testing.B) {
 	}
 	for _, w := range []int{1, par.Workers()} {
 		b.Run("lca-queries-w"+itoa(w), func(b *testing.B) {
-			e := lca.NewEngine(t, w)
+			e := lca.NewEngine(treefix.NewEngine(t, 1), w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.BatchLCA(qs)

@@ -18,6 +18,7 @@ import (
 
 	"spatialtree/internal/engine"
 	"spatialtree/internal/exec"
+	"spatialtree/internal/exprtree"
 	"spatialtree/internal/mincut"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/treefix"
@@ -117,15 +118,25 @@ func TestBackendDifferentialLCAMinCutExpr(t *testing.T) {
 	}
 	for _, leaves := range []int{8, 129, 512} {
 		x := RandomExpression(leaves, 21)
-		want := x.EvalSequential()[x.Tree.Root()]
+		// Negated leaf constants: the evaluators' truncated remainders
+		// then pick representatives that differ by Mod, and every backend
+		// must still serve the same residue.
+		neg := *x
+		neg.Val = make([]int64, len(x.Val))
+		for v, c := range x.Val {
+			neg.Val[v] = -c
+		}
 		engines := backendEngines(t, x.Tree, 3, diffSimMax)
-		for name, eng := range engines {
-			res := eng.SubmitExpr(x).Wait()
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if res.Value != want {
-				t.Fatalf("leaves=%d backend=%s: expr %d, want %d", leaves, name, res.Value, want)
+		for _, x := range []*Expression{x, &neg} {
+			want := exprtree.Canonical(x.EvalSequential()[x.Tree.Root()])
+			for name, eng := range engines {
+				res := eng.SubmitExpr(x).Wait()
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if res.Value != want {
+					t.Fatalf("leaves=%d backend=%s: expr %d, want %d", leaves, name, res.Value, want)
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spatialtree/internal/lca"
 	"spatialtree/internal/order"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
@@ -329,7 +330,9 @@ func headerTruncLen(frame []byte) int {
 // sequential oracle's bottom-up and top-down folds, at one worker and
 // at four. Fuzzed trees stay below treefix.ParallelMin, so both runs
 // take the one-pass; the split pass is pinned by the treefix package's
-// TestEngineSplit and TestEngineGeneralOps.
+// TestEngineSplit and TestEngineGeneralOps. The native LCA engine built
+// from the same preorder must match LCAOracle on pairs spread over the
+// tree, u = v included.
 func FuzzNativeTreefix(f *testing.F) {
 	f.Add([]byte{0xff}, byte(0), uint64(1))                               // single vertex, add
 	f.Add([]byte{0xff, 0x00, 0x00, 0x01, 0x01}, byte(1), uint64(2))       // binary tree, max
@@ -351,6 +354,7 @@ func FuzzNativeTreefix(f *testing.F) {
 		}
 		wantBU := treefix.SequentialBottomUp(tr, vals, op)
 		wantTD := treefix.SequentialTopDown(tr, vals, op)
+		oracle := LCAOracle(tr)
 		for _, workers := range []int{1, 4} {
 			e := ParallelTreefixEngine(tr, workers)
 			gotBU, err := e.BottomUp(vals, op)
@@ -367,6 +371,18 @@ func FuzzNativeTreefix(f *testing.F) {
 				}
 				if gotTD[v] != wantTD[v] {
 					t.Fatalf("op=%s w=%d top-down[%d] = %d, oracle %d", op.Name, workers, v, gotTD[v], wantTD[v])
+				}
+			}
+			var qs []lca.Query
+			for u := 0; u < tr.N(); u++ {
+				for v := u; v < tr.N(); v += 1 + tr.N()/64 {
+					qs = append(qs, lca.Query{U: u, V: v})
+				}
+			}
+			got := lca.NewEngine(e, workers).BatchLCA(qs)
+			for i, q := range qs {
+				if want := oracle.LCA(q.U, q.V); got[i] != want {
+					t.Fatalf("w=%d LCA(%d, %d) = %d, oracle %d", workers, q.U, q.V, got[i], want)
 				}
 			}
 		}

@@ -222,7 +222,7 @@ type Result struct {
 	Answers []int
 	// MinCut holds the 1-respecting minimum-cut result.
 	MinCut mincut.Result
-	// Value holds the expression value.
+	// Value holds the expression value, reduced into [0, exprtree.Mod).
 	Value int64
 	// Cost is the spatial-model cost attributed to this request: its
 	// incremental share of the batch's metered run (identically zero on
@@ -796,7 +796,7 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 			req.fut.resolve(Result{MinCut: res, Cost: run.Cost().Minus(mark), Err: err})
 		case kindExpr:
 			v, err := run.Expr(req.expr)
-			req.fut.resolve(Result{Value: v, Cost: run.Cost().Minus(mark), Err: err})
+			req.fut.resolve(Result{Value: exprtree.Canonical(v), Cost: run.Cost().Minus(mark), Err: err})
 		case kindLCA:
 			lcaReqs = append(lcaReqs, req) // coalesced below
 		}

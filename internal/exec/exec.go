@@ -17,16 +17,19 @@
 //   - Native ("native"): CPU kernels with zero simulator bookkeeping —
 //     treefix as one O(n) pass over a recorded preorder (internal/treefix
 //     Engine, any operator; split across goroutines from
-//     treefix.ParallelMin vertices), LCA via the sparse-table engine,
-//     min-cut via the D−2I decomposition over those two, expression
-//     evaluation via parallel Miller-Reif rakes. Each kernel's per-tree
-//     preprocessing is built on its first use and amortized across
-//     batches, the way the paper amortizes layout construction
+//     treefix.ParallelMin vertices), LCA via a sparse table of minima
+//     over that preorder, min-cut via the D−2I decomposition over those
+//     two, expression evaluation as one reverse pass over the preorder.
+//     The preorder is the only walk of the tree, and each kernel's
+//     per-tree preprocessing is built on its first use and amortized
+//     across batches, the way the paper amortizes layout construction
 //     (Section I-D). This is the serving default: as fast as the
 //     hardware allows.
 //
 // Both backends compute identical results on identical inputs (the
-// backend-differential suite pins this); they differ only in cost —
+// backend-differential suite pins this; an expression value can differ
+// by exprtree.Mod when leaf constants are negative, and the batch
+// engine serves its canonical residue); they differ only in cost —
 // wall-clock versus model. Run.Cost reports the model counters consumed
 // so far in the batch: exact for sim, zero for native (a tree whose
 // model costs are wanted is served on sim).
@@ -114,6 +117,8 @@ type Run interface {
 	TopDown(vals []int64, op treefix.Op) ([]int64, error)
 	LCA(queries []lca.Query) ([]int, error)
 	MinCut(edges []mincut.Edge) (mincut.Result, error)
+	// Expr evaluates x, whose tree must have the served tree's parent
+	// array (engine.SubmitExpr checks it).
 	Expr(x *exprtree.Expr) (int64, error)
 	Cost() machine.Cost
 }

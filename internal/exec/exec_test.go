@@ -253,26 +253,33 @@ func TestNativeHammer(t *testing.T) {
 }
 
 // TestNativeBuildsKernelsLazily pins that a native backend builds each
-// kernel's preprocessing on first use: a shard that has served only LCA
-// has not recorded the treefix preorder, and its first treefix request
-// does.
+// kernel's preprocessing on first use: a shard that has served only
+// treefix has not built the LCA table, and one that has served only LCA
+// has not built the min-cut executor.
 func TestNativeBuildsKernelsLazily(t *testing.T) {
 	tr := tree.RandomAttachment(256, rng.New(3))
-	be, err := New(Native, testConfig(t, tr))
-	if err != nil {
+	newBackend := func() *nativeBackend {
+		be, err := New(Native, testConfig(t, tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be.(*nativeBackend)
+	}
+	tf := newBackend()
+	if _, err := tf.Run(1).TopDown(make([]int64, tr.N()), treefix.Max); err != nil {
 		t.Fatal(err)
 	}
-	nb := be.(*nativeBackend)
-	if _, err := be.Run(1).LCA([]lca.Query{{U: 1, V: 2}}); err != nil {
+	if tf.lcaEng != nil {
+		t.Fatal("a treefix-only native backend built its LCA table")
+	}
+	lc := newBackend()
+	if _, err := lc.Run(2).LCA([]lca.Query{{U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if nb.tfEng != nil {
-		t.Fatal("an LCA-only native backend built its treefix engine")
+	if lc.lcaEng == nil || lc.tfEng == nil {
+		t.Fatal("an LCA request did not build the LCA table over the treefix preorder")
 	}
-	if _, err := be.Run(2).TopDown(make([]int64, tr.N()), treefix.Max); err != nil {
-		t.Fatal(err)
-	}
-	if nb.tfEng == nil {
-		t.Fatal("a treefix request did not build the treefix engine")
+	if lc.mc != nil {
+		t.Fatal("an LCA-only native backend built its min-cut executor")
 	}
 }

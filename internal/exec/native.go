@@ -13,11 +13,14 @@ import (
 
 // nativeBackend is the goroutine-parallel backend: per-tree
 // preprocessing shared by every batch, kernels executed with no
-// simulator bookkeeping. Each kernel's preprocessing — the treefix
-// preorder, the LCA sparse table, the min-cut executor on top of both —
-// is built on its first use, so a shard pays only for the kernels it
-// serves: an LCA-only shard never records the preorder, and a
-// treefix-only shard never builds the O(n log n) table.
+// simulator bookkeeping. The treefix engine's recorded preorder is the
+// backend's only walk of the tree: treefix folds over it, the LCA
+// table is built from it, and the expression kernel is one reverse
+// pass over it. Each kernel's preprocessing — the preorder, the LCA
+// table over it, the min-cut executor on top of both — is built on its
+// first use, so a shard pays only for the kernels it serves: a
+// treefix-only shard never builds the LCA table, and an LCA-only shard
+// never builds the min-cut executor.
 type nativeBackend struct {
 	t       *tree.Tree
 	workers int
@@ -48,7 +51,7 @@ func (b *nativeBackend) treefix() *treefix.Engine {
 }
 
 func (b *nativeBackend) lca() *lca.Engine {
-	b.lcaOnce.Do(func() { b.lcaEng = lca.NewEngine(b.t, b.workers) })
+	b.lcaOnce.Do(func() { b.lcaEng = lca.NewEngine(b.treefix(), b.workers) })
 	return b.lcaEng
 }
 
@@ -82,8 +85,7 @@ func (run nativeRun) MinCut(edges []mincut.Edge) (mincut.Result, error) {
 }
 
 func (run nativeRun) Expr(x *exprtree.Expr) (int64, error) {
-	v, _ := exprtree.EvalParallel(x, run.b.workers)
-	return v, nil
+	return x.EvalPreorder(run.b.treefix()), nil
 }
 
 // Cost is identically zero: native execution does no model accounting.

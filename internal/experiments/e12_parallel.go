@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "E12",
 		Title: "Wall-clock scalability of the goroutine executors",
-		Claim: "The paper's algorithms assume fine-grained hardware parallelism; the CPU executors (range-split preorder treefix, sparse-table LCA) must scale with cores (the repro-band caveat: fork-join on goroutines)",
+		Claim: "The paper's algorithms assume fine-grained hardware parallelism; the CPU executors (range-split preorder treefix, sparse-table LCA over the same preorder) must scale with cores (the repro-band caveat: fork-join on goroutines)",
 		Run:   runE12,
 	})
 }
@@ -53,7 +53,7 @@ func runE12(cfg Config) []*xstat.Table {
 		tdMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
-		le := lca.NewEngine(t, w)
+		le := lca.NewEngine(e, w)
 		buildMS := float64(time.Since(start).Microseconds()) / 1000
 
 		qr := rng.New(7)
@@ -76,5 +76,6 @@ func runE12(cfg Config) []*xstat.Table {
 		path = "the workers=1 row runs the sequential one-pass; every other row splits the preorder into one range per worker (n ≥ treefix.ParallelMin = " + xstat.I(treefix.ParallelMin) + ")"
 	}
 	tb.Note("treefix (+ through Engine.BottomUp/TopDown): " + path + "; speedups are bounded by memory traffic on the shared output; see internal/treefix BenchmarkEnginePaths for testing.B numbers")
+	tb.Note("lca-build times the LCA table over the treefix engine's recorded preorder (the row's engine); see internal/lca BenchmarkEngine for testing.B numbers")
 	return []*xstat.Table{tb}
 }

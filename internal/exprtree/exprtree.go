@@ -14,6 +14,8 @@
 // constant; each rake therefore needs O(1) words and O(1) messages.
 // The leaf count halves every round: O(log n) rounds, and on a
 // light-first layout the messages stay local (near-linear energy).
+// On a CPU the rake schedule buys nothing over one reverse pass over a
+// recorded preorder (EvalPreorder), which the native backend runs.
 //
 // Arithmetic is modular (a fixed prime) so the evaluation is exact for
 // arbitrarily deep products.
@@ -25,6 +27,7 @@ import (
 	"spatialtree/internal/machine"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
+	"spatialtree/internal/treefix"
 )
 
 // Mod is the arithmetic modulus (a prime < 2^31, so products of two
@@ -111,6 +114,50 @@ func (e *Expr) EvalSequential() []int64 {
 		}
 	}
 	return out
+}
+
+// EvalPreorder returns the value of e's root, mod Mod, in one reverse
+// pass over tf's recorded preorder: once everything below a vertex is
+// folded into it, the vertex folds into its parent under the parent's
+// + or ×. It is the native serving backend's expression kernel. tf must
+// be a treefix engine for a tree with e.Tree's parent array (the batch
+// engine's SubmitExpr requires the expression's tree to be the shard's)
+// and e must satisfy Validate; the result equals EvalSequential's root
+// value.
+func (e *Expr) EvalPreorder(tf *treefix.Engine) int64 {
+	pre, parent := tf.Preorder()
+	if len(pre) == 0 {
+		return 0
+	}
+	val := make([]int64, len(pre))
+	for v, k := range e.Kind {
+		switch k {
+		case Leaf:
+			val[v] = e.Val[v] % Mod
+		case Mul:
+			val[v] = 1
+		}
+	}
+	for i := len(pre) - 1; i > 0; i-- {
+		p, x := parent[i], val[pre[i]]
+		if e.Kind[p] == Add {
+			val[p] = (val[p] + x) % Mod
+		} else {
+			val[p] = val[p] * x % Mod
+		}
+	}
+	return val[pre[0]]
+}
+
+// Canonical returns the residue of v in [0, Mod). The evaluators reduce
+// with Go's truncated %, so on negative leaf constants they can return
+// representatives of one residue that differ by Mod; the batch engine
+// serves this one, whichever backend evaluated the expression.
+func Canonical(v int64) int64 {
+	if v %= Mod; v < 0 {
+		v += Mod
+	}
+	return v
 }
 
 // affine is the O(1)-word partial result f(x) = (A·x + B) mod Mod.

@@ -5,31 +5,26 @@ import (
 
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
+	"spatialtree/internal/treefix"
 )
 
-// TestEvalParallelAgainstSequential pins the goroutine evaluator to the
-// host oracle across sizes, seeds and worker counts.
+// TestEvalParallelAgainstSequential pins the native one-pass evaluator
+// to the host oracle across sizes and seeds.
 func TestEvalParallelAgainstSequential(t *testing.T) {
 	for _, leaves := range []int{1, 2, 3, 8, 33, 129, 512, 1000} {
 		for _, seed := range []uint64{1, 2, 3} {
 			e := Random(leaves, rng.New(seed))
 			want := e.EvalSequential()[e.Tree.Root()]
-			for _, workers := range []int{1, 4, 16} {
-				got, st := EvalParallel(e, workers)
-				if got != want {
-					t.Fatalf("leaves=%d seed=%d w=%d: parallel %d, sequential %d", leaves, seed, workers, got, want)
-				}
-				if leaves > 1 && st.Rakes != leaves-1 {
-					t.Fatalf("leaves=%d seed=%d w=%d: %d rakes, want %d", leaves, seed, workers, st.Rakes, leaves-1)
-				}
+			if got := e.EvalPreorder(treefix.NewEngine(e.Tree, 1)); got != want {
+				t.Fatalf("leaves=%d seed=%d: one-pass %d, sequential %d", leaves, seed, got, want)
 			}
 		}
 	}
 }
 
-// TestEvalParallelDeepChain exercises the worst rake schedule: a
-// left-leaning caterpillar, where every round retires only a couple of
-// leaves.
+// TestEvalParallelDeepChain runs the one-pass on a left-leaning
+// caterpillar, the deepest full binary tree of its size (the worst rake
+// schedule for the spatial evaluator).
 func TestEvalParallelDeepChain(t *testing.T) {
 	const leaves = 400
 	n := 2*leaves - 1
@@ -60,9 +55,7 @@ func TestEvalParallelDeepChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := e.EvalSequential()[e.Tree.Root()]
-	for _, workers := range []int{1, 8} {
-		if got, _ := EvalParallel(e, workers); got != want {
-			t.Fatalf("w=%d: parallel %d, sequential %d", workers, got, want)
-		}
+	if got := e.EvalPreorder(treefix.NewEngine(e.Tree, 1)); got != want {
+		t.Fatalf("one-pass %d, sequential %d", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package lca
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"spatialtree/internal/rng"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
+	"spatialtree/internal/treefix"
 )
 
 func lfRanks(t *tree.Tree) []int { return order.LightFirst(t).Rank }
@@ -205,19 +207,34 @@ func TestQueryLoad(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesOracle checks the native engine against the oracle on
+// every pair of vertices, u = v included: the shared shapes, the one- and
+// two-vertex paths, and a relabelled tree whose root is not 0 and whose
+// parent ids exceed some of their children's.
 func TestEngineMatchesOracle(t *testing.T) {
 	r := rng.New(5)
-	for _, tr := range testTrees(r) {
+	relabelled := tree.RelabelRandom(tree.RandomAttachment(200, r), r)
+	above := false
+	for v := 0; v < relabelled.N(); v++ {
+		above = above || relabelled.Parent(v) > v
+	}
+	if relabelled.Root() == 0 || !above {
+		t.Fatal("the relabelled tree keeps its root at 0 or every parent id below its children's")
+	}
+	for _, tr := range append(testTrees(r), tree.Path(1), tree.Path(2), relabelled) {
 		o := NewOracle(tr)
-		e := NewEngine(tr, 4)
-		var qs []Query
-		for i := 0; i < 200; i++ {
-			qs = append(qs, Query{U: r.Intn(tr.N()), V: r.Intn(tr.N())})
+		e := NewEngine(treefix.NewEngine(tr, 4), 4)
+		n := tr.N()
+		qs := make([]Query, 0, n*n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				qs = append(qs, Query{U: u, V: v})
+			}
 		}
 		got := e.BatchLCA(qs)
 		for i, q := range qs {
-			if got[i] != o.LCA(q.U, q.V) {
-				t.Fatalf("n=%d: engine LCA%v = %d, want %d", tr.N(), q, got[i], o.LCA(q.U, q.V))
+			if want := o.LCA(q.U, q.V); got[i] != want {
+				t.Fatalf("n=%d root=%d: engine LCA%v = %d, want %d", n, tr.Root(), q, got[i], want)
 			}
 		}
 	}
@@ -228,12 +245,31 @@ func TestEngineQuick(t *testing.T) {
 		n := 2 + int(rawN)%400
 		r := rng.New(seed)
 		tr := tree.PreferentialAttachment(n, r)
-		e := NewEngine(tr, 2)
+		e := NewEngine(treefix.NewEngine(tr, 2), 2)
 		u, v := int(a)%n, int(b)%n
 		return e.BatchLCA([]Query{{u, v}})[0] == naiveLCA(tr, u, v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEngineDefaultWorkers pins that workers <= 0 resolves to
+// par.Workers() when the engine is built: at GOMAXPROCS(1), an engine
+// built with workers 0 answers a batch into a warm dst on the
+// closure-free one-worker path, allocating nothing.
+func TestEngineDefaultWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := tree.RandomAttachment(1<<10, rng.New(6))
+	e := NewEngine(treefix.NewEngine(tr, 0), 0)
+	qs := make([]Query, 256)
+	r := rng.New(7)
+	for i := range qs {
+		qs[i] = Query{U: r.Intn(tr.N()), V: r.Intn(tr.N())}
+	}
+	dst := e.BatchLCAInto(nil, qs)
+	if allocs := testing.AllocsPerRun(50, func() { dst = e.BatchLCAInto(dst, qs) }); allocs != 0 {
+		t.Fatalf("a warm BatchLCAInto at workers 0 allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -6,8 +6,9 @@
 // subtree cover with per-layer range broadcasts (Sections VI-B/C).
 //
 // The package also provides a sequential binary-lifting oracle (the test
-// reference) and a goroutine-parallel Euler-tour/sparse-table engine for
-// wall-clock benchmarks.
+// reference) and the native engine: a sparse table over the preorder a
+// treefix engine recorded, which the native serving backend and the
+// wall-clock benchmarks use.
 package lca
 
 import "spatialtree/internal/tree"

@@ -1,97 +1,79 @@
 package lca
 
 import (
+	"math/bits"
+
 	"spatialtree/internal/par"
-	"spatialtree/internal/tree"
+	"spatialtree/internal/treefix"
 )
 
-// Engine answers LCA query batches on the CPU with goroutine
-// parallelism: an Euler vertex tour plus a sparse table over depths
-// (O(n log n) construction parallelized over table rows, O(1) per
-// query). Used by the wall-clock benchmarks (experiment E12) as the
-// shared-memory counterpart of the spatial algorithm.
+// Engine is the native LCA executor: the native serving backend's LCA
+// kernel (and the wall-clock arm of experiment E12). It reads the
+// preorder its treefix engine recorded, so the native backend walks
+// each tree once for every kernel, and keeps a sparse table of minima
+// over the n−1 non-root preorder positions: row 0 holds the preorder
+// position of each vertex's parent, and row k the minimum of 2^k
+// consecutive row-0 entries. For u ≠ v with pos[u] < pos[v], the
+// vertices at positions pos[u]+1 … pos[v] all lie below LCA(u, v), and
+// one of them is its child on the path to v, so the LCA is the vertex
+// at the minimum of their parent positions. The table is O(n log n)
+// int32 words, built in O(n log n) time with each row split across the
+// workers; a query is O(1).
 type Engine struct {
-	first  []int32 // first occurrence of each vertex in the tour
-	tourV  []int32 // tour vertex ids
-	depths []int   // vertex depths
-	table  [][]int32
-	logs   []uint8
-	work   int
+	pre     []int32   // the treefix engine's preorder
+	pos     []int32   // pos[v] is the position of v in pre
+	table   [][]int32 // table[k][i]: min of row-0 entries i … i+2^k−1
+	workers int
 }
 
-// NewEngine preprocesses t with the given worker count.
-func NewEngine(t *tree.Tree, workers int) *Engine {
-	n := t.N()
-	e := &Engine{work: workers}
-	if n == 0 {
-		return e
+// NewEngine builds the table over tf's preorder. workers <= 0 means
+// par.Workers().
+func NewEngine(tf *treefix.Engine, workers int) *Engine {
+	if workers <= 0 {
+		workers = par.Workers()
 	}
-	tour := t.EulerTour(nil) // 2n-1 vertex visits
-	m := len(tour)
-	e.tourV = make([]int32, m)
-	e.first = make([]int32, n)
-	for i := range e.first {
-		e.first[i] = -1
+	pre, parent := tf.Preorder()
+	n := len(pre)
+	e := &Engine{pre: pre, pos: make([]int32, n), workers: workers}
+	if n < 2 {
+		return e // the only vertex, if any, sits at position 0
 	}
-	depth := t.Depths()
-	for i, v := range tour {
-		e.tourV[i] = int32(v)
-		if e.first[v] == -1 {
-			e.first[v] = int32(i)
-		}
+	// Row 0, entry i-1 for position i: a parent precedes its child in
+	// pre, so its position is set by the time the child reads it.
+	m := n - 1
+	row := make([]int32, m)
+	for i := 1; i < n; i++ {
+		e.pos[pre[i]] = int32(i)
+		row[i-1] = e.pos[parent[i]]
 	}
-	// Sparse table of argmin-depth over tour windows.
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	e.table = make([][]int32, levels)
-	base := make([]int32, m)
-	for i := 0; i < m; i++ {
-		base[i] = int32(i)
-	}
-	e.table[0] = base
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		rows := m - width + 1
-		if rows <= 0 {
-			e.table = e.table[:k]
-			break
-		}
-		row := make([]int32, rows)
-		prev := e.table[k-1]
-		half := width / 2
-		par.For(rows, workers, func(lo, hi int) {
+	e.table = make([][]int32, bits.Len(uint(m)))
+	e.table[0] = row
+	for k := 1; k < len(e.table); k++ {
+		prev, half := e.table[k-1], 1<<(k-1)
+		row := make([]int32, m-(1<<k)+1)
+		par.For(len(row), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				a, b := prev[i], prev[i+half]
-				if depth[e.tourV[a]] <= depth[e.tourV[b]] {
-					row[i] = a
-				} else {
-					row[i] = b
-				}
+				row[i] = min(prev[i], prev[i+half])
 			}
 		})
 		e.table[k] = row
 	}
-	e.logs = make([]uint8, m+1)
-	for i := 2; i <= m; i++ {
-		e.logs[i] = e.logs[i/2] + 1
-	}
-	e.depths = depth
 	return e
 }
 
 func (e *Engine) query(u, v int) int {
-	a, b := e.first[u], e.first[v]
+	a, b := e.pos[u], e.pos[v]
+	if a == b {
+		return u
+	}
 	if a > b {
 		a, b = b, a
 	}
-	k := e.logs[b-a+1]
-	i, j := e.table[k][a], e.table[k][b-(1<<k)+1]
-	if e.depths[e.tourV[i]] <= e.depths[e.tourV[j]] {
-		return int(e.tourV[i])
-	}
-	return int(e.tourV[j])
+	// Positions a+1 … b are row-0 entries a … b-1: two windows of 2^k
+	// entries cover them.
+	k := bits.Len32(uint32(b-a)) - 1
+	row := e.table[k]
+	return int(e.pre[min(row[a], row[b-(1<<k)])])
 }
 
 // BatchLCA answers all queries in parallel.
@@ -106,11 +88,11 @@ func (e *Engine) BatchLCAInto(dst []int, queries []Query) []int {
 		dst = make([]int, len(queries))
 	}
 	dst = dst[:len(queries)]
-	if e.work == 1 {
+	if e.workers == 1 {
 		e.answer(dst, queries) // no fork-join closure to allocate
 		return dst
 	}
-	par.For(len(queries), e.work, func(lo, hi int) {
+	par.For(len(queries), e.workers, func(lo, hi int) {
 		e.answer(dst[lo:hi], queries[lo:hi])
 	})
 	return dst

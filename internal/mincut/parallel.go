@@ -10,15 +10,15 @@ import (
 
 // Parallel is the native executor of the 1-respecting minimum cut: the
 // same D(v) − 2·I(v) decomposition as OneRespecting, with the two
-// subtree sums on the treefix Engine and the edge LCAs on the
-// goroutine-parallel sparse-table engine — no simulator, no model
+// subtree sums on the treefix Engine and the edge LCAs on the native
+// LCA engine built from that engine's preorder — no simulator, no model
 // accounting. It is the native serving backend's min-cut kernel.
 //
-// The preprocessing (preorder, sparse table) is built once per tree and
-// amortized across calls, mirroring how OneRespecting amortizes the
-// light-first layout; OneRespecting answers the same queries with exact
-// spatial-model costs, and OneRespectingSequential remains the
-// brute-force oracle both are tested against.
+// The preprocessing (one preorder, the LCA table over it) is built once
+// per tree and amortized across calls, mirroring how OneRespecting
+// amortizes the light-first layout; OneRespecting answers the same
+// queries with exact spatial-model costs, and OneRespectingSequential
+// remains the brute-force oracle both are tested against.
 type Parallel struct {
 	t  *tree.Tree
 	tf *treefix.Engine
@@ -39,14 +39,15 @@ type workspace struct {
 }
 
 // NewParallel builds the executor for t. tf and le may be shared,
-// already-built engines for the same tree (the exec backend passes its
-// own); nil builds private ones. workers <= 0 means par.Workers().
+// already-built engines for the same tree, le built from tf (the exec
+// backend passes its own); nil builds private ones. workers <= 0 means
+// par.Workers().
 func NewParallel(t *tree.Tree, tf *treefix.Engine, le *lca.Engine, workers int) *Parallel {
 	if tf == nil {
 		tf = treefix.NewEngine(t, workers)
 	}
 	if le == nil {
-		le = lca.NewEngine(t, workers)
+		le = lca.NewEngine(tf, workers)
 	}
 	return &Parallel{t: t, tf: tf, le: le}
 }

@@ -1,8 +1,8 @@
-// Package par provides small fork-join helpers (parallel for, reduce,
-// prefix sum) used by the goroutine-parallel executors. The paper's
-// algorithms assume fine-grained hardware parallelism; on a CPU we
-// realize the same algorithms with coarser grains over index ranges,
-// which is the natural Go idiom for fork-join (goroutines + WaitGroup).
+// Package par provides the fork-join parallel for used by the
+// goroutine-parallel executors. The paper's algorithms assume
+// fine-grained hardware parallelism; on a CPU we realize the same
+// algorithms with coarser grains over index ranges, which is the
+// natural Go idiom for fork-join (goroutines + WaitGroup).
 package par
 
 import (
@@ -44,191 +44,6 @@ func For(n, workers int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(lo, hi)
 		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Tasks runs the given thunks concurrently and waits for all of them.
-func Tasks(fns ...func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	wg.Wait()
-}
-
-// ReduceInt64 folds vals with op (assumed associative and commutative,
-// identity id) using workers goroutines.
-func ReduceInt64(vals []int64, id int64, op func(a, b int64) int64, workers int) int64 {
-	n := len(vals)
-	if n == 0 {
-		return id
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	partial := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := id
-			for _, v := range vals[lo:hi] {
-				acc = op(acc, v)
-			}
-			partial[w] = acc
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
-	acc := id
-	for _, p := range partial[:w] {
-		acc = op(acc, p)
-	}
-	return acc
-}
-
-// ScanInt64 replaces vals with its inclusive prefix folds under an
-// arbitrary associative combine with identity id, using the same
-// two-pass block algorithm as PrefixSumInt64: per-block folds, a
-// sequential fold of the block aggregates, then per-block fixups that
-// prepend each block's left context (so non-commutative associative
-// operators fold in index order). Span O(n/P + P).
-func ScanInt64(vals []int64, id int64, combine func(a, b int64) int64, workers int) {
-	n := len(vals)
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		run := id
-		for i := range vals {
-			run = combine(run, vals[i])
-			vals[i] = run
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	nblocks := (n + chunk - 1) / chunk
-	blockAgg := make([]int64, nblocks)
-	var wg sync.WaitGroup
-	for b := 0; b < nblocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			run := id
-			for i := lo; i < hi; i++ {
-				run = combine(run, vals[i])
-				vals[i] = run
-			}
-			blockAgg[b] = run
-		}(b)
-	}
-	wg.Wait()
-	carry := id
-	for b := 0; b < nblocks; b++ {
-		blockAgg[b], carry = carry, combine(carry, blockAgg[b])
-	}
-	for b := 1; b < nblocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			off := blockAgg[b]
-			for i := lo; i < hi; i++ {
-				vals[i] = combine(off, vals[i])
-			}
-		}(b)
-	}
-	wg.Wait()
-}
-
-// PrefixSumInt64 replaces vals with its inclusive prefix sums under +,
-// using the two-pass block algorithm: per-block sums, a sequential scan
-// of the block sums, then per-block fixups. Span O(n/P + P).
-func PrefixSumInt64(vals []int64, workers int) {
-	n := len(vals)
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		var run int64
-		for i := range vals {
-			run += vals[i]
-			vals[i] = run
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	nblocks := (n + chunk - 1) / chunk
-	blockSum := make([]int64, nblocks)
-	var wg sync.WaitGroup
-	for b := 0; b < nblocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			var run int64
-			for i := lo; i < hi; i++ {
-				run += vals[i]
-				vals[i] = run
-			}
-			blockSum[b] = run
-		}(b)
-	}
-	wg.Wait()
-	var carry int64
-	for b := 0; b < nblocks; b++ {
-		blockSum[b], carry = carry, carry+blockSum[b]
-	}
-	for b := 1; b < nblocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			off := blockSum[b]
-			for i := lo; i < hi; i++ {
-				vals[i] += off
-			}
-		}(b)
 	}
 	wg.Wait()
 }

@@ -3,8 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-
-	"spatialtree/internal/rng"
 )
 
 func TestForCoversRange(t *testing.T) {
@@ -19,72 +17,6 @@ func TestForCoversRange(t *testing.T) {
 			for i, m := range mark {
 				if m != 1 {
 					t.Fatalf("n=%d w=%d: index %d touched %d times", n, w, i, m)
-				}
-			}
-		}
-	}
-}
-
-func TestTasks(t *testing.T) {
-	var a, b, c int32
-	Tasks(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatal("tasks did not all run")
-	}
-}
-
-func TestReduceInt64(t *testing.T) {
-	r := rng.New(1)
-	for _, n := range []int{0, 1, 10, 1000, 12345} {
-		vals := make([]int64, n)
-		var want int64
-		for i := range vals {
-			vals[i] = int64(r.Intn(100)) - 50
-			want += vals[i]
-		}
-		for _, w := range []int{0, 1, 3, 16} {
-			got := ReduceInt64(vals, 0, func(a, b int64) int64 { return a + b }, w)
-			if got != want {
-				t.Fatalf("n=%d w=%d: reduce = %d, want %d", n, w, got, want)
-			}
-		}
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	vals := []int64{3, -1, 7, 2, 7, 0}
-	maxOp := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	if got := ReduceInt64(vals, -1<<62, maxOp, 4); got != 7 {
-		t.Fatalf("max = %d", got)
-	}
-}
-
-func TestPrefixSumInt64(t *testing.T) {
-	r := rng.New(2)
-	for _, n := range []int{0, 1, 2, 100, 4096, 10007} {
-		vals := make([]int64, n)
-		want := make([]int64, n)
-		var run int64
-		for i := range vals {
-			vals[i] = int64(r.Intn(20)) - 10
-			run += vals[i]
-			want[i] = run
-		}
-		for _, w := range []int{0, 1, 4, 32} {
-			got := append([]int64(nil), vals...)
-			PrefixSumInt64(got, w)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d w=%d: prefix[%d] = %d, want %d", n, w, i, got[i], want[i])
 				}
 			}
 		}
@@ -137,60 +69,6 @@ func TestForEdgeGrains(t *testing.T) {
 		})
 		if calls != 1 {
 			t.Fatalf("n=%d w=%d: %d calls, want 1", tc.n, tc.w, calls)
-		}
-	}
-}
-
-func TestScanInt64(t *testing.T) {
-	r := rng.New(3)
-	maxOp := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	// Affine-map composition mod 251, packed as a*256+b: associative but
-	// NOT commutative, so the scan's fixup order (prepend left context)
-	// is load-bearing. combine(F, G) applies F first, then G.
-	const p = 251
-	affine := func(f, g int64) int64 {
-		af, bf := f/256, f%256
-		ag, bg := g/256, g%256
-		return (ag * af % p * 256) + (ag*bf+bg)%p
-	}
-	ops := []struct {
-		name    string
-		id      int64
-		combine func(a, b int64) int64
-	}{
-		{"add", 0, func(a, b int64) int64 { return a + b }},
-		{"max", -1 << 62, maxOp},
-		{"xor", 0, func(a, b int64) int64 { return a ^ b }},
-		{"affine", 1 * 256, affine},
-	}
-	for _, op := range ops {
-		for _, n := range []int{0, 1, 2, 3, 100, 4096, 10007} {
-			vals := make([]int64, n)
-			want := make([]int64, n)
-			run := op.id
-			for i := range vals {
-				if op.name == "affine" {
-					vals[i] = int64(r.Intn(p))*256 + int64(r.Intn(p))
-				} else {
-					vals[i] = int64(r.Intn(200)) - 100
-				}
-				run = op.combine(run, vals[i])
-				want[i] = run
-			}
-			for _, w := range []int{0, 1, 4, 32} {
-				got := append([]int64(nil), vals...)
-				ScanInt64(got, op.id, op.combine, w)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("op=%s n=%d w=%d: scan[%d] = %d, want %d", op.name, n, w, i, got[i], want[i])
-					}
-				}
-			}
 		}
 	}
 }

@@ -48,7 +48,9 @@ const ParallelMin = 1 << 19
 // walks the tree once and records its preorder (the paper amortizes
 // preprocessing across iterations, Section I-D); every call after that
 // is one pass over the preorder, O(n) work for any operator whose only
-// allocation is the output.
+// allocation is the output. The same preorder is the only walk the
+// native backend makes of a tree: its LCA table and expression kernel
+// read it through Preorder.
 //
 // From ParallelMin vertices, an engine with more than one worker cuts
 // the preorder into one contiguous range per worker for BottomUp and
@@ -119,6 +121,12 @@ func newEngine(t *tree.Tree, workers int) *Engine {
 	e.split(min(workers, n))
 	return e
 }
+
+// Preorder returns the recorded preorder: pre lists the vertices so
+// that every parent precedes its children, and parent[i] is the parent
+// of pre[i] (-1 for the root at position 0). The slices belong to the
+// engine and must not be modified.
+func (e *Engine) Preorder() (pre, parent []int32) { return e.pre, e.preParent }
 
 // split cuts positions 1..n-1 of the preorder into k equal ranges and
 // records the positions whose fold crosses a range boundary.

@@ -441,7 +441,10 @@ func ParallelTreefixEngine(t *Tree, workers int) *treefix.Engine {
 	return treefix.NewEngine(t, workers)
 }
 
-// ParallelLCAEngine returns the goroutine-parallel LCA engine.
+// ParallelLCAEngine returns the native LCA executor: a sparse table of
+// minima over the tree's preorder, O(1) per query, answering batches
+// across workers; workers <= 0 means GOMAXPROCS.
 func ParallelLCAEngine(t *Tree, workers int) *lca.Engine {
-	return lca.NewEngine(t, workers)
+	// The table needs only the preorder; one worker skips the split.
+	return lca.NewEngine(treefix.NewEngine(t, 1), workers)
 }
