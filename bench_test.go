@@ -783,18 +783,20 @@ func e15Mutate(b *testing.B, de *engine.DynEngine, n, mutations int) {
 // BenchmarkE15Recovery measures the durability subsystem's warm-start
 // against what a store-less deployment must redo after a restart. The
 // fixture is a serving state of 4 registered trees (n=2^14 each) plus
-// one mutable shard (n=2048) that took 400 journaled mutations. The
-// warm arm opens the data dir and runs the full snapshot+WAL recovery:
-// placements come back through the seeded layout cache (no light-first
-// pipeline runs) and the dyn shard replays only its WAL. The cold arm
-// rebuilds the same state from scratch: one light-first pipeline per
-// registered tree, a fresh dynamic layout, and a full re-application of
-// the mutation history — which a real store-less restart could not even
-// do, because the mutation history dies with the process. Both arms pay
-// the same per-vertex curve-coordinate cost (the placement must exist
-// either way), so the warm arm's edge is the skipped pipeline work —
-// ~1.3× on wall clock — and the gate's job is to keep recovery from
-// regressing into costing more than the rebuild it replaces.
+// one mutable shard (n=2048) that took 400 journaled mutations, all on
+// the server's default backend, native. The warm arm opens the data
+// dir and runs the full snapshot+WAL recovery: each tree snapshot is
+// decoded, validated and rebuilt into a placement that seeds the layout
+// cache (no light-first pipeline runs), and the dyn shard replays only
+// its WAL. The cold arm rebuilds the same state from scratch:
+// re-registration of every tree, a fresh dynamic layout, and a full
+// re-application of the mutation history — which a real store-less
+// restart could not even do, because the mutation history dies with
+// the process. A native shard takes no placement, so the cold arm
+// builds no layout for the registered trees, while the warm arm still
+// reconstructs their snapshot placements: on this default the warm arm
+// is the dearer one. Each arm's ns/op is gated on its own, so a
+// regression in snapshot decoding, WAL replay or registration shows.
 func BenchmarkE15Recovery(b *testing.B) {
 	const (
 		regTrees  = 4

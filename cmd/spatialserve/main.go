@@ -4,8 +4,9 @@
 // against a forest of long-lived trees.
 //
 // Each round, every client picks a tree from the forest, rebuilds it
-// from its parent array (so the layout cache is exercised the way a
-// server deserializing per-request tree ids would exercise it), submits
+// from its parent array (so routing by structural fingerprint, and on
+// -backend sim the layout cache, are exercised the way a server
+// deserializing per-request tree ids would exercise them), submits
 // one treefix plus several LCA sub-batches to the pool's engine for that
 // tree, and waits for the coalesced results. The naive comparison point
 // (-naive) replays identical traffic through the one-shot public API
@@ -17,7 +18,7 @@
 // vertex, delete the youngest inserted leaf) before serving. In engine
 // mode the forest is served by DynEngine shards routed by identity
 // through the pool; mutations are O(1) parked moves and the serving
-// placement refreshes lazily. In -naive mode every mutation pays a
+// state refreshes lazily. In -naive mode every mutation pays a
 // from-scratch tree validation + light-first rebuild — the
 // rebuild-per-mutation baseline the dynamic path is measured against.
 //
@@ -525,10 +526,10 @@ var (
 )
 
 // engineFor returns the pool's long-lived shard for t, or — on restart
-// rounds — an ephemeral engine whose placement comes from the shared
-// layout cache (the restart path the cache exists for). The returned
-// retire func must be called after the round's futures resolve; it
-// folds an ephemeral engine's counters into the report.
+// rounds — an ephemeral engine, whose placement on sim comes from the
+// shared layout cache (the restart path the cache exists for). The
+// returned retire func must be called after the round's futures
+// resolve; it folds an ephemeral engine's counters into the report.
 func engineFor(pool *engine.Pool, opts engine.Options, ephemeral bool, t *tree.Tree) (*engine.Engine, func()) {
 	if ephemeral {
 		// No scheduler on a round-private engine: nothing else can join

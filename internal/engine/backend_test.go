@@ -2,13 +2,16 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
+	"spatialtree/internal/layout"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
 	"spatialtree/internal/rng"
+	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
 )
@@ -205,9 +208,9 @@ func TestPoolBackendSharding(t *testing.T) {
 	if pool.Size() != 2 {
 		t.Fatalf("pool size = %d, want 2", pool.Size())
 	}
-	// The two shards share one placement build through the cache.
+	// Only the sim shard builds a placement; the native one takes none.
 	if st := pool.Cache().Stats(); st.Builds != 1 {
-		t.Fatalf("layout builds = %d, want 1 shared build", st.Builds)
+		t.Fatalf("layout builds = %d, want 1 (the sim shard's)", st.Builds)
 	}
 	// Dyn shards inherit or override the pool default.
 	d1, err := pool.NewDynShard(tr, 0.2)
@@ -226,48 +229,223 @@ func TestPoolBackendSharding(t *testing.T) {
 	}
 }
 
-// TestDynNativeBackend drives mutations through a native-backend
-// DynEngine and checks the refreshed epochs keep serving correct
-// results with zero model cost.
+// TestDynNativeBackend is the cross-backend dyn differential: one seeded
+// insert/delete sequence drives a native and a sim DynEngine, and after
+// every mutation LCA, bottom-up and top-down treefix and min-cut must
+// agree across the two backends and with the sequential oracles on the
+// current tree. The two backends refresh an epoch differently (native
+// reads only the tree, sim also copies the parked positions), so this
+// is what checks that both serve the same epoch.
 func TestDynNativeBackend(t *testing.T) {
 	tr := tree.RandomAttachment(128, rng.New(13))
-	de, err := NewDyn(tr, DynOptions{Options: Options{Backend: exec.Native, Seed: 2}, Epsilon: 0.2})
+	n0 := tr.N()
+	nat, err := NewDyn(tr, DynOptions{Options: Options{Backend: exec.Native, Seed: 2}, Epsilon: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewDyn(tr, DynOptions{Options: Options{Backend: exec.Sim, Seed: 2}, Epsilon: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(14)
-	for i := 0; i < 20; i++ {
-		if _, err := de.InsertLeaf(r.Intn(de.N())); err != nil {
-			t.Fatal(err)
+	inserted := make([]bool, n0) // by current id: was the vertex inserted?
+	var insertedDeletes, lastDeletes, renumbers int
+	for i := 0; i < 48; i++ {
+		n := nat.N()
+		switch i % 4 {
+		case 0, 1:
+			parent := r.Intn(n)
+			v, err := nat.InsertLeaf(parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, err := sim.InsertLeaf(parent); err != nil || w != v {
+				t.Fatalf("mutation %d: sim inserted %d (%v), native %d", i, w, err, v)
+			}
+			inserted = append(inserted, true)
+		default:
+			// Step 2 deletes the last id, the leaf step 1 just
+			// inserted. Step 3 deletes a leaf below it, which
+			// renumbers the last vertex into the freed id: every
+			// other time an inserted leaf, if there is one.
+			leaf := n - 1
+			if i%4 == 3 {
+				var leaves, fresh []int
+				for v := 0; v < n-1; v++ {
+					if nat.IsLeaf(v) {
+						leaves = append(leaves, v)
+						if inserted[v] {
+							fresh = append(fresh, v)
+						}
+					}
+				}
+				if i%8 == 7 && len(fresh) > 0 {
+					leaves = fresh
+				}
+				leaf = leaves[r.Intn(len(leaves))]
+			}
+			moved, err := nat.DeleteLeaf(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := sim.DeleteLeaf(leaf); err != nil || m != moved {
+				t.Fatalf("mutation %d: sim moved %d (%v), native %d", i, m, err, moved)
+			}
+			switch {
+			case moved == leaf:
+				lastDeletes++
+			case inserted[leaf]:
+				insertedDeletes++
+				renumbers++
+			default:
+				renumbers++
+			}
+			inserted[leaf] = inserted[moved]
+			inserted = inserted[:n-1]
 		}
-		cur, err := de.Tree()
+		checkDynBackendsAgree(t, i, nat, sim, r)
+	}
+	if insertedDeletes == 0 || lastDeletes == 0 || renumbers == 0 {
+		t.Fatalf("sequence missed a delete kind: %d renumbering deletes of inserted leaves, %d of the last id, %d renumbering",
+			insertedDeletes, lastDeletes, renumbers)
+	}
+	if st := nat.Stats(); st.Engine.Cost.Energy != 0 {
+		t.Fatalf("native dyn engine accumulated model cost: %+v", st.Engine.Cost)
+	}
+	if st := sim.Stats(); st.Engine.Cost.Energy == 0 {
+		t.Fatal("sim dyn engine metered no model cost")
+	}
+}
+
+// checkDynBackendsAgree serves one request of each kind on both shards
+// and checks the answers against each other and the sequential oracles.
+func checkDynBackendsAgree(t *testing.T, step int, nat, sim *DynEngine, r *rng.RNG) {
+	t.Helper()
+	cur, err := nat.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	simTree, err := sim.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cur.Parents(), simTree.Parents()) {
+		t.Fatalf("mutation %d: native and sim trees differ", step)
+	}
+	n := cur.N()
+	vals := make([]int64, n)
+	for j := range vals {
+		vals[j] = int64(r.Intn(100)) - 50
+	}
+	qs := make([]lca.Query, 8)
+	for j := range qs {
+		qs[j] = lca.Query{U: r.Intn(n), V: r.Intn(n)}
+	}
+	edges := mincut.RandomGraph(cur, n/2, 9, rng.New(uint64(step)))
+	oracle := lca.NewOracle(cur)
+	wantUp := treefix.SequentialBottomUp(cur, vals, treefix.Add)
+	wantDown := treefix.SequentialTopDown(cur, vals, treefix.Max)
+	wantCut := mincut.OneRespectingSequential(cur, edges)
+	for _, de := range []*DynEngine{nat, sim} {
+		name := de.Backend()
+		lres := de.SubmitLCA(qs).Wait()
+		up := de.SubmitTreefix(vals, treefix.Add).Wait()
+		down := de.SubmitTopDown(vals, treefix.Max).Wait()
+		cut := de.SubmitMinCut(edges).Wait()
+		for _, res := range []Result{lres, up, down, cut} {
+			if res.Err != nil {
+				t.Fatalf("mutation %d %s: %v", step, name, res.Err)
+			}
+		}
+		for j, q := range qs {
+			if want := oracle.LCA(q.U, q.V); lres.Answers[j] != want {
+				t.Fatalf("mutation %d %s: lca(%d, %d) = %d, want %d", step, name, q.U, q.V, lres.Answers[j], want)
+			}
+		}
+		if !slices.Equal(up.Sums, wantUp) || !slices.Equal(down.Sums, wantDown) {
+			t.Fatalf("mutation %d %s: treefix sums differ from the sequential oracle", step, name)
+		}
+		if cut.MinCut.MinWeight != wantCut.MinWeight || cut.MinCut.ArgVertex != wantCut.ArgVertex ||
+			!slices.Equal(cut.MinCut.Cuts, wantCut.Cuts) {
+			t.Fatalf("mutation %d %s: min-cut (%d at %d), want (%d at %d)", step, name,
+				cut.MinCut.MinWeight, cut.MinCut.ArgVertex, wantCut.MinWeight, wantCut.ArgVertex)
+		}
+	}
+}
+
+// TestPlacementOnlyOnSim pins where placements live: only a sim engine
+// takes one at construction, a native engine builds one only when asked
+// for it, and a native DynEngine epoch holds none.
+func TestPlacementOnlyOnSim(t *testing.T) {
+	tr := tree.RandomAttachment(300, rng.New(21))
+	cache := NewLayoutCache(4)
+	if _, err := New(tr, Options{Backend: exec.Native, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st != (CacheStats{Capacity: 4}) {
+		t.Fatalf("native New touched the layout cache: %+v", st)
+	}
+	if _, err := New(tr, Options{Backend: exec.Sim, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Builds != 1 || st.Misses != 1 {
+		t.Fatalf("sim New: %+v, want one build", st)
+	}
+
+	// Placement on a native engine: built on the first call, then
+	// served from the cache, and the tree's light-first placement.
+	cache = NewLayoutCache(4)
+	nat, err := New(tr, Options{Backend: exec.Native, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := layout.LightFirst(tr, sfc.Hilbert{})
+	for call := 0; call < 2; call++ {
+		p := nat.Placement()
+		if p.Side != want.Side || !slices.Equal(p.Order.Rank, want.Order.Rank) {
+			t.Fatalf("call %d: native Placement is not the light-first placement", call)
+		}
+	}
+	if st := cache.Stats(); st.Builds != 1 || st.Hits != 1 {
+		t.Fatalf("native Placement twice: %+v, want one build and one hit", st)
+	}
+	if nat.p != nil {
+		t.Fatal("native Placement stored a placement on the engine")
+	}
+
+	// DynEngine epochs after a mutation and a query.
+	for _, backend := range []string{exec.Native, exec.Sim} {
+		cache := NewLayoutCache(4)
+		de, err := NewDyn(tr, DynOptions{Options: Options{Backend: backend, Cache: cache}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals := make([]int64, cur.N())
-		for j := range vals {
-			vals[j] = int64(r.Intn(50))
+		if _, err := de.InsertLeaf(7); err != nil {
+			t.Fatal(err)
 		}
-		res := de.SubmitTreefix(vals, treefix.Add).Wait()
-		if res.Err != nil {
+		if res := de.SubmitLCA([]lca.Query{{U: 3, V: 300}}).Wait(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		want := treefix.SequentialBottomUp(cur, vals, treefix.Add)
-		for v := range want {
-			if res.Sums[v] != want[v] {
-				t.Fatalf("mutation %d vertex %d: %d, want %d", i, v, res.Sums[v], want[v])
+		p := de.inner.p
+		if backend == exec.Native {
+			if p != nil {
+				t.Fatal("native dyn epoch holds a placement")
 			}
+		} else if p == nil || p.Side != de.dyn.Side() || !slices.Equal(p.Order.Rank, de.dyn.Ranks()) {
+			t.Fatal("sim dyn epoch does not run on the dynamic layout's positions")
 		}
-		qs := []lca.Query{{U: r.Intn(cur.N()), V: r.Intn(cur.N())}}
-		lres := de.SubmitLCA(qs).Wait()
-		if lres.Err != nil {
-			t.Fatal(lres.Err)
-		}
-		if want := lca.NewOracle(cur).LCA(qs[0].U, qs[0].V); lres.Answers[0] != want {
-			t.Fatalf("mutation %d: lca %d, want %d", i, lres.Answers[0], want)
+		if st := cache.Stats(); st != (CacheStats{Capacity: 4}) {
+			t.Fatalf("%s dyn shard touched the layout cache: %+v", backend, st)
 		}
 	}
-	if st := de.Stats(); st.Engine.Cost.Energy != 0 {
-		t.Fatalf("native dyn engine accumulated model cost: %+v", st.Engine.Cost)
+
+	// An unknown curve fails construction on both backends.
+	for _, backend := range []string{exec.Native, exec.Sim} {
+		if _, err := New(tr, Options{Backend: backend, Curve: "bogus"}); err == nil {
+			t.Fatalf("%s New accepted an unknown curve", backend)
+		}
+		if _, err := NewDyn(tr, DynOptions{Options: Options{Backend: backend, Curve: "bogus"}}); err == nil {
+			t.Fatalf("%s NewDyn accepted an unknown curve", backend)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
-	"spatialtree/internal/order"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
@@ -24,36 +23,41 @@ import (
 // requests: applying one first drains the pending batch, so every future
 // resolves against the tree as it stood when the request was submitted.
 //
-// Serving works through an inner Engine rebuilt lazily per placement
-// version ("epoch"): each mutation bumps the epoch and marks the serving
-// state dirty; the next submission refreshes it from the dynamic
+// Serving works through an inner Engine rebuilt lazily per tree version
+// ("epoch"): each mutation bumps the epoch and marks the serving state
+// dirty; the next submission refreshes it from the dynamic layout. A
+// native refresh reads only the layout's validated current tree, since
+// native kernels take no placement. A sim refresh also copies the
 // layout's current parked/spread positions — an O(n) copy, not the
 // O(n log n) light-first pipeline a static engine would need to rebuild
 // from scratch. Only when the dynamic layout itself rebuilds (every εn
 // mutations) is the full pipeline paid, which is the whole amortization
-// argument of the paper's §VII direction.
+// argument of the paper's §VII direction. The layout maintains its
+// ranks on both backends: snapshots, replication and a recovery onto a
+// sim default need them.
 //
-// Kernels split by what they require of the placement. Treefix sums,
-// top-down sums and expression evaluation are order-agnostic — ranks are
-// only message endpoints — so they run on the parked placement itself
-// and their costs degrade gracefully with drift, exactly the trade-off
-// dynlayout quantifies. Batched LCA and min-cut are order-dependent
-// (correctness needs contiguous light-first subtree ranges, Section
-// VI-C), so those requests run on a dense light-first rank of the
-// current tree, computed lazily and memoized — at most once per epoch,
-// and only for epochs that actually serve such a request.
+// On sim, kernels split by what they require of the placement. Treefix
+// sums, top-down sums and expression evaluation are order-agnostic —
+// ranks are only message endpoints — so they run on the parked
+// placement itself and their costs degrade gracefully with drift,
+// exactly the trade-off dynlayout quantifies. Batched LCA and min-cut
+// are order-dependent (correctness needs contiguous light-first subtree
+// ranges, Section VI-C), so those requests run on a dense light-first
+// rank of the current tree, computed lazily and memoized by the sim
+// backend — at most once per epoch, and only for epochs that actually
+// serve such a request.
 //
 // A shard's placements never enter the LayoutCache: no lookup could
 // reuse one, since each belongs to a single shard at a single epoch.
 // Requests always route through the current epoch's inner engine, so a
-// mutated tree can never be served from a stale placement, not even
-// when a mutation sequence returns to an earlier parent array (same
-// structural fingerprint, different parked positions).
+// mutated tree can never be served from a stale epoch, not even when a
+// mutation sequence returns to an earlier parent array (same structural
+// fingerprint, different parked positions).
 //
 // All methods are safe for concurrent use.
 type DynEngine struct {
 	curve sfc.Curve
-	opts  Options // resolved: Cache non-nil, Window positive
+	opts  Options // resolved: Curve named, Cache non-nil (shared by every epoch)
 
 	mu        sync.Mutex
 	dyn       *dynlayout.Dyn
@@ -122,7 +126,7 @@ type DynOptions struct {
 // energy) plus the serving side (Engine folds the inner engines of all
 // epochs, including the shared cache's counters).
 type DynStats struct {
-	// Epoch counts applied mutations; it versions the placement.
+	// Epoch counts applied mutations; it versions the tree.
 	Epoch uint64
 	// N is the current vertex count.
 	N int
@@ -131,9 +135,9 @@ type DynStats struct {
 	// Rebuilds counts full light-first recomputations of the dynamic
 	// layout (the amortized Θ(n^{3/2})-energy events).
 	Rebuilds uint64
-	// Refreshes counts serving-state rebuilds: placements derived from
-	// the dynamic layout (at most one per epoch, only when a submission
-	// actually follows a mutation).
+	// Refreshes counts serving-state rebuilds: inner engines built on
+	// the dynamic layout's current tree (at most one per epoch, only
+	// when a submission actually follows a mutation).
 	Refreshes uint64
 	// ParkEnergy and MigrateEnergy are the dynamic layout's maintenance
 	// costs (see dynlayout.Dyn).
@@ -165,9 +169,6 @@ func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
 	if resolved.Cache == nil {
 		resolved.Cache = NewLayoutCache(DefaultCacheCapacity)
 	}
-	if resolved.Window <= 0 {
-		resolved.Window = DefaultWindow
-	}
 	de := &DynEngine{curve: c, opts: resolved, dyn: d}
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -175,24 +176,11 @@ func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
 }
 
 // refreshLocked derives a fresh serving state from the dynamic layout:
-// a placement snapshot of the current epoch and an inner engine on it.
+// an inner engine on the current epoch's tree (see newEngine).
 func (de *DynEngine) refreshLocked() error {
-	p, err := de.dyn.Placement()
+	inner, err := newEngine(nil, de.dyn, de.opts)
 	if err != nil {
 		return err
-	}
-	inner, err := newWithPlacement(p.Tree, p, de.opts)
-	if err != nil {
-		return err
-	}
-	// Order-dependent kernels get the dense light-first rank of this
-	// epoch's tree, computed on first need (at most once per epoch —
-	// the engine memoizes it). Deliberately NOT routed through the
-	// shared cache: each mutated epoch has a fresh fingerprint, so
-	// caching these would fill the LRU with one-shot entries and evict
-	// the static placements it exists to reuse.
-	inner.orderRankFn = func() []int {
-		return order.LightFirst(p.Tree).Rank
 	}
 	// The profile observer is a per-shard installation, not per-epoch:
 	// every refresh re-installs it so it keeps seeing batches across
@@ -395,15 +383,15 @@ func (de *DynEngine) Epsilon() float64 {
 }
 
 // Backend returns the shard's resolved execution-backend name. Every
-// epoch's inner engine runs on it: the backend's per-tree preprocessing
-// (on native, the treefix preorder and the LCA table, each built on the
-// epoch's first request that needs it) is rebuilt after each
-// serving-state refresh, an O(n)-to-O(n log n) cost of the same class
-// as the placement refresh it rides along with.
+// epoch's inner engine runs on it. A native epoch holds no placement:
+// its per-tree preprocessing (the treefix preorder and the LCA table,
+// each built on the epoch's first request that needs it) is the only
+// O(n)-to-O(n log n) cost a refresh leads to. A sim epoch copies the
+// dynamic layout's parked positions instead.
 func (de *DynEngine) Backend() string { return exec.Normalize(de.opts.Backend) }
 
 // Epoch returns the number of mutations applied so far; it versions the
-// placement.
+// tree.
 func (de *DynEngine) Epoch() uint64 {
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -546,9 +534,6 @@ func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
 	resolved.Curve = name
 	if resolved.Cache == nil {
 		resolved.Cache = NewLayoutCache(DefaultCacheCapacity)
-	}
-	if resolved.Window <= 0 {
-		resolved.Window = DefaultWindow
 	}
 	de := &DynEngine{curve: c, opts: resolved, dyn: d, epoch: st.Epoch}
 	de.mu.Lock()

@@ -59,7 +59,7 @@
 // # Execution backends
 //
 // All requests of one flush run against a single execution-backend run
-// (internal/exec) sharing the engine's placement, so per-run setup is
+// (internal/exec) over the engine's per-tree state, so per-run setup is
 // paid once per batch instead of once per call. Options.Backend picks
 // the backend: "sim" (the default here — the spatial-computer simulator
 // with exact model-cost accounting, the metering and validation path)
@@ -87,15 +87,19 @@
 //
 // # Layout cache
 //
-// Placements are obtained from a LayoutCache keyed by (tree fingerprint,
-// curve, order) — see Fingerprint. Engines created with a shared cache
-// (directly via Options.Cache or through a Pool) skip the O(n log n)
-// light-first pipeline whenever any engine has already laid out a
-// structurally identical tree on the same curve. CacheStats reports
-// hits, misses and evictions; Stats folds them into EngineStats.
+// Only the sim backend reads a placement, so only a sim engine takes
+// one at construction; a native engine does no layout work unless a
+// caller asks for its Placement. Static placements are obtained from a
+// LayoutCache keyed by (tree fingerprint, curve, order) — see
+// Fingerprint. Engines created with a shared cache (directly via
+// Options.Cache or through a Pool) skip the O(n log n) light-first
+// pipeline whenever any engine has already laid out a structurally
+// identical tree on the same curve. CacheStats reports hits, misses and
+// evictions; Stats folds them into EngineStats.
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -103,12 +107,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/machine"
 	"spatialtree/internal/mincut"
+	"spatialtree/internal/order"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
@@ -344,13 +350,14 @@ func recycleBatch(batch []*request) {
 }
 
 // Engine is a concurrency-safe batch server for one tree: it owns the
-// tree and its light-first placement and coalesces submitted requests
-// into shared simulator runs. See the package documentation for the
-// batching semantics. The zero value is not usable; construct with New.
+// tree and coalesces submitted requests into shared backend runs. A sim
+// engine also owns the placement its simulator runs on; a native engine
+// holds none. See the package documentation for the batching semantics.
+// The zero value is not usable; construct with New.
 type Engine struct {
 	t      *tree.Tree
-	fp     uint64
-	p      *layout.Placement
+	curve  sfc.Curve
+	p      *layout.Placement // the sim backend's placement; nil on native
 	window int
 	seed   uint64
 	cache  *LayoutCache
@@ -362,16 +369,6 @@ type Engine struct {
 	// profileFn, when non-nil, observes every dispatched batch (see
 	// ProfileFunc). Atomic so SetProfile never races runBatch.
 	profileFn atomic.Pointer[ProfileFunc]
-
-	// Order-dependent kernels (batched LCA and min-cut) require a dense
-	// light-first rank — their correctness depends on subtrees being
-	// contiguous ranges, which a dynamic layout's parked placement does
-	// not guarantee. orderRankFn supplies that rank lazily on first
-	// need; when nil the placement's own order is used (the static
-	// case, where they coincide).
-	orderRankFn func() []int
-	orderOnce   sync.Once
-	orderRanks  []int
 
 	mu       sync.Mutex
 	pending  []*request
@@ -394,57 +391,58 @@ type Engine struct {
 	afTimer *time.Timer
 }
 
-// New builds an engine for t. The placement comes from the layout cache
-// (opts.Cache or a fresh private one), so constructing an engine for an
+// New builds an engine for t. Only a sim engine takes a placement,
+// because only the simulator reads one: it comes from the layout cache
+// (opts.Cache or a fresh private one), so a sim engine for an
 // already-seen tree×curve costs O(n) for the fingerprint instead of the
-// full O(n log n) layout pipeline.
+// full O(n log n) layout pipeline. A native engine does no layout work.
 func New(t *tree.Tree, opts Options) (*Engine, error) {
-	name := opts.Curve
-	if name == "" {
-		name = "hilbert"
-	}
-	c, err := sfc.ByName(name)
+	return newEngine(t, nil, opts)
+}
+
+// newEngine is New, and also builds each DynEngine epoch's engine: with
+// dyn non-nil (and t nil) it serves dyn's current tree, and on sim it
+// runs on dyn's parked positions instead of a cached placement. Those
+// positions are not a light-first order, so the order-dependent kernels
+// (batched LCA and min-cut, which need contiguous light-first subtree
+// ranges) get the tree's light-first rank, computed on first need. That
+// rank bypasses the layout cache: each mutated epoch has a fresh
+// fingerprint, so caching it would fill the LRU with one-shot entries
+// and evict the static placements the cache exists to reuse.
+func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) {
+	c, err := sfc.ByName(cmp.Or(opts.Curve, "hilbert"))
 	if err != nil {
 		return nil, err
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewLayoutCache(DefaultCacheCapacity)
+	e := &Engine{curve: c, window: opts.Window, seed: opts.Seed, cache: opts.Cache, backendName: exec.Normalize(opts.Backend)}
+	if e.cache == nil {
+		e.cache = NewLayoutCache(DefaultCacheCapacity)
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultWindow
+	if e.window <= 0 {
+		e.window = DefaultWindow
 	}
-	fp := Fingerprint(t)
-	e := &Engine{
-		t:      t,
-		fp:     fp,
-		p:      cache.GetOrBuild(t, fp, c),
-		window: window,
-		seed:   opts.Seed,
-		cache:  cache,
-	}
-	if opts.FlushDelay > 0 {
-		e.afDelay = opts.FlushDelay
-	}
+	e.afDelay = max(opts.FlushDelay, 0)
 	e.idle.L = &e.mu
-	if err := e.initBackend(opts.Backend); err != nil {
+	var orderRank func() []int
+	if e.backendName == exec.Sim {
+		if dyn == nil {
+			e.p = e.cache.GetOrBuild(t, Fingerprint(t), c)
+		} else if e.p, err = dyn.Placement(); err == nil {
+			t = e.p.Tree
+			orderRank = func() []int { return order.LightFirst(t).Rank }
+		}
+	} else if dyn != nil {
+		t, err = dyn.Tree()
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.t = t
+	e.backend, err = exec.New(e.backendName, exec.Config{Tree: t, Placement: e.p, OrderRank: orderRank})
+	if err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// initBackend resolves the backend name (Options.Backend) and builds the
-// execution backend on the engine's placement. It must run after the
-// placement and orderRank machinery are in place.
-func (e *Engine) initBackend(name string) error {
-	e.backendName = exec.Normalize(name)
-	be, err := exec.New(e.backendName, exec.Config{Tree: e.t, Placement: e.p, OrderRank: e.orderRank})
-	if err != nil {
-		return err
-	}
-	e.backend = be
-	return nil
 }
 
 // Backend returns the engine's resolved execution-backend name.
@@ -460,64 +458,17 @@ func (e *Engine) SetProfile(fn ProfileFunc) {
 	e.profileFn.Store(&fn)
 }
 
-// newWithPlacement builds an engine serving t on an explicit placement
-// (p.Tree must be t) instead of a cached light-first one. This is the
-// constructor DynEngine uses: a dynamic layout's placement holds parked,
-// spread-out positions that no cache key describes. Callers whose
-// placement is not a light-first order must also set orderRankFn, or
-// LCA and min-cut results are undefined. opts.Curve is ignored — the
-// placement's curve governs; opts.Cache only feeds the Stats snapshot
-// (nil means a fresh private cache, as in New).
-func newWithPlacement(t *tree.Tree, p *layout.Placement, opts Options) (*Engine, error) {
-	if p == nil || p.Tree != t {
-		return nil, fmt.Errorf("engine: placement was not built for this tree")
-	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewLayoutCache(DefaultCacheCapacity)
-	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	e := &Engine{
-		t:      t,
-		fp:     Fingerprint(t),
-		p:      p,
-		window: window,
-		seed:   opts.Seed,
-		cache:  cache,
-	}
-	if opts.FlushDelay > 0 {
-		e.afDelay = opts.FlushDelay
-	}
-	e.idle.L = &e.mu
-	if err := e.initBackend(opts.Backend); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // Tree returns the engine's tree.
 func (e *Engine) Tree() *tree.Tree { return e.t }
 
-// Placement returns the engine's (cached) placement.
-func (e *Engine) Placement() *layout.Placement { return e.p }
-
-// Fingerprint returns the structural fingerprint of the engine's tree.
-func (e *Engine) Fingerprint() uint64 { return e.fp }
-
-// orderRank returns the dense light-first rank the order-dependent
-// kernels run on, computing it at most once per engine.
-func (e *Engine) orderRank() []int {
-	e.orderOnce.Do(func() {
-		if e.orderRankFn != nil {
-			e.orderRanks = e.orderRankFn()
-		} else {
-			e.orderRanks = e.p.Order.Rank
-		}
-	})
-	return e.orderRanks
+// Placement returns the engine's placement: on sim, the one its
+// simulator runs on; on native, whose kernels read none, the tree's
+// light-first placement from the layout cache, built on first call.
+func (e *Engine) Placement() *layout.Placement {
+	if e.p != nil {
+		return e.p
+	}
+	return e.cache.GetOrBuild(e.t, Fingerprint(e.t), e.curve)
 }
 
 // Stats returns a snapshot of the engine counters plus the layout
@@ -609,7 +560,7 @@ func (e *Engine) SubmitMinCut(edges []mincut.Edge) *Future {
 
 // SubmitExpr enqueues evaluation of an expression whose tree is
 // structurally identical to the engine's (same parent array), so the
-// engine's placement is valid for it.
+// engine's per-tree state serves it.
 //
 //spatialvet:errclass
 func (e *Engine) SubmitExpr(x *exprtree.Expr) *Future {

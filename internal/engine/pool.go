@@ -18,8 +18,9 @@ import (
 // coalesced batches; different trees → different shards → concurrent
 // runs. Folding the backend into the key lets one pool serve the same
 // structure natively and under the metering simulator side by side
-// (registration APIs pick per tree); the placement behind both shards
-// still comes from the one shared cache.
+// (registration APIs pick per tree). Only the sim shard holds a
+// placement, taken from the one shared cache; the native shard builds
+// none.
 //
 // Mutable trees cannot be routed structurally — every mutation changes
 // the fingerprint — so the pool routes them by engine identity instead:
@@ -73,7 +74,8 @@ func NewPool(workers int, opts Options) *Pool {
 // Engine returns the pool's engine for t on the pool's default backend,
 // creating it on first sight. Structurally identical trees share a
 // shard. Concurrent first sights of the same key coalesce onto one
-// construction (and, through the shared cache, one layout build).
+// construction (and, on sim, through the shared cache, one layout
+// build).
 func (p *Pool) Engine(t *tree.Tree) (*Engine, error) {
 	return p.EngineBackend(t, "")
 }
@@ -101,8 +103,8 @@ func (p *Pool) EngineBackend(t *tree.Tree, backend string) (*Engine, error) {
 	p.building[key] = b
 	p.mu.Unlock()
 
-	// Build outside the lock: layout construction is the expensive part
-	// and must not serialize unrelated shards. The deferred publish runs
+	// Build outside the lock: construction (on sim, the layout) is the
+	// expensive part and must not serialize unrelated shards. The deferred publish runs
 	// even if the build panics, so waiters get an error instead of
 	// blocking forever on a done channel that never closes.
 	var e *Engine

@@ -83,17 +83,16 @@ func Valid(name string) bool {
 type Config struct {
 	// Tree is the served tree (required).
 	Tree *tree.Tree
-	// Placement is the tree's grid placement. Required by the sim
-	// backend (simulator sizing, message endpoints); ignored by native.
+	// Placement is the tree's grid placement: the sim backend's state
+	// (simulator sizing, message endpoints) and required by it. Native
+	// ignores it; the batch engine builds none for a native engine.
 	Placement *layout.Placement
 	// OrderRank supplies the dense light-first rank the sim backend's
 	// order-dependent kernels (LCA, min-cut) run on; nil means the
-	// placement's own order. Called lazily, on first need. Ignored by
-	// native, whose LCA/min-cut kernels are order-free.
+	// placement's own order. The sim backend calls it at most once, on
+	// first need. Ignored by native, whose LCA/min-cut kernels are
+	// order-free.
 	OrderRank func() []int
-	// Workers bounds the native backend's goroutine parallelism
-	// (<= 0 means GOMAXPROCS). Ignored by sim.
-	Workers int
 }
 
 // Backend serves one tree through per-batch Runs. Implementations are

@@ -20,7 +20,6 @@ func testConfig(t *testing.T, tr *tree.Tree) Config {
 	return Config{
 		Tree:      tr,
 		Placement: layout.LightFirst(tr, sfc.Hilbert{}),
-		Workers:   4,
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // table over it, the min-cut executor on top of both — is built on its
 // first use, so a shard pays only for the kernels it serves: a
 // treefix-only shard never builds the LCA table, and an LCA-only shard
-// never builds the min-cut executor.
+// never builds the min-cut executor. Every kernel sizes its goroutine
+// parallelism from par.Workers() (a worker count of 0).
 type nativeBackend struct {
-	t       *tree.Tree
-	workers int
+	t *tree.Tree
 	// run is the pre-boxed Run value: Run() sits on the per-batch hot
 	// path and reboxing nativeRun into the interface there would cost an
 	// allocation per batch.
@@ -38,7 +38,7 @@ type nativeBackend struct {
 }
 
 func newNative(cfg Config) *nativeBackend {
-	b := &nativeBackend{t: cfg.Tree, workers: cfg.Workers}
+	b := &nativeBackend{t: cfg.Tree}
 	b.run = nativeRun{b}
 	return b
 }
@@ -46,17 +46,17 @@ func newNative(cfg Config) *nativeBackend {
 func (b *nativeBackend) Name() string { return Native }
 
 func (b *nativeBackend) treefix() *treefix.Engine {
-	b.tfOnce.Do(func() { b.tfEng = treefix.NewEngine(b.t, b.workers) })
+	b.tfOnce.Do(func() { b.tfEng = treefix.NewEngine(b.t, 0) })
 	return b.tfEng
 }
 
 func (b *nativeBackend) lca() *lca.Engine {
-	b.lcaOnce.Do(func() { b.lcaEng = lca.NewEngine(b.treefix(), b.workers) })
+	b.lcaOnce.Do(func() { b.lcaEng = lca.NewEngine(b.treefix(), 0) })
 	return b.lcaEng
 }
 
 func (b *nativeBackend) mincut() *mincut.Parallel {
-	b.mcOnce.Do(func() { b.mc = mincut.NewParallel(b.t, b.treefix(), b.lca(), b.workers) })
+	b.mcOnce.Do(func() { b.mc = mincut.NewParallel(b.t, b.treefix(), b.lca(), 0) })
 	return b.mc
 }
 

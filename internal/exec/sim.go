@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
@@ -19,8 +20,10 @@ import (
 // endpoints, and the dense light-first rank for the order-dependent
 // kernels. Its Runs record the exact model cost of every message.
 type simBackend struct {
-	t         *tree.Tree
-	p         *layout.Placement
+	t *tree.Tree
+	p *layout.Placement
+	// orderRank memoizes Config.OrderRank: computed on the first LCA or
+	// min-cut request, shared by every later batch.
 	orderRank func() []int
 }
 
@@ -32,7 +35,7 @@ func newSim(cfg Config) (Backend, error) {
 	if orderRank == nil {
 		orderRank = func() []int { return cfg.Placement.Order.Rank }
 	}
-	return &simBackend{t: cfg.Tree, p: cfg.Placement, orderRank: orderRank}, nil
+	return &simBackend{t: cfg.Tree, p: cfg.Placement, orderRank: sync.OnceValue(orderRank)}, nil
 }
 
 func (b *simBackend) Name() string { return Sim }

@@ -5,9 +5,9 @@ package server
 // as a snapshot plus a mutation WAL — and Recover rebuilds all of it on
 // boot. Registered trees warm-start through the layout cache: their
 // snapshots carry the light-first ranks, so recovery seeds the cache
-// with an O(n) reconstruction and the subsequent pool registration is a
-// cache hit instead of a fresh O(n log n) layout pipeline run per
-// shard. Dyn shards replay their WAL's surviving records through
+// with an O(n) reconstruction, and a sim registration is a cache hit
+// instead of a fresh O(n log n) layout pipeline run per shard (a native
+// registration takes no placement and makes no lookup). Dyn shards replay their WAL's surviving records through
 // DynEngine.ApplyRecord — the path followers apply shipped records
 // through — verifying each record's epoch and result against the log.
 
@@ -76,7 +76,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 }
 
 // recoverTree re-registers one persisted tree, seeding the layout cache
-// with the snapshot's placement so the registration is a cache hit.
+// with the snapshot's placement so a sim registration is a cache hit.
 func (s *Server) recoverTree(st persist.SavedTree) error {
 	t, err := tree.FromParents(st.Snap.Parents)
 	if err != nil {
@@ -211,7 +211,9 @@ func (s *Server) repairJournal(id string, de *engine.DynEngine) {
 	_ = log.Compact(st)
 }
 
-// persistTree saves a registered tree's placement snapshot.
+// persistTree saves a registered tree's placement snapshot. A native
+// engine holds no placement, so Placement builds the light-first one
+// through the layout cache here.
 func (s *Server) persistTree(id string, eng *engine.Engine) error {
 	if s.cfg.Durability.Store == nil {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spatialtree/internal/engine"
+	"spatialtree/internal/exec"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/wire"
@@ -28,12 +29,20 @@ func openTestStore(t *testing.T, dir string, opts persist.Options) *persist.Stor
 // with registered trees and mutated dyn shards is drained and replaced
 // by a fresh server on the same data dir, which must recover the full
 // shard table — same ids, same /metrics shard counts, same query
-// answers — with the registered trees' placements served from the
-// seeded layout cache (zero rebuilt layouts) and the dyn WAL replayed.
+// answers — with zero rebuilt layouts and the dyn WAL replayed. It runs
+// on both default backends: a sim default serves the registered trees'
+// placements from the seeded layout cache, and a native default never
+// looks one up.
 func TestRestartDurability(t *testing.T) {
+	for _, backend := range []string{exec.Native, exec.Sim} {
+		t.Run(backend, func(t *testing.T) { testRestartDurability(t, backend) })
+	}
+}
+
+func testRestartDurability(t *testing.T, backend string) {
 	dir := t.TempDir()
 	store := openTestStore(t, dir, persist.Options{})
-	s1, hs1 := newTestServer(t, Config{Durability: Durability{Store: store}, Scheduler: Scheduler{MaxDelay: time.Millisecond}})
+	s1, hs1 := newTestServer(t, Config{Backend: backend, Durability: Durability{Store: store}, Scheduler: Scheduler{MaxDelay: time.Millisecond}})
 
 	// Two registered trees.
 	parentsA := testParents(300, 1)
@@ -100,7 +109,7 @@ func TestRestartDurability(t *testing.T) {
 
 	// Second server, same data dir.
 	store2 := openTestStore(t, dir, persist.Options{})
-	s2, hs2 := newTestServer(t, Config{Durability: Durability{Store: store2}, Scheduler: Scheduler{MaxDelay: time.Millisecond}})
+	s2, hs2 := newTestServer(t, Config{Backend: backend, Durability: Durability{Store: store2}, Scheduler: Scheduler{MaxDelay: time.Millisecond}})
 	rs, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -118,13 +127,18 @@ func TestRestartDurability(t *testing.T) {
 		t.Fatalf("post-restart persist metrics: %+v", m.Persist)
 	}
 
-	// The registered trees' placements came from the seeded cache: the
-	// recovery registrations hit, and nothing ran the layout pipeline.
+	// Nothing ran the layout pipeline. On sim the registered trees'
+	// placements came from the seeded cache, so the recovery
+	// registrations hit; a native registration takes no placement and
+	// makes no lookup.
 	if m.Cache.Builds != 0 {
 		t.Fatalf("warm start rebuilt %d layouts; want 0 (cache-seeded)", m.Cache.Builds)
 	}
-	if m.Cache.Hits < 2 {
+	if backend == exec.Sim && m.Cache.Hits < 2 {
 		t.Fatalf("warm start cache hits = %d, want >= 2 (one per registered tree)", m.Cache.Hits)
+	}
+	if backend == exec.Native && m.Cache.Hits+m.Cache.Misses != 0 {
+		t.Fatalf("native warm start made %d cache hits and %d misses, want none", m.Cache.Hits, m.Cache.Misses)
 	}
 
 	// Same ids answer identically.

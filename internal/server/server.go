@@ -249,9 +249,10 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 var errShardLimit = errors.New("shard limit reached (MaxShards): delete load or raise the limit")
 
 // RegisterTree registers t on the server's default backend and returns
-// its id, warming the shard (and through it the layout cache). The id
-// is stable across servers: it is derived from the structural
-// fingerprint. Registration beyond the MaxShards budget fails with
+// its id, warming the shard. A sim shard takes its placement from the
+// layout cache; a native one takes none, and builds one through the
+// cache only when a durability store needs it saved. The id is stable
+// across servers: it is derived from the structural fingerprint. Registration beyond the MaxShards budget fails with
 // errShardLimit — unless the tree is already registered, which retains
 // nothing new. (The budget check and the shard creation are not atomic;
 // concurrent registrations can overshoot by their own count, which is
@@ -263,7 +264,8 @@ func (s *Server) RegisterTree(t *tree.Tree) (string, error) {
 // RegisterTreeBackend is RegisterTree with an explicit execution
 // backend ("" means the server default). Re-registering an existing
 // tree with a different backend re-points its queries at a shard on
-// that backend (both shards share one cached placement).
+// that backend (only a sim shard holds a placement, from the shared
+// layout cache).
 func (s *Server) RegisterTreeBackend(t *tree.Tree, backend string) (string, error) {
 	return s.registerTree(t, true, backend)
 }
@@ -605,10 +607,10 @@ func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
 // the MaxShards budget lasts; the other half stays reserved for
 // explicit registration, so unauthenticated one-off traffic can bound
 // neither memory nor the registration API. Beyond the budget the tree
-// is served from an ephemeral engine (the shared layout cache still
-// catches repeated structures). retire must run after the request's
-// future resolves — for an ephemeral engine it folds the counters into
-// /metrics.
+// is served from an ephemeral engine (on sim, the shared layout cache
+// still catches repeated structures; a native one builds no layout).
+// retire must run after the request's future resolves — for an
+// ephemeral engine it folds the counters into /metrics.
 func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 	fp := engine.Fingerprint(t)
 	id := treeID(fp)

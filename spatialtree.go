@@ -34,7 +34,7 @@
 //     bookkeeping (the serving daemon's default; >10x on wall clock);
 //   - a mutable serving path (DynEngine) wiring the §VII dynamic layout
 //     into the engine: leaf inserts/deletes between batches, with
-//     epoch-versioned placements instead of rebuild-per-mutation;
+//     epoch-versioned serving state instead of rebuild-per-mutation;
 //   - a network serving daemon (cmd/spatialtreed over internal/server)
 //     exposing both engine kinds over HTTP/JSON with adaptive batching,
 //     bounded-queue admission control and graceful drain;
@@ -356,11 +356,11 @@ func NewDynamicLayout(t *Tree, curveName string, epsilon float64) (*DynamicLayou
 }
 
 // Engine is a concurrency-safe batch server for one tree: it owns the
-// tree plus a cached light-first placement, coalesces requests submitted
-// within a window into shared simulator runs (Submit*/Flush), and
-// demultiplexes the results to per-request futures. See the
-// internal/engine package documentation for batching semantics, cache
-// keys, and when Flush blocks.
+// tree (on the sim backend, also a cached light-first placement),
+// coalesces requests submitted within a window into shared backend runs
+// (Submit*/Flush), and demultiplexes the results to per-request
+// futures. See the internal/engine package documentation for batching
+// semantics, cache keys, and when Flush blocks.
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine: curve, auto-flush window, Las
@@ -388,9 +388,10 @@ type LayoutCache = engine.LayoutCache
 // NewLayoutCache returns a cache holding at most capacity placements.
 func NewLayoutCache(capacity int) *LayoutCache { return engine.NewLayoutCache(capacity) }
 
-// NewEngine builds a batched query engine for t. The placement comes
-// from the layout cache, so re-creating an engine for an already-seen
-// tree skips layout construction.
+// NewEngine builds a batched query engine for t. On the sim backend the
+// placement comes from the layout cache, so re-creating an engine for an
+// already-seen tree skips layout construction; a native engine builds
+// no layout.
 func NewEngine(t *Tree, opts EngineOptions) (*Engine, error) { return engine.New(t, opts) }
 
 // EnginePool shards engines by tree fingerprint over one shared layout
@@ -411,10 +412,10 @@ func TreeFingerprint(t *Tree) uint64 { return engine.Fingerprint(t) }
 // DynamicLayout, serves the same Submit*/Flush batching protocol, and
 // accepts InsertLeaf/DeleteLeaf between batches. A mutation drains the
 // pending batch first (futures resolve against the tree they were
-// submitted to) and bumps the placement epoch; the next submission
-// refreshes the serving state from the dynamic layout instead of
-// rebuilding it from scratch, so a stale placement can never serve a
-// mutated tree. See
+// submitted to) and bumps the epoch; the next submission refreshes the
+// serving state from the dynamic layout (on sim, its parked positions
+// too) instead of rebuilding it from scratch, so a stale epoch can
+// never serve a mutated tree. See
 // internal/engine's DynEngine documentation for the full semantics.
 type DynEngine = engine.DynEngine
 
