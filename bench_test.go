@@ -822,7 +822,7 @@ func BenchmarkE15Recovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	de, err := seed.Pool().NewDynShard(dynBase, 0.2)
+	de, err := engine.NewDyn(dynBase, engine.DynOptions{Options: seed.EngineOptions(), Epsilon: 0.2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -865,7 +865,7 @@ func BenchmarkE15Recovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			de, err := srv.Pool().NewDynShard(dynBase, 0.2)
+			de, err := engine.NewDyn(dynBase, engine.DynOptions{Options: srv.EngineOptions(), Epsilon: 0.2})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,9 +16,9 @@
 // With -churn k > 0 the forest becomes mutable: one round in k first
 // applies a mutation pair (insert a leaf under a random original
 // vertex, delete the youngest inserted leaf) before serving. In engine
-// mode the forest is served by DynEngine shards routed by identity
-// through the pool; mutations are O(1) parked moves and the serving
-// state refreshes lazily. In -naive mode every mutation pays a
+// mode the forest is served by DynEngine shards built with the pool's
+// options and routed by identity; mutations are O(1) parked moves and
+// the serving state refreshes lazily. In -naive mode every mutation pays a
 // from-scratch tree validation + light-first rebuild — the
 // rebuild-per-mutation baseline the dynamic path is measured against.
 //
@@ -83,7 +83,6 @@ func main() {
 		queries = flag.Int("queries", 256, "LCA queries per round")
 		subs    = flag.Int("sub-batches", 4, "LCA sub-batches the queries arrive in")
 		window  = flag.Int("window", 16, "engine auto-flush window")
-		workers = flag.Int("workers", 0, "pool flush workers (0 = GOMAXPROCS)")
 		curve   = flag.String("curve", "hilbert", "space-filling curve")
 		seed    = flag.Uint64("seed", 42, "workload seed")
 		naive   = flag.Bool("naive", false, "replay through the per-call API instead of the engine")
@@ -136,11 +135,11 @@ func main() {
 		FlushDelay: *fldelay,
 		Backend:    *backend,
 	}
-	pool := engine.NewPool(*workers, opts)
+	pool := engine.NewPool(opts)
 
 	// Churn mode: one mutable shard per tree. Engine mode routes by
-	// identity through the pool's dyn registry; naive mode keeps a bare
-	// dynamic layout as the mutable structure and rebuilds from it.
+	// identity to a DynEngine; naive mode keeps a bare dynamic layout as
+	// the mutable structure and rebuilds from it.
 	// The per-shard mutex serializes a mutation with the rounds served
 	// against it, so a round's vals length always matches its tree.
 	var shards []*mutShard
@@ -156,7 +155,7 @@ func main() {
 				}
 				sh.naive, sh.tree = d, d
 			} else {
-				de, err := pool.NewDynShard(t, *epsilon)
+				de, err := engine.NewDyn(t, engine.DynOptions{Options: opts, Epsilon: *epsilon})
 				if err != nil {
 					fatal(err)
 				}
@@ -206,6 +205,11 @@ func main() {
 	}
 	wg.Wait()
 	pool.FlushAll()
+	for _, sh := range shards {
+		if sh.eng != nil {
+			sh.eng.Flush()
+		}
+	}
 	elapsed := time.Since(start)
 
 	mode := "engine"
@@ -229,6 +233,12 @@ func main() {
 	ephemMu.Lock()
 	st.Add(ephemStats)
 	ephemMu.Unlock()
+	var dyn []engine.DynStats
+	for _, sh := range shards {
+		ds := sh.eng.Stats()
+		st.Add(ds.Engine)
+		dyn = append(dyn, ds)
+	}
 	if *backend == exec.Sim {
 		fmt.Printf("model: energy=%d messages=%d depth=%d (summed over batch runs)\n",
 			st.Cost.Energy, st.Cost.Messages, st.Cost.Depth)
@@ -246,8 +256,7 @@ func main() {
 	if *churn > 0 {
 		var epoch, rebuilds, refreshes uint64
 		var park, migrate int64
-		for _, sh := range shards {
-			ds := sh.eng.Stats()
+		for _, ds := range dyn {
 			epoch += ds.Epoch
 			rebuilds += ds.Rebuilds
 			refreshes += ds.Refreshes

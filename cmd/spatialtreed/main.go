@@ -99,7 +99,6 @@ func main() {
 		maxDelay = flag.Duration("max-delay", 0, "opt-in linger: hold a shard's pending batch until its oldest request waited this long (0 = run at once when the shard is idle)")
 		queue    = flag.Int("queue", server.DefaultQueueLimit, "admission limit: concurrent requests beyond this get 429")
 		shards   = flag.Int("max-shards", server.DefaultMaxShards, "retained per-tree serving state bound; registrations beyond it get 429")
-		workers  = flag.Int("workers", 0, "parallel shard flush workers (0 = GOMAXPROCS)")
 		curve    = flag.String("curve", "hilbert", "space-filling curve for placements")
 		seed     = flag.Uint64("seed", 1, "simulator seed")
 		cacheCap = flag.Int("cache-cap", server.DefaultCacheCapacity, "layout cache capacity (placements)")
@@ -159,7 +158,6 @@ func main() {
 		Scheduler: server.Scheduler{
 			MaxBatch: *maxBatch,
 			MaxDelay: *maxDelay,
-			Workers:  *workers,
 		},
 		Limits: server.Limits{
 			QueueLimit:    *queue,

@@ -188,7 +188,7 @@ func TestQuiesce(t *testing.T) {
 
 // TestDynMutationKeepsSchedulerStats: a mutation's drain must wait for
 // batches the deadline timer dispatched, so no request vanishes from
-// the folded stats when the epoch's engine is retired. (The race is
+// the stats when the next epoch is installed. (The race is
 // timing-dependent; the invariant is exact either way.)
 func TestDynMutationKeepsSchedulerStats(t *testing.T) {
 	// A tree big enough that an LCA batch takes real wall-clock time:
@@ -207,9 +207,7 @@ func TestDynMutationKeepsSchedulerStats(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		de.SubmitLCA([]lca.Query{{U: 0, V: 1}}) // deliberately not waited on
 		// Sleep past the deadline so the timer dispatches the batch; the
-		// mutation then races its still-running runBatch. With a plain
-		// Flush drain (instead of Quiesce) the refresh would retire the
-		// engine mid-batch and drop the batch's counters.
+		// mutation then races its still-running runBatch.
 		time.Sleep(300 * time.Microsecond)
 		if _, err := de.InsertLeaf(0); err != nil {
 			t.Fatal(err)
@@ -223,8 +221,8 @@ func TestDynMutationKeepsSchedulerStats(t *testing.T) {
 }
 
 // TestDynEngineAutoFlush: the scheduler must survive epoch refreshes —
-// a mutation retires the inner engine, and the replacement inherits
-// FlushDelay from the options.
+// a mutation installs a new serving state on the engine, which keeps
+// its FlushDelay.
 func TestDynEngineAutoFlush(t *testing.T) {
 	tr := testTree(150, 7)
 	de, err := NewDyn(tr, DynOptions{Options: Options{

@@ -9,6 +9,7 @@ import (
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
 	"spatialtree/internal/lca"
+	"spatialtree/internal/machine"
 	"spatialtree/internal/mincut"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/sfc"
@@ -179,11 +180,13 @@ func TestBackendErrors(t *testing.T) {
 	}
 }
 
-// TestPoolBackendSharding pins the pool key: the same tree on two
-// backends is two shards; the same tree on one backend is one.
+// TestPoolBackendSharding pins the pool key: a tree has one shard
+// whatever its backend. EngineBackend switches that shard in place —
+// its counters carry across, and its batch seeds restart as on a fresh
+// engine — while Engine never switches it.
 func TestPoolBackendSharding(t *testing.T) {
 	tr := tree.RandomAttachment(64, rng.New(12))
-	pool := NewPool(2, Options{Backend: exec.Native})
+	pool := NewPool(Options{Backend: exec.Native, Seed: 5})
 	a, err := pool.Engine(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -195,37 +198,49 @@ func TestPoolBackendSharding(t *testing.T) {
 	if a != b {
 		t.Fatal("same tree+backend produced distinct shards")
 	}
+	vals := make([]int64, tr.N())
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	for i := 0; i < 2; i++ {
+		if res := a.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil || res.Cost != (machine.Cost{}) {
+			t.Fatalf("native batch %d: err %v cost %+v", i, res.Err, res.Cost)
+		}
+	}
 	c, err := pool.EngineBackend(tr, exec.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c == a {
-		t.Fatal("sim and native traffic share a shard")
+	if c != a || a.Backend() != exec.Sim {
+		t.Fatalf("switch to sim: same shard %v, backend %q", c == a, a.Backend())
 	}
-	if a.Backend() != exec.Native || c.Backend() != exec.Sim {
-		t.Fatalf("shard backends: %q, %q", a.Backend(), c.Backend())
+	if e, _ := pool.Engine(tr); e != a || e.Backend() != exec.Sim {
+		t.Fatal("Engine switched the shard back to the pool default")
 	}
-	if pool.Size() != 2 {
-		t.Fatalf("pool size = %d, want 2", pool.Size())
+	if pool.Size() != 1 {
+		t.Fatalf("pool size = %d, want 1", pool.Size())
 	}
-	// Only the sim shard builds a placement; the native one takes none.
+	// Only the sim switch builds a placement; the native shard took none.
 	if st := pool.Cache().Stats(); st.Builds != 1 {
-		t.Fatalf("layout builds = %d, want 1 (the sim shard's)", st.Builds)
+		t.Fatalf("layout builds = %d, want 1 (the sim switch's)", st.Builds)
 	}
-	// Dyn shards inherit or override the pool default.
-	d1, err := pool.NewDynShard(tr, 0.2)
+	fresh, err := New(tr, Options{Backend: exec.Sim, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Backend() != exec.Native {
-		t.Fatalf("dyn default backend = %q", d1.Backend())
+	got, want := a.SubmitTreefix(vals, treefix.Add).Wait(), fresh.SubmitTreefix(vals, treefix.Add).Wait()
+	if got.Err != nil || want.Err != nil || got.Cost != want.Cost || got.Cost.Messages == 0 {
+		t.Fatalf("first sim batch after the switch: cost %+v (err %v), fresh sim engine %+v (err %v)", got.Cost, got.Err, want.Cost, want.Err)
 	}
-	d2, err := pool.NewDynShardBackend(tree.MustFromParents(tr.Parents()), 0.2, exec.Sim)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := pool.EngineBackend(tr, exec.Native); err != nil || a.Backend() != exec.Native {
+		t.Fatalf("switch back to native: err %v, backend %q", err, a.Backend())
 	}
-	if d2.Backend() != exec.Sim {
-		t.Fatalf("dyn explicit backend = %q", d2.Backend())
+	if st := a.Stats(); st.Batches != 3 || st.Requests != 3 || st.Cost != got.Cost {
+		t.Fatalf("shard stats across switches = %+v, want 3 batches and the sim batch's cost", st)
+	}
+	// An unknown backend fails and retains nothing.
+	if _, err := pool.EngineBackend(tree.RandomAttachment(20, rng.New(13)), "warp"); err == nil || pool.Size() != 1 {
+		t.Fatalf("unknown backend: err %v, pool size %d", err, pool.Size())
 	}
 }
 
@@ -409,7 +424,7 @@ func TestPlacementOnlyOnSim(t *testing.T) {
 	if st := cache.Stats(); st.Builds != 1 || st.Hits != 1 {
 		t.Fatalf("native Placement twice: %+v, want one build and one hit", st)
 	}
-	if nat.p != nil {
+	if nat.cur.Load().p != nil {
 		t.Fatal("native Placement stored a placement on the engine")
 	}
 
@@ -426,7 +441,7 @@ func TestPlacementOnlyOnSim(t *testing.T) {
 		if res := de.SubmitLCA([]lca.Query{{U: 3, V: 300}}).Wait(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		p := de.inner.p
+		p := de.eng.cur.Load().p
 		if backend == exec.Native {
 			if p != nil {
 				t.Fatal("native dyn epoch holds a placement")

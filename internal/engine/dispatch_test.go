@@ -139,7 +139,7 @@ func TestIdleHandoffCoalesces(t *testing.T) {
 // TestDynMutationKeepsSchedulerStatsHandoff is the no-linger twin of
 // TestDynMutationKeepsSchedulerStats: a mutation that arrives while a
 // handed-off batch runs must wait for it in its Quiesce barrier, so the
-// epoch's engine is retired with every batch counted.
+// next epoch is installed with every batch counted.
 func TestDynMutationKeepsSchedulerStatsHandoff(t *testing.T) {
 	const k = 4
 	tr := testTree(400, 10)
@@ -148,9 +148,7 @@ func TestDynMutationKeepsSchedulerStatsHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := newBatchGate(2)
-	de.mu.Lock()
-	de.inner.beforeRun = g.hook // this epoch's engine only
-	de.mu.Unlock()
+	de.eng.beforeRun = g.hook // the one engine serving every epoch
 	q := []lca.Query{{U: 1, V: 2}}
 
 	var wg sync.WaitGroup
@@ -204,8 +202,8 @@ func TestDynMutationKeepsSchedulerStatsHandoff(t *testing.T) {
 	if e := st.Engine; e.Requests != k+2 || e.Batches != 3 || e.IdleFlushes != 3 || e.LCAQueries != k+2 || e.LCARuns != 3 {
 		t.Fatalf("engine stats across epochs = %+v, want %d requests in 3 idle-dispatched batches", e, k+2)
 	}
-	if g.starts.Load() != 2 {
-		t.Fatalf("%d batches started on the first epoch's engine, want 2", g.starts.Load())
+	if g.starts.Load() != 3 {
+		t.Fatalf("%d batches started on the shard's engine, want 3 (two on the first epoch, one on the second)", g.starts.Load())
 	}
 }
 

@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
 
 	"spatialtree/internal/dynlayout"
-	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
@@ -23,18 +23,19 @@ import (
 // requests: applying one first drains the pending batch, so every future
 // resolves against the tree as it stood when the request was submitted.
 //
-// Serving works through an inner Engine rebuilt lazily per tree version
-// ("epoch"): each mutation bumps the epoch and marks the serving state
-// dirty; the next submission refreshes it from the dynamic layout. A
-// native refresh reads only the layout's validated current tree, since
-// native kernels take no placement. A sim refresh also copies the
-// layout's current parked/spread positions — an O(n) copy, not the
-// O(n log n) light-first pipeline a static engine would need to rebuild
-// from scratch. Only when the dynamic layout itself rebuilds (every εn
-// mutations) is the full pipeline paid, which is the whole amortization
-// argument of the paper's §VII direction. The layout maintains its
-// ranks on both backends: snapshots, replication and a recovery onto a
-// sim default need them.
+// One Engine serves every tree version ("epoch"): each mutation bumps
+// the epoch and marks the serving state dirty; the next submission
+// refreshes it from the dynamic layout and installs it on the engine,
+// so the engine's counters, scheduler and profile observer carry across
+// epochs untouched. A native refresh reads only the layout's validated
+// current tree, since native kernels take no placement. A sim refresh
+// also copies the layout's current parked/spread positions — an O(n)
+// copy, not the O(n log n) light-first pipeline a static engine would
+// need to rebuild from scratch. Only when the dynamic layout itself
+// rebuilds (every εn mutations) is the full pipeline paid, which is the
+// whole amortization argument of the paper's §VII direction. The layout
+// maintains its ranks on both backends: snapshots, replication and a
+// recovery onto a sim default need them.
 //
 // On sim, kernels split by what they require of the placement. Treefix
 // sums, top-down sums and expression evaluation are order-agnostic —
@@ -49,25 +50,22 @@ import (
 //
 // A shard's placements never enter the LayoutCache: no lookup could
 // reuse one, since each belongs to a single shard at a single epoch.
-// Requests always route through the current epoch's inner engine, so a
-// mutated tree can never be served from a stale epoch, not even when a
-// mutation sequence returns to an earlier parent array (same structural
-// fingerprint, different parked positions).
+// The first submission after a mutation installs the current epoch's
+// serving state before it queues, so a mutated tree can never be served
+// from a stale epoch, not even when a mutation sequence returns to an
+// earlier parent array (same structural fingerprint, different parked
+// positions).
 //
 // All methods are safe for concurrent use.
 type DynEngine struct {
-	curve sfc.Curve
-	opts  Options // resolved: Curve named, Cache non-nil (shared by every epoch)
+	eng *Engine // serves every epoch
 
 	mu        sync.Mutex
 	dyn       *dynlayout.Dyn
-	inner     *Engine
 	epoch     uint64
 	dirty     bool
 	refreshes uint64
-	retired   Stats       // folded counters of previous epochs' inner engines
 	journal   JournalFunc // durability hook; nil = no journaling
-	profile   ProfileFunc // batch observer, re-installed on every epoch's inner engine
 }
 
 // JournalFunc persists one mutation record: the epoch the shard reached
@@ -96,17 +94,9 @@ func (de *DynEngine) SetJournal(fn JournalFunc) {
 }
 
 // SetProfile installs (or, with nil, removes) the per-batch profile
-// observer on the shard. The observer survives epoch refreshes: every
-// future inner engine gets it re-installed, so it sees an unbroken
-// stream of batches across mutations.
-func (de *DynEngine) SetProfile(fn ProfileFunc) {
-	de.mu.Lock()
-	de.profile = fn
-	if de.inner != nil {
-		de.inner.SetProfile(fn)
-	}
-	de.mu.Unlock()
-}
+// observer on the shard. One engine serves every epoch, so the observer
+// sees an unbroken stream of batches across mutations.
+func (de *DynEngine) SetProfile(fn ProfileFunc) { de.eng.SetProfile(fn) }
 
 // DefaultEpsilon is the dynamic layout drift budget used when
 // DynOptions.Epsilon is not positive.
@@ -123,8 +113,8 @@ type DynOptions struct {
 
 // DynStats snapshots a DynEngine's lifetime counters: the mutation side
 // (epoch, inserts/deletes, layout rebuilds, parking and migration
-// energy) plus the serving side (Engine folds the inner engines of all
-// epochs, including the shared cache's counters).
+// energy) plus the serving side (Engine is the shard's engine across
+// all epochs, including the shared cache's counters).
 type DynStats struct {
 	// Epoch counts applied mutations; it versions the tree.
 	Epoch uint64
@@ -135,24 +125,21 @@ type DynStats struct {
 	// Rebuilds counts full light-first recomputations of the dynamic
 	// layout (the amortized Θ(n^{3/2})-energy events).
 	Rebuilds uint64
-	// Refreshes counts serving-state rebuilds: inner engines built on
-	// the dynamic layout's current tree (at most one per epoch, only
-	// when a submission actually follows a mutation).
+	// Refreshes counts serving-state rebuilds: states built on the
+	// dynamic layout's current tree and installed on the shard's engine
+	// (one at construction, then at most one per epoch, only when a
+	// submission actually follows a mutation).
 	Refreshes uint64
 	// ParkEnergy and MigrateEnergy are the dynamic layout's maintenance
 	// costs (see dynlayout.Dyn).
 	ParkEnergy, MigrateEnergy int64
-	// Engine aggregates the inner serving engines across epochs.
+	// Engine is the shard's serving engine's counters across epochs.
 	Engine Stats
 }
 
 // NewDyn builds a mutable serving engine for t.
 func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
-	name := opts.Curve
-	if name == "" {
-		name = "hilbert"
-	}
-	c, err := sfc.ByName(name)
+	c, err := sfc.ByName(cmp.Or(opts.Curve, "hilbert"))
 	if err != nil {
 		return nil, err
 	}
@@ -164,61 +151,32 @@ func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	resolved := opts.Options
-	resolved.Curve = name
-	if resolved.Cache == nil {
-		resolved.Cache = NewLayoutCache(DefaultCacheCapacity)
-	}
-	de := &DynEngine{curve: c, opts: resolved, dyn: d}
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	return de, de.refreshLocked()
+	return newDyn(d, 0, opts.Options)
 }
 
-// refreshLocked derives a fresh serving state from the dynamic layout:
-// an inner engine on the current epoch's tree (see newEngine).
+// newDyn wraps a dynamic layout at the given epoch in a DynEngine whose
+// engine serves the layout's current tree.
+func newDyn(d *dynlayout.Dyn, epoch uint64, opts Options) (*DynEngine, error) {
+	eng, err := newEngine(nil, d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &DynEngine{eng: eng, dyn: d, epoch: epoch, refreshes: 1}, nil
+}
+
+// refreshLocked installs the current epoch's serving state, derived
+// from the dynamic layout (see Engine.newServing), on the shard's
+// engine. The mutation that dirtied the state quiesced the engine under
+// de.mu, and every submission takes de.mu, so the engine is quiescent.
 func (de *DynEngine) refreshLocked() error {
-	inner, err := newEngine(nil, de.dyn, de.opts)
+	sv, err := de.eng.newServing(de.eng.Backend(), nil, de.dyn)
 	if err != nil {
 		return err
 	}
-	// The profile observer is a per-shard installation, not per-epoch:
-	// every refresh re-installs it so it keeps seeing batches across
-	// mutations.
-	if de.profile != nil {
-		inner.SetProfile(de.profile)
-	}
-	if de.inner != nil {
-		st := de.inner.Stats()
-		st.Cache = CacheStats{} // cache counters are global, not per-epoch
-		de.retired.Add(st)
-	}
-	de.inner = inner
+	de.eng.install(sv)
 	de.dirty = false
 	de.refreshes++
 	return nil
-}
-
-// engineLocked returns the inner engine for the current epoch,
-// refreshing it first if a mutation has been applied since it was built.
-func (de *DynEngine) engineLocked() (*Engine, error) {
-	if de.dirty || de.inner == nil {
-		if err := de.refreshLocked(); err != nil {
-			return nil, err
-		}
-	}
-	return de.inner, nil
-}
-
-// drainLocked quiesces the inner engine so that every already-submitted
-// request resolves against the pre-mutation tree AND every in-flight
-// batch — the autoflush timer or a running batch's hand-off may have
-// dispatched one — has recorded its counters before the engine can be
-// retired by a refresh.
-func (de *DynEngine) drainLocked() {
-	if de.inner != nil {
-		de.inner.Quiesce()
-	}
 }
 
 // InsertLeaf drains the pending batch, adds a new leaf under parent, and
@@ -231,7 +189,7 @@ func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.drainLocked()
+	de.eng.Quiesce()
 	before := de.dyn.Inserts
 	v, err := de.dyn.InsertLeaf(parent)
 	// Bump the epoch whenever the layout actually mutated — including
@@ -277,7 +235,7 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.drainLocked()
+	de.eng.Quiesce()
 	before := de.dyn.Deletes
 	moved, err = de.dyn.DeleteLeaf(v)
 	if de.dyn.Deletes != before {
@@ -329,7 +287,7 @@ func (de *DynEngine) ApplyRecord(rec persist.Record) error {
 		return fmt.Errorf("%w: record epoch %d does not follow cursor %d", ErrReplicaGap, rec.Epoch, de.epoch)
 	}
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.drainLocked()
+	de.eng.Quiesce()
 	var got int
 	var err error
 	var applied bool
@@ -373,7 +331,7 @@ func (de *DynEngine) N() int {
 }
 
 // Curve returns the name of the shard's space-filling curve.
-func (de *DynEngine) Curve() string { return de.curve.Name() }
+func (de *DynEngine) Curve() string { return de.eng.curve.Name() }
 
 // Epsilon returns the dynamic layout's rebuild threshold.
 func (de *DynEngine) Epsilon() float64 {
@@ -383,12 +341,12 @@ func (de *DynEngine) Epsilon() float64 {
 }
 
 // Backend returns the shard's resolved execution-backend name. Every
-// epoch's inner engine runs on it. A native epoch holds no placement:
+// epoch is served on it. A native epoch holds no placement:
 // its per-tree preprocessing (the treefix preorder and the LCA table,
 // each built on the epoch's first request that needs it) is the only
 // O(n)-to-O(n log n) cost a refresh leads to. A sim epoch copies the
 // dynamic layout's parked positions instead.
-func (de *DynEngine) Backend() string { return exec.Normalize(de.opts.Backend) }
+func (de *DynEngine) Backend() string { return de.eng.Backend() }
 
 // Epoch returns the number of mutations applied so far; it versions the
 // tree.
@@ -407,13 +365,13 @@ func (de *DynEngine) IsLeaf(v int) bool {
 }
 
 // Tree returns a validated snapshot of the current tree. A getter only:
-// it never refreshes the serving state (the inner engine's tree is
-// reused when it is current, otherwise a fresh snapshot is validated).
+// it never refreshes the serving state (the engine's tree is reused
+// when it is current, otherwise a fresh snapshot is validated).
 func (de *DynEngine) Tree() (*tree.Tree, error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	if !de.dirty && de.inner != nil {
-		return de.inner.Tree(), nil
+	if !de.dirty {
+		return de.eng.Tree(), nil
 	}
 	return de.dyn.Tree()
 }
@@ -446,40 +404,27 @@ func (de *DynEngine) SubmitExpr(x *exprtree.Expr) *Future {
 	return de.submit(func(e *Engine) *Future { return e.SubmitExpr(x) })
 }
 
-// submit routes one request to the current epoch's inner engine under
-// the mutation lock, so a submission can never land on a retired epoch.
-// A submission that fills the window runs its batch inline while holding
-// the lock — mutations land between batches, as documented.
+// submit hands one request to the engine under the mutation lock,
+// refreshing the serving state first if a mutation has been applied
+// since it was installed, so a submission can never land on a stale
+// epoch. A submission that fills the window runs its batch inline while
+// holding the lock — mutations land between batches, as documented.
 func (de *DynEngine) submit(f func(*Engine) *Future) *Future {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	eng, err := de.engineLocked()
-	if err != nil {
-		return failedFuture(err)
+	if de.dirty {
+		if err := de.refreshLocked(); err != nil {
+			return failedFuture(err)
+		}
 	}
-	return f(eng)
+	return f(de.eng)
 }
 
 // Flush runs the pending batch, if any, and blocks until it resolves.
-func (de *DynEngine) Flush() {
-	de.mu.Lock()
-	inner := de.inner
-	de.mu.Unlock()
-	if inner != nil {
-		inner.Flush()
-	}
-}
+func (de *DynEngine) Flush() { de.eng.Flush() }
 
 // Pending returns the number of queued, unflushed requests.
-func (de *DynEngine) Pending() int {
-	de.mu.Lock()
-	inner := de.inner
-	de.mu.Unlock()
-	if inner == nil {
-		return 0
-	}
-	return inner.Pending()
-}
+func (de *DynEngine) Pending() int { return de.eng.Pending() }
 
 // State captures the engine's complete durable state under the
 // mutation lock — everything RestoreDyn needs to yield a shard serving
@@ -492,7 +437,7 @@ func (de *DynEngine) State() persist.DynSnapshot {
 	defer de.mu.Unlock()
 	return persist.DynSnapshot{
 		Parents:       de.dyn.Parents(),
-		Curve:         de.curve.Name(),
+		Curve:         de.eng.curve.Name(),
 		Side:          de.dyn.Side(),
 		Ranks:         de.dyn.Ranks(),
 		Epsilon:       de.dyn.Epsilon(),
@@ -513,11 +458,7 @@ func (de *DynEngine) State() persist.DynSnapshot {
 // st.Epoch are the caller's to re-apply through ApplyRecord before
 // installing a journal with SetJournal.
 func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
-	name := st.Curve
-	if name == "" {
-		name = "hilbert"
-	}
-	c, err := sfc.ByName(name)
+	c, err := sfc.ByName(cmp.Or(st.Curve, "hilbert"))
 	if err != nil {
 		return nil, err
 	}
@@ -530,26 +471,14 @@ func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
 	d.Rebuilds = int(st.Rebuilds)
 	d.ParkEnergy = st.ParkEnergy
 	d.MigrateEnergy = st.MigrateEnergy
-	resolved := opts
-	resolved.Curve = name
-	if resolved.Cache == nil {
-		resolved.Cache = NewLayoutCache(DefaultCacheCapacity)
-	}
-	de := &DynEngine{curve: c, opts: resolved, dyn: d, epoch: st.Epoch}
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	return de, de.refreshLocked()
+	opts.Curve = st.Curve // the snapshot's curve, not the caller's
+	return newDyn(d, st.Epoch, opts)
 }
 
 // Stats returns a snapshot of the engine's counters.
 func (de *DynEngine) Stats() DynStats {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	eng := de.retired
-	if de.inner != nil {
-		eng.Add(de.inner.Stats())
-	}
-	eng.Cache = de.opts.Cache.Stats()
 	return DynStats{
 		Epoch:         de.epoch,
 		N:             de.dyn.N(),
@@ -559,6 +488,6 @@ func (de *DynEngine) Stats() DynStats {
 		Refreshes:     de.refreshes,
 		ParkEnergy:    de.dyn.ParkEnergy,
 		MigrateEnergy: de.dyn.MigrateEnergy,
-		Engine:        eng,
+		Engine:        de.eng.Stats(),
 	}
 }

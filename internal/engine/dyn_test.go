@@ -214,49 +214,6 @@ func TestDynInvalidInputs(t *testing.T) {
 	}
 }
 
-// TestPoolDynShards asserts mutable shards are routed by identity and
-// folded into FlushAll and Stats.
-func TestPoolDynShards(t *testing.T) {
-	pool := NewPool(2, Options{Window: 1000})
-	tr := tree.RandomAttachment(60, rng.New(4))
-	d1, err := pool.NewDynShard(tr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same structure, second shard: identity routing means a distinct
-	// engine (unlike Pool.Engine, which would share by fingerprint).
-	d2, err := pool.NewDynShard(tree.MustFromParents(tr.Parents()), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 == d2 {
-		t.Fatal("dyn shards deduplicated by structure")
-	}
-	if pool.Size() != 2 {
-		t.Fatalf("pool size %d, want 2", pool.Size())
-	}
-	if _, err := d1.InsertLeaf(0); err != nil {
-		t.Fatal(err)
-	}
-	futs := []*Future{
-		d1.SubmitLCA([]lca.Query{{U: 0, V: 1}}),
-		d2.SubmitLCA([]lca.Query{{U: 0, V: 1}}),
-	}
-	pool.FlushAll()
-	for _, f := range futs {
-		if !f.Done() {
-			t.Fatal("FlushAll left a dyn shard's future pending")
-		}
-		if res := f.Wait(); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	st := pool.Stats()
-	if st.Requests != 2 || st.Batches != 2 {
-		t.Fatalf("pool stats requests=%d batches=%d, want 2/2", st.Requests, st.Batches)
-	}
-}
-
 // TestDynProfileHook asserts the batch observation channel: an
 // installed ProfileFunc sees every dispatched batch with its timing,
 // keeps reporting across mutation-driven engine refreshes, and stops
@@ -278,8 +235,8 @@ func TestDynProfileHook(t *testing.T) {
 	if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	// Force a refresh: the profile hook must ride onto the new inner
-	// engine.
+	// Force a refresh: the profile hook must keep observing the next
+	// epoch's batches.
 	if _, err := de.InsertLeaf(0); err != nil {
 		t.Fatal(err)
 	}

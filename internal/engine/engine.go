@@ -71,6 +71,14 @@
 // the repository's differential tests check offline that the backends
 // agree.
 //
+// An engine holds its tree, backend and (on sim) placement as one
+// immutable serving state. Each batch runs on the state it was taken
+// with, so the state can be replaced under load: a Pool switches a
+// shard's backend in place, and a DynEngine installs each epoch's tree,
+// without a second engine and without losing a counter. Batch seeds
+// count from the state's installation, so a replaced state serves
+// exactly as a fresh engine would.
+//
 // LCA requests in the same batch are additionally coalesced: their
 // query slices are concatenated into one batched run (whose fixed cost
 // — two treefix sums and the cover sweep — is independent of the query
@@ -355,16 +363,15 @@ func recycleBatch(batch []*request) {
 // holds none. See the package documentation for the batching semantics.
 // The zero value is not usable; construct with New.
 type Engine struct {
-	t      *tree.Tree
 	curve  sfc.Curve
-	p      *layout.Placement // the sim backend's placement; nil on native
 	window int
 	seed   uint64
 	cache  *LayoutCache
 
-	// backend executes batches; backendName is its resolved name.
-	backendName string
-	backend     exec.Backend
+	// cur is the serving state batches run on. takeBatchLocked captures
+	// it with the batch, so a batch runs on the state it was taken with;
+	// install replaces it.
+	cur atomic.Pointer[serving]
 
 	// profileFn, when non-nil, observes every dispatched batch (see
 	// ProfileFunc). Atomic so SetProfile never races runBatch.
@@ -391,6 +398,18 @@ type Engine struct {
 	afTimer *time.Timer
 }
 
+// serving is an engine's immutable per-tree serving state: the tree,
+// the execution backend over it and, on sim, the placement the
+// simulator runs on. base is the batch index it was installed at;
+// batch seeds count from it, so the state serves exactly as a fresh
+// engine would.
+type serving struct {
+	t       *tree.Tree
+	p       *layout.Placement // the sim backend's placement; nil on native
+	backend exec.Backend
+	base    uint64
+}
+
 // New builds an engine for t. Only a sim engine takes a placement,
 // because only the simulator reads one: it comes from the layout cache
 // (opts.Cache or a fresh private one), so a sim engine for an
@@ -400,21 +419,14 @@ func New(t *tree.Tree, opts Options) (*Engine, error) {
 	return newEngine(t, nil, opts)
 }
 
-// newEngine is New, and also builds each DynEngine epoch's engine: with
-// dyn non-nil (and t nil) it serves dyn's current tree, and on sim it
-// runs on dyn's parked positions instead of a cached placement. Those
-// positions are not a light-first order, so the order-dependent kernels
-// (batched LCA and min-cut, which need contiguous light-first subtree
-// ranges) get the tree's light-first rank, computed on first need. That
-// rank bypasses the layout cache: each mutated epoch has a fresh
-// fingerprint, so caching it would fill the LRU with one-shot entries
-// and evict the static placements the cache exists to reuse.
+// newEngine is New, and also builds a DynEngine's engine: with dyn
+// non-nil (and t nil) it serves dyn's current tree (see newServing).
 func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) {
 	c, err := sfc.ByName(cmp.Or(opts.Curve, "hilbert"))
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{curve: c, window: opts.Window, seed: opts.Seed, cache: opts.Cache, backendName: exec.Normalize(opts.Backend)}
+	e := &Engine{curve: c, window: opts.Window, seed: opts.Seed, cache: opts.Cache}
 	if e.cache == nil {
 		e.cache = NewLayoutCache(DefaultCacheCapacity)
 	}
@@ -423,12 +435,33 @@ func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) 
 	}
 	e.afDelay = max(opts.FlushDelay, 0)
 	e.idle.L = &e.mu
+	sv, err := e.newServing(exec.Normalize(opts.Backend), t, dyn)
+	if err != nil {
+		return nil, err
+	}
+	e.cur.Store(sv)
+	return e, nil
+}
+
+// newServing builds serving state on the named backend, for t or, with
+// dyn non-nil, for dyn's current tree. A sim state over t takes its
+// placement from the layout cache; over dyn it runs on the parked
+// positions instead. Those positions are not a light-first order, so
+// the order-dependent kernels (batched LCA and min-cut, which need
+// contiguous light-first subtree ranges) get the tree's light-first
+// rank, computed on first need. That rank bypasses the layout cache:
+// each mutated epoch has a fresh fingerprint, so caching it would fill
+// the LRU with one-shot entries and evict the static placements the
+// cache exists to reuse.
+func (e *Engine) newServing(name string, t *tree.Tree, dyn *dynlayout.Dyn) (*serving, error) {
+	sv := &serving{}
 	var orderRank func() []int
-	if e.backendName == exec.Sim {
+	var err error
+	if name == exec.Sim {
 		if dyn == nil {
-			e.p = e.cache.GetOrBuild(t, Fingerprint(t), c)
-		} else if e.p, err = dyn.Placement(); err == nil {
-			t = e.p.Tree
+			sv.p = e.cache.GetOrBuild(t, Fingerprint(t), e.curve)
+		} else if sv.p, err = dyn.Placement(); err == nil {
+			t = sv.p.Tree
 			orderRank = func() []int { return order.LightFirst(t).Rank }
 		}
 	} else if dyn != nil {
@@ -437,16 +470,42 @@ func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) 
 	if err != nil {
 		return nil, err
 	}
-	e.t = t
-	e.backend, err = exec.New(e.backendName, exec.Config{Tree: t, Placement: e.p, OrderRank: orderRank})
-	if err != nil {
+	sv.t = t
+	if sv.backend, err = exec.New(name, exec.Config{Tree: t, Placement: sv.p, OrderRank: orderRank}); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return sv, nil
+}
+
+// install makes sv the serving state, counting batch seeds from the
+// next batch. Batches already taken finish on the state they were taken
+// with. A new tree must be installed only while the engine is quiescent
+// (DynEngine installs each epoch's tree behind its Quiesce barrier), so
+// no pending request was validated against the old one.
+func (e *Engine) install(sv *serving) {
+	e.mu.Lock()
+	sv.base = e.batchSeq
+	e.cur.Store(sv)
+	e.mu.Unlock()
+}
+
+// setBackend switches the engine to the named backend in place, keeping
+// its tree and counters (the Pool's backend switch).
+func (e *Engine) setBackend(name string) error {
+	sv := e.cur.Load()
+	if sv.backend.Name() == name {
+		return nil
+	}
+	next, err := e.newServing(name, sv.t, nil)
+	if err != nil {
+		return err
+	}
+	e.install(next)
+	return nil
 }
 
 // Backend returns the engine's resolved execution-backend name.
-func (e *Engine) Backend() string { return e.backendName }
+func (e *Engine) Backend() string { return e.cur.Load().backend.Name() }
 
 // SetProfile installs (or, with nil, removes) the batch profile
 // observer. Safe to call concurrently with serving.
@@ -459,16 +518,17 @@ func (e *Engine) SetProfile(fn ProfileFunc) {
 }
 
 // Tree returns the engine's tree.
-func (e *Engine) Tree() *tree.Tree { return e.t }
+func (e *Engine) Tree() *tree.Tree { return e.cur.Load().t }
 
 // Placement returns the engine's placement: on sim, the one its
 // simulator runs on; on native, whose kernels read none, the tree's
 // light-first placement from the layout cache, built on first call.
 func (e *Engine) Placement() *layout.Placement {
-	if e.p != nil {
-		return e.p
+	sv := e.cur.Load()
+	if sv.p != nil {
+		return sv.p
 	}
-	return e.cache.GetOrBuild(e.t, Fingerprint(e.t), e.curve)
+	return e.cache.GetOrBuild(sv.t, Fingerprint(sv.t), e.curve)
 }
 
 // Stats returns a snapshot of the engine counters plus the layout
@@ -510,8 +570,8 @@ func (e *Engine) failed(err error) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitTreefix(vals []int64, op treefix.Op) *Future {
-	if len(vals) != e.t.N() {
-		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), e.t.N())))
+	if n := e.Tree().N(); len(vals) != n {
+		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), n)))
 	}
 	req := newRequest()
 	req.kind, req.op, req.vals = kindBottomUp, op, vals
@@ -523,8 +583,8 @@ func (e *Engine) SubmitTreefix(vals []int64, op treefix.Op) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitTopDown(vals []int64, op treefix.Op) *Future {
-	if len(vals) != e.t.N() {
-		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), e.t.N())))
+	if n := e.Tree().N(); len(vals) != n {
+		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), n)))
 	}
 	req := newRequest()
 	req.kind, req.op, req.vals = kindTopDown, op, vals
@@ -537,7 +597,7 @@ func (e *Engine) SubmitTopDown(vals []int64, op treefix.Op) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitLCA(queries []lca.Query) *Future {
-	n := e.t.N()
+	n := e.Tree().N()
 	for i, q := range queries {
 		if q.U < 0 || q.U >= n || q.V < 0 || q.V >= n {
 			return e.failed(invalid(fmt.Errorf("engine: LCA query %d out of range: %+v", i, q)))
@@ -564,7 +624,7 @@ func (e *Engine) SubmitMinCut(edges []mincut.Edge) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitExpr(x *exprtree.Expr) *Future {
-	if x.Tree != e.t && !slices.Equal(x.Tree.Parents(), e.t.Parents()) {
+	if t := e.Tree(); x.Tree != t && !slices.Equal(x.Tree.Parents(), t.Parents()) {
 		return e.failed(invalid(fmt.Errorf("engine: expression tree does not match engine tree")))
 	}
 	if err := x.Validate(); err != nil {
@@ -578,8 +638,7 @@ func (e *Engine) SubmitExpr(x *exprtree.Expr) *Future {
 func (e *Engine) submit(req *request) *Future {
 	fut := &Future{e: e, done: make(chan struct{})}
 	req.fut = fut
-	var batch []*request
-	var seq uint64
+	var tb taken
 	e.mu.Lock()
 	if e.pending == nil {
 		//spatialvet:ignore poolescape -- pending is the batch accumulator by design; takeBatchLocked nils the field before recycleBatch returns the slice
@@ -587,16 +646,24 @@ func (e *Engine) submit(req *request) *Future {
 	}
 	e.pending = append(e.pending, req)
 	if len(e.pending) >= e.window {
-		batch, seq = e.takeBatchLocked()
+		tb = e.takeBatchLocked()
 		e.stats.SizeFlushes++
 	} else if e.afDelay > 0 && e.afTimer == nil {
 		e.armTimerLocked()
 	}
 	e.mu.Unlock()
-	if batch != nil {
-		e.runBatch(batch, seq)
+	if tb.batch != nil {
+		e.runBatch(tb)
 	}
 	return fut
+}
+
+// taken is a detached batch with the serving state it runs on and its
+// Las Vegas seed.
+type taken struct {
+	batch []*request
+	sv    *serving
+	seed  uint64
 }
 
 // takeBatchLocked detaches the pending batch and disarms the autoflush
@@ -604,14 +671,15 @@ func (e *Engine) submit(req *request) *Future {
 // dispatched here, before runBatch resolves any of its futures, and as
 // running until runBatch retires it — every non-empty take must be
 // followed by exactly one runBatch call.
-func (e *Engine) takeBatchLocked() ([]*request, uint64) {
+func (e *Engine) takeBatchLocked() taken {
 	if e.afTimer != nil {
 		e.afTimer.Stop()
 		e.afTimer = nil
 	}
 	batch := e.pending
 	e.pending = nil
-	seq := e.batchSeq
+	sv := e.cur.Load()
+	seed := e.batchSeed(e.batchSeq - sv.base)
 	e.batchSeq++
 	if len(batch) > 0 {
 		e.running++
@@ -626,7 +694,7 @@ func (e *Engine) takeBatchLocked() ([]*request, uint64) {
 		}
 		e.stats.LCARuns += lcaRuns
 	}
-	return batch, seq
+	return taken{batch, sv, seed}
 }
 
 // armTimerLocked schedules a deadline flush for the batch currently
@@ -647,10 +715,10 @@ func (e *Engine) flushDeadline(seq uint64) {
 		e.mu.Unlock()
 		return
 	}
-	batch, s := e.takeBatchLocked()
+	tb := e.takeBatchLocked()
 	e.stats.DeadlineFlushes++
 	e.mu.Unlock()
-	e.runBatch(batch, s)
+	e.runBatch(tb)
 }
 
 // runIfIdle is Wait's dispatch: when no deadline is armed and no batch
@@ -662,10 +730,10 @@ func (e *Engine) runIfIdle(f *Future) {
 		e.mu.Unlock()
 		return
 	}
-	batch, seq := e.takeBatchLocked()
+	tb := e.takeBatchLocked()
 	e.stats.IdleFlushes++
 	e.mu.Unlock()
-	e.runBatch(batch, seq)
+	e.runBatch(tb)
 }
 
 // StopAutoFlush disarms the scheduler and flushes whatever is pending,
@@ -675,10 +743,10 @@ func (e *Engine) runIfIdle(f *Future) {
 func (e *Engine) StopAutoFlush() {
 	e.mu.Lock()
 	e.afDelay = 0
-	batch, seq := e.takeBatchLocked()
+	tb := e.takeBatchLocked()
 	e.mu.Unlock()
-	if len(batch) > 0 {
-		e.runBatch(batch, seq)
+	if len(tb.batch) > 0 {
+		e.runBatch(tb)
 	}
 }
 
@@ -687,10 +755,10 @@ func (e *Engine) StopAutoFlush() {
 // engine is a no-op.
 func (e *Engine) Flush() {
 	e.mu.Lock()
-	batch, seq := e.takeBatchLocked()
+	tb := e.takeBatchLocked()
 	e.mu.Unlock()
-	if len(batch) > 0 {
-		e.runBatch(batch, seq)
+	if len(tb.batch) > 0 {
+		e.runBatch(tb)
 	}
 }
 
@@ -699,8 +767,8 @@ func (e *Engine) Flush() {
 // running batch's hand-off dispatched — has finished running and
 // recorded its stats. After Quiesce returns (and absent concurrent
 // submissions) the engine is fully idle; DynEngine uses this as its
-// pre-mutation barrier so no batch counters are lost when an epoch's
-// engine is retired.
+// pre-mutation barrier, so no request validated against one epoch's
+// tree runs on the next.
 func (e *Engine) Quiesce() {
 	e.Flush()
 	e.mu.Lock()
@@ -711,7 +779,7 @@ func (e *Engine) Quiesce() {
 }
 
 // batchSeed derives the per-batch Las Vegas seed: deterministic per
-// (engine seed, batch index).
+// (engine seed, batch index since the serving state was installed).
 func (e *Engine) batchSeed(seq uint64) uint64 {
 	return e.seed ^ (seq+1)*0x9e3779b97f4a7c15
 }
@@ -724,16 +792,16 @@ func (e *Engine) batchSeed(seq uint64) uint64 {
 // goroutine runs this same function and exits, and Quiesce waits for it
 // through the running count, which never reads zero between the two
 // batches.
-func (e *Engine) runBatch(batch []*request, seq uint64) {
+func (e *Engine) runBatch(tb taken) {
 	if e.beforeRun != nil {
 		e.beforeRun()
 	}
 	pf := e.profileFn.Load()
 	start := time.Now()
-	run := e.backend.Run(e.batchSeed(seq))
+	run := tb.sv.backend.Run(tb.seed)
 
 	var lcaReqs []*request
-	for _, req := range batch {
+	for _, req := range tb.batch {
 		mark := run.Cost()
 		switch req.kind {
 		case kindBottomUp:
@@ -773,21 +841,20 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 	// run's cost is known now. A hand-off takes the pending work in the
 	// same critical section that retires this batch, so running goes
 	// straight back to 1 and Quiesce never sees zero between the two.
-	var next []*request
-	var nextSeq uint64
+	var next taken
 	e.mu.Lock()
 	e.stats.Cost = e.stats.Cost.Plus(run.Cost())
 	e.running--
 	if e.running == 0 && e.afDelay == 0 && len(e.pending) > 0 {
-		next, nextSeq = e.takeBatchLocked()
+		next = e.takeBatchLocked()
 		e.stats.IdleFlushes++
 	} else if e.running == 0 {
 		e.idle.Broadcast()
 	}
 	e.mu.Unlock()
-	if next != nil {
+	if next.batch != nil {
 		// A new goroutine, so this batch's own caller is not delayed.
-		go e.runBatch(next, nextSeq)
+		go e.runBatch(next)
 	}
 
 	if pf != nil {
@@ -795,7 +862,7 @@ func (e *Engine) runBatch(batch []*request, seq uint64) {
 	}
 
 	// Every future is resolved, so the batch can be recycled.
-	recycleBatch(batch)
+	recycleBatch(tb.batch)
 }
 
 // resolveLCA demultiplexes a coalesced LCA run back to its futures,

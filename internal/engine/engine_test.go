@@ -276,7 +276,7 @@ func TestFingerprintDistinguishesTrees(t *testing.T) {
 }
 
 func TestPoolShardsByTree(t *testing.T) {
-	pool := NewPool(4, Options{Seed: 3})
+	pool := NewPool(Options{Seed: 3})
 	trees := []*tree.Tree{testTree(120, 1), testTree(120, 2), testTree(120, 3)}
 	type job struct {
 		fut  *Future

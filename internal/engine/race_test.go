@@ -259,7 +259,7 @@ func TestDynEngineConcurrentHammer(t *testing.T) {
 
 func TestPoolConcurrentAcrossTrees(t *testing.T) {
 	const clients = 8
-	pool := NewPool(0, Options{Window: 4})
+	pool := NewPool(Options{Window: 4})
 	trees := make([]*tree.Tree, 4)
 	for i := range trees {
 		trees[i] = tree.RandomAttachment(128, rng.New(uint64(200+i)))

@@ -59,7 +59,7 @@ func TestGetOrBuildSingleFlight(t *testing.T) {
 // one layout.
 func TestPoolEngineSingleBuild(t *testing.T) {
 	base := tree.RandomAttachment(4000, rng.New(2))
-	pool := NewPool(4, Options{})
+	pool := NewPool(Options{})
 	const goroutines = 32
 	var (
 		wg      sync.WaitGroup

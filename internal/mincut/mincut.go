@@ -87,8 +87,10 @@ func OneRespecting(s *machine.Sim, t *tree.Tree, rank []int, edges []Edge, r *rn
 	// (e.g. the root of a well-connected graph), so the deposits are
 	// folded through per-target binary combining trees rather than
 	// direct fan-in — depth O(log m) instead of Θ(max edges per LCA).
+	// The groups fold in vertex order, so the send order, and with it the
+	// run's Depth, is the same on every run.
 	val := make([]int64, n)
-	groups := make(map[int][]int, n) // lca vertex -> contributing procs
+	groups := make([][]int, n) // lca vertex -> contributing procs
 	for qi, a := range answers {
 		e := edges[idx[qi]]
 		val[a] += e.W

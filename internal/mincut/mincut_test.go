@@ -147,3 +147,26 @@ func TestSpatialCostNearLinear(t *testing.T) {
 		t.Errorf("mincut energy/vertex grew superlogarithmically: %.1f -> %.1f", small, large)
 	}
 }
+
+// TestSpatialCostDeterministic: the run's whole cost, Depth included,
+// is a function of its inputs and seed. The deposit fold must visit its
+// groups in a fixed order, because the send order moves the dependency
+// clocks and with them the Depth; this graph's Depth moves with it.
+func TestSpatialCostDeterministic(t *testing.T) {
+	const n = 512
+	r := rng.New(5)
+	tr := tree.RandomAttachment(n, r)
+	edges := RandomGraph(tr, 2048-(n-1), 10, r) // 2,048 edges in all
+	var first machine.Cost
+	for run := 0; run < 30; run++ {
+		s := machine.New(n, sfc.Hilbert{})
+		if _, err := OneRespecting(s, tr, lfRanks(tr), edges, rng.New(5)); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = s.Cost()
+		} else if c := s.Cost(); c != first {
+			t.Fatalf("run %d cost %+v, run 0 %+v", run, c, first)
+		}
+	}
+}

@@ -9,7 +9,8 @@ package server
 // Backend optionally picks the shard's execution backend: "native"
 // (goroutine-parallel serving, the default) or "sim" (every batch runs
 // on the spatial-computer simulator with exact model-cost metering).
-// Re-registering a tree with a different backend re-points its queries.
+// Re-registering a tree with a different backend switches its one
+// shard to that backend in place.
 type RegisterRequest struct {
 	Parents []int  `json:"parents"`
 	Backend string `json:"backend,omitempty"`

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spatialtree/internal/lca"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
+	"spatialtree/internal/wire"
 )
 
 // TestBackendPerTree pins the per-shard backend surface: registration
@@ -78,10 +84,10 @@ func TestBackendPerTree(t *testing.T) {
 	}
 }
 
-// TestBackendSwitchBudget pins the admission fix: re-registering a
-// known tree on a different backend creates a new pool shard, so it
-// must respect MaxShards instead of riding the "already known" bypass;
-// re-registering on the same backend stays free.
+// TestBackendSwitchBudget pins the budget contract of a backend switch:
+// re-registering a known tree on the other backend switches its one
+// pool shard in place, so at a full MaxShards budget it succeeds and
+// retains nothing, while a new tree is still refused.
 func TestBackendSwitchBudget(t *testing.T) {
 	s, _ := newTestServer(t, Config{Scheduler: Scheduler{MaxDelay: time.Millisecond}, Limits: Limits{MaxShards: 2}})
 	t1 := tree.RandomAttachment(30, rng.New(1))
@@ -92,16 +98,101 @@ func TestBackendSwitchBudget(t *testing.T) {
 	if _, err := s.RegisterTree(t2); err != nil {
 		t.Fatal(err)
 	}
-	// Budget full: switching t1 to sim would retain a third shard.
-	if _, err := s.RegisterTreeBackend(t1, "sim"); err == nil {
-		t.Fatal("backend switch bypassed the MaxShards budget")
+	// Budget full: switching t1 to sim and back retains nothing.
+	if _, err := s.RegisterTreeBackend(t1, "sim"); err != nil {
+		t.Fatalf("backend switch at a full budget refused: %v", err)
 	}
-	// Same-backend re-registration retains nothing and stays admitted.
+	if got := s.Metrics().Backends.Shards; got["sim"] != 1 || got["native"] != 1 {
+		t.Fatalf("shard split after the switch = %v, want one sim and one native", got)
+	}
 	if _, err := s.RegisterTree(t1); err != nil {
-		t.Fatalf("same-backend re-registration refused: %v", err)
+		t.Fatalf("re-registration on the default backend refused: %v", err)
 	}
 	if got := s.Pool().Size(); got != 2 {
 		t.Fatalf("pool size = %d, want 2", got)
+	}
+	if _, err := s.RegisterTree(tree.RandomAttachment(32, rng.New(3))); !errors.Is(err, errShardLimit) {
+		t.Fatalf("third tree at a full budget: err %v, want errShardLimit", err)
+	}
+}
+
+// TestBackendSwitchUnderLoad re-registers a tree 20 times, alternating
+// sim and native, while 8 goroutines each send it 200 LCA queries
+// through serveQuery. Every answer must be right, /metrics must count
+// every request exactly once, and the tree must keep one pool shard.
+func TestBackendSwitchUnderLoad(t *testing.T) {
+	const (
+		clients  = 8
+		perConn  = 200
+		switches = 20
+	)
+	s := New(Config{})
+	tr := tree.RandomAttachment(120, rng.New(7))
+	oracle := lca.NewOracle(tr)
+	id, err := s.RegisterTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Metrics().Scheduler.Requests
+
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, clients+1)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			r := rng.New(uint64(100 + c))
+			var res wire.Result
+			scratch := &wireScratch{}
+			for i := 0; i < perConn; i++ {
+				u, v := r.Intn(tr.N()), r.Intn(tr.N())
+				q := wire.Query{Kind: wire.KindLCA, TreeID: id, Queries: []wire.LCAQuery{{U: u, V: v}}}
+				if err := s.serveQuery(&q, &res, scratch); err != nil {
+					errs <- err
+					return
+				}
+				if len(res.Answers) != 1 || res.Answers[0] != oracle.LCA(u, v) {
+					errs <- fmt.Errorf("client %d query %d: lca(%d,%d) = %v, want %d", c, i, u, v, res.Answers, oracle.LCA(u, v))
+					return
+				}
+				served.Add(1)
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 1; k <= switches; k++ {
+			// Spread the switches over the load: the k-th waits for
+			// k/(switches+1) of the queries.
+			for served.Load() < int64(k*clients*perConn/(switches+1)) && len(errs) == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			backend := "sim"
+			if k%2 == 0 {
+				backend = "native"
+			}
+			if _, err := s.RegisterTreeBackend(tr, backend); err != nil {
+				errs <- err
+				return
+			}
+			if got := s.Pool().Size(); got != 1 {
+				errs <- fmt.Errorf("pool size %d after switch %d, want 1", got, k)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Scheduler.Requests - before; got != clients*perConn {
+		t.Fatalf("/metrics counted %d requests, want %d", got, clients*perConn)
+	}
+	if got := s.Pool().Size(); got != 1 {
+		t.Fatalf("pool size = %d, want 1", got)
 	}
 }
 

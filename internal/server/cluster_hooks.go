@@ -10,7 +10,9 @@ package server
 //
 // The split keeps the dependency arrow pointing one way: cluster
 // imports server for the local cores (DynMutate, DynCreateLocal,
-// AdoptDynShard), server knows cluster only as this interface.
+// AdoptDynShard), server knows cluster only as this interface. The
+// server's dyn table (s.dyns) is the only registry of served dyn
+// shards: routing, Drain and /metrics all read it.
 
 import (
 	"fmt"
@@ -173,18 +175,18 @@ func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backe
 	if backend != "" && !exec.Valid(backend) {
 		return DynCreateResult{}, statusErrf(StatusBadRequest, "unknown backend %q (want %q or %q)", backend, exec.Native, exec.Sim)
 	}
-	if s.pool.Size() >= s.cfg.Limits.MaxShards {
+	if s.shardCount() >= s.cfg.Limits.MaxShards {
 		return DynCreateResult{}, errShardLimit
 	}
 	eps := epsilon
 	if eps <= 0 {
 		eps = s.cfg.Epsilon
 	}
-	be := backend
-	if be == "" {
-		be = s.cfg.Backend
+	opts := s.pool.Options()
+	if backend != "" {
+		opts.Backend = backend
 	}
-	de, err := s.pool.NewDynShardBackend(t, eps, be)
+	de, err := engine.NewDyn(t, engine.DynOptions{Options: opts, Epsilon: eps})
 	if err != nil {
 		return DynCreateResult{}, err
 	}
@@ -196,9 +198,8 @@ func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backe
 	}
 	// Durability before routability: the shard becomes addressable only
 	// once its initial snapshot and WAL exist, so no mutation can ever
-	// precede its log. On persistence failure the pool keeps an
-	// unroutable shard until restart — an acceptable leak on a path
-	// that only fails with the disk.
+	// precede its log. On persistence failure nothing retains the
+	// engine, so a failed create spends no shard budget.
 	if err := s.persistDynCreate(id, de); err != nil {
 		return DynCreateResult{}, err
 	}
@@ -263,9 +264,6 @@ func (s *Server) AdoptDynShard(id string, de *engine.DynEngine, log *persist.Sha
 		s.logs[id] = log
 	}
 	s.mu.Unlock()
-	// Outside s.mu: the pool's mutex is routing-class too, and routing
-	// locks do not nest.
-	s.pool.AdoptDynShard(de)
 	return nil
 }
 
@@ -287,9 +285,6 @@ func (s *Server) ReleaseDynShard(id string) (*engine.DynEngine, *persist.ShardLo
 	log := s.logs[id]
 	delete(s.logs, id)
 	s.mu.Unlock()
-	// Outside s.mu, like AdoptDynShard: the pool's mutex is
-	// routing-class too, and routing locks do not nest.
-	s.pool.ReleaseDynShard(de)
 	return de, log, true
 }
 
@@ -312,10 +307,11 @@ func (s *Server) DropDynState(id string) error {
 	return s.cfg.Durability.Store.DropShard(id)
 }
 
-// EngineOptions returns the serving pool's resolved engine options. The
-// cluster tier builds replica engines with them (engine.RestoreDyn), so
-// a promoted replica serves exactly like a pool-created shard — same
-// shared cache, backend, autoflush tuning.
+// EngineOptions returns the serving pool's resolved engine options. Dyn
+// shards are built with them, and so are the cluster tier's replica
+// engines (engine.RestoreDyn), so a promoted replica serves exactly like
+// a locally created shard — same shared cache, backend, autoflush
+// tuning.
 func (s *Server) EngineOptions() engine.Options { return s.pool.Options() }
 
 // SnapshotDyn captures a locally served dyn shard as a persist-encoded

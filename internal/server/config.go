@@ -53,9 +53,6 @@ type Scheduler struct {
 	// without it a shard serves one batch at a time unless MaxBatch
 	// fills another.
 	MaxDelay time.Duration
-	// Workers bounds the pool's parallel shard flushes (0 means
-	// GOMAXPROCS).
-	Workers int
 }
 
 // Limits groups the admission bounds: concurrency, memory and body

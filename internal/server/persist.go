@@ -119,7 +119,7 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	de, err := s.pool.RestoreDynShard(snap)
+	de, err := engine.RestoreDyn(snap, s.pool.Options())
 	if err != nil {
 		return 0, err
 	}
@@ -159,9 +159,9 @@ func (s *Server) journalFunc(log *persist.ShardLog) engine.JournalFunc {
 }
 
 // persistDynCreate initializes durability for a freshly created shard
-// and arms its journal; called from handleDynCreate after the id is
-// assigned. On failure the shard is served memory-only for this
-// process's lifetime but reported as an error to the creator.
+// and arms its journal; called from DynCreateLocal after the id is
+// assigned. On failure the create fails and the shard is dropped
+// unserved.
 func (s *Server) persistDynCreate(id string, de *engine.DynEngine) error {
 	if s.cfg.Durability.Store == nil {
 		return nil

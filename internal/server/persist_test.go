@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -270,5 +272,31 @@ func TestRecoverRejectsDivergedWAL(t *testing.T) {
 	s2 := New(Config{Durability: Durability{Store: openTestStore(t, dir, persist.Options{})}})
 	if _, err := s2.Recover(); !errors.Is(err, engine.ErrReplicaDiverged) {
 		t.Fatalf("Recover = %v, want ErrReplicaDiverged", err)
+	}
+}
+
+// TestDynCreateFailureRetainsNothing: a create whose WAL cannot be
+// created must spend no shard budget. The store already holds a
+// directory for the first id the server assigns, so that create fails;
+// with MaxShards 1 the next one must still succeed.
+func TestDynCreateFailureRetainsNothing(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "dyn", "d1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Durability: Durability{Store: openTestStore(t, dir, persist.Options{})}, Limits: Limits{MaxShards: 1}})
+	parents := testParents(40, 9)
+	if _, err := s.DynCreateLocal("", parents, 0, ""); err == nil {
+		t.Fatal("create over an existing shard directory succeeded")
+	}
+	res, err := s.DynCreateLocal("", parents, 0, "")
+	if err != nil {
+		t.Fatalf("create after a failed one: %v", err)
+	}
+	if res.ID != "d2" {
+		t.Fatalf("second create got id %s, want d2", res.ID)
+	}
+	if m := s.Metrics(); m.Server.DynShards != 1 {
+		t.Fatalf("dyn shards = %d, want 1", m.Server.DynShards)
 	}
 }

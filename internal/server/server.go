@@ -26,7 +26,9 @@
 //
 // Immutable traffic is routed per tenant by tree fingerprint through an
 // engine.Pool: structurally identical trees share a shard and therefore
-// a batch window. Mutable shards are routed by id. Admission control is
+// a batch window, on whichever backend the tree's latest registration
+// chose. Mutable shards are routed by id through the server's own
+// table. Admission control is
 // a bounded in-flight queue: when QueueLimit requests are already being
 // served, further work is rejected with 429 rather than queued without
 // bound. Drain stops admission, waits for in-flight requests and
@@ -61,10 +63,9 @@ import (
 // Server serves the engines over HTTP/JSON and the binary protocol.
 // Construct with New; the zero value is not usable.
 type Server struct {
-	cfg     Config
-	pool    *engine.Pool
-	engOpts engine.Options // the pool's options (shared cache); used for ephemeral engines
-	mux     *http.ServeMux
+	cfg  Config
+	pool *engine.Pool
+	mux  *http.ServeMux
 
 	// ephem folds the counters of ephemeral engines (ad-hoc query
 	// trees served beyond the shard budget), which would otherwise
@@ -101,9 +102,9 @@ type Server struct {
 	wireConns     map[net.Conn]struct{}
 	wireListeners map[net.Listener]struct{}
 
-	mu        sync.Mutex                //spatialvet:lockclass routing
-	trees     map[string]*engine.Engine // registered tree id -> the pool shard serving it
-	dyns      map[string]*engine.DynEngine
+	mu        sync.Mutex                   //spatialvet:lockclass routing
+	trees     map[string]*engine.Engine    // registered tree id -> the pool shard serving it
+	dyns      map[string]*engine.DynEngine // the dyn shards this node serves
 	logs      map[string]*persist.ShardLog // per-dyn-shard WALs (nil Store: empty)
 	adhoc     map[uint64]struct{}          // fingerprints of pool shards auto-created for ad-hoc query trees
 	nextDyn   int
@@ -123,14 +124,13 @@ func New(cfg Config) *Server {
 		Backend:    cfg.Backend,
 	}
 	s := &Server{
-		cfg:     cfg,
-		pool:    engine.NewPool(cfg.Scheduler.Workers, opts),
-		engOpts: opts,
-		sem:     make(chan struct{}, cfg.Limits.QueueLimit),
-		trees:   make(map[string]*engine.Engine),
-		dyns:    make(map[string]*engine.DynEngine),
-		logs:    make(map[string]*persist.ShardLog),
-		adhoc:   make(map[uint64]struct{}),
+		cfg:   cfg,
+		pool:  engine.NewPool(opts),
+		sem:   make(chan struct{}, cfg.Limits.QueueLimit),
+		trees: make(map[string]*engine.Engine),
+		dyns:  make(map[string]*engine.DynEngine),
+		logs:  make(map[string]*persist.ShardLog),
+		adhoc: make(map[uint64]struct{}),
 
 		wireConns:     make(map[net.Conn]struct{}),
 		wireListeners: make(map[net.Listener]struct{}),
@@ -155,11 +155,17 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // preloading and for tests).
 func (s *Server) Pool() *engine.Pool { return s.pool }
 
+// drainFlushEvery is how often Drain flushes every shard while it waits
+// for in-flight requests.
+const drainFlushEvery = 5 * time.Millisecond
+
 // Drain performs a graceful shutdown of the serving layer: new requests
-// are rejected with 503, in-flight requests are waited for (bounded by
-// ctx), and every shard is flushed so that no submitted future is left
-// pending. The HTTP listener itself is the caller's to close (see
-// cmd/spatialtreed).
+// are rejected with 503, and in-flight requests are waited for (bounded
+// by ctx). While it waits it flushes every shard each drainFlushEvery,
+// so a request lingering in a MaxDelay batch window resolves at once
+// instead of at its deadline, and a last flush leaves no submitted
+// future pending. The HTTP listener itself is the caller's to close
+// (see cmd/spatialtreed).
 func (s *Server) Drain(ctx context.Context) error {
 	s.flightMu.Lock()
 	s.draining.Store(true)
@@ -169,15 +175,48 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.drainDone = done
 	}
 	s.flightMu.Unlock()
-	if done != nil {
+	for done != nil {
+		s.flushAll()
 		select {
 		case <-done:
+			done = nil
 		case <-ctx.Done():
 			return errors.New("server: drain interrupted with requests in flight")
+		case <-time.After(drainFlushEvery):
 		}
 	}
-	s.pool.FlushAll()
+	s.flushAll()
 	return nil
+}
+
+// flushAll flushes every shard: the pool's, then each dyn shard.
+func (s *Server) flushAll() {
+	s.pool.FlushAll()
+	for _, de := range s.dynList() {
+		de.Flush()
+	}
+}
+
+// dynList snapshots the served dyn shards, so callers can block on them
+// without holding s.mu.
+func (s *Server) dynList() []*engine.DynEngine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	list := make([]*engine.DynEngine, 0, len(s.dyns))
+	for _, de := range s.dyns {
+		list = append(list, de)
+	}
+	return list
+}
+
+// shardCount is the retained per-tree serving state MaxShards bounds:
+// pool shards plus dyn shards. The pool is sampled before s.mu is
+// taken, because routing locks do not nest.
+func (s *Server) shardCount() int {
+	n := s.pool.Size()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return n + len(s.dyns)
 }
 
 // The refusals admit classifies.
@@ -263,9 +302,10 @@ func (s *Server) RegisterTree(t *tree.Tree) (string, error) {
 
 // RegisterTreeBackend is RegisterTree with an explicit execution
 // backend ("" means the server default). Re-registering an existing
-// tree with a different backend re-points its queries at a shard on
-// that backend (only a sim shard holds a placement, from the shared
-// layout cache).
+// tree with a different backend switches its one shard to that backend
+// in place: the shard keeps its counters and its batch window, batches
+// already dispatched finish on the old backend, and no budget is spent
+// (only a sim shard holds a placement, from the shared layout cache).
 func (s *Server) RegisterTreeBackend(t *tree.Tree, backend string) (string, error) {
 	return s.registerTree(t, true, backend)
 }
@@ -282,26 +322,16 @@ func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, 
 	if !exec.Valid(backend) {
 		return "", badRequest(fmt.Errorf("unknown backend %q (want %q or %q)", backend, exec.Native, exec.Sim))
 	}
-	backend = exec.Normalize(backend)
 	fp := engine.Fingerprint(t)
 	id := treeID(fp)
 	s.mu.Lock()
-	prev, registered := s.trees[id]
-	// known means this registration retains nothing new: a pool shard
-	// for (fingerprint, backend) already exists. A re-registration that
-	// switches backends creates a fresh shard (the pool keys on the
-	// pair), so it must pass the budget check like any first sight —
-	// otherwise backend switching would be a MaxShards bypass.
-	known := registered && prev.Backend() == backend
-	if !registered {
-		// A shard auto-created for this structure's ad-hoc traffic
-		// already exists (on the default backend); promoting it to a
-		// same-backend registration retains only the id mapping.
-		_, adhoc := s.adhoc[fp]
-		known = adhoc && backend == s.cfg.Backend
-	}
+	_, registered := s.trees[id]
+	// A registered structure, or one whose ad-hoc traffic was given a
+	// shard, already has its one pool shard: registering it again, on
+	// either backend, retains only the id mapping.
+	_, adhoc := s.adhoc[fp]
 	s.mu.Unlock()
-	if save && !known && s.pool.Size() >= s.cfg.Limits.MaxShards {
+	if save && !registered && !adhoc && s.shardCount() >= s.cfg.Limits.MaxShards {
 		return "", errShardLimit
 	}
 	eng, err := s.pool.EngineBackend(t, backend)
@@ -600,9 +630,9 @@ func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
 // engineFor resolves the shard serving an ad-hoc query tree. Known
 // trees (registered, or ad-hoc structures already given a shard) join
 // their pooled shard — equal fingerprints coalesce into one batch
-// window, and a registered structure's traffic runs on the engine its
-// latest registration chose (ad-hoc structures use the server
-// default). New
+// window, and the shard serves on the backend the structure's latest
+// registration chose (ad-hoc structures use the server default; ad-hoc
+// routing never switches a shard's backend). New
 // ad-hoc structures get a pooled shard only while the ad-hoc half of
 // the MaxShards budget lasts; the other half stays reserved for
 // explicit registration, so unauthenticated one-off traffic can bound
@@ -626,16 +656,16 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 		return eng, func() {}, nil
 	}
 	_, known := s.adhoc[fp]
-	if !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize < s.cfg.Limits.MaxShards {
+	if !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize+len(s.dyns) < s.cfg.Limits.MaxShards {
 		s.adhoc[fp] = struct{}{}
 		known = true
 	}
 	s.mu.Unlock()
 	if known {
-		eng, err := s.pool.EngineBackend(t, s.cfg.Backend)
+		eng, err := s.pool.Engine(t)
 		return eng, func() {}, err
 	}
-	opts := s.engOpts
+	opts := s.pool.Options()
 	// No linger on a single-request engine: nothing can ever join its
 	// batch, so Wait should run it at once even when MaxDelay is set.
 	opts.FlushDelay = 0
@@ -723,12 +753,9 @@ func (s *Server) Metrics() MetricsResponse {
 	// DynEngine.Stats blocks on the shard's mutation lock, which a slow
 	// mutation can hold through a drain and a layout rebuild — routing
 	// must not queue behind a metrics scrape for that long.
+	dynList := s.dynList()
 	s.mu.Lock()
-	trees, shards := len(s.trees), len(s.dyns)
-	dynList := make([]*engine.DynEngine, 0, len(s.dyns))
-	for _, de := range s.dyns {
-		dynList = append(dynList, de)
-	}
+	trees := len(s.trees)
 	logList := make([]*persist.ShardLog, 0, len(s.logs))
 	for _, l := range s.logs {
 		logList = append(logList, l)
@@ -738,10 +765,7 @@ func (s *Server) Metrics() MetricsResponse {
 	for _, eng := range s.trees {
 		backendShards[eng.Backend()]++
 	}
-	for _, de := range s.dyns {
-		backendShards[de.Backend()]++
-	}
-	// Ad-hoc pool shards were created on the default backend.
+	// Ad-hoc pool shards serve on the default backend.
 	backendShards[s.cfg.Backend] += len(s.adhoc)
 	s.mu.Unlock()
 	var pm *PersistMetrics
@@ -758,10 +782,14 @@ func (s *Server) Metrics() MetricsResponse {
 			pm.WALRecords += l.RecordsSinceSnapshot()
 		}
 	}
+	// Each dyn shard's engine counters fold into the serving totals
+	// here, once; the pool holds only the immutable shards.
 	var dyn DynMetrics
-	dyn.Shards = shards
+	dyn.Shards = len(dynList)
 	for _, de := range dynList {
 		ds := de.Stats()
+		st.Add(ds.Engine)
+		backendShards[de.Backend()]++
 		dyn.Epoch += ds.Epoch
 		dyn.Inserts += ds.Inserts
 		dyn.Deletes += ds.Deletes
@@ -792,7 +820,7 @@ func (s *Server) Metrics() MetricsResponse {
 			InFlight:  len(s.sem),
 			Draining:  s.draining.Load(),
 			Trees:     trees,
-			DynShards: shards,
+			DynShards: len(dynList),
 		},
 		Scheduler: SchedulerMetrics{
 			MaxBatch:         s.cfg.Scheduler.MaxBatch,

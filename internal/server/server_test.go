@@ -359,8 +359,16 @@ func TestDynMutationThenQuery(t *testing.T) {
 
 // TestGracefulDrain: requests in flight when Drain starts must all
 // resolve (no dropped futures), and traffic after the drain must be
-// refused with 503.
+// refused with 503. The dyn case holds its request in a linger far
+// longer than Drain's budget, so Drain must flush the dyn shard rather
+// than wait its deadline out, and /metrics must count the shard's batch
+// once.
 func TestGracefulDrain(t *testing.T) {
+	t.Run("adhoc", testGracefulDrainAdhoc)
+	t.Run("dyn", testGracefulDrainDyn)
+}
+
+func testGracefulDrainAdhoc(t *testing.T) {
 	s, hs := newTestServer(t, Config{Scheduler: Scheduler{MaxBatch: 1 << 20, MaxDelay: 150 * time.Millisecond}})
 	parents := testParents(120, 5)
 
@@ -401,6 +409,36 @@ func TestGracefulDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining = %d, want 503", resp.StatusCode)
+	}
+}
+
+func testGracefulDrainDyn(t *testing.T) {
+	s, hs := newTestServer(t, Config{Scheduler: Scheduler{MaxDelay: time.Hour}})
+	created, err := s.DynCreateLocal("", testParents(120, 5), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, _ := s.DynShard(created.ID)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- postJSON(hs.URL, "/v1/dyn/"+created.ID+"/query", QueryRequest{Kind: "lca", Queries: []LCAQuery{{U: 1, V: 2}}}, nil)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); de.Pending() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the dyn query never reached the shard's batch")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		de.Flush() // release the held request, so the listener can close
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("in-flight dyn request dropped during drain: %v", err)
+	}
+	if m := getMetrics(t, hs.URL); m.Scheduler.Batches != 1 || m.Scheduler.Requests != 1 {
+		t.Fatalf("/metrics counted %d batches and %d requests, want 1 and 1", m.Scheduler.Batches, m.Scheduler.Requests)
 	}
 }
 

@@ -395,13 +395,13 @@ func NewLayoutCache(capacity int) *LayoutCache { return engine.NewLayoutCache(ca
 func NewEngine(t *Tree, opts EngineOptions) (*Engine, error) { return engine.New(t, opts) }
 
 // EnginePool shards engines by tree fingerprint over one shared layout
-// cache and flushes independent shards in parallel on a worker pool.
+// cache — one engine per tree, which EngineBackend switches between
+// backends in place — and flushes independent shards in parallel.
 type EnginePool = engine.Pool
 
-// NewEnginePool returns a pool flushing with at most workers goroutines
-// (<= 0 means GOMAXPROCS).
-func NewEnginePool(workers int, opts EngineOptions) *EnginePool {
-	return engine.NewPool(workers, opts)
+// NewEnginePool returns a pool whose engines take opts.
+func NewEnginePool(opts EngineOptions) *EnginePool {
+	return engine.NewPool(opts)
 }
 
 // TreeFingerprint returns the structural hash of t used in layout-cache
@@ -414,9 +414,10 @@ func TreeFingerprint(t *Tree) uint64 { return engine.Fingerprint(t) }
 // pending batch first (futures resolve against the tree they were
 // submitted to) and bumps the epoch; the next submission refreshes the
 // serving state from the dynamic layout (on sim, its parked positions
-// too) instead of rebuilding it from scratch, so a stale epoch can
-// never serve a mutated tree. See
-// internal/engine's DynEngine documentation for the full semantics.
+// too) instead of rebuilding it from scratch, and installs it on the
+// one engine that serves every epoch, so a stale epoch can never serve
+// a mutated tree. See internal/engine's DynEngine documentation for the
+// full semantics.
 type DynEngine = engine.DynEngine
 
 // DynEngineOptions configures NewDynEngine: the embedded EngineOptions
@@ -425,8 +426,8 @@ type DynEngineOptions = engine.DynOptions
 
 // DynEngineStats snapshots a dynamic engine's counters: mutation side
 // (epoch, inserts, deletes, layout rebuilds, parking and migration
-// energy), serving side (refreshes plus the folded EngineStats of all
-// epochs).
+// energy), serving side (refreshes plus the EngineStats of its engine
+// across all epochs).
 type DynEngineStats = engine.DynStats
 
 // NewDynEngine builds a mutable batched query engine for t.

@@ -260,7 +260,7 @@ func TestPublicAPIDynEngine(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Engine.Requests == 0 {
-		t.Fatal("inner engine requests not counted")
+		t.Fatal("engine requests not counted")
 	}
 	// Mutations superseded the construction placement and no dynlayout
 	// rebuild has happened yet, so the stale entry is invalidated and
