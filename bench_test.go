@@ -785,18 +785,18 @@ func e15Mutate(b *testing.B, de *engine.DynEngine, n, mutations int) {
 // fixture is a serving state of 4 registered trees (n=2^14 each) plus
 // one mutable shard (n=2048) that took 400 journaled mutations, all on
 // the server's default backend, native. The warm arm opens the data
-// dir and runs the full snapshot+WAL recovery: each tree snapshot is
-// decoded, validated and rebuilt into a placement that seeds the layout
-// cache (no light-first pipeline runs), and the dyn shard replays only
-// its WAL. The cold arm rebuilds the same state from scratch:
-// re-registration of every tree, a fresh dynamic layout, and a full
-// re-application of the mutation history — which a real store-less
-// restart could not even do, because the mutation history dies with
-// the process. A native shard takes no placement, so the cold arm
-// builds no layout for the registered trees, while the warm arm still
-// reconstructs their snapshot placements: on this default the warm arm
-// is the dearer one. Each arm's ns/op is gated on its own, so a
-// regression in snapshot decoding, WAL replay or registration shows.
+// dir and runs the full snapshot+WAL recovery: each tree snapshot's
+// parent array is decoded, validated and re-registered, and the dyn
+// shard restores its parked layout and replays only its WAL. The cold
+// arm rebuilds the same state from scratch: re-registration of every
+// already-built tree, a fresh dynamic layout, and a full re-application
+// of the mutation history — which a real store-less restart could not
+// even do, because the mutation history dies with the process. A native
+// shard takes no placement, so neither arm builds a layout for the
+// registered trees; the warm arm still parses and validates their
+// parents, which the cold arm skips, so on this default the warm arm is
+// the dearer one. Each arm's ns/op is gated on its own, so a regression
+// in snapshot decoding, WAL replay or registration shows.
 func BenchmarkE15Recovery(b *testing.B) {
 	const (
 		regTrees  = 4

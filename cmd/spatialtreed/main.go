@@ -41,9 +41,9 @@
 // daemon can meter a tree on sim while serving the rest natively.
 //
 // With -data-dir, registered trees and mutable shards survive restarts:
-// trees persist as placement snapshots (recovered without re-running
-// the layout pipeline), dyn shards as a snapshot plus a mutation WAL
-// replayed on boot. -fsync picks the WAL durability/latency trade-off
+// trees persist as their parent arrays (re-registered on boot as a
+// fresh registration would be), dyn shards as a snapshot plus a
+// mutation WAL replayed on boot. -fsync picks the WAL durability/latency trade-off
 // and -compact-after bounds replay work; see docs/persistence.md.
 //
 // With -peers (plus -advertise and -tcp-addr) the daemon joins a static

@@ -159,12 +159,14 @@ func FuzzDynMutation(f *testing.F) {
 
 // FuzzSnapshotDecode asserts the persistence codec's contract on
 // untrusted bytes: persist.Decode either rejects the input with a typed
-// error (ErrCorrupt / ErrVersion) or returns a snapshot whose
-// re-encoding decodes back to the same value — and it never panics,
-// never allocates in proportion to a forged length field (every count
-// is bounded by the bytes actually present), and public LoadSnapshot
-// agrees on acceptance for placement frames.
+// error (ErrCorrupt / ErrVersion) or returns a snapshot of one of the
+// three kinds (tree, placement, dyn) whose re-encoding decodes back to
+// the same value — and it never panics, never allocates in proportion
+// to a forged length field (every count is bounded by the bytes
+// actually present), and public LoadSnapshot never panics on a
+// placement frame.
 func FuzzSnapshotDecode(f *testing.F) {
+	treeFrame := persist.EncodeTree([]int{-1, 0, 0, 1, 2, 2})
 	placement := persist.EncodePlacement(persist.PlacementSnapshot{
 		Parents: []int{-1, 0, 0, 1, 1},
 		Curve:   "hilbert",
@@ -181,6 +183,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Epoch:   3,
 		Inserts: 2, Deletes: 1,
 	})
+	f.Add(treeFrame)
 	f.Add(placement)
 	f.Add(dyn)
 	f.Add([]byte{})
@@ -196,6 +199,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// Accepted frames must round-trip through a re-encode.
 		switch s := v.(type) {
+		case persist.TreeSnapshot:
+			again, err := persist.Decode(persist.EncodeTree(s.Parents))
+			if err != nil {
+				t.Fatalf("re-encode rejected: %v", err)
+			}
+			if !reflect.DeepEqual(again, s) {
+				t.Fatalf("round trip changed the snapshot: %+v vs %+v", again, s)
+			}
 		case persist.PlacementSnapshot:
 			again, err := persist.DecodePlacement(persist.EncodePlacement(s))
 			if err != nil {

@@ -221,7 +221,7 @@ func TestPoolBackendSharding(t *testing.T) {
 		t.Fatalf("pool size = %d, want 1", pool.Size())
 	}
 	// Only the sim switch builds a placement; the native shard took none.
-	if st := pool.Cache().Stats(); st.Builds != 1 {
+	if st := pool.Stats().Cache; st.Builds != 1 {
 		t.Fatalf("layout builds = %d, want 1 (the sim switch's)", st.Builds)
 	}
 	fresh, err := New(tr, Options{Backend: exec.Sim, Seed: 5})

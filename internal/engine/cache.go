@@ -28,12 +28,11 @@ func Fingerprint(t *tree.Tree) uint64 {
 	return h
 }
 
-// CacheKey identifies one cached placement: the tree's structural
-// fingerprint, the space-filling curve, and the vertex order.
-type CacheKey struct {
-	Fingerprint uint64
-	Curve       string
-	Order       string
+// cacheKey identifies one cached light-first placement: the tree's
+// structural fingerprint and the space-filling curve.
+type cacheKey struct {
+	fp    uint64
+	curve string
 }
 
 // CacheStats reports layout-cache traffic. Hits counts lookups served
@@ -67,22 +66,23 @@ func (c CacheStats) HitRate() float64 {
 // implicitly by New when Options.Cache is nil.
 const DefaultCacheCapacity = 32
 
-// LayoutCache is a concurrency-safe LRU cache of placements keyed by
-// CacheKey. One cache can back many engines (see Pool); sharing it is
-// what lets a fresh Engine on an already-seen tree skip the O(n log n)
-// light-first layout pipeline entirely.
+// LayoutCache is a concurrency-safe LRU cache of light-first placements
+// keyed by tree fingerprint and curve. One cache can back many engines
+// (see Pool); sharing it is what lets a fresh sim Engine on an
+// already-seen tree skip the O(n log n) light-first layout pipeline
+// entirely.
 type LayoutCache struct {
 	mu       sync.Mutex
 	cap      int
 	lru      list.List // front = most recently used; values are *cacheEntry
-	entries  map[CacheKey]*list.Element
-	building map[CacheKey]*buildCall
+	entries  map[cacheKey]*list.Element
+	building map[cacheKey]*buildCall
 
 	hits, misses, evictions, builds, coalesced uint64
 }
 
 type cacheEntry struct {
-	key CacheKey
+	key cacheKey
 	p   *layout.Placement
 }
 
@@ -101,41 +101,17 @@ func NewLayoutCache(capacity int) *LayoutCache {
 	}
 	c := &LayoutCache{
 		cap:      capacity,
-		entries:  make(map[CacheKey]*list.Element),
-		building: make(map[CacheKey]*buildCall),
+		entries:  make(map[cacheKey]*list.Element),
+		building: make(map[cacheKey]*buildCall),
 	}
 	c.lru.Init()
 	return c
 }
 
-// Get returns the cached placement for key, if present, marking it most
-// recently used.
-func (c *LayoutCache) Get(key CacheKey) (*layout.Placement, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).p, true
-	}
-	c.misses++
-	return nil, false
-}
-
-// Put inserts a placement under key, evicting the least recently used
-// entry if the cache is full. Re-inserting an existing key refreshes it.
-func (c *LayoutCache) Put(key CacheKey, p *layout.Placement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, p)
-}
-
-func (c *LayoutCache) putLocked(key CacheKey, p *layout.Placement) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).p = p
-		c.lru.MoveToFront(el)
-		return
-	}
+// putLocked inserts a freshly built placement under key, evicting the
+// least recently used entries while the cache is full; c.mu must be
+// held. Only the build that owns key inserts it, so key is absent.
+func (c *LayoutCache) putLocked(key cacheKey, p *layout.Placement) {
 	for c.lru.Len() >= c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -151,7 +127,7 @@ func (c *LayoutCache) putLocked(key CacheKey, p *layout.Placement) {
 // O(n log n) layout pipeline, the rest wait for it), so a thundering
 // herd of engines on one tree costs one build, not one per engine.
 func (c *LayoutCache) GetOrBuild(t *tree.Tree, fp uint64, curve sfc.Curve) *layout.Placement {
-	key := CacheKey{Fingerprint: fp, Curve: curve.Name(), Order: "light-first"}
+	key := cacheKey{fp: fp, curve: curve.Name()}
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {

@@ -181,10 +181,12 @@ func (de *DynEngine) refreshLocked() error {
 
 // InsertLeaf drains the pending batch, adds a new leaf under parent, and
 // returns its vertex id. The next submission serves the mutated tree.
-// When the mutation applied but something after it failed — the
-// layout's post-mutation rebuild, or the durability journal — the
-// vertex id is returned alongside the error, so the caller can still
-// reconcile its id mapping with the shard's.
+// A mutation that did not apply (parent out of range) changes nothing
+// and returns an error satisfying errors.Is(err, ErrInvalid). When the
+// mutation applied but something after it failed — the layout's
+// post-mutation rebuild, or the durability journal — the error is not
+// ErrInvalid, and the vertex id is returned alongside it, so the caller
+// can still reconcile its id mapping with the shard's.
 func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -206,7 +208,7 @@ func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 		return v, err
 	}
 	if err != nil {
-		return 0, err
+		return 0, invalid(err)
 	}
 	return v, nil
 }
@@ -227,10 +229,11 @@ func (de *DynEngine) journalLocked(rec persist.Record) error {
 // DeleteLeaf drains the pending batch and removes leaf v. As in
 // dynlayout.Dyn.DeleteLeaf, ids stay contiguous: the returned moved is
 // the old id of the vertex renumbered into v (moved == v when v was the
-// last id and nothing moved). As in InsertLeaf, an applied-but-degraded
-// mutation (rebuild or journal failure) still returns moved with the
-// error — losing the renumbering would silently desynchronize the
-// caller's id mapping.
+// last id and nothing moved). As in InsertLeaf, a delete that did not
+// apply (v out of range, not a leaf, or the root) is ErrInvalid, and an
+// applied-but-degraded mutation (rebuild or journal failure) still
+// returns moved with the error — losing the renumbering would silently
+// desynchronize the caller's id mapping.
 func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
@@ -247,7 +250,7 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 		return moved, err
 	}
 	if err != nil {
-		return 0, err
+		return 0, invalid(err)
 	}
 	return moved, nil
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
@@ -211,6 +213,53 @@ func TestDynInvalidInputs(t *testing.T) {
 	}
 	if _, err := NewDyn(tree.Path(4), DynOptions{Options: Options{Curve: "nope"}}); err == nil {
 		t.Error("unknown curve accepted")
+	}
+}
+
+// TestDynMutationErrorClass: a mutation that did not apply is the
+// caller's mistake — ErrInvalid, epoch unchanged — and one that
+// applied but failed afterwards (here, its journal append) is not.
+// Callers classify by this type alone; comparing epochs around the
+// call races with concurrent mutations.
+func TestDynMutationErrorClass(t *testing.T) {
+	de, err := NewDyn(tree.Path(8), DynOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"insert under a negative parent", func() error { _, err := de.InsertLeaf(-1); return err }},
+		{"insert under an out-of-range parent", func() error { _, err := de.InsertLeaf(8); return err }},
+		{"delete a non-leaf", func() error { _, err := de.DeleteLeaf(3); return err }},
+		{"delete the root with children", func() error { _, err := de.DeleteLeaf(0); return err }},
+		{"delete an out-of-range id", func() error { _, err := de.DeleteLeaf(8); return err }},
+		{"delete a negative id", func() error { _, err := de.DeleteLeaf(-1); return err }},
+	} {
+		err := c.mutate()
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: %v, want ErrInvalid", c.name, err)
+		}
+		if de.Epoch() != 0 || de.N() != 8 {
+			t.Errorf("%s changed the shard: epoch %d, n %d", c.name, de.Epoch(), de.N())
+		}
+	}
+	root, err := NewDyn(tree.MustFromParents([]int{-1}), DynOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.DeleteLeaf(0); !errors.Is(err, ErrInvalid) || root.N() != 1 {
+		t.Errorf("delete the root of a one-vertex tree: %v (n %d), want ErrInvalid", err, root.N())
+	}
+	sentinel := errors.New("disk full")
+	de.SetJournal(func(persist.Record) error { return sentinel })
+	v, err := de.InsertLeaf(7)
+	if !errors.Is(err, sentinel) || errors.Is(err, ErrInvalid) || v != 8 || de.Epoch() != 1 {
+		t.Fatalf("applied insert with a failed journal: v=%d epoch=%d err=%v, want v=8 epoch=1 and a non-ErrInvalid error", v, de.Epoch(), err)
+	}
+	if _, err := de.DeleteLeaf(8); !errors.Is(err, sentinel) || errors.Is(err, ErrInvalid) || de.Epoch() != 2 {
+		t.Fatalf("applied delete with a failed journal: epoch=%d err=%v", de.Epoch(), err)
 	}
 }
 

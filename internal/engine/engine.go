@@ -97,13 +97,13 @@
 //
 // Only the sim backend reads a placement, so only a sim engine takes
 // one at construction; a native engine does no layout work unless a
-// caller asks for its Placement. Static placements are obtained from a
-// LayoutCache keyed by (tree fingerprint, curve, order) — see
-// Fingerprint. Engines created with a shared cache (directly via
-// Options.Cache or through a Pool) skip the O(n log n) light-first
-// pipeline whenever any engine has already laid out a structurally
-// identical tree on the same curve. CacheStats reports hits, misses and
-// evictions; Stats folds them into EngineStats.
+// caller asks for its Placement. Static placements are light-first
+// placements obtained from a LayoutCache keyed by (tree fingerprint,
+// curve) — see Fingerprint. Engines created with a shared cache
+// (directly via Options.Cache or through a Pool) skip the O(n log n)
+// light-first pipeline whenever any engine has already laid out a
+// structurally identical tree on the same curve. CacheStats reports
+// hits, misses and evictions; Stats folds them into EngineStats.
 package engine
 
 import (
@@ -523,6 +523,9 @@ func (e *Engine) Tree() *tree.Tree { return e.cur.Load().t }
 // Placement returns the engine's placement: on sim, the one its
 // simulator runs on; on native, whose kernels read none, the tree's
 // light-first placement from the layout cache, built on first call.
+// Neither serving nor persistence calls it on a native engine: a
+// registered tree persists as its parents only. Its native branch
+// remains for callers that measure a native shard's layout.
 func (e *Engine) Placement() *layout.Placement {
 	sv := e.cur.Load()
 	if sv.p != nil {

@@ -232,14 +232,14 @@ func TestLayoutCacheLRU(t *testing.T) {
 	if st.Evictions != 1 || st.Size != 2 {
 		t.Fatalf("cache stats = %+v, want 1 eviction at size 2", st)
 	}
-	if _, ok := cache.Get(CacheKey{Fingerprint: Fingerprint(t2), Curve: "hilbert", Order: "light-first"}); ok {
-		t.Fatal("t2 should have been evicted (LRU)")
-	}
-	if _, ok := cache.Get(CacheKey{Fingerprint: Fingerprint(t1), Curve: "hilbert", Order: "light-first"}); !ok {
-		t.Fatal("t1 should have survived (recently used)")
-	}
 	if st.Hits < 1 {
 		t.Fatalf("hits = %d, want >= 1", st.Hits)
+	}
+	if got := cache.GetOrBuild(t1, Fingerprint(t1), curve); got != p1 {
+		t.Fatal("t1 should have survived (recently used)")
+	}
+	if cache.GetOrBuild(t2, Fingerprint(t2), curve); cache.Stats().Builds != st.Builds+1 {
+		t.Fatal("t2 should have been evicted (LRU) and rebuilt")
 	}
 }
 

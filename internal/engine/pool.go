@@ -133,9 +133,6 @@ func (p *Pool) shard(t *tree.Tree, backend string) (*Engine, error) {
 // them.
 func (p *Pool) Options() Options { return p.opts }
 
-// Cache returns the shared layout cache.
-func (p *Pool) Cache() *LayoutCache { return p.opts.Cache }
-
 // Size returns the number of shards (distinct trees).
 func (p *Pool) Size() int {
 	p.mu.Lock()

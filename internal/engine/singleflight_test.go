@@ -91,7 +91,7 @@ func TestPoolEngineSingleBuild(t *testing.T) {
 	if pool.Size() != 1 {
 		t.Fatalf("pool size = %d, want 1", pool.Size())
 	}
-	if st := pool.Cache().Stats(); st.Builds != 1 {
+	if st := pool.Stats().Cache; st.Builds != 1 {
 		t.Fatalf("layout builds = %d, want exactly 1", st.Builds)
 	}
 }

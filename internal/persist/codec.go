@@ -1,14 +1,16 @@
 // Package persist is the durability subsystem behind cmd/spatialtreed:
-// a versioned binary snapshot codec for tree placements and dynamic-
-// layout state, an append-only mutation WAL for mutable shards, and a
-// directory Store tying the two together with atomic snapshot rotation
-// and log compaction.
+// a versioned binary snapshot codec for registered trees, static
+// placements and dynamic-layout state, an append-only mutation WAL for
+// mutable shards, and a directory Store tying them together with
+// atomic snapshot rotation and log compaction.
 //
-// The design separates the two things a serving process must not lose —
-// the parked placement (expensive to recompute: the O(n log n)
-// light-first pipeline) and the mutation stream since it was parked —
-// the way dual-tree systems separate immutable reference structure from
-// per-query state. A snapshot is one self-checking frame: magic,
+// Only state is durable. A registered tree's state is its parent array:
+// a placement is preprocessing that a sim shard rebuilds on first
+// sight and a native shard never reads, so a tree snapshot holds the
+// parents and nothing else. A mutable shard's state is its parked
+// placement — positions that record the mutation history, which no
+// pipeline can recompute — plus the mutation stream since it was
+// parked. A snapshot is one self-checking frame: magic,
 // version, kind, a length prefix and a CRC-32C over the payload, so a
 // decoder can reject truncation, bit rot and format drift with a typed
 // error instead of a panic. The WAL is a sequence of the same kind of
@@ -35,7 +37,7 @@ import (
 //
 //	offset 0: magic "STSN" (4 bytes)
 //	offset 4: format version (1 byte; currently 1)
-//	offset 5: kind (1 byte; 1 = placement, 2 = dyn shard)
+//	offset 5: kind (1 byte; 1 = placement, 2 = dyn shard, 3 = tree)
 //	offset 6: payload length (uint32)
 //	offset 10: CRC-32C (Castagnoli) of the payload (uint32)
 //	offset 14: payload
@@ -43,6 +45,7 @@ const (
 	snapshotVersion   = 1
 	kindPlacement     = 1
 	kindDyn           = 2
+	kindTree          = 3
 	headerLen         = 14
 	maxNameLen        = 64 // curve / order name bound
 	maxEpsilon        = 1e6
@@ -68,11 +71,17 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// PlacementSnapshot is the durable form of a static placement: the tree
-// (as its parent array), the curve and order names, and the per-vertex
-// curve ranks on a side×side grid. Persisting the ranks is what makes a
-// warm start cheap: recovery rebuilds the Placement in O(n) and seeds
-// the layout cache instead of re-running the light-first pipeline.
+// TreeSnapshot is the durable form of a registered tree: its parent
+// array and nothing else.
+type TreeSnapshot struct {
+	Parents []int
+}
+
+// PlacementSnapshot is the serialized form of a static placement: the
+// tree (as its parent array), the curve and order names, and the
+// per-vertex curve ranks on a side×side grid. It is the format of the
+// public SaveSnapshot. Older data directories also hold registered
+// trees in it; Store.LoadTrees keeps their parents and drops the rest.
 type PlacementSnapshot struct {
 	Parents []int
 	Curve   string
@@ -101,13 +110,18 @@ type DynSnapshot struct {
 	MigrateEnergy int64
 }
 
+// EncodeTree serializes a registered tree's parent array into one
+// self-checking snapshot frame.
+func EncodeTree(parents []int) []byte {
+	var e encoder
+	e.parents(parents)
+	return frame(kindTree, e.buf)
+}
+
 // EncodePlacement serializes s into one self-checking snapshot frame.
 func EncodePlacement(s PlacementSnapshot) []byte {
 	var e encoder
-	e.uvarint(uint64(len(s.Parents)))
-	for _, p := range s.Parents {
-		e.varint(int64(p))
-	}
+	e.parents(s.Parents)
 	e.str(s.Curve)
 	e.str(s.Order)
 	e.uvarint(uint64(s.Side))
@@ -120,10 +134,7 @@ func EncodePlacement(s PlacementSnapshot) []byte {
 // EncodeDyn serializes s into one self-checking snapshot frame.
 func EncodeDyn(s DynSnapshot) []byte {
 	var e encoder
-	e.uvarint(uint64(len(s.Parents)))
-	for _, p := range s.Parents {
-		e.varint(int64(p))
-	}
+	e.parents(s.Parents)
 	e.str(s.Curve)
 	e.uvarint(uint64(s.Side))
 	for _, r := range s.Ranks {
@@ -152,7 +163,7 @@ func DecodePlacement(data []byte) (PlacementSnapshot, error) {
 	}
 	s, ok := v.(PlacementSnapshot)
 	if !ok {
-		return PlacementSnapshot{}, corruptf("frame holds a dyn snapshot, not a placement")
+		return PlacementSnapshot{}, corruptf("frame holds a %T, not a placement", v)
 	}
 	return s, nil
 }
@@ -168,14 +179,14 @@ func DecodeDyn(data []byte) (DynSnapshot, error) {
 	}
 	s, ok := v.(DynSnapshot)
 	if !ok {
-		return DynSnapshot{}, corruptf("frame holds a placement snapshot, not a dyn one")
+		return DynSnapshot{}, corruptf("frame holds a %T, not a dyn snapshot", v)
 	}
 	return s, nil
 }
 
-// Decode decodes any snapshot frame, returning a PlacementSnapshot or a
-// DynSnapshot. Arbitrary input bytes can neither panic nor allocate
-// more than O(len(data)).
+// Decode decodes any snapshot frame, returning a TreeSnapshot, a
+// PlacementSnapshot or a DynSnapshot. Arbitrary input bytes can neither
+// panic nor allocate more than O(len(data)).
 //
 //spatialvet:errclass
 func Decode(data []byte) (any, error) {
@@ -185,6 +196,12 @@ func Decode(data []byte) (any, error) {
 	}
 	d := decoder{buf: payload}
 	switch kind {
+	case kindTree:
+		s, err := decodeTreePayload(&d)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	case kindPlacement:
 		s, err := decodePlacementPayload(&d)
 		if err != nil {
@@ -202,23 +219,25 @@ func Decode(data []byte) (any, error) {
 	}
 }
 
-func decodePlacementPayload(d *decoder) (PlacementSnapshot, error) {
-	var s PlacementSnapshot
-	n, err := d.count("vertex")
-	if err != nil {
+func decodeTreePayload(d *decoder) (TreeSnapshot, error) {
+	var s TreeSnapshot
+	var err error
+	if s.Parents, err = d.parents(); err != nil {
 		return s, err
 	}
-	s.Parents = make([]int, n)
-	for i := range s.Parents {
-		p, err := d.varint()
-		if err != nil {
-			return s, err
-		}
-		if p < -1 || p >= int64(n) {
-			return s, corruptf("vertex %d has parent %d outside [-1,%d)", i, p, n)
-		}
-		s.Parents[i] = int(p)
+	if err := d.drained(); err != nil {
+		return s, err
 	}
+	return s, nil
+}
+
+func decodePlacementPayload(d *decoder) (PlacementSnapshot, error) {
+	var s PlacementSnapshot
+	var err error
+	if s.Parents, err = d.parents(); err != nil {
+		return s, err
+	}
+	n := len(s.Parents)
 	if s.Curve, err = d.str(); err != nil {
 		return s, err
 	}
@@ -239,21 +258,11 @@ func decodePlacementPayload(d *decoder) (PlacementSnapshot, error) {
 
 func decodeDynPayload(d *decoder) (DynSnapshot, error) {
 	var s DynSnapshot
-	n, err := d.count("vertex")
-	if err != nil {
+	var err error
+	if s.Parents, err = d.parents(); err != nil {
 		return s, err
 	}
-	s.Parents = make([]int, n)
-	for i := range s.Parents {
-		p, err := d.varint()
-		if err != nil {
-			return s, err
-		}
-		if p < -1 || p >= int64(n) {
-			return s, corruptf("vertex %d has parent %d outside [-1,%d)", i, p, n)
-		}
-		s.Parents[i] = int(p)
-	}
+	n := len(s.Parents)
 	if s.Curve, err = d.str(); err != nil {
 		return s, err
 	}
@@ -361,6 +370,15 @@ func (e *encoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// parents writes a vertex count and the parent array, the prefix every
+// snapshot kind starts with.
+func (e *encoder) parents(ps []int) {
+	e.uvarint(uint64(len(ps)))
+	for _, p := range ps {
+		e.varint(int64(p))
+	}
+}
+
 // decoder consumes primitive values, validating every length against
 // the bytes actually remaining before allocating anything.
 type decoder struct{ buf []byte }
@@ -421,6 +439,28 @@ func (d *decoder) count(what string) (int, error) {
 		return 0, corruptf("%s count %d exceeds %d remaining bytes", what, n, len(d.buf))
 	}
 	return int(n), nil
+}
+
+// parents reads the vertex count and parent array every snapshot kind
+// starts with. Each parent must lie in [-1, n); whether the array forms
+// one tree is the consumer's check (tree.FromParents).
+func (d *decoder) parents() ([]int, error) {
+	n, err := d.count("vertex")
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]int, n)
+	for i := range ps {
+		p, err := d.varint()
+		if err != nil {
+			return nil, err
+		}
+		if p < -1 || p >= int64(n) {
+			return nil, corruptf("vertex %d has parent %d outside [-1,%d)", i, p, n)
+		}
+		ps[i] = int(p)
+	}
+	return ps, nil
 }
 
 // side reads a static placement's grid side and checks it against the

@@ -48,6 +48,17 @@ func TestPlacementRoundTrip(t *testing.T) {
 	}
 }
 
+func TestTreeRoundTrip(t *testing.T) {
+	want := TreeSnapshot{Parents: []int{-1, 0, 0, 1, 1, 2, 2, 3}}
+	got, err := Decode(EncodeTree(want.Parents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestDynRoundTrip(t *testing.T) {
 	want := sampleDyn()
 	got, err := DecodeDyn(EncodeDyn(want))
@@ -65,6 +76,13 @@ func TestDecodeKindMismatch(t *testing.T) {
 	}
 	if _, err := DecodePlacement(EncodeDyn(sampleDyn())); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("DecodePlacement(dyn frame) = %v, want ErrCorrupt", err)
+	}
+	tree := EncodeTree(samplePlacement().Parents)
+	if _, err := DecodePlacement(tree); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodePlacement(tree frame) = %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeDyn(tree); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeDyn(tree frame) = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -102,9 +120,33 @@ func TestDecodeRejectsHostileFields(t *testing.T) {
 	// the claim.
 	var e encoder
 	e.uvarint(1 << 40)
-	hostile := frame(kindPlacement, e.buf)
-	if _, err := Decode(hostile); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge count: %v, want ErrCorrupt", err)
+	for _, kind := range []byte{kindTree, kindPlacement, kindDyn} {
+		if _, err := Decode(frame(kind, e.buf)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("kind %d, huge count: %v, want ErrCorrupt", kind, err)
+		}
+	}
+
+	// Every kind shares one parents decoder, so a parent outside
+	// [-1, n) is corrupt in each of them.
+	p := samplePlacement()
+	p.Parents[2] = 99
+	dy := sampleDyn()
+	dy.Parents[2] = -2
+	for name, raw := range map[string][]byte{
+		"tree":      EncodeTree([]int{-1, 5}),
+		"placement": EncodePlacement(p),
+		"dyn":       EncodeDyn(dy),
+	} {
+		if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s with an out-of-range parent: %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A tree frame carries nothing after its parents.
+	var tr encoder
+	tr.parents([]int{-1, 0})
+	tr.uvarint(1)
+	if _, err := Decode(frame(kindTree, tr.buf)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("tree frame with trailing bytes: %v, want ErrCorrupt", err)
 	}
 
 	// A side far out of proportion to the tree is rejected, so a tiny

@@ -41,7 +41,7 @@ type Options struct {
 }
 
 // Store is a durable home for a server's shard table: registered trees
-// as placement snapshots under trees/, and mutable shards as a
+// as parents-only tree snapshots under trees/, and mutable shards as a
 // snapshot plus an append-only WAL under dyn/<id>/. All methods are
 // safe for concurrent use; per-shard ordering is the caller's (the
 // engine journals under its own mutation lock).
@@ -99,22 +99,25 @@ func (s *Store) Close() error {
 	return first
 }
 
-// SaveTree persists a registered tree's placement snapshot under id
-// (atomic write; overwriting an existing id is idempotent).
-func (s *Store) SaveTree(id string, snap PlacementSnapshot) error {
+// SaveTree persists a registered tree's parent array under id as a
+// tree snapshot (atomic write; overwriting an existing id is
+// idempotent).
+func (s *Store) SaveTree(id string, parents []int) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(s.opts.Dir, "trees", id+".snap"), EncodePlacement(snap))
+	return writeFileAtomic(filepath.Join(s.opts.Dir, "trees", id+".snap"), EncodeTree(parents))
 }
 
 // SavedTree is one recovered registered tree.
 type SavedTree struct {
-	ID   string
-	Snap PlacementSnapshot
+	ID      string
+	Parents []int
 }
 
-// LoadTrees decodes every registered-tree snapshot, sorted by id.
+// LoadTrees decodes every registered-tree snapshot, sorted by id. A
+// placement snapshot, the form older data directories hold trees in,
+// loads too: its parents are the tree, and its placement is dropped.
 func (s *Store) LoadTrees() ([]SavedTree, error) {
 	dir := filepath.Join(s.opts.Dir, "trees")
 	entries, err := os.ReadDir(dir)
@@ -131,11 +134,20 @@ func (s *Store) LoadTrees() ([]SavedTree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
-		snap, err := DecodePlacement(raw)
+		v, err := Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("persist: tree snapshot %s: %w", name, err)
 		}
-		out = append(out, SavedTree{ID: strings.TrimSuffix(name, ".snap"), Snap: snap})
+		st := SavedTree{ID: strings.TrimSuffix(name, ".snap")}
+		switch snap := v.(type) {
+		case TreeSnapshot:
+			st.Parents = snap.Parents
+		case PlacementSnapshot:
+			st.Parents = snap.Parents
+		default:
+			return nil, fmt.Errorf("persist: tree snapshot %s: %w", name, corruptf("frame holds a %T", v))
+		}
+		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,11 +23,8 @@ func testStore(t *testing.T, opts Options) *Store {
 
 func TestSaveLoadTrees(t *testing.T) {
 	s := testStore(t, Options{})
-	a := samplePlacement()
-	b := samplePlacement()
-	b.Parents = []int{-1, 0, 1}
-	b.Ranks = []int{0, 1, 2}
-	b.Side = 2
+	a := []int{-1, 0, 0, 1, 1, 2, 2, 3}
+	b := []int{-1, 0, 1}
 	if err := s.SaveTree("t1", a); err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +34,30 @@ func TestSaveLoadTrees(t *testing.T) {
 	if err := s.SaveTree("t1", a); err != nil { // overwrite is idempotent
 		t.Fatal(err)
 	}
+	// A placement snapshot, the form older data directories hold trees
+	// in, loads as its parents.
+	old := samplePlacement()
+	old.Parents = []int{-1, 0, 0, 0, 1, 1, 2, 2}
+	if err := os.WriteFile(filepath.Join(s.Dir(), "trees", "t3.snap"), EncodePlacement(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	saved, err := s.LoadTrees()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) != 2 || saved[0].ID != "t1" || saved[1].ID != "t2" {
-		t.Fatalf("LoadTrees = %+v", saved)
-	}
-	if !reflect.DeepEqual(saved[0].Snap, a) || !reflect.DeepEqual(saved[1].Snap, b) {
-		t.Fatalf("snapshot contents drifted")
+	want := []SavedTree{{ID: "t1", Parents: a}, {ID: "t2", Parents: b}, {ID: "t3", Parents: old.Parents}}
+	if !reflect.DeepEqual(saved, want) {
+		t.Fatalf("LoadTrees = %+v, want %+v", saved, want)
 	}
 	if err := s.SaveTree("../evil", a); err == nil {
 		t.Fatal("SaveTree accepted a path-traversal id")
+	}
+	// A dyn frame is no registered tree.
+	if err := os.WriteFile(filepath.Join(s.Dir(), "trees", "t4.snap"), EncodeDyn(sampleDyn()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadTrees(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadTrees over a dyn frame = %v, want ErrCorrupt", err)
 	}
 }
 

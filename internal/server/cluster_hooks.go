@@ -15,6 +15,7 @@ package server
 // shards: routing, Drain and /metrics all read it.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -129,7 +130,6 @@ func (s *Server) DynMutate(id string, op uint8, arg int) (MutateResult, error) {
 	}
 	var res MutateResult
 	var err error
-	epochBefore := de.Epoch()
 	switch op {
 	case wire.OpInsert:
 		res.Vertex, err = de.InsertLeaf(arg)
@@ -139,21 +139,18 @@ func (s *Server) DynMutate(id string, op uint8, arg int) (MutateResult, error) {
 		return MutateResult{}, statusErrf(StatusBadRequest, "unknown mutation op %d (want %d=insert or %d=delete)", op, wire.OpInsert, wire.OpDelete)
 	}
 	if err != nil {
-		// An error with the epoch bumped means the mutation applied but
-		// the layout's post-mutation rebuild failed — or its journal
-		// append did — server-side degradation, not a bad request.
-		// (Epoch comparison can misread under concurrent mutations on
-		// one shard; the worst case is an internal status for what was a
-		// bad request, which errs on the honest side.) A journal failure
-		// leaves the log behind the engine; repairJournal re-snapshots to
-		// close the gap so one transient disk error cannot wedge
-		// durability for the rest of the process.
-		st := StatusBadRequest
-		if de.Epoch() != epochBefore {
-			st = StatusInternal
-			s.repairJournal(id, de)
+		// A mutation that did not apply is the request's fault
+		// (engine.ErrInvalid). Any other error means it applied but the
+		// layout's post-mutation rebuild failed — or its journal append
+		// did — server-side degradation, not a bad request. A journal
+		// failure leaves the log behind the engine; repairJournal
+		// re-snapshots to close the gap so one transient disk error
+		// cannot wedge durability for the rest of the process.
+		if errors.Is(err, engine.ErrInvalid) {
+			return MutateResult{}, statusErr(StatusBadRequest, err)
 		}
-		return MutateResult{}, statusErr(st, err)
+		s.repairJournal(id, de)
+		return MutateResult{}, statusErr(StatusInternal, err)
 	}
 	res.Epoch, res.N = de.Epoch(), de.N()
 	s.maybeCompact(id, de)

@@ -91,7 +91,7 @@ type Timeouts struct {
 // Durability groups the persistence wiring.
 type Durability struct {
 	// Store, when non-nil, makes the shard table durable: registered
-	// trees are persisted as placement snapshots, mutable shards as a
+	// trees are persisted as their parent arrays, mutable shards as a
 	// snapshot plus a mutation WAL, and Recover replays all of it on
 	// boot. Nil serves everything from memory.
 	Store *persist.Store

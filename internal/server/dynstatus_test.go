@@ -217,3 +217,52 @@ func TestDynShardHandoffSurface(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 }
+
+// TestDynMutateErrorClassUnderConcurrency: a mutation's status follows
+// its error's type, not the epoch around it. One goroutine inserts
+// while another keeps deleting the root; every delete must answer 400,
+// however the inserts interleave, and every insert must apply.
+func TestDynMutateErrorClassUnderConcurrency(t *testing.T) {
+	s := New(Config{})
+	created, err := s.DynCreateLocal("", testParents(64, 5), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deletes = 5000
+	done := make(chan struct{})
+	inserted := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { inserted <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := s.DynMutate(created.ID, wire.OpInsert, n%64); err != nil {
+				t.Errorf("insert %d: %v", n, err)
+				return
+			}
+			n++
+		}
+	}()
+	wrong := 0
+	for i := 0; i < deletes; i++ {
+		_, err := s.DynMutate(created.ID, wire.OpDelete, 0)
+		if st := Classify(err); st != StatusBadRequest {
+			if wrong == 0 {
+				t.Errorf("delete of the root answered %v (%v), want %v", st, err, StatusBadRequest)
+			}
+			wrong++
+		}
+	}
+	close(done)
+	n := <-inserted
+	if wrong != 0 {
+		t.Errorf("%d of %d root deletes answered other than %v beside %d inserts", wrong, deletes, StatusBadRequest, n)
+	}
+	if de, _ := s.DynShard(created.ID); de.Epoch() != uint64(n) {
+		t.Fatalf("epoch %d after %d inserts", de.Epoch(), n)
+	}
+}

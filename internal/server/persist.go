@@ -1,15 +1,15 @@
 package server
 
 // Durability wiring: when Config.Store is set, the server persists its
-// shard table — registered trees as placement snapshots, mutable shards
-// as a snapshot plus a mutation WAL — and Recover rebuilds all of it on
-// boot. Registered trees warm-start through the layout cache: their
-// snapshots carry the light-first ranks, so recovery seeds the cache
-// with an O(n) reconstruction, and a sim registration is a cache hit
-// instead of a fresh O(n log n) layout pipeline run per shard (a native
-// registration takes no placement and makes no lookup). Dyn shards replay their WAL's surviving records through
-// DynEngine.ApplyRecord — the path followers apply shipped records
-// through — verifying each record's epoch and result against the log.
+// shard table — registered trees as parents-only tree snapshots,
+// mutable shards as a snapshot plus a mutation WAL — and Recover
+// rebuilds all of it on boot. A registered tree's only state is its
+// structure: recovery re-registers it exactly as a fresh registration
+// would, so a sim shard builds its placement on first sight and a
+// native one builds none. Dyn shards replay their WAL's surviving
+// records through DynEngine.ApplyRecord — the path followers apply
+// shipped records through — verifying each record's epoch and result
+// against the log.
 
 import (
 	"fmt"
@@ -17,10 +17,7 @@ import (
 	"strings"
 
 	"spatialtree/internal/engine"
-	"spatialtree/internal/layout"
-	"spatialtree/internal/order"
 	"spatialtree/internal/persist"
-	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
 )
 
@@ -35,13 +32,13 @@ type RecoveryStats struct {
 }
 
 // Recover rebuilds the server's shard table from Config.Store: every
-// persisted tree is re-registered (with its placement seeded into the
-// layout cache, so no layout pipeline runs), every dyn shard is
-// restored from its snapshot and its WAL's surviving records are
-// replayed, and journaling is re-armed so new mutations append where
-// the log left off. Call it once, after New and before serving; with no
-// Store configured it is a no-op. Recovery does not count against
-// MaxShards — the persisted state was admitted when it was created.
+// persisted tree is re-registered on the server's default backend,
+// every dyn shard is restored from its snapshot and its WAL's surviving
+// records are replayed, and journaling is re-armed so new mutations
+// append where the log left off. Call it once, after New and before
+// serving; with no Store configured it is a no-op. Recovery does not
+// count against MaxShards — the persisted state was admitted when it
+// was created.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	if s.cfg.Durability.Store == nil {
@@ -75,36 +72,15 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	return rs, nil
 }
 
-// recoverTree re-registers one persisted tree, seeding the layout cache
-// with the snapshot's placement so a sim registration is a cache hit.
+// recoverTree re-registers one persisted tree.
 func (s *Server) recoverTree(st persist.SavedTree) error {
-	t, err := tree.FromParents(st.Snap.Parents)
+	t, err := tree.FromParents(st.Parents)
 	if err != nil {
 		return err
 	}
-	fp := engine.Fingerprint(t)
-	if got := treeID(fp); got != st.ID {
+	if got := treeID(engine.Fingerprint(t)); got != st.ID {
 		return fmt.Errorf("snapshot decodes to tree %s, not %s", got, st.ID)
 	}
-	c, err := sfc.ByName(st.Snap.Curve)
-	if err != nil {
-		return err
-	}
-	// Seed the cache only with a faithful static placement: the ranks
-	// must be a dense permutation (the image of an order) on the side
-	// the engine itself would choose, or the engine's simulators and
-	// kernels would disagree with a freshly built shard.
-	if st.Snap.Side != c.Side(t.N()) {
-		return fmt.Errorf("snapshot side %d is not the curve's side for %d vertices", st.Snap.Side, t.N())
-	}
-	if !(order.Order{Rank: st.Snap.Ranks}).IsPermutation() {
-		return fmt.Errorf("snapshot ranks are not a permutation")
-	}
-	p, err := layout.FromRanks(t, st.Snap.Order, st.Snap.Ranks, c, st.Snap.Side)
-	if err != nil {
-		return err
-	}
-	s.pool.Cache().Put(engine.CacheKey{Fingerprint: fp, Curve: st.Snap.Curve, Order: st.Snap.Order}, p)
 	// Recovered trees come back on the server's default backend: the
 	// backend is a serving-time knob, not durable state.
 	_, err = s.registerTree(t, false, "")
@@ -211,22 +187,13 @@ func (s *Server) repairJournal(id string, de *engine.DynEngine) {
 	_ = log.Compact(st)
 }
 
-// persistTree saves a registered tree's placement snapshot. A native
-// engine holds no placement, so Placement builds the light-first one
-// through the layout cache here.
-func (s *Server) persistTree(id string, eng *engine.Engine) error {
+// persistTree saves a registered tree's parent array, its only durable
+// state.
+func (s *Server) persistTree(id string, t *tree.Tree) error {
 	if s.cfg.Durability.Store == nil {
 		return nil
 	}
-	p := eng.Placement()
-	t := eng.Tree()
-	return s.cfg.Durability.Store.SaveTree(id, persist.PlacementSnapshot{
-		Parents: append([]int(nil), t.Parents()...),
-		Curve:   p.Curve.Name(),
-		Order:   p.Order.Name,
-		Side:    p.Side,
-		Ranks:   append([]int(nil), p.Order.Rank...),
-	})
+	return s.cfg.Durability.Store.SaveTree(id, t.Parents())
 }
 
 // dynSeq extracts the numeric suffix of a dyn shard id ("d17" → 17).

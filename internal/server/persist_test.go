@@ -31,10 +31,10 @@ func openTestStore(t *testing.T, dir string, opts persist.Options) *persist.Stor
 // with registered trees and mutated dyn shards is drained and replaced
 // by a fresh server on the same data dir, which must recover the full
 // shard table — same ids, same /metrics shard counts, same query
-// answers — with zero rebuilt layouts and the dyn WAL replayed. It runs
-// on both default backends: a sim default serves the registered trees'
-// placements from the seeded layout cache, and a native default never
-// looks one up.
+// answers and per-request costs — with the dyn WAL replayed. It runs on
+// both default backends. The snapshots hold only the trees, so a sim
+// default builds each registered tree's placement once, as a fresh
+// registration does, and a native default never looks one up.
 func TestRestartDurability(t *testing.T) {
 	for _, backend := range []string{exec.Native, exec.Sim} {
 		t.Run(backend, func(t *testing.T) { testRestartDurability(t, backend) })
@@ -129,18 +129,14 @@ func testRestartDurability(t *testing.T, backend string) {
 		t.Fatalf("post-restart persist metrics: %+v", m.Persist)
 	}
 
-	// Nothing ran the layout pipeline. On sim the registered trees'
-	// placements came from the seeded cache, so the recovery
-	// registrations hit; a native registration takes no placement and
-	// makes no lookup.
-	if m.Cache.Builds != 0 {
-		t.Fatalf("warm start rebuilt %d layouts; want 0 (cache-seeded)", m.Cache.Builds)
+	// A sim registration recovered from disk builds its placement as a
+	// fresh one does, once per registered tree; a native registration
+	// takes no placement and makes no lookup.
+	if backend == exec.Sim && (m.Cache.Builds != 2 || m.Cache.Misses != 2 || m.Cache.Hits != 0) {
+		t.Fatalf("sim warm start cache = %+v, want 2 misses and 2 builds (one per registered tree)", m.Cache)
 	}
-	if backend == exec.Sim && m.Cache.Hits < 2 {
-		t.Fatalf("warm start cache hits = %d, want >= 2 (one per registered tree)", m.Cache.Hits)
-	}
-	if backend == exec.Native && m.Cache.Hits+m.Cache.Misses != 0 {
-		t.Fatalf("native warm start made %d cache hits and %d misses, want none", m.Cache.Hits, m.Cache.Misses)
+	if backend == exec.Native && m.Cache.Hits+m.Cache.Misses+m.Cache.Builds != 0 {
+		t.Fatalf("native warm start cache = %+v, want no traffic", m.Cache)
 	}
 
 	// Same ids answer identically.
@@ -150,6 +146,15 @@ func testRestartDurability(t *testing.T, backend string) {
 	}
 	if !reflect.DeepEqual(lcaAfter.Answers, lcaBefore.Answers) {
 		t.Fatalf("registered-tree answers changed: %v vs %v", lcaAfter.Answers, lcaBefore.Answers)
+	}
+	if lcaAfter.Cost != lcaBefore.Cost {
+		t.Fatalf("registered-tree cost changed: %+v vs %+v", lcaAfter.Cost, lcaBefore.Cost)
+	}
+	if backend == exec.Sim && lcaAfter.Cost.Energy == 0 {
+		t.Fatal("sim registered-tree query reported no cost")
+	}
+	if served := getMetrics(t, hs2.URL); served.Cache != m.Cache {
+		t.Fatalf("serving a recovered tree touched the layout cache: %+v after %+v", served.Cache, m.Cache)
 	}
 	var dynAfter QueryResponse
 	if err := postJSON(hs2.URL, "/v1/dyn/"+dynA.ID+"/query", dynQ, &dynAfter); err != nil {
@@ -172,6 +177,89 @@ func testRestartDurability(t *testing.T, backend string) {
 	}
 	if dynC.ID == dynA.ID || dynC.ID == dynB.ID {
 		t.Fatalf("recovered server reissued shard id %s", dynC.ID)
+	}
+}
+
+// TestRegisterWithStoreBuildsNoLayout: a registered tree persists as
+// its parents only, so a native server with a store registers a tree
+// without a layout-cache lookup or build.
+func TestRegisterWithStoreBuildsNoLayout(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Backend: exec.Native, Durability: Durability{Store: openTestStore(t, dir, persist.Options{})}})
+	parents := testParents(500, 21)
+	id, err := s.RegisterTree(tree.MustFromParents(parents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Metrics().Cache; c.Hits+c.Misses+c.Builds != 0 {
+		t.Fatalf("native registration with a store: cache %+v, want no traffic", c)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "trees", id+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(raw, persist.EncodeTree(parents)) {
+		t.Fatal("the saved snapshot is not the tree's parents-only frame")
+	}
+}
+
+// TestRecoverPlacementSnapshot: a data dir written before trees were
+// saved parents-only holds each registered tree as a placement
+// snapshot. It must still recover, drop the placement, and serve what a
+// fresh registration serves: the same answers on either backend, and on
+// sim the same per-request costs, because the recovered shard builds
+// its own placement.
+func TestRecoverPlacementSnapshot(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "persist", "placement.v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.DecodePlacement(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := treeID(engine.Fingerprint(tree.MustFromParents(snap.Parents)))
+	queries := []QueryRequest{
+		{TreeID: id, Kind: "lca", Queries: []LCAQuery{{U: 7, V: 4}, {U: 5, V: 6}, {U: 3, V: 2}}},
+		{TreeID: id, Kind: "treefix", Vals: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+	}
+	for _, backend := range []string{exec.Native, exec.Sim} {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "trees"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "trees", id+".snap"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recovered, hsR := newTestServer(t, Config{Backend: backend, Durability: Durability{Store: openTestStore(t, dir, persist.Options{})}})
+			if rs, err := recovered.Recover(); err != nil || rs.Trees != 1 {
+				t.Fatalf("Recover = %+v, %v", rs, err)
+			}
+			_, hsF := newTestServer(t, Config{Backend: backend})
+			var reg RegisterResponse
+			if err := postJSON(hsF.URL, "/v1/trees", RegisterRequest{Parents: snap.Parents}, &reg); err != nil {
+				t.Fatal(err)
+			}
+			if reg.ID != id {
+				t.Fatalf("fresh registration got id %s, recovered %s", reg.ID, id)
+			}
+			for _, q := range queries {
+				var got, want QueryResponse
+				if err := postJSON(hsR.URL, "/v1/query", q, &got); err != nil {
+					t.Fatal(err)
+				}
+				if err := postJSON(hsF.URL, "/v1/query", q, &want); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: recovered tree serves %+v, fresh registration %+v", q.Kind, got, want)
+				}
+				if backend == exec.Sim && got.Cost.Energy == 0 {
+					t.Fatalf("%s: sim query reported no cost", q.Kind)
+				}
+			}
+		})
 	}
 }
 

@@ -289,9 +289,10 @@ var errShardLimit = errors.New("shard limit reached (MaxShards): delete load or 
 
 // RegisterTree registers t on the server's default backend and returns
 // its id, warming the shard. A sim shard takes its placement from the
-// layout cache; a native one takes none, and builds one through the
-// cache only when a durability store needs it saved. The id is stable
-// across servers: it is derived from the structural fingerprint. Registration beyond the MaxShards budget fails with
+// layout cache; a native one takes none. With a durability store, the
+// first registration saves the tree's parent array, and nothing else.
+// The id is stable across servers: it is derived from the structural
+// fingerprint. Registration beyond the MaxShards budget fails with
 // errShardLimit — unless the tree is already registered, which retains
 // nothing new. (The budget check and the shard creation are not atomic;
 // concurrent registrations can overshoot by their own count, which is
@@ -341,7 +342,7 @@ func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, 
 	// Persist on first registration — including the promotion of an
 	// ad-hoc shard, which was never saved when it was auto-created.
 	if save && !registered {
-		if err := s.persistTree(id, eng); err != nil {
+		if err := s.persistTree(id, t); err != nil {
 			return "", err
 		}
 	}

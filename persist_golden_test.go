@@ -53,6 +53,26 @@ func readGolden(t *testing.T, name string) []byte {
 	return raw
 }
 
+// TestGoldenTreeFormat pins the registered-tree snapshot: the parents
+// and nothing else.
+func TestGoldenTreeFormat(t *testing.T) {
+	want := readGolden(t, "tree.v1.snap")
+	parents := goldenPlacement().Parents
+	if got := persist.EncodeTree(parents); !bytes.Equal(got, want) {
+		t.Fatalf("tree wire format drifted from testdata/persist/tree.v1.snap:\n got %x\nwant %x\n(bump the format version rather than regenerate silently)", got, want)
+	}
+	snap, err := persist.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, persist.TreeSnapshot{Parents: parents}) {
+		t.Fatalf("golden tree decodes to %+v", snap)
+	}
+}
+
+// TestGoldenPlacementFormat pins the placement snapshot, the format of
+// the public SaveSnapshot and the one older data directories hold
+// registered trees in.
 func TestGoldenPlacementFormat(t *testing.T) {
 	want := readGolden(t, "placement.v1.snap")
 	if got := persist.EncodePlacement(goldenPlacement()); !bytes.Equal(got, want) {

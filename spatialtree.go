@@ -38,10 +38,10 @@
 //   - a network serving daemon (cmd/spatialtreed over internal/server)
 //     exposing both engine kinds over HTTP/JSON with adaptive batching,
 //     bounded-queue admission control and graceful drain;
-//   - a durability subsystem (internal/persist): CRC-checked placement
-//     snapshots (SaveSnapshot/LoadSnapshot) plus a mutation WAL for
-//     dynamic shards, giving the daemon warm restarts that skip layout
-//     construction and replay surviving mutations (-data-dir).
+//   - a durability subsystem (internal/persist): CRC-checked snapshots
+//     (parents-only for registered trees; SaveSnapshot/LoadSnapshot for
+//     placements) plus a mutation WAL for dynamic shards, giving the
+//     daemon warm restarts that replay surviving mutations (-data-dir).
 //
 // Quick start:
 //
@@ -172,8 +172,9 @@ func LayoutWithOrder(t *Tree, orderName, curveName string, seed uint64) (*Placem
 // versioned binary snapshot format of internal/persist (length-prefixed
 // and CRC-checked; see docs/persistence.md for the wire layout). A
 // loaded snapshot reconstructs the placement in O(n), skipping the
-// O(n log n) layout pipeline — the same mechanism cmd/spatialtreed uses
-// for warm restarts.
+// O(n log n) layout pipeline. cmd/spatialtreed does not use it: the
+// daemon persists a registered tree's parents only, and a sim shard
+// rebuilds its placement after a restart.
 func SaveSnapshot(w io.Writer, p *Placement) error {
 	_, err := w.Write(persist.EncodePlacement(persist.PlacementSnapshot{
 		Parents: append([]int(nil), p.Tree.Parents()...),
@@ -379,10 +380,10 @@ type EngineStats = engine.Stats
 // EngineResult is the resolved outcome of one submitted request.
 type EngineResult = engine.Result
 
-// LayoutCache is an LRU cache of placements keyed by tree fingerprint ×
-// curve × order. Share one cache across engines (or use an EnginePool)
-// so repeated workloads on structurally identical trees skip the
-// O(n log n) layout pipeline.
+// LayoutCache is an LRU cache of light-first placements keyed by tree
+// fingerprint × curve. Share one cache across sim engines (or use an
+// EnginePool) so repeated workloads on structurally identical trees
+// skip the O(n log n) layout pipeline.
 type LayoutCache = engine.LayoutCache
 
 // NewLayoutCache returns a cache holding at most capacity placements.
