@@ -181,7 +181,7 @@ func TestBackendErrors(t *testing.T) {
 }
 
 // TestPoolBackendSharding pins the pool key: a tree has one shard
-// whatever its backend. EngineBackend switches that shard in place —
+// whatever its backend. Shard switches that shard in place —
 // its counters carry across, and its batch seeds restart as on a fresh
 // engine — while Engine never switches it.
 func TestPoolBackendSharding(t *testing.T) {
@@ -191,7 +191,7 @@ func TestPoolBackendSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pool.EngineBackend(tree.MustFromParents(tr.Parents()), exec.Native)
+	b, err := pool.Shard(tree.MustFromParents(tr.Parents()), Fingerprint(tr), exec.Native)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPoolBackendSharding(t *testing.T) {
 			t.Fatalf("native batch %d: err %v cost %+v", i, res.Err, res.Cost)
 		}
 	}
-	c, err := pool.EngineBackend(tr, exec.Sim)
+	c, err := pool.Shard(tr, Fingerprint(tr), exec.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +232,15 @@ func TestPoolBackendSharding(t *testing.T) {
 	if got.Err != nil || want.Err != nil || got.Cost != want.Cost || got.Cost.Messages == 0 {
 		t.Fatalf("first sim batch after the switch: cost %+v (err %v), fresh sim engine %+v (err %v)", got.Cost, got.Err, want.Cost, want.Err)
 	}
-	if _, err := pool.EngineBackend(tr, exec.Native); err != nil || a.Backend() != exec.Native {
+	if _, err := pool.Shard(tr, Fingerprint(tr), exec.Native); err != nil || a.Backend() != exec.Native {
 		t.Fatalf("switch back to native: err %v, backend %q", err, a.Backend())
 	}
 	if st := a.Stats(); st.Batches != 3 || st.Requests != 3 || st.Cost != got.Cost {
 		t.Fatalf("shard stats across switches = %+v, want 3 batches and the sim batch's cost", st)
 	}
 	// An unknown backend fails and retains nothing.
-	if _, err := pool.EngineBackend(tree.RandomAttachment(20, rng.New(13)), "warp"); err == nil || pool.Size() != 1 {
+	warp := tree.RandomAttachment(20, rng.New(13))
+	if _, err := pool.Shard(warp, Fingerprint(warp), "warp"); err == nil || pool.Size() != 1 {
 		t.Fatalf("unknown backend: err %v, pool size %d", err, pool.Size())
 	}
 }

@@ -17,9 +17,15 @@ import (
 // cached placement. Like any hash-keyed cache, distinct trees may
 // collide (probability ~2^-64 per pair); callers needing an exact
 // identity check must compare parent arrays.
-func Fingerprint(t *tree.Tree) uint64 {
-	h := uint64(t.N())*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	for _, p := range t.Parents() {
+func Fingerprint(t *tree.Tree) uint64 { return FingerprintParents(t.Parents()) }
+
+// FingerprintParents is Fingerprint over a raw parent array, valid or
+// not: for a valid array it equals the fingerprint of the tree
+// tree.FromParents builds from it, so a caller can find the pool shard
+// serving an array before validating it (Pool.Lookup).
+func FingerprintParents(parents []int) uint64 {
+	h := uint64(len(parents))*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+	for _, p := range parents {
 		h ^= uint64(int64(p))
 		h *= 0xbf58476d1ce4e5b9
 		h ^= h >> 29

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
@@ -318,6 +321,40 @@ func TestPoolShardsByTree(t *testing.T) {
 	st := pool.Stats()
 	if st.Batches != 3 || st.Requests != 3 {
 		t.Fatalf("pool stats = %+v, want 3 batches / 3 requests", st)
+	}
+}
+
+// TestPoolCollision: a shard is identified by its parent array, not by
+// its fingerprint alone. Tree b arrives under tree a's fingerprint, as a
+// hash collision would bring it: Shard refuses it on either backend
+// choice and changes nothing, and Lookup answers only a's exact array.
+func TestPoolCollision(t *testing.T) {
+	pool := NewPool(Options{Backend: exec.Native})
+	a, b := testTree(60, 1), testTree(60, 2)
+	fpA := Fingerprint(a)
+	if FingerprintParents(a.Parents()) != fpA {
+		t.Fatal("FingerprintParents disagrees with Fingerprint")
+	}
+	ea, err := pool.Engine(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"", exec.Sim} {
+		if e, err := pool.Shard(b, fpA, backend); !errors.Is(err, ErrCollision) || e != nil {
+			t.Errorf("b under a's fingerprint on %q: engine %p, err %v, want a collision", backend, e, err)
+		}
+	}
+	if ea.Backend() != exec.Native || pool.Size() != 1 || !slices.Equal(ea.Tree().Parents(), a.Parents()) {
+		t.Errorf("a collision changed the pool: a on %s, size %d", ea.Backend(), pool.Size())
+	}
+	if got := pool.Lookup(fpA, a.Parents()); got != ea {
+		t.Errorf("Lookup of a = %p, want its shard %p", got, ea)
+	}
+	if got := pool.Lookup(fpA, b.Parents()); got != nil {
+		t.Errorf("Lookup of b under a's fingerprint = %p, want nil", got)
+	}
+	if got := pool.Lookup(Fingerprint(b), b.Parents()); got != nil {
+		t.Errorf("Lookup of b before its shard exists = %p, want nil", got)
 	}
 }
 

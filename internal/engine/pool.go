@@ -2,7 +2,9 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"spatialtree/internal/exec"
@@ -10,13 +12,14 @@ import (
 	"spatialtree/internal/tree"
 )
 
-// Pool shards engines by tree: it keeps one Engine per distinct tree
-// fingerprint, all backed by one shared LayoutCache, and flushes the
+// Pool shards engines by tree: it keeps one Engine per distinct tree,
+// keyed by fingerprint (a second tree with the same fingerprint gets no
+// shard), all backed by one shared LayoutCache, and flushes the
 // shards' independent batches in parallel. Use it when traffic spans
 // many trees (e.g. a forest of per-tenant indexes): same tree → same
 // engine → coalesced batches; different trees → different shards →
 // concurrent runs. A shard serves on one execution backend at a time;
-// EngineBackend switches it in place, keeping its counters, so a tree
+// Shard switches it in place, keeping its counters, so a tree
 // can move between native serving and the metering simulator without a
 // second shard. Only a sim shard holds a placement, taken from the one
 // shared cache; a native shard builds none.
@@ -56,6 +59,12 @@ func NewPool(opts Options) *Pool {
 	}
 }
 
+// ErrCollision reports that a different tree already holds the pool
+// shard of a fingerprint. Fingerprints are 64-bit non-cryptographic
+// hashes of client-supplied parent arrays, so the pool compares the
+// arrays before it returns a shard.
+var ErrCollision = errors.New("engine: fingerprint collision")
+
 // Engine returns the pool's engine for t, creating it on the pool's
 // default backend on first sight. Structurally identical trees share a
 // shard. An existing shard is returned on whichever backend it serves:
@@ -63,19 +72,21 @@ func NewPool(opts Options) *Pool {
 // coalesce onto one construction (and, on sim, through the shared
 // cache, one layout build).
 func (p *Pool) Engine(t *tree.Tree) (*Engine, error) {
-	return p.shard(t, exec.Normalize(p.opts.Backend))
+	return p.Shard(t, Fingerprint(t), "")
 }
 
-// EngineBackend returns the pool's engine for t serving on backend (""
-// means the pool's default, Options.Backend): it builds the shard on
-// that backend on first sight, or switches the tree's one shard to it in
-// place. Batches already dispatched finish on the backend they were
-// taken on, and the shard's counters carry across the switch.
-func (p *Pool) EngineBackend(t *tree.Tree, backend string) (*Engine, error) {
-	name := exec.Normalize(cmp.Or(backend, p.opts.Backend))
-	e, err := p.shard(t, name)
-	if err == nil {
-		err = e.setBackend(name)
+// Shard is Engine for a caller that already holds t's fingerprint fp
+// (which must be Fingerprint(t)), with a backend choice. On first sight
+// it builds t's shard on backend, "" meaning the pool's default. An
+// existing shard keeps its backend when backend is "", and is switched
+// to backend in place otherwise: batches already dispatched finish on
+// the backend they were taken on, and the shard's counters carry across
+// the switch. When a different tree holds fp's shard, Shard returns an
+// error matching ErrCollision and changes nothing.
+func (p *Pool) Shard(t *tree.Tree, fp uint64, backend string) (*Engine, error) {
+	e, err := p.shard(t, fp, exec.Normalize(cmp.Or(backend, p.opts.Backend)))
+	if err == nil && backend != "" {
+		err = e.setBackend(exec.Normalize(backend))
 	}
 	if err != nil {
 		return nil, err
@@ -83,18 +94,35 @@ func (p *Pool) EngineBackend(t *tree.Tree, backend string) (*Engine, error) {
 	return e, nil
 }
 
-// shard returns t's shard, building it on backend on first sight.
-func (p *Pool) shard(t *tree.Tree, backend string) (*Engine, error) {
-	fp := Fingerprint(t)
+// Lookup returns the shard serving exactly parents, or nil when the
+// pool holds none yet; fp must be FingerprintParents(parents). A hit
+// needs no validation of parents: its shard's tree was validated when
+// the shard was built.
+func (p *Pool) Lookup(fp uint64, parents []int) *Engine {
+	p.mu.Lock()
+	e := p.engines[fp]
+	p.mu.Unlock()
+	if e == nil || !slices.Equal(e.Tree().Parents(), parents) {
+		return nil
+	}
+	return e
+}
+
+// shard returns t's shard, building it on backend on first sight, or an
+// ErrCollision error when a different tree holds fp.
+func (p *Pool) shard(t *tree.Tree, fp uint64, backend string) (*Engine, error) {
 	p.mu.Lock()
 	if e, ok := p.engines[fp]; ok {
 		p.mu.Unlock()
-		return e, nil
+		return sameTree(e, t, fp)
 	}
 	if b, ok := p.building[fp]; ok {
 		p.mu.Unlock()
 		<-b.done
-		return b.e, b.err
+		if b.err != nil {
+			return nil, b.err
+		}
+		return sameTree(b.e, t, fp)
 	}
 	b := &poolBuild{done: make(chan struct{})}
 	p.building[fp] = b
@@ -124,6 +152,15 @@ func (p *Pool) shard(t *tree.Tree, backend string) (*Engine, error) {
 	opts.Backend = backend
 	e, err = New(t, opts)
 	return e, err
+}
+
+// sameTree returns the shard e holding fp when it serves t's parent
+// array, and an ErrCollision error when it serves another tree.
+func sameTree(e *Engine, t *tree.Tree, fp uint64) (*Engine, error) {
+	if !slices.Equal(e.Tree().Parents(), t.Parents()) {
+		return nil, fmt.Errorf("%w: the shard of fingerprint %x serves a different tree", ErrCollision, fp)
+	}
+	return e, nil
 }
 
 // Options returns the pool's resolved engine options (shared cache

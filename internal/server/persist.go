@@ -78,12 +78,13 @@ func (s *Server) recoverTree(st persist.SavedTree) error {
 	if err != nil {
 		return err
 	}
-	if got := treeID(engine.Fingerprint(t)); got != st.ID {
+	fp := engine.Fingerprint(t)
+	if got := treeID(fp); got != st.ID {
 		return fmt.Errorf("snapshot decodes to tree %s, not %s", got, st.ID)
 	}
 	// Recovered trees come back on the server's default backend: the
 	// backend is a serving-time knob, not durable state.
-	_, err = s.registerTree(t, false, "")
+	_, err = s.registerTree(t, fp, false, "")
 	return err
 }
 

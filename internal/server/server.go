@@ -1,9 +1,9 @@
 // Package server exposes the batched query engines to clients: the
 // serving subsystem behind cmd/spatialtreed. Two codecs — HTTP/JSON
-// (this file) and the binary protocol (tcp.go) — decode requests onto
-// one query path: every query becomes a wire.Query, passes one
-// admission check and runs through serveQuery, and its wire.Result is
-// encoded back by the codec it came from. The server separates request
+// (this file and jsonquery.go) and the binary protocol (tcp.go) —
+// decode requests onto one query path: every query becomes a
+// wire.Query, passes one admission check and runs through serveQuery,
+// and its wire.Result is encoded back by the codec it came from. The server separates request
 // arrival from batch execution the way the paper separates layout
 // construction from kernel runs — handlers enqueue work and wait on
 // futures while each shard's engine decides when kernel runs actually
@@ -36,6 +36,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -298,7 +299,7 @@ var errShardLimit = errors.New("shard limit reached (MaxShards): delete load or 
 // concurrent registrations can overshoot by their own count, which is
 // why this is a memory admission bound, not an exact quota.)
 func (s *Server) RegisterTree(t *tree.Tree) (string, error) {
-	return s.registerTree(t, true, "")
+	return s.registerTree(t, engine.Fingerprint(t), true, "")
 }
 
 // RegisterTreeBackend is RegisterTree with an explicit execution
@@ -308,22 +309,24 @@ func (s *Server) RegisterTree(t *tree.Tree) (string, error) {
 // already dispatched finish on the old backend, and no budget is spent
 // (only a sim shard holds a placement, from the shared layout cache).
 func (s *Server) RegisterTreeBackend(t *tree.Tree, backend string) (string, error) {
-	return s.registerTree(t, true, backend)
+	return s.registerTree(t, engine.Fingerprint(t), true, backend)
 }
 
-// registerTree is RegisterTree with the persistence side controllable:
-// Recover re-registers trees that are already on disk (and were
-// admitted when first registered, so the budget does not re-apply).
+// registerTree is RegisterTree for a tree whose fingerprint fp the
+// caller already holds, with the persistence side controllable: Recover
+// re-registers trees that are already on disk (and were admitted when
+// first registered, so the budget does not re-apply). A different tree
+// holding fp's shard fails the registration with StatusInternal, and
+// nothing is retained.
 //
 //spatialvet:errclass
-func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, error) {
+func (s *Server) registerTree(t *tree.Tree, fp uint64, save bool, backend string) (string, error) {
 	if backend == "" {
 		backend = s.cfg.Backend
 	}
 	if !exec.Valid(backend) {
 		return "", badRequest(fmt.Errorf("unknown backend %q (want %q or %q)", backend, exec.Native, exec.Sim))
 	}
-	fp := engine.Fingerprint(t)
 	id := treeID(fp)
 	s.mu.Lock()
 	_, registered := s.trees[id]
@@ -335,7 +338,10 @@ func (s *Server) registerTree(t *tree.Tree, save bool, backend string) (string, 
 	if save && !registered && !adhoc && s.shardCount() >= s.cfg.Limits.MaxShards {
 		return "", errShardLimit
 	}
-	eng, err := s.pool.EngineBackend(t, backend)
+	eng, err := s.pool.Shard(t, fp, backend)
+	if errors.Is(err, engine.ErrCollision) {
+		return "", statusErr(StatusInternal, fmt.Errorf("registering tree %s: %w", id, err))
+	}
 	if err != nil {
 		return "", err
 	}
@@ -373,7 +379,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, StatusBadRequest, fmt.Sprintf("unknown backend %q (want %q or %q)", req.Backend, exec.Native, exec.Sim))
 		return
 	}
-	id, err := s.registerTree(t, true, req.Backend)
+	id, err := s.registerTree(t, engine.Fingerprint(t), true, req.Backend)
 	if errors.Is(err, errShardLimit) {
 		writeStatus(w, StatusTooMany, err.Error())
 		return
@@ -399,9 +405,10 @@ type submitter interface {
 }
 
 // wireScratch holds the kernel-typed slices a wire.Query converts into.
-// A binary connection reuses one frame to frame — safe because it serves
-// serially and the engine releases its view of a request's inputs when
-// the batch retires; an HTTP request uses a fresh one.
+// A binary connection reuses one frame to frame, and an HTTP request
+// borrows one from the pooled httpQuery state — safe because each
+// serves one query at a time and the engine releases its view of a
+// request's inputs when the batch retires.
 type wireScratch struct {
 	queries []lca.Query
 	edges   []mincut.Edge
@@ -442,7 +449,7 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 
 	// Route. A shard id resolves in the local table, then through the
 	// cluster tier; a tree id in the registration table; ad-hoc parents
-	// through engineFor.
+	// in the pool, or through engineFor on first sight.
 	var (
 		sh  submitter
 		de  *engine.DynEngine
@@ -478,15 +485,21 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 		}
 		sh = eng
 	case len(q.Parents) > 0:
-		t, err := tree.FromParents(q.Parents)
-		if err != nil {
-			return badRequest(err)
+		// A parents array some pool shard (registered or ad-hoc) already
+		// serves was validated when that shard was built: only a
+		// structure the pool does not hold is validated and routed.
+		fp := engine.FingerprintParents(q.Parents)
+		if eng = s.pool.Lookup(fp, q.Parents); eng == nil {
+			t, err := tree.FromParents(q.Parents)
+			if err != nil {
+				return badRequest(err)
+			}
+			var retire func()
+			if eng, retire, err = s.engineFor(t, fp); err != nil {
+				return err
+			}
+			defer retire()
 		}
-		var retire func()
-		if eng, retire, err = s.engineFor(t); err != nil {
-			return err
-		}
-		defer retire()
 		sh = eng
 	default:
 		return badRequest(errors.New("shard_id, tree_id or parents required"))
@@ -555,19 +568,30 @@ func (s *Server) serveQuery(q *wire.Query, res *wire.Result, scratch *wireScratc
 
 // handleQuery is the HTTP/JSON codec onto serveQuery, serving both
 // POST /v1/query and POST /v1/dyn/{id}/query (there the path's id
-// routes and tree_id/parents are ignored).
+// routes and tree_id/parents are ignored). A canonical body decodes
+// straight into pooled state (decodeQuery); any other goes through
+// encoding/json and queryFromJSON, which decide its errors.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !decode(w, r, &req) {
+	hq := httpQueries.Get().(*httpQuery)
+	defer hq.release()
+	var ok bool
+	if hq.body, ok = readBody(w, r, hq.body); !ok {
 		return
 	}
-	q, err := queryFromJSON(&req, r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
+	q := &hq.q
+	if !decodeQuery(hq.body, r.PathValue("id"), q) {
+		var req QueryRequest
+		if !decodeBody(w, hq.body, &req) {
+			return
+		}
+		var err error
+		if q, err = queryFromJSON(&req, r.PathValue("id")); err != nil {
+			writeErr(w, err)
+			return
+		}
 	}
 	var res wire.Result
-	if err := s.serveQuery(q, &res, &wireScratch{}); err != nil {
+	if err := s.serveQuery(q, &res, &hq.scratch); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -628,23 +652,22 @@ func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
 	return q, nil
 }
 
-// engineFor resolves the shard serving an ad-hoc query tree. Known
-// trees (registered, or ad-hoc structures already given a shard) join
-// their pooled shard — equal fingerprints coalesce into one batch
-// window, and the shard serves on the backend the structure's latest
-// registration chose (ad-hoc structures use the server default; ad-hoc
-// routing never switches a shard's backend). New
+// engineFor resolves the shard serving an ad-hoc query tree t, whose
+// fingerprint is fp. Known trees (registered, or ad-hoc structures
+// already given a shard) join their pooled shard — equal trees coalesce
+// into one batch window, and the shard serves on the backend the
+// structure's latest registration chose (ad-hoc structures use the
+// server default; ad-hoc routing never switches a shard's backend). New
 // ad-hoc structures get a pooled shard only while the ad-hoc half of
 // the MaxShards budget lasts; the other half stays reserved for
 // explicit registration, so unauthenticated one-off traffic can bound
-// neither memory nor the registration API. Beyond the budget the tree
-// is served from an ephemeral engine (on sim, the shared layout cache
-// still catches repeated structures; a native one builds no layout).
+// neither memory nor the registration API. Beyond the budget, or when a
+// different tree already holds fp's shard, the tree is served from an
+// ephemeral engine (on sim, the shared layout cache still catches
+// repeated structures; a native one builds no layout).
 // retire must run after the request's future resolves — for an
 // ephemeral engine it folds the counters into /metrics.
-func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
-	fp := engine.Fingerprint(t)
-	id := treeID(fp)
+func (s *Server) engineFor(t *tree.Tree, fp uint64) (*engine.Engine, func(), error) {
 	// Sample the pool size before taking the routing lock: Size takes
 	// the pool's own routing lock, and s.mu must never nest over
 	// another lock (the /metrics deadlock class). The value is a budget
@@ -652,19 +675,26 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 	// of where it is read.
 	poolSize := s.pool.Size()
 	s.mu.Lock()
-	if eng := s.trees[id]; eng != nil {
-		s.mu.Unlock()
-		return eng, func() {}, nil
-	}
+	_, registered := s.trees[treeID(fp)]
 	_, known := s.adhoc[fp]
-	if !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize+len(s.dyns) < s.cfg.Limits.MaxShards {
+	claim := !registered && !known && len(s.adhoc) < s.cfg.Limits.MaxShards/2 && poolSize+len(s.dyns) < s.cfg.Limits.MaxShards
+	if claim {
 		s.adhoc[fp] = struct{}{}
-		known = true
 	}
 	s.mu.Unlock()
-	if known {
-		eng, err := s.pool.Engine(t)
-		return eng, func() {}, err
+	if registered || known || claim {
+		eng, err := s.pool.Shard(t, fp, "")
+		if err == nil {
+			return eng, func() {}, nil
+		}
+		if claim {
+			s.mu.Lock()
+			delete(s.adhoc, fp)
+			s.mu.Unlock()
+		}
+		if !errors.Is(err, engine.ErrCollision) {
+			return nil, nil, err
+		}
 	}
 	opts := s.pool.Options()
 	// No linger on a single-request engine: nothing can ever join its
@@ -870,25 +900,60 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
-// decode parses the JSON body into v, replying 400 (or 413 for an
-// oversized body) itself on failure.
+// decode reads the whole body and parses it into v, replying itself on
+// failure (see readBody and decodeBody).
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	body, ok := readBody(w, r, nil)
+	return ok && decodeBody(w, body, v)
+}
+
+// readBody reads r's whole body into buf[:0]. Reading it whole makes the
+// limit admitted sets (http.MaxBytesReader) count every byte: a body
+// past it answers 413 whatever it holds. Any other read failure answers
+// 400. ok is false when readBody has replied.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) (_ []byte, ok bool) {
+	buf = buf[:0]
+	// Pre-size from the declared length, but only up to the pooled cap:
+	// a client's Content-Length is a hint, not a promise of bytes.
+	if n := r.ContentLength; n >= int64(cap(buf)) && n < maxPooledBody {
+		buf = make([]byte, 0, n+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF:
+			return buf, true
+		case err == nil:
+		default:
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeStatus(w, StatusTooLarge, err.Error())
+			} else {
+				writeStatus(w, StatusBadRequest, "invalid request body: "+err.Error())
+			}
+			return buf, false
+		}
+	}
+}
+
+// decodeBody parses body into v with encoding/json, rejecting unknown
+// fields and anything but whitespace after the value, and replies 400
+// itself on failure.
+func decodeBody(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeStatus(w, StatusTooLarge, err.Error())
-			return false
-		}
 		writeStatus(w, StatusBadRequest, "invalid request body: "+err.Error())
 		return false
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\n\r")) > 0 {
 		writeStatus(w, StatusBadRequest, "trailing data after request body")
 		return false
 	}
-	_, _ = io.Copy(io.Discard, r.Body)
 	return true
 }
 

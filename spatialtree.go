@@ -396,7 +396,7 @@ func NewLayoutCache(capacity int) *LayoutCache { return engine.NewLayoutCache(ca
 func NewEngine(t *Tree, opts EngineOptions) (*Engine, error) { return engine.New(t, opts) }
 
 // EnginePool shards engines by tree fingerprint over one shared layout
-// cache — one engine per tree, which EngineBackend switches between
+// cache — one engine per tree, which Shard switches between
 // backends in place — and flushes independent shards in parallel.
 type EnginePool = engine.Pool
 
