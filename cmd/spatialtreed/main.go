@@ -82,6 +82,7 @@ import (
 	"time"
 
 	"spatialtree/internal/cluster"
+	"spatialtree/internal/engine"
 	"spatialtree/internal/exec"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
@@ -120,6 +121,9 @@ func main() {
 
 	if !exec.Valid(*backend) {
 		log.Fatalf("spatialtreed: -backend must be one of %v, got %q", exec.Names(), *backend)
+	}
+	if err := engine.CheckEpsilon(*epsilon); err != nil {
+		log.Fatalf("spatialtreed: -epsilon: %v", err)
 	}
 
 	var peerList []string

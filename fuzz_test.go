@@ -7,7 +7,11 @@ package spatialtree
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spatialtree/internal/lca"
@@ -233,15 +237,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // FuzzWireDecode asserts the binary serving protocol's contract on
-// untrusted bytes: the frame reader and the payload decoders either
-// reject input with a typed error (ErrCorrupt / ErrVersion /
-// ErrTooLarge) or accept a frame whose decoded value re-encodes
-// canonically — AppendX over the decoded value reproduces a frame that
-// decodes identically. They never panic and never allocate in
-// proportion to a forged count (every count is bounded by the bytes
+// untrusted bytes: the frame reader and the payload decoders of every
+// frame kind either reject input with a typed error (ErrCorrupt /
+// ErrVersion / ErrTooLarge) or accept a frame whose decoded value
+// re-encodes canonically — AppendX over the decoded value reproduces a
+// frame that decodes identically. They never panic and never allocate
+// in proportion to a forged count (every count is bounded by the bytes
 // actually present). This is the adversarial counterpart of the
 // server's TCP listener, which feeds network bytes to exactly this
-// code.
+// code. The golden cluster frames under internal/wire/testdata/wire
+// seed one frame of each mutation, replication and handback kind.
 func FuzzWireDecode(f *testing.F) {
 	f.Add(wire.AppendPing(nil))
 	f.Add(wire.AppendQuery(nil, &wire.Query{
@@ -270,6 +275,21 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(corruptFrame)
 	two := wire.AppendPing(wire.AppendPong(nil)) // two frames back to back
 	f.Add(two)
+	golden, err := filepath.Glob(filepath.Join("internal", "wire", "testdata", "wire", "*.hex"))
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("golden cluster frames: %v (found %d)", err, len(golden))
+	}
+	for _, path := range golden {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := wire.NewReader(bytes.NewReader(data), 1<<20)
 		for {
@@ -279,43 +299,57 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			switch kind {
 			case wire.FrameQuery:
-				var q wire.Query
-				if q.Decode(payload) != nil {
-					continue
-				}
-				frame := wire.AppendQuery(nil, &q)
-				var q2 wire.Query
-				roundTripPayload(t, frame, &q2)
-				if again := wire.AppendQuery(nil, &q2); !bytes.Equal(frame, again) {
-					t.Fatalf("query re-encode not canonical:\n %x\n %x", frame, again)
-				}
+				checkCanonical(t, payload, wire.AppendQuery)
 			case wire.FrameResult:
-				var r wire.Result
-				if r.Decode(payload) != nil {
-					continue
-				}
-				frame := wire.AppendResult(nil, &r)
-				var r2 wire.Result
-				roundTripPayload(t, frame, &r2)
-				if again := wire.AppendResult(nil, &r2); !bytes.Equal(frame, again) {
-					t.Fatalf("result re-encode not canonical:\n %x\n %x", frame, again)
-				}
+				checkCanonical(t, payload, wire.AppendResult)
 			case wire.FrameError:
-				var e wire.Error
-				if e.Decode(payload) != nil {
-					continue
-				}
-				if !bytes.Equal(wire.AppendError(nil, &e), wire.AppendError(nil, &e)) {
-					t.Fatal("error encoding not deterministic")
-				}
+				checkCanonical(t, payload, wire.AppendError)
+			case wire.FrameDynCreate:
+				checkCanonical(t, payload, wire.AppendDynCreate)
+			case wire.FrameDynCreated:
+				checkCanonical(t, payload, wire.AppendDynCreated)
+			case wire.FrameMutate:
+				checkCanonical(t, payload, wire.AppendMutate)
+			case wire.FrameMutated:
+				checkCanonical(t, payload, wire.AppendMutated)
+			case wire.FrameRepSnapshot:
+				checkCanonical(t, payload, wire.AppendRepSnapshot)
+			case wire.FrameRepRecords:
+				checkCanonical(t, payload, wire.AppendRepRecords)
+			case wire.FrameRepAck:
+				checkCanonical(t, payload, wire.AppendRepAck)
+			case wire.FrameHandbackOffer:
+				checkCanonical(t, payload, wire.AppendHandbackOffer)
+			case wire.FrameHandbackGrant:
+				checkCanonical(t, payload, wire.AppendHandbackGrant)
 			}
 		}
 	})
 }
 
+// checkCanonical decodes payload into a fresh value and, when that
+// succeeds, re-encodes it with enc: our own reader and decoder must
+// accept the frame, and a second round trip must reproduce its bytes.
+func checkCanonical[T any, P interface {
+	*T
+	Decode([]byte) error
+}](t *testing.T, payload []byte, enc func([]byte, P) []byte) {
+	t.Helper()
+	v := P(new(T))
+	if v.Decode(payload) != nil {
+		return
+	}
+	frame := enc(nil, v)
+	v2 := P(new(T))
+	roundTripPayload(t, frame, v2)
+	if again := enc(nil, v2); !bytes.Equal(frame, again) {
+		t.Fatalf("%T re-encode not canonical:\n %x\n %x", v, frame, again)
+	}
+}
+
 // roundTripPayload re-parses a just-encoded frame and decodes its
-// payload into out (a *wire.Query or *wire.Result); encode must always
-// produce frames our own reader accepts.
+// payload into out; encode must always produce frames our own reader
+// accepts.
 func roundTripPayload(t *testing.T, frame []byte, out interface{ Decode([]byte) error }) {
 	t.Helper()
 	rd := wire.NewReader(bytes.NewReader(frame), 1<<20)

@@ -5,11 +5,11 @@ package analysis
 // disk bytes (binary.Uvarint, byte-order reads, or a module function
 // summarized as an unbounded decode source) must be compared against
 // something — the remaining payload, a configured limit — before it
-// sizes a make. decoder.count is the sanctioned pattern and is proven
-// bounded by its own body, so values it returns are never tainted; the
-// raw decoder.uvarint is a source. A miss here is the classic
-// length-prefix bomb: a 5-byte frame declaring a 2^60 element count
-// allocates unbounded memory before validation fails.
+// sizes a make. binfmt.Decoder.Count is the sanctioned pattern and is
+// proven bounded by its own body, so values it returns are never
+// tainted; the raw Decoder.Uvarint is a source. A miss here is the
+// classic length-prefix bomb: a 5-byte frame declaring a 2^60 element
+// count allocates unbounded memory before validation fails.
 
 import (
 	"go/ast"

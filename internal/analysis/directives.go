@@ -16,6 +16,9 @@ package analysis
 //	    sentinel, a sentinel-wrapping %w Errorf, or a classifying
 //	    constructor), because they decide a client-visible status
 //	    (HTTP 400-vs-500, wire status).
+//	    On a struct type declaration. Marks a carrier of classified
+//	    errors: every error stored in one of its error fields must be
+//	    classified, so a read of such a field counts as classified.
 //
 //	//spatialvet:ignore <analyzer> -- <justification>
 //	    On (or immediately above) the offending line. Suppresses that
@@ -40,6 +43,7 @@ type ignoreKey struct {
 type directiveSet struct {
 	lockClass   map[types.Object]string // mutex field/var -> lock class
 	errclassFns map[types.Object]bool   // functions marked as classification boundaries
+	errclassTyp map[types.Object]bool   // struct types marked as carriers of classified errors
 	ignores     map[ignoreKey]string    // suppression -> justification
 	malformed   []Diagnostic
 }
@@ -60,6 +64,7 @@ func collectDirectives(prog *Program) *directiveSet {
 	ds := &directiveSet{
 		lockClass:   make(map[types.Object]string),
 		errclassFns: make(map[types.Object]bool),
+		errclassTyp: make(map[types.Object]bool),
 		ignores:     make(map[ignoreKey]string),
 	}
 	for _, pkg := range prog.Packages {
@@ -121,6 +126,16 @@ func (ds *directiveSet) collectDecls(pkg *Package, file *ast.File) {
 				}
 			}
 		case *ast.GenDecl:
+			if n.Tok == token.TYPE {
+				for _, spec := range n.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if _, ok := directiveArg(n.Doc, ts.Doc, "errclass"); ok {
+						if obj := pkg.Info.Defs[ts.Name]; obj != nil {
+							ds.errclassTyp[obj] = true
+						}
+					}
+				}
+			}
 			if n.Tok != token.VAR {
 				return true
 			}

@@ -6,12 +6,21 @@ package analysis
 // classification boundary, so every error it constructs must be
 // classified — a package sentinel, an Is-method wrapper type, a %w
 // wrap of a classified value, or a call to a classifying constructor
-// (server.badRequest, engine.invalid, wire.corruptf, …). A bare
-// fmt.Errorf or errors.New in such a function is exactly the bug that
-// made valid-but-unknown register requests come back as 500s:
+// (server.badRequest, engine.invalid, binfmt's Format.Corruptf, …). A
+// bare fmt.Errorf or errors.New in such a function is exactly the bug
+// that made valid-but-unknown register requests come back as 500s:
 // errStatus cannot classify what carries no type.
+//
+// A struct type marked //spatialvet:errclass carries classified errors
+// (binfmt.Format holds the sentinel each package's frames wrap): every
+// store into one of its error fields, in a literal or an assignment,
+// must be classified, and in exchange a read of such a field counts as
+// classified everywhere.
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 var ErrClass = &Analyzer{
 	Name: "errclass",
@@ -28,7 +37,59 @@ func runErrClass(pass *Pass) error {
 		}
 		checkErrClass(pass, decl.Body, false, fnObj.Name())
 	})
+	for _, file := range pass.Pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				checkCarrierLit(pass, n)
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+					if ok && len(n.Rhs) == len(n.Lhs) && pass.Prog.errclassField(pass.Pkg, sel) {
+						checkCarried(pass, n.Rhs[i], sel.Sel.Name, pass.Pkg.Info.Selections[sel].Recv())
+					}
+				}
+			}
+			return true
+		})
+	}
 	return nil
+}
+
+// checkCarrierLit checks the error fields a composite literal of an
+// errclass struct type sets.
+func checkCarrierLit(pass *Pass, lit *ast.CompositeLit) {
+	tv, ok := pass.Pkg.Info.Types[lit]
+	if !ok || !pass.Prog.directives.errclassTyp[namedObj(tv.Type)] {
+		return
+	}
+	st, ok := tv.Type.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, elt := range lit.Elts {
+		field, val := (*types.Var)(nil), elt
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				field, _ = pass.Pkg.Info.Uses[id].(*types.Var)
+			}
+			val = kv.Value
+		} else if i < st.NumFields() {
+			field = st.Field(i)
+		}
+		if field != nil && isErrorType(field.Type()) {
+			checkCarried(pass, val, field.Name(), tv.Type)
+		}
+	}
+}
+
+// checkCarried reports val, stored into the error field name of an
+// errclass type, unless it is classified.
+func checkCarried(pass *Pass, val ast.Expr, name string, typ types.Type) {
+	if !pass.Prog.classifiedExpr(pass.Pkg, val) {
+		pass.Reportf(val.Pos(), "unclassified error stored in field %s of errclass type %s",
+			name, objectString(namedObj(typ)))
+	}
 }
 
 // checkErrClass walks a body looking for raw error constructors.

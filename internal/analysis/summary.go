@@ -4,7 +4,7 @@ package analysis
 // walks, but the invariants are not: "Flush under a lock" must see
 // through drainLocked to the Quiesce inside it, "unclassified error"
 // must know that badRequest classifies, "unbounded make" must know
-// that decoder.count bound-checks what decoder.uvarint does not. The
+// that Decoder.Count bound-checks what Decoder.Uvarint does not. The
 // summaries below are computed once per load by monotone fixpoint over
 // the static call graph (direct calls resolved through go/types; calls
 // through interface values, function values and closures passed as
@@ -395,7 +395,7 @@ func (prog *Program) classifiedExpr(pkg *Package, e ast.Expr) bool {
 	case *ast.Ident:
 		return isSentinelVar(pkg.Info.Uses[e])
 	case *ast.SelectorExpr:
-		return isSentinelVar(pkg.Info.Uses[e.Sel])
+		return isSentinelVar(pkg.Info.Uses[e.Sel]) || prog.errclassField(pkg, e)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
 			return prog.classifiedExpr(pkg, e.X)
@@ -427,6 +427,26 @@ func isSentinelVar(obj types.Object) bool {
 		return false
 	}
 	return v.Parent() == v.Pkg().Scope() && isErrorType(v.Type())
+}
+
+// errclassField reports whether e selects an error field of a struct
+// type marked //spatialvet:errclass. ErrClass checks every store into
+// such a field, so what a read yields is classified.
+func (prog *Program) errclassField(pkg *Package, e *ast.SelectorExpr) bool {
+	sel := pkg.Info.Selections[e]
+	return sel != nil && sel.Kind() == types.FieldVal && isErrorType(sel.Obj().Type()) &&
+		prog.directives.errclassTyp[namedObj(sel.Recv())]
+}
+
+// namedObj returns the type name behind t or *t, or nil.
+func namedObj(t types.Type) types.Object {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }
 
 // hasIsMethod reports whether t (or *t) defines Is(error) bool — the

@@ -63,3 +63,43 @@ func CleanBoundedSource(p []byte) []byte {
 	}
 	return make([]byte, m)
 }
+
+// decoder is the shape of the shared field decoder: uvarint is a raw
+// source, count bounds what it reads by the bytes remaining.
+type decoder struct{ buf []byte }
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.buf = nil
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		return 0
+	}
+	return int(n)
+}
+
+// growTo sizes an allocation from its parameter, for any element type.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// BrokenGenericGrow sizes a generic allocation by a raw read.
+func BrokenGenericGrow(d *decoder) []int64 {
+	return growTo([]int64(nil), int(d.uvarint())) // want "sizes an allocation in boundedalloc.growTo"
+}
+
+// CleanGenericGrow sizes it by the bounded count.
+func CleanGenericGrow(d *decoder) []int64 {
+	return growTo([]int64(nil), d.count())
+}

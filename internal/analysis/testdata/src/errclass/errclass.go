@@ -53,3 +53,44 @@ func CleanWrap(kind string) error {
 func CleanUnmarked() error {
 	return fmt.Errorf("internal detail")
 }
+
+// carrier holds the sentinel its errors wrap, the shape of a shared
+// decoder each package hands its own sentinel. Every store into its
+// error fields is checked, so reading one yields a classified error.
+//
+//spatialvet:errclass
+type carrier struct {
+	name    string
+	corrupt error
+}
+
+var good = carrier{name: "good", corrupt: ErrBad}
+
+var bad = carrier{name: "bad", corrupt: errors.New("bad")} // want "unclassified error stored in field corrupt of errclass type errclass.carrier"
+
+var positional = carrier{"positional", fmt.Errorf("raw")} // want "unclassified error stored in field corrupt of errclass type errclass.carrier"
+
+func (c *carrier) reset(err error) {
+	c.corrupt = ErrBad
+	c.corrupt = err // want "unclassified error stored in field corrupt of errclass type errclass.carrier"
+}
+
+// CleanCarried wraps the carried sentinel.
+//
+//spatialvet:errclass
+func CleanCarried(kind string) error {
+	return fmt.Errorf("%w: unknown kind %q", good.corrupt, kind)
+}
+
+// plain is not a carrier: its error field may hold anything, so
+// wrapping it classifies nothing.
+type plain struct{ err error }
+
+var loose = plain{err: errors.New("loose")}
+
+// BrokenPlainField wraps an unmarked field.
+//
+//spatialvet:errclass
+func BrokenPlainField() error {
+	return fmt.Errorf("%w: x", loose.err) // want "unclassified fmt.Errorf in classification boundary BrokenPlainField"
+}

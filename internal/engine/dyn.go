@@ -107,7 +107,8 @@ type DynOptions struct {
 	Options
 	// Epsilon is the dynamic layout's rebuild threshold: a full layout
 	// rebuild triggers when mutations since the last rebuild exceed
-	// Epsilon × current size (<= 0 means DefaultEpsilon).
+	// Epsilon × current size (<= 0 means DefaultEpsilon). NewDyn
+	// refuses what CheckEpsilon refuses.
 	Epsilon float64
 }
 
@@ -147,11 +148,24 @@ func NewDyn(t *tree.Tree, opts DynOptions) (*DynEngine, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
+	if err := CheckEpsilon(eps); err != nil {
+		return nil, err
+	}
 	d, err := dynlayout.New(t, c, eps)
 	if err != nil {
 		return nil, err
 	}
 	return newDyn(d, 0, opts.Options)
+}
+
+// CheckEpsilon refuses, as ErrInvalid, a drift budget no snapshot of a
+// dyn shard could hold: NaN, +Inf or anything above
+// persist.MaxEpsilon. A budget <= 0 selects DefaultEpsilon and passes.
+func CheckEpsilon(eps float64) error {
+	if !(eps <= persist.MaxEpsilon) { // NaN too
+		return invalid(fmt.Errorf("epsilon %v outside (0, %v]", eps, float64(persist.MaxEpsilon)))
+	}
+	return nil
 }
 
 // newDyn wraps a dynamic layout at the given epoch in a DynEngine whose

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -213,6 +214,20 @@ func TestDynInvalidInputs(t *testing.T) {
 	}
 	if _, err := NewDyn(tree.Path(4), DynOptions{Options: Options{Curve: "nope"}}); err == nil {
 		t.Error("unknown curve accepted")
+	}
+}
+
+// TestNewDynEpsilonBound: an epsilon the snapshot codec refuses would
+// be persisted with the shard and then fail its recovery, so NewDyn
+// refuses it up front as a request fault. The bound itself is legal.
+func TestNewDynEpsilonBound(t *testing.T) {
+	for _, eps := range []float64{10 * persist.MaxEpsilon, math.NaN(), math.Inf(1)} {
+		if _, err := NewDyn(tree.Path(4), DynOptions{Epsilon: eps}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("epsilon %v: err = %v, want ErrInvalid", eps, err)
+		}
+	}
+	if _, err := NewDyn(tree.Path(4), DynOptions{Epsilon: persist.MaxEpsilon}); err != nil {
+		t.Errorf("epsilon at the codec bound: %v", err)
 	}
 }
 

@@ -145,7 +145,7 @@ func (s *Store) LoadTrees() ([]SavedTree, error) {
 		case PlacementSnapshot:
 			st.Parents = snap.Parents
 		default:
-			return nil, fmt.Errorf("persist: tree snapshot %s: %w", name, corruptf("frame holds a %T", v))
+			return nil, fmt.Errorf("persist: tree snapshot %s: %w", name, format.Corruptf("frame holds a %T", v))
 		}
 		out = append(out, st)
 	}

@@ -2,16 +2,12 @@ package persist
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+
+	"spatialtree/internal/binfmt"
 )
 
-// WAL record frame layout (little-endian):
-//
-//	offset 0: payload length (uint32)
-//	offset 4: CRC-32C of the payload (uint32)
-//	offset 8: payload
-//
-// payload:
+// A WAL record is a binfmt seal — payload length and CRC-32C, both
+// little-endian uint32 — and its payload:
 //
 //	byte    record type (1 = insert, 2 = delete, 3 = fence)
 //	uvarint epoch
@@ -23,10 +19,7 @@ import (
 // payload, or CRC is incomplete. Readers treat the first invalid frame
 // as the end of the log and report everything before it — the
 // "surviving prefix" the crash-recovery property test pins down.
-const (
-	recordHeaderLen  = 8
-	maxRecordPayload = 64 // generous bound; real payloads are < 32 bytes
-)
+const maxRecordPayload = 64 // generous bound; real payloads are < 32 bytes
 
 // RecordType discriminates WAL records.
 type RecordType byte
@@ -51,20 +44,18 @@ type Record struct {
 	Result int
 }
 
-// appendRecord appends the framed encoding of r to buf.
+// appendRecord appends the sealed encoding of r to buf.
 func appendRecord(buf []byte, r Record) []byte {
-	var p []byte
-	p = append(p, byte(r.Type))
-	p = binary.AppendUvarint(p, r.Epoch)
-	p = binary.AppendVarint(p, int64(r.Arg))
-	p = binary.AppendVarint(p, int64(r.Result))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, castagnoli))
-	return append(buf, p...)
+	return binfmt.AppendSealed(buf, func(b []byte) []byte {
+		b = append(b, byte(r.Type))
+		b = binary.AppendUvarint(b, r.Epoch)
+		b = binary.AppendVarint(b, int64(r.Arg))
+		return binary.AppendVarint(b, int64(r.Result))
+	})
 }
 
-// scanRecords decodes consecutive record frames from data. It stops at
-// the first frame that is truncated or fails its CRC and returns the
+// scanRecords decodes consecutive records from data. It stops at the
+// first record that is truncated or fails its CRC and returns the
 // records before it, each record's starting byte offset, and the offset
 // where the valid prefix ends — the offset a recovering writer
 // truncates to before appending. A scan that consumes all of data
@@ -72,16 +63,8 @@ func appendRecord(buf []byte, r Record) []byte {
 func scanRecords(data []byte) (recs []Record, starts []int, valid int) {
 	off := 0
 	for {
-		if len(data)-off < recordHeaderLen {
-			return recs, starts, off
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen == 0 || plen > maxRecordPayload || plen > len(data)-off-recordHeaderLen {
-			return recs, starts, off
-		}
-		payload := data[off+recordHeaderLen : off+recordHeaderLen+plen]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		payload, ok := binfmt.Unseal(data[off:])
+		if !ok || len(payload) == 0 || len(payload) > maxRecordPayload {
 			return recs, starts, off
 		}
 		r, ok := decodeRecordPayload(payload)
@@ -90,33 +73,15 @@ func scanRecords(data []byte) (recs []Record, starts []int, valid int) {
 		}
 		recs = append(recs, r)
 		starts = append(starts, off)
-		off += recordHeaderLen + plen
+		off += binfmt.SealLen + len(payload)
 	}
 }
 
 func decodeRecordPayload(p []byte) (Record, bool) {
-	if len(p) < 1 {
-		return Record{}, false
-	}
-	r := Record{Type: RecordType(p[0])}
+	d := format.Decoder(p)
+	r := Record{Type: RecordType(d.Byte()), Epoch: d.Uvarint(), Arg: int(d.Varint()), Result: int(d.Varint())}
 	if r.Type != RecInsert && r.Type != RecDelete && r.Type != RecFence {
-		return Record{}, false
+		d.Failf("unknown record type %d", r.Type)
 	}
-	p = p[1:]
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return Record{}, false
-	}
-	p = p[n:]
-	arg, n := binary.Varint(p)
-	if n <= 0 {
-		return Record{}, false
-	}
-	p = p[n:]
-	res, n := binary.Varint(p)
-	if n <= 0 || len(p) != n {
-		return Record{}, false
-	}
-	r.Epoch, r.Arg, r.Result = epoch, int(arg), int(res)
-	return r, true
+	return r, d.Finish() == nil
 }

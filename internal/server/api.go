@@ -85,11 +85,14 @@ type QueryResponse struct {
 	Cost    Cost          `json:"cost"`
 }
 
-// DynCreateRequest creates a mutable shard (POST /v1/dyn). Epsilon <= 0
-// uses the server's configured default; Backend "" uses the server's
-// default execution backend (see RegisterRequest.Backend).
+// DynCreateRequest creates a mutable shard (POST /v1/dyn). Backend ""
+// uses the server's default execution backend (see
+// RegisterRequest.Backend).
 type DynCreateRequest struct {
-	Parents []int   `json:"parents"`
+	Parents []int `json:"parents"`
+	// Epsilon is the shard's drift budget: <= 0 uses the server's
+	// configured default, and one above persist.MaxEpsilon (1e6), which
+	// no snapshot of the shard could hold, is a bad request.
 	Epsilon float64 `json:"epsilon,omitempty"`
 	Backend string  `json:"backend,omitempty"`
 }

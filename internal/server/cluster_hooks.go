@@ -161,9 +161,10 @@ func (s *Server) DynMutate(id string, op uint8, arg int) (MutateResult, error) {
 // creation core, also the cluster owner's create step. id "" assigns
 // the next local id ("d<seq>"); a non-empty id is the cluster tier's
 // (ring-routable) choice. The order of checks is part of the API
-// contract: request faults (bad parents, unknown backend) are reported
-// before the shard budget, so a client cannot be told "too many" for a
-// request that could never succeed.
+// contract: request faults (bad parents, unknown backend, an epsilon
+// engine.CheckEpsilon refuses) are reported before the shard budget,
+// so a client cannot be told "too many" for a request that could never
+// succeed.
 func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backend string) (DynCreateResult, error) {
 	t, err := tree.FromParents(parents)
 	if err != nil {
@@ -171,6 +172,9 @@ func (s *Server) DynCreateLocal(id string, parents []int, epsilon float64, backe
 	}
 	if backend != "" && !exec.Valid(backend) {
 		return DynCreateResult{}, statusErrf(StatusBadRequest, "unknown backend %q (want %q or %q)", backend, exec.Native, exec.Sim)
+	}
+	if err := engine.CheckEpsilon(epsilon); err != nil {
+		return DynCreateResult{}, err
 	}
 	if s.shardCount() >= s.cfg.Limits.MaxShards {
 		return DynCreateResult{}, errShardLimit

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -386,5 +388,40 @@ func TestDynCreateFailureRetainsNothing(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Server.DynShards != 1 {
 		t.Fatalf("dyn shards = %d, want 1", m.Server.DynShards)
+	}
+}
+
+// TestDynCreateEpsilonBound: an epsilon the snapshot codec refuses is a
+// bad request over JSON (above the bound) and over the binary protocol
+// (NaN or +Inf float bits), leaves nothing on disk for the next boot's
+// recovery to trip over, and is reported before a full shard budget.
+func TestDynCreateEpsilonBound(t *testing.T) {
+	store := openTestStore(t, t.TempDir(), persist.Options{})
+	s, hs := newTestServer(t, Config{Durability: Durability{Store: store}, Limits: Limits{MaxShards: 1}})
+	parents := testParents(40, 9)
+	tooBig := DynCreateRequest{Parents: parents, Epsilon: 10 * persist.MaxEpsilon}
+	if err := postJSON(hs.URL, "/v1/dyn", tooBig, nil); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("JSON create with epsilon %v = %v, want 400", tooBig.Epsilon, err)
+	}
+	cl := newWireServer(t, s)
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := cl.DynCreate(&wire.DynCreate{Parents: parents, Epsilon: eps})
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Status != wire.StatusBadRequest {
+			t.Fatalf("binary create with epsilon %v = %v, want StatusBadRequest", eps, err)
+		}
+	}
+	ids, err := store.ShardIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 0 {
+		t.Fatalf("refused creates persisted shards %v", ids)
+	}
+	if err := postJSON(hs.URL, "/v1/dyn", DynCreateRequest{Parents: parents}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := postJSON(hs.URL, "/v1/dyn", tooBig, nil); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("JSON create with epsilon %v on a full server = %v, want 400", tooBig.Epsilon, err)
 	}
 }

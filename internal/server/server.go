@@ -375,15 +375,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, StatusBadRequest, err.Error())
 		return
 	}
-	if req.Backend != "" && !exec.Valid(req.Backend) {
-		writeStatus(w, StatusBadRequest, fmt.Sprintf("unknown backend %q (want %q or %q)", req.Backend, exec.Native, exec.Sim))
-		return
-	}
 	id, err := s.registerTree(t, engine.Fingerprint(t), true, req.Backend)
-	if errors.Is(err, errShardLimit) {
-		writeStatus(w, StatusTooMany, err.Error())
-		return
-	}
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -559,6 +559,44 @@ func TestShardBudget(t *testing.T) {
 	}
 }
 
+// TestRegisterErrorBodies pins POST /v1/trees' answer, status code and
+// JSON body, to an unknown backend and to a full shard budget.
+func TestRegisterErrorBodies(t *testing.T) {
+	_, hs := newTestServer(t, Config{Limits: Limits{MaxShards: 1}})
+	if err := postJSON(hs.URL, "/v1/trees", RegisterRequest{Parents: testParents(30, 1)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  RegisterRequest
+		code int
+		want ErrorResponse
+	}{
+		{"unknown backend", RegisterRequest{Parents: testParents(30, 2), Backend: "gpu"}, http.StatusBadRequest,
+			ErrorResponse{Error: `unknown backend "gpu" (want "native" or "sim")`, Status: "bad_request"}},
+		{"full budget", RegisterRequest{Parents: testParents(30, 3)}, http.StatusTooManyRequests,
+			ErrorResponse{Error: errShardLimit.Error(), Status: "too_many"}},
+	} {
+		raw, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/trees", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: body: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.code || got != tc.want {
+			t.Errorf("%s: %d %+v, want %d %+v", tc.name, resp.StatusCode, got, tc.code, tc.want)
+		}
+	}
+}
+
 // TestAdHocBudgetSplit: ad-hoc query trees may auto-occupy at most
 // half of MaxShards, so junk one-off traffic can never lock explicit
 // registration out of the shard budget.

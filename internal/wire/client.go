@@ -319,7 +319,7 @@ func (c *Client) readLoop() {
 			c.deliverPong()
 			continue
 		default:
-			c.fail(corruptf("unexpected frame kind %d from server", kind))
+			c.fail(format.Corruptf("unexpected frame kind %d from server", kind))
 			return
 		}
 		c.deliver(id, response{msg: msg})

@@ -18,6 +18,8 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+
+	"spatialtree/internal/binfmt"
 )
 
 // Mutation opcodes (shared with the Mutated frame and, by value, with
@@ -51,7 +53,9 @@ type DynCreate struct {
 	ID      uint64
 	ShardID string
 	Parents []int
-	// Epsilon is the drift budget (0 means the server default).
+	// Epsilon is the drift budget: <= 0 means the server default, and
+	// NaN, +Inf or a value above persist.MaxEpsilon (1e6) is a bad
+	// request. It travels as the uvarint of its IEEE 754 bits.
 	Epsilon float64
 	// Backend overrides the serving backend ("" means the server
 	// default).
@@ -187,16 +191,12 @@ type HandbackGrant struct {
 
 // AppendDynCreate appends c as one frame to dst.
 func AppendDynCreate(dst []byte, c *DynCreate) []byte {
-	return appendFrame(dst, FrameDynCreate, func(b []byte) []byte {
+	return format.Append(dst, FrameDynCreate, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, c.ID)
-		b = appendStr(b, c.ShardID)
-		b = binary.AppendUvarint(b, uint64(len(c.Parents)))
-		for _, p := range c.Parents {
-			b = binary.AppendVarint(b, int64(p))
-		}
+		b = binfmt.AppendStr(b, c.ShardID)
+		b = binfmt.AppendInts(b, c.Parents)
 		b = binary.AppendUvarint(b, math.Float64bits(c.Epsilon))
-		b = appendStr(b, c.Backend)
-		return b
+		return binfmt.AppendStr(b, c.Backend)
 	})
 }
 
@@ -204,45 +204,22 @@ func AppendDynCreate(dst []byte, c *DynCreate) []byte {
 //
 //spatialvet:errclass
 func (c *DynCreate) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if c.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	if c.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	n, err := d.count("vertex")
-	if err != nil {
-		return err
-	}
-	c.Parents = growInts(c.Parents[:0], n)
-	for i := range c.Parents {
-		p, err := d.varint()
-		if err != nil {
-			return err
-		}
-		c.Parents[i] = int(p)
-	}
-	bits, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	c.Epsilon = math.Float64frombits(bits)
-	if c.Backend, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	return d.drained()
+	d := format.Decoder(payload)
+	c.ID = d.Uvarint()
+	c.ShardID = d.Str(maxNameLen)
+	c.Parents = d.Ints(c.Parents)
+	c.Epsilon = math.Float64frombits(d.Uvarint())
+	c.Backend = d.Str(maxNameLen)
+	return d.Finish()
 }
 
 // AppendDynCreated appends c as one frame to dst.
 func AppendDynCreated(dst []byte, c *DynCreated) []byte {
-	return appendFrame(dst, FrameDynCreated, func(b []byte) []byte {
+	return format.Append(dst, FrameDynCreated, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, c.ID)
-		b = appendStr(b, c.ShardID)
+		b = binfmt.AppendStr(b, c.ShardID)
 		b = binary.AppendUvarint(b, uint64(c.N))
-		b = appendStr(b, c.Backend)
-		return b
+		return binfmt.AppendStr(b, c.Backend)
 	})
 }
 
@@ -250,33 +227,21 @@ func AppendDynCreated(dst []byte, c *DynCreated) []byte {
 //
 //spatialvet:errclass
 func (c *DynCreated) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if c.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	if c.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	c.N = int(n)
-	if c.Backend, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	return d.drained()
+	d := format.Decoder(payload)
+	c.ID = d.Uvarint()
+	c.ShardID = d.Str(maxNameLen)
+	c.N = int(d.Uvarint())
+	c.Backend = d.Str(maxNameLen)
+	return d.Finish()
 }
 
 // AppendMutate appends m as one frame to dst.
 func AppendMutate(dst []byte, m *Mutate) []byte {
-	return appendFrame(dst, FrameMutate, func(b []byte) []byte {
+	return format.Append(dst, FrameMutate, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, m.ID)
-		b = appendStr(b, m.ShardID)
+		b = binfmt.AppendStr(b, m.ShardID)
 		b = append(b, m.Op)
-		b = binary.AppendVarint(b, int64(m.Arg))
-		return b
+		return binary.AppendVarint(b, int64(m.Arg))
 	})
 }
 
@@ -284,37 +249,24 @@ func AppendMutate(dst []byte, m *Mutate) []byte {
 //
 //spatialvet:errclass
 func (m *Mutate) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if m.ID, err = d.uvarint(); err != nil {
-		return err
+	d := format.Decoder(payload)
+	m.ID = d.Uvarint()
+	m.ShardID = d.Str(maxNameLen)
+	if m.Op = d.Byte(); m.Op != OpInsert && m.Op != OpDelete {
+		d.Failf("unknown mutation op %d", m.Op)
 	}
-	if m.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	if m.Op, err = d.byte(); err != nil {
-		return err
-	}
-	if m.Op != OpInsert && m.Op != OpDelete {
-		return corruptf("unknown mutation op %d", m.Op)
-	}
-	arg, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.Arg = int(arg)
-	return d.drained()
+	m.Arg = int(d.Varint())
+	return d.Finish()
 }
 
 // AppendMutated appends m as one frame to dst.
 func AppendMutated(dst []byte, m *Mutated) []byte {
-	return appendFrame(dst, FrameMutated, func(b []byte) []byte {
+	return format.Append(dst, FrameMutated, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, m.ID)
 		b = binary.AppendVarint(b, int64(m.Vertex))
 		b = binary.AppendVarint(b, int64(m.Moved))
 		b = binary.AppendUvarint(b, m.Epoch)
-		b = binary.AppendUvarint(b, uint64(m.N))
-		return b
+		return binary.AppendUvarint(b, uint64(m.N))
 	})
 }
 
@@ -322,39 +274,21 @@ func AppendMutated(dst []byte, m *Mutated) []byte {
 //
 //spatialvet:errclass
 func (m *Mutated) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if m.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	v, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.Vertex = int(v)
-	if v, err = d.varint(); err != nil {
-		return err
-	}
-	m.Moved = int(v)
-	if m.Epoch, err = d.uvarint(); err != nil {
-		return err
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	m.N = int(n)
-	return d.drained()
+	d := format.Decoder(payload)
+	m.ID = d.Uvarint()
+	m.Vertex = int(d.Varint())
+	m.Moved = int(d.Varint())
+	m.Epoch = d.Uvarint()
+	m.N = int(d.Uvarint())
+	return d.Finish()
 }
 
 // AppendRepSnapshot appends s as one frame to dst.
 func AppendRepSnapshot(dst []byte, s *RepSnapshot) []byte {
-	return appendFrame(dst, FrameRepSnapshot, func(b []byte) []byte {
+	return format.Append(dst, FrameRepSnapshot, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, s.ID)
-		b = appendStr(b, s.ShardID)
-		b = binary.AppendUvarint(b, uint64(len(s.Blob)))
-		b = append(b, s.Blob...)
-		return b
+		b = binfmt.AppendStr(b, s.ShardID)
+		return binfmt.AppendBytes(b, s.Blob)
 	})
 }
 
@@ -363,36 +297,19 @@ func AppendRepSnapshot(dst []byte, s *RepSnapshot) []byte {
 //
 //spatialvet:errclass
 func (s *RepSnapshot) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if s.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	if s.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	n, err := d.count("blob byte")
-	if err != nil {
-		return err
-	}
-	s.Blob = append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return d.drained()
+	d := format.Decoder(payload)
+	s.ID = d.Uvarint()
+	s.ShardID = d.Str(maxNameLen)
+	s.Blob = d.Bytes(nil)
+	return d.Finish()
 }
 
 // AppendRepRecords appends r as one frame to dst.
 func AppendRepRecords(dst []byte, r *RepRecords) []byte {
-	return appendFrame(dst, FrameRepRecords, func(b []byte) []byte {
+	return format.Append(dst, FrameRepRecords, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, r.ID)
-		b = appendStr(b, r.ShardID)
-		b = binary.AppendUvarint(b, uint64(len(r.Recs)))
-		for _, rec := range r.Recs {
-			b = append(b, rec.Type)
-			b = binary.AppendUvarint(b, rec.Epoch)
-			b = binary.AppendVarint(b, rec.Arg)
-			b = binary.AppendVarint(b, rec.Result)
-		}
-		return b
+		b = binfmt.AppendStr(b, r.ShardID)
+		return appendRecs(b, r.Recs)
 	})
 }
 
@@ -401,56 +318,21 @@ func AppendRepRecords(dst []byte, r *RepRecords) []byte {
 //
 //spatialvet:errclass
 func (r *RepRecords) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if r.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	if r.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	n, err := d.count("record")
-	if err != nil {
-		return err
-	}
-	if cap(r.Recs) < n {
-		r.Recs = make([]RepRecord, n)
-	}
-	r.Recs = r.Recs[:n]
-	for i := range r.Recs {
-		rec := &r.Recs[i]
-		if rec.Type, err = d.byte(); err != nil {
-			return err
-		}
-		if rec.Type != OpInsert && rec.Type != OpDelete {
-			return corruptf("unknown record type %d", rec.Type)
-		}
-		if rec.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		if rec.Arg, err = d.varint(); err != nil {
-			return err
-		}
-		if rec.Result, err = d.varint(); err != nil {
-			return err
-		}
-	}
-	return d.drained()
+	d := format.Decoder(payload)
+	r.ID = d.Uvarint()
+	r.ShardID = d.Str(maxNameLen)
+	r.Recs = decodeRecs(&d, r.Recs)
+	return d.Finish()
 }
 
 // AppendRepAck appends a as one frame to dst.
 func AppendRepAck(dst []byte, a *RepAck) []byte {
-	return appendFrame(dst, FrameRepAck, func(b []byte) []byte {
+	return format.Append(dst, FrameRepAck, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, a.ID)
-		b = appendStr(b, a.ShardID)
+		b = binfmt.AppendStr(b, a.ShardID)
 		b = binary.AppendUvarint(b, a.Cursor)
 		b = append(b, a.Code)
-		msg := a.Msg
-		if len(msg) > maxErrLen {
-			msg = msg[:maxErrLen]
-		}
-		b = appendStr(b, msg)
-		return b
+		return appendMsg(b, a.Msg)
 	})
 }
 
@@ -458,31 +340,19 @@ func AppendRepAck(dst []byte, a *RepAck) []byte {
 //
 //spatialvet:errclass
 func (a *RepAck) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if a.ID, err = d.uvarint(); err != nil {
-		return err
+	d := format.Decoder(payload)
+	a.ID = d.Uvarint()
+	a.ShardID = d.Str(maxNameLen)
+	a.Cursor = d.Uvarint()
+	if a.Code = d.Byte(); a.Code > AckRefused {
+		d.Failf("unknown ack code %d", a.Code)
 	}
-	if a.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	if a.Cursor, err = d.uvarint(); err != nil {
-		return err
-	}
-	if a.Code, err = d.byte(); err != nil {
-		return err
-	}
-	if a.Code > AckRefused {
-		return corruptf("unknown ack code %d", a.Code)
-	}
-	if a.Msg, err = d.str(maxErrLen); err != nil {
-		return err
-	}
-	return d.drained()
+	a.Msg = d.Str(maxErrLen)
+	return d.Finish()
 }
 
-// appendRecs appends a counted record list (the RepRecords layout,
-// shared by the handback frames).
+// appendRecs appends a counted record list: the RepRecords layout,
+// shared by the handback frames.
 func appendRecs(b []byte, recs []RepRecord) []byte {
 	b = binary.AppendUvarint(b, uint64(len(recs)))
 	for _, rec := range recs {
@@ -494,42 +364,25 @@ func appendRecs(b []byte, recs []RepRecord) []byte {
 	return b
 }
 
-// recs decodes a counted record list into dst (reusing its capacity).
-func (d *decoder) recs(dst []RepRecord) ([]RepRecord, error) {
-	n, err := d.count("record")
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) < n {
-		dst = make([]RepRecord, n)
-	}
-	dst = dst[:n]
+// decodeRecs decodes a counted record list into dst, reusing its
+// capacity.
+func decodeRecs(d *binfmt.Decoder, dst []RepRecord) []RepRecord {
+	dst = binfmt.Grow(dst, d.Count())
 	for i := range dst {
-		rec := &dst[i]
-		if rec.Type, err = d.byte(); err != nil {
-			return nil, err
-		}
-		if rec.Type != OpInsert && rec.Type != OpDelete {
-			return nil, corruptf("unknown record type %d", rec.Type)
-		}
-		if rec.Epoch, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if rec.Arg, err = d.varint(); err != nil {
-			return nil, err
-		}
-		if rec.Result, err = d.varint(); err != nil {
-			return nil, err
+		dst[i] = RepRecord{Type: d.Byte(), Epoch: d.Uvarint(), Arg: d.Varint(), Result: d.Varint()}
+		if t := dst[i].Type; t != OpInsert && t != OpDelete {
+			d.Failf("unknown record type %d", t)
+			break
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // AppendHandbackOffer appends o as one frame to dst.
 func AppendHandbackOffer(dst []byte, o *HandbackOffer) []byte {
-	return appendFrame(dst, FrameHandbackOffer, func(b []byte) []byte {
+	return format.Append(dst, FrameHandbackOffer, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, o.ID)
-		b = appendStr(b, o.ShardID)
+		b = binfmt.AppendStr(b, o.ShardID)
 		b = append(b, o.Phase)
 		b = binary.AppendUvarint(b, o.Cursor)
 		return appendRecs(b, o.Recs)
@@ -541,44 +394,27 @@ func AppendHandbackOffer(dst []byte, o *HandbackOffer) []byte {
 //
 //spatialvet:errclass
 func (o *HandbackOffer) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if o.ID, err = d.uvarint(); err != nil {
-		return err
+	d := format.Decoder(payload)
+	o.ID = d.Uvarint()
+	o.ShardID = d.Str(maxNameLen)
+	if o.Phase = d.Byte(); o.Phase != HandbackProbe && o.Phase != HandbackClaim {
+		d.Failf("unknown handback phase %d", o.Phase)
 	}
-	if o.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	if o.Phase, err = d.byte(); err != nil {
-		return err
-	}
-	if o.Phase != HandbackProbe && o.Phase != HandbackClaim {
-		return corruptf("unknown handback phase %d", o.Phase)
-	}
-	if o.Cursor, err = d.uvarint(); err != nil {
-		return err
-	}
-	if o.Recs, err = d.recs(o.Recs); err != nil {
-		return err
-	}
-	return d.drained()
+	o.Cursor = d.Uvarint()
+	o.Recs = decodeRecs(&d, o.Recs)
+	return d.Finish()
 }
 
 // AppendHandbackGrant appends g as one frame to dst.
 func AppendHandbackGrant(dst []byte, g *HandbackGrant) []byte {
-	return appendFrame(dst, FrameHandbackGrant, func(b []byte) []byte {
+	return format.Append(dst, FrameHandbackGrant, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, g.ID)
-		b = appendStr(b, g.ShardID)
+		b = binfmt.AppendStr(b, g.ShardID)
 		b = append(b, g.Mode)
 		b = binary.AppendUvarint(b, g.Fence)
 		b = appendRecs(b, g.Recs)
-		b = binary.AppendUvarint(b, uint64(len(g.Blob)))
-		b = append(b, g.Blob...)
-		msg := g.Msg
-		if len(msg) > maxErrLen {
-			msg = msg[:maxErrLen]
-		}
-		return appendStr(b, msg)
+		b = binfmt.AppendBytes(b, g.Blob)
+		return appendMsg(b, g.Msg)
 	})
 }
 
@@ -587,34 +423,15 @@ func AppendHandbackGrant(dst []byte, g *HandbackGrant) []byte {
 //
 //spatialvet:errclass
 func (g *HandbackGrant) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if g.ID, err = d.uvarint(); err != nil {
-		return err
+	d := format.Decoder(payload)
+	g.ID = d.Uvarint()
+	g.ShardID = d.Str(maxNameLen)
+	if g.Mode = d.Byte(); g.Mode > GrantSnapshot {
+		d.Failf("unknown handback grant mode %d", g.Mode)
 	}
-	if g.ShardID, err = d.str(maxNameLen); err != nil {
-		return err
-	}
-	if g.Mode, err = d.byte(); err != nil {
-		return err
-	}
-	if g.Mode > GrantSnapshot {
-		return corruptf("unknown handback grant mode %d", g.Mode)
-	}
-	if g.Fence, err = d.uvarint(); err != nil {
-		return err
-	}
-	if g.Recs, err = d.recs(g.Recs); err != nil {
-		return err
-	}
-	n, err := d.count("blob byte")
-	if err != nil {
-		return err
-	}
-	g.Blob = append([]byte(nil), d.buf[:n]...)
-	d.buf = d.buf[n:]
-	if g.Msg, err = d.str(maxErrLen); err != nil {
-		return err
-	}
-	return d.drained()
+	g.Fence = d.Uvarint()
+	g.Recs = decodeRecs(&d, g.Recs)
+	g.Blob = d.Bytes(nil)
+	g.Msg = d.Str(maxErrLen)
+	return d.Finish()
 }

@@ -9,22 +9,15 @@
 //
 // # Frame layout
 //
-// Every message is one self-checking frame, reusing the `STSN`-style
-// framing idiom of internal/persist (all integers little-endian):
-//
-//	offset 0:  magic "STWR" (4 bytes)
-//	offset 4:  protocol version (1 byte; currently 1)
-//	offset 5:  frame kind (1 byte; see Frame* constants)
-//	offset 6:  payload length (uint32)
-//	offset 10: CRC-32C (Castagnoli) of the payload (uint32)
-//	offset 14: payload
-//
-// Payload fields are varint/uvarint encoded (strings are
-// length-prefixed), so a typical small query costs tens of bytes where
-// its JSON form costs hundreds. A decoder never trusts a count further
-// than the bytes actually present, so arbitrary (fuzzed or corrupt)
-// input can neither panic nor over-allocate — the same hardening
-// contract as the persist codec, pinned by FuzzWireDecode.
+// Every message is one self-checking frame in internal/binfmt's format
+// under the magic "STWR": a 14-byte header (magic, version, kind,
+// payload length, CRC-32C) and a payload of varint fields, so a typical
+// small query costs tens of bytes where its JSON form costs hundreds.
+// docs/protocol.md ("Frame header") describes the header once for both
+// binary formats. A decoder never trusts a count further than the bytes
+// actually present, so arbitrary (fuzzed or corrupt) input can neither
+// panic nor over-allocate — the same hardening contract as the persist
+// codec, pinned by FuzzWireDecode.
 //
 // # Conversation shape
 //
@@ -61,9 +54,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
+
+	"spatialtree/internal/binfmt"
 )
 
 // Protocol constants.
@@ -71,7 +65,7 @@ const (
 	// Version is the protocol version this package speaks.
 	Version = 1
 	// HeaderLen is the fixed frame header size.
-	HeaderLen = 14
+	HeaderLen = binfmt.HeaderLen
 	// DefaultMaxFrame bounds a peer's declared payload length (matching
 	// the HTTP layer's default body limit).
 	DefaultMaxFrame = 64 << 20
@@ -126,7 +120,8 @@ const (
 // Magic is the frame magic, first on the wire.
 var Magic = [4]byte{'S', 'T', 'W', 'R'}
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format is the protocol's frame family.
+var format = binfmt.Format{Magic: Magic, Version: Version, ErrCorrupt: ErrCorrupt, ErrVersion: ErrVersion}
 
 // Query kinds, mirroring the HTTP API's kind strings.
 const (
@@ -260,10 +255,6 @@ var ErrVersion = errors.New("wire: unsupported protocol version")
 // synchronized: the caller may answer with StatusTooLarge and continue.
 var ErrTooLarge = errors.New("wire: frame exceeds size limit")
 
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
 // LCAQuery is one lowest-common-ancestor query.
 type LCAQuery struct{ U, V int }
 
@@ -341,49 +332,31 @@ func GetBuf() *[]byte {
 // PutBuf returns a buffer borrowed with GetBuf.
 func PutBuf(b *[]byte) { bufPool.Put(b) }
 
-// appendFrame appends one complete frame to dst: header, then the
-// payload produced by enc, then the length and CRC fixed up in place.
-func appendFrame(dst []byte, kind byte, enc func([]byte) []byte) []byte {
-	base := len(dst)
-	dst = append(dst, Magic[0], Magic[1], Magic[2], Magic[3], Version, kind,
-		0, 0, 0, 0, 0, 0, 0, 0)
-	if enc != nil {
-		dst = enc(dst)
-	}
-	payload := dst[base+HeaderLen:]
-	binary.LittleEndian.PutUint32(dst[base+6:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[base+10:], crc32.Checksum(payload, castagnoli))
-	return dst
-}
-
 // AppendPing appends a ping frame to dst.
-func AppendPing(dst []byte) []byte { return appendFrame(dst, FramePing, nil) }
+func AppendPing(dst []byte) []byte { return format.Append(dst, FramePing, nil) }
 
 // AppendPong appends a pong frame to dst.
-func AppendPong(dst []byte) []byte { return appendFrame(dst, FramePong, nil) }
+func AppendPong(dst []byte) []byte { return format.Append(dst, FramePong, nil) }
 
 // AppendQuery appends q as one query frame to dst.
 func AppendQuery(dst []byte, q *Query) []byte {
-	return appendFrame(dst, FrameQuery, func(b []byte) []byte {
+	return format.Append(dst, FrameQuery, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, q.ID)
 		b = append(b, q.Kind)
 		if q.ShardID != "" {
 			b = append(b, routeShard)
-			b = appendStr(b, q.ShardID)
+			b = binfmt.AppendStr(b, q.ShardID)
 		} else if q.TreeID != "" {
 			b = append(b, routeTreeID)
-			b = appendStr(b, q.TreeID)
+			b = binfmt.AppendStr(b, q.TreeID)
 		} else {
 			b = append(b, routeParents)
-			b = binary.AppendUvarint(b, uint64(len(q.Parents)))
-			for _, p := range q.Parents {
-				b = binary.AppendVarint(b, int64(p))
-			}
+			b = binfmt.AppendInts(b, q.Parents)
 		}
 		switch q.Kind {
 		case KindTreefix, KindTopDown:
-			b = appendStr(b, q.Op)
-			b = appendVals(b, q.Vals)
+			b = binfmt.AppendStr(b, q.Op)
+			b = binfmt.AppendInt64s(b, q.Vals)
 		case KindLCA:
 			b = binary.AppendUvarint(b, uint64(len(q.Queries)))
 			for _, lq := range q.Queries {
@@ -398,9 +371,8 @@ func AppendQuery(dst []byte, q *Query) []byte {
 				b = binary.AppendVarint(b, e.W)
 			}
 		case KindExpr:
-			b = binary.AppendUvarint(b, uint64(len(q.ExprKinds)))
-			b = append(b, q.ExprKinds...)
-			b = appendVals(b, q.Vals)
+			b = binfmt.AppendBytes(b, q.ExprKinds)
+			b = binfmt.AppendInt64s(b, q.Vals)
 		}
 		return b
 	})
@@ -408,7 +380,7 @@ func AppendQuery(dst []byte, q *Query) []byte {
 
 // AppendResult appends r as one result frame to dst.
 func AppendResult(dst []byte, r *Result) []byte {
-	return appendFrame(dst, FrameResult, func(b []byte) []byte {
+	return format.Append(dst, FrameResult, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, r.ID)
 		b = append(b, r.Kind)
 		b = binary.AppendVarint(b, r.Cost.Energy)
@@ -416,7 +388,7 @@ func AppendResult(dst []byte, r *Result) []byte {
 		b = binary.AppendVarint(b, r.Cost.Depth)
 		switch r.Kind {
 		case KindTreefix, KindTopDown:
-			b = appendVals(b, r.Sums)
+			b = binfmt.AppendInt64s(b, r.Sums)
 		case KindLCA:
 			b = binary.AppendUvarint(b, uint64(len(r.Answers)))
 			for _, a := range r.Answers {
@@ -434,29 +406,19 @@ func AppendResult(dst []byte, r *Result) []byte {
 
 // AppendError appends e as one error frame to dst.
 func AppendError(dst []byte, e *Error) []byte {
-	return appendFrame(dst, FrameError, func(b []byte) []byte {
+	return format.Append(dst, FrameError, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, e.ID)
 		b = append(b, byte(e.Status))
-		msg := e.Msg
-		if len(msg) > maxErrLen {
-			msg = msg[:maxErrLen]
-		}
-		b = appendStr(b, msg)
-		return b
+		return appendMsg(b, e.Msg)
 	})
 }
 
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendVals(dst []byte, vals []int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = binary.AppendVarint(dst, v)
+// appendMsg appends an error or ack message, cut to maxErrLen.
+func appendMsg(dst []byte, msg string) []byte {
+	if len(msg) > maxErrLen {
+		msg = msg[:maxErrLen]
 	}
-	return dst
+	return binfmt.AppendStr(dst, msg)
 }
 
 // Decode decodes the payload of a query frame into q, reusing q's
@@ -466,120 +428,44 @@ func appendVals(dst []byte, vals []int64) []byte {
 //
 //spatialvet:errclass
 func (q *Query) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if q.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	kind, err := d.byte()
-	if err != nil {
-		return err
-	}
-	q.Kind = kind
-	route, err := d.byte()
-	if err != nil {
-		return err
-	}
+	d := format.Decoder(payload)
+	q.ID = d.Uvarint()
+	q.Kind = d.Byte()
+	route := d.Byte()
 	q.ShardID, q.TreeID, q.Parents = "", "", q.Parents[:0]
 	switch route {
 	case routeShard:
-		if q.ShardID, err = d.str(maxNameLen); err != nil {
-			return err
-		}
+		q.ShardID = d.Str(maxNameLen)
 	case routeTreeID:
-		if q.TreeID, err = d.str(maxNameLen); err != nil {
-			return err
-		}
+		q.TreeID = d.Str(maxNameLen)
 	case routeParents:
-		n, err := d.count("vertex")
-		if err != nil {
-			return err
-		}
-		q.Parents = growInts(q.Parents, n)
-		for i := range q.Parents {
-			p, err := d.varint()
-			if err != nil {
-				return err
-			}
-			q.Parents[i] = int(p)
-		}
+		q.Parents = d.Ints(q.Parents)
 	default:
-		return corruptf("unknown route %d", route)
+		d.Failf("unknown route %d", route)
 	}
 	q.Op, q.Vals, q.Queries, q.Edges, q.ExprKinds =
 		"", q.Vals[:0], q.Queries[:0], q.Edges[:0], q.ExprKinds[:0]
 	switch q.Kind {
 	case KindTreefix, KindTopDown:
-		if q.Op, err = d.str(maxNameLen); err != nil {
-			return err
-		}
-		if q.Vals, err = d.vals(q.Vals); err != nil {
-			return err
-		}
+		q.Op = d.Str(maxNameLen)
+		q.Vals = d.Int64s(q.Vals)
 	case KindLCA:
-		n, err := d.count("query")
-		if err != nil {
-			return err
-		}
-		if cap(q.Queries) < n {
-			q.Queries = make([]LCAQuery, n)
-		}
-		q.Queries = q.Queries[:n]
+		q.Queries = binfmt.Grow(q.Queries, d.Count())
 		for i := range q.Queries {
-			u, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			v, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			q.Queries[i] = LCAQuery{U: int(u), V: int(v)}
+			q.Queries[i] = LCAQuery{U: int(d.Uvarint()), V: int(d.Uvarint())}
 		}
 	case KindMinCut:
-		n, err := d.count("edge")
-		if err != nil {
-			return err
-		}
-		if cap(q.Edges) < n {
-			q.Edges = make([]Edge, n)
-		}
-		q.Edges = q.Edges[:n]
+		q.Edges = binfmt.Grow(q.Edges, d.Count())
 		for i := range q.Edges {
-			u, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			v, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			w, err := d.varint()
-			if err != nil {
-				return err
-			}
-			q.Edges[i] = Edge{U: int(u), V: int(v), W: w}
+			q.Edges[i] = Edge{U: int(d.Uvarint()), V: int(d.Uvarint()), W: d.Varint()}
 		}
 	case KindExpr:
-		n, err := d.count("expr vertex")
-		if err != nil {
-			return err
-		}
-		if cap(q.ExprKinds) < n {
-			q.ExprKinds = make([]uint8, n)
-		}
-		q.ExprKinds = q.ExprKinds[:n]
-		if n > 0 {
-			copy(q.ExprKinds, d.buf[:n])
-			d.buf = d.buf[n:]
-		}
-		if q.Vals, err = d.vals(q.Vals); err != nil {
-			return err
-		}
+		q.ExprKinds = d.Bytes(q.ExprKinds)
+		q.Vals = d.Int64s(q.Vals)
 	default:
-		return corruptf("unknown query kind %d", q.Kind)
+		d.Failf("unknown query kind %d", q.Kind)
 	}
-	return d.drained()
+	return d.Finish()
 }
 
 // Decode decodes the payload of a result frame into r. Slices are
@@ -587,86 +473,39 @@ func (q *Query) Decode(payload []byte) error {
 //
 //spatialvet:errclass
 func (r *Result) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if r.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	if r.Kind, err = d.byte(); err != nil {
-		return err
-	}
-	if r.Cost.Energy, err = d.varint(); err != nil {
-		return err
-	}
-	if r.Cost.Messages, err = d.varint(); err != nil {
-		return err
-	}
-	if r.Cost.Depth, err = d.varint(); err != nil {
-		return err
-	}
+	d := format.Decoder(payload)
+	r.ID = d.Uvarint()
+	r.Kind = d.Byte()
+	r.Cost = Cost{Energy: d.Varint(), Messages: d.Varint(), Depth: d.Varint()}
 	r.Sums, r.Answers, r.MinWeight, r.ArgVertex, r.Value = nil, nil, 0, 0, 0
 	switch r.Kind {
 	case KindTreefix, KindTopDown:
-		if r.Sums, err = d.vals(nil); err != nil {
-			return err
-		}
+		r.Sums = d.Int64s(nil)
 	case KindLCA:
-		n, err := d.count("answer")
-		if err != nil {
-			return err
-		}
-		r.Answers = make([]int, n)
+		r.Answers = make([]int, d.Count())
 		for i := range r.Answers {
-			a, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			r.Answers[i] = int(a)
+			r.Answers[i] = int(d.Uvarint())
 		}
 	case KindMinCut:
-		if r.MinWeight, err = d.varint(); err != nil {
-			return err
-		}
-		av, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.ArgVertex = int(av)
+		r.MinWeight = d.Varint()
+		r.ArgVertex = int(d.Varint())
 	case KindExpr:
-		if r.Value, err = d.varint(); err != nil {
-			return err
-		}
+		r.Value = d.Varint()
 	default:
-		return corruptf("unknown result kind %d", r.Kind)
+		d.Failf("unknown result kind %d", r.Kind)
 	}
-	return d.drained()
+	return d.Finish()
 }
 
 // Decode decodes the payload of an error frame into e.
 //
 //spatialvet:errclass
 func (e *Error) Decode(payload []byte) error {
-	d := decoder{buf: payload}
-	var err error
-	if e.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	st, err := d.byte()
-	if err != nil {
-		return err
-	}
-	e.Status = Status(st)
-	if e.Msg, err = d.str(maxErrLen); err != nil {
-		return err
-	}
-	return d.drained()
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+	d := format.Decoder(payload)
+	e.ID = d.Uvarint()
+	e.Status = Status(d.Byte())
+	e.Msg = d.Str(maxErrLen)
+	return d.Finish()
 }
 
 // Reader reads frames from a stream, reusing one growable buffer: the
@@ -700,23 +539,19 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 func (r *Reader) Next() (kind byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r.r, r.header[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, corruptf("truncated header")
+			return 0, nil, format.Corruptf("truncated header")
 		}
 		return 0, nil, err
 	}
-	if [4]byte(r.header[:4]) != Magic {
-		return 0, nil, corruptf("bad magic %q", r.header[:4])
+	kind, plen, err := format.Header(&r.header)
+	if err != nil {
+		return 0, nil, err
 	}
-	if r.header[4] != Version {
-		return 0, nil, fmt.Errorf("%w: version %d (supported: %d)", ErrVersion, r.header[4], Version)
-	}
-	kind = r.header[5]
-	plen := int(binary.LittleEndian.Uint32(r.header[6:]))
 	if plen > r.max {
 		// Discard the payload so the stream stays framed; the caller
 		// can answer StatusTooLarge and keep serving.
 		if _, err := io.CopyN(io.Discard, r.r, int64(plen)); err != nil {
-			return kind, nil, corruptf("discarding oversized frame: %v", err)
+			return kind, nil, format.Corruptf("discarding oversized frame: %v", err)
 		}
 		return kind, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrTooLarge, plen, r.max)
 	}
@@ -725,99 +560,10 @@ func (r *Reader) Next() (kind byte, payload []byte, err error) {
 	}
 	payload = r.buf[:plen]
 	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return kind, nil, corruptf("truncated payload: %v", err)
+		return kind, nil, format.Corruptf("truncated payload: %v", err)
 	}
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(r.header[10:]) {
-		return kind, nil, corruptf("payload CRC mismatch")
+	if err := format.Check(&r.header, payload); err != nil {
+		return kind, nil, err
 	}
 	return kind, payload, nil
-}
-
-// decoder consumes primitive values, validating every length against
-// the bytes actually remaining before allocating anything (the persist
-// codec's discipline).
-type decoder struct{ buf []byte }
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.buf) == 0 {
-		return 0, corruptf("truncated byte")
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, corruptf("truncated or overlong uvarint")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, corruptf("truncated or overlong varint")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *decoder) str(limit int) (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(limit) {
-		return "", corruptf("string length %d exceeds %d", n, limit)
-	}
-	if n > uint64(len(d.buf)) {
-		return "", corruptf("string length %d exceeds %d remaining bytes", n, len(d.buf))
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s, nil
-}
-
-// count reads an element count bounded by the remaining payload (every
-// element costs at least one byte, so a count exceeding the bytes
-// present is corrupt — and rejecting it here keeps allocation O(input)).
-func (d *decoder) count(what string) (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(d.buf)) {
-		return 0, corruptf("%s count %d exceeds %d remaining bytes", what, n, len(d.buf))
-	}
-	return int(n), nil
-}
-
-// vals reads a counted varint slice into dst (reusing its capacity;
-// pass nil for a fresh allocation).
-func (d *decoder) vals(dst []int64) ([]int64, error) {
-	n, err := d.count("value")
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		if dst[i], err = d.varint(); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// drained asserts the payload was consumed exactly.
-func (d *decoder) drained() error {
-	if len(d.buf) != 0 {
-		return corruptf("%d trailing payload bytes", len(d.buf))
-	}
-	return nil
 }

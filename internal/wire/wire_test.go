@@ -138,6 +138,44 @@ func TestQueryDecodeReuse(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins what decoding costs the serving hot path. Into
+// a reused Query, a decode allocates only the strings it keeps: one per
+// non-empty tree id, shard id and operator, so a parents-routed LCA or
+// expr query allocates nothing. A Result owns its slices: an LCA result
+// allocates its answers once.
+func TestDecodeAllocs(t *testing.T) {
+	parents := []int{-1, 0, 0, 1, 1}
+	for i, want := range []*Query{
+		{ID: 1, Kind: KindLCA, Parents: parents, Queries: []LCAQuery{{U: 3, V: 4}, {U: 2, V: 3}}},
+		{ID: 2, Kind: KindExpr, Parents: []int{-1, 0, 0}, ExprKinds: []uint8{1, 0, 0}, Vals: []int64{0, 2, 3}},
+		{ID: 3, Kind: KindMinCut, Parents: parents, Edges: []Edge{{U: 3, V: 2, W: 5}}},
+		{ID: 4, Kind: KindTreefix, TreeID: "t69286a04bcfab1e6", Op: "max", Vals: []int64{5, -2, 0, 1, 7}},
+		{ID: 5, Kind: KindTopDown, Parents: parents, Op: "add", Vals: []int64{1, 2, 3, 4, 5}},
+		{ID: 6, Kind: KindLCA, TreeID: "t69286a04bcfab1e6", Queries: []LCAQuery{{U: 3, V: 4}}},
+		{ID: 7, Kind: KindLCA, ShardID: "c00000000000002a-3", Queries: []LCAQuery{{U: 3, V: 4}}},
+	} {
+		payload := AppendQuery(nil, want)[HeaderLen:]
+		var q Query
+		if err := q.Decode(payload); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		strs := 0
+		for _, s := range []string{want.TreeID, want.ShardID, want.Op} {
+			if s != "" {
+				strs++
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = q.Decode(payload) }); got != float64(strs) {
+			t.Errorf("query %d (kind %d): %v allocs per decode, want %d", i, want.Kind, got, strs)
+		}
+	}
+	payload := AppendResult(nil, &Result{ID: 1, Kind: KindLCA, Answers: []int{0, 1, 0}})[HeaderLen:]
+	var r Result
+	if got := testing.AllocsPerRun(100, func() { _ = r.Decode(payload) }); got != 1 {
+		t.Errorf("LCA result: %v allocs per decode, want 1", got)
+	}
+}
+
 func TestReaderMultipleFrames(t *testing.T) {
 	var stream []byte
 	stream = AppendPing(stream)

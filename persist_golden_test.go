@@ -101,6 +101,66 @@ func TestGoldenDynFormat(t *testing.T) {
 	}
 }
 
+// goldenWALRecords are the mutations the WAL fixture journals on top
+// of goldenDyn (epoch 17, four vertices): an insert under vertex 1 that
+// creates vertex 4, then a delete of leaf 2 that renames vertex 4 into
+// its place.
+func goldenWALRecords() []persist.Record {
+	return []persist.Record{
+		{Type: persist.RecInsert, Epoch: 18, Arg: 1, Result: 4},
+		{Type: persist.RecDelete, Epoch: 19, Arg: 2, Result: 4},
+	}
+}
+
+// TestGoldenWALFormat pins a WAL segment as a shard log writes it — a
+// fence at the snapshot epoch, then one record per mutation — and
+// checks that a store recovering from the checked-in bytes replays
+// exactly those mutations, as an upgraded daemon must.
+func TestGoldenWALFormat(t *testing.T) {
+	want := readGolden(t, "wal.v1.log")
+	dir := t.TempDir()
+	store, err := persist.Open(persist.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.CreateShardLog("d1", goldenDyn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range goldenWALRecords() {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "dyn", "d1", "wal-000001.log")
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL format drifted from testdata/persist/wal.v1.log:\n got %x\nwant %x\n(bump the format version rather than regenerate silently)", got, want)
+	}
+
+	if err := os.WriteFile(seg, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err = persist.Open(persist.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	_, snap, recs, err := store.OpenShardLog("d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Epoch != goldenDyn().Epoch || !reflect.DeepEqual(recs, goldenWALRecords()) {
+		t.Fatalf("golden WAL replays %+v on epoch %d", recs, snap.Epoch)
+	}
+}
+
 // TestGoldenCorruptCRC: a stored snapshot whose payload no longer
 // matches its CRC must come back as the typed ErrSnapshotCorrupt — from
 // the raw decoder and from the public LoadSnapshot alike — never as a
