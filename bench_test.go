@@ -26,6 +26,7 @@ import (
 	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/engine"
 	"spatialtree/internal/eulertour"
+	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
 	"spatialtree/internal/lca"
@@ -394,9 +395,12 @@ func churnMutation(b *testing.B, mt dynlayout.MutTree, r *rng.RNG, m, origN int)
 // after every mutation, revalidate the tree and rebuild the light-first
 // layout from scratch. The dynamic arm applies O(1) parked mutations
 // and refreshes its serving state lazily, once per query round — the
-// acceptance target is ≥2× on wall clock. It is a sim-backend
-// (model-cost) benchmark: the dyn-engine arm leaves Backend unset, so
-// its LCA batches run exec.Sim, as the naive arm's do.
+// acceptance target is ≥2× on wall clock. The dyn-engine arm is the
+// sim-backend (model-cost) comparison: it leaves Backend unset, so its
+// LCA batches run exec.Sim, as the naive arm's do. The dyn-native arm
+// serves the same schedule on the native backend, whose epochs answer
+// LCA from the last built table through the shard's overlay and
+// rebuild it only after ε·n mutations.
 func BenchmarkE14DynChurn(b *testing.B) {
 	const (
 		mutations  = benchN / 20 // 5% churn
@@ -437,32 +441,38 @@ func BenchmarkE14DynChurn(b *testing.B) {
 		b.ReportMetric(float64(mutations*b.N)/b.Elapsed().Seconds(), "mutations/s")
 	})
 
-	b.Run("dyn-engine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			de, err := engine.NewDyn(base, engine.DynOptions{
-				Options: engine.Options{Seed: uint64(i), Window: 64},
-				Epsilon: 0.2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(52)
-			for m := 0; m < mutations; m++ {
-				churnMutation(b, de, r, m, benchN)
-				if m%queryEvery == 0 {
-					if res := de.SubmitLCA(querySets[m/queryEvery]).Wait(); res.Err != nil {
-						b.Fatal(res.Err)
-					}
+	for _, arm := range []struct{ name, backend string }{{"dyn-engine", ""}, {"dyn-native", exec.Native}} {
+		b.Run(arm.name, func(b *testing.B) { benchDynArm(b, base, arm.backend, mutations, queryEvery, querySets) })
+	}
+}
+
+// benchDynArm runs E14's churn schedule on a DynEngine on the named
+// backend.
+func benchDynArm(b *testing.B, base *tree.Tree, backend string, mutations, queryEvery int, querySets [][]lca.Query) {
+	for i := 0; i < b.N; i++ {
+		de, err := engine.NewDyn(base, engine.DynOptions{
+			Options: engine.Options{Seed: uint64(i), Window: 64, Backend: backend},
+			Epsilon: 0.2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(52)
+		for m := 0; m < mutations; m++ {
+			churnMutation(b, de, r, m, benchN)
+			if m%queryEvery == 0 {
+				if res := de.SubmitLCA(querySets[m/queryEvery]).Wait(); res.Err != nil {
+					b.Fatal(res.Err)
 				}
 			}
-			if i == b.N-1 {
-				st := de.Stats()
-				b.ReportMetric(float64(st.Refreshes), "refreshes")
-				b.ReportMetric(float64(st.Rebuilds), "layout-rebuilds")
-			}
 		}
-		b.ReportMetric(float64(mutations*b.N)/b.Elapsed().Seconds(), "mutations/s")
-	})
+		if i == b.N-1 {
+			st := de.Stats()
+			b.ReportMetric(float64(st.Refreshes), "refreshes")
+			b.ReportMetric(float64(st.Rebuilds), "layout-rebuilds")
+		}
+	}
+	b.ReportMetric(float64(mutations*b.N)/b.Elapsed().Seconds(), "mutations/s")
 }
 
 // BenchmarkE16NativeBackend measures the execution-backend layer on an

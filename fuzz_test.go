@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"spatialtree/internal/lca"
+	"spatialtree/internal/mincut"
 	"spatialtree/internal/order"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
@@ -155,6 +156,132 @@ func FuzzDynMutation(f *testing.F) {
 				if got := d.KernelCost(); fresh.Energy > 0 && got.Energy > 4*fresh.Energy {
 					t.Fatalf("post-rebuild kernel %d exceeds 4x fresh optimum %d (n=%d)",
 						got.Energy, fresh.Energy, d.N())
+				}
+			}
+		}
+	})
+}
+
+// FuzzDynNativeLCA is the differential check of the native dyn shard's
+// LCA overlay: after every mutation, a native DynEngine's LCA answers
+// must equal a from-scratch native engine's on the current tree and
+// LCAOracle's, on pairs that include the youngest ids. Treefix and
+// min-cut requests interleave, so epochs that build the current tree
+// and its preorder sit between LCA-only ones, and min-cut's LCAs go
+// through the overlay too.
+//
+// Byte encoding: data[0] picks the starting tree size and data[1] the
+// drift budget ε (small budgets cross the ε·n rebase often); each
+// following byte b is one step, by its top two bits: 0 inserts a leaf
+// under b mod n, 1 inserts under the highest-id inserted vertex (so
+// runs of them grow chains, which cross the depth rebase), 2 deletes
+// (by b&0x3f mod 3: the last id, an inserted leaf or any leaf, picked
+// by b&0x3f / 3) and 3 serves a bottom-up treefix (b even) or a
+// min-cut (b odd).
+func FuzzDynNativeLCA(f *testing.F) {
+	f.Add([]byte{6, 0, 0x01, 0x40, 0x40, 0x40, 0x80, 0x81, 0xc0, 0x02, 0xc1})             // chain, deletes, min-cut
+	f.Add([]byte{12, 1, 0x02, 0x05, 0xc0, 0x84, 0x85, 0x40, 0x86, 0xc0})                  // renumbering deletes
+	f.Add([]byte{3, 0, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0xc0}) // deep chain on a tiny tree
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		eps := []float64{0.05, 0.1, 0.25, 0.5}[data[1]%4]
+		de, err := NewDynEngine(RandomTree(int(data[0])%48+2, 1), DynEngineOptions{
+			Options: EngineOptions{Backend: "native"},
+			Epsilon: eps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted := make([]bool, de.N()) // by current id
+		for step, b := range data[2:] {
+			n := de.N()
+			sel := int(b & 0x3f)
+			switch b >> 6 {
+			case 0, 1:
+				parent := sel % n
+				if b>>6 == 1 {
+					for v := n - 1; v >= 0; v-- {
+						if inserted[v] {
+							parent = v
+							break
+						}
+					}
+				}
+				if _, err := de.InsertLeaf(parent); err != nil {
+					t.Fatalf("step %d: insert under %d: %v", step, parent, err)
+				}
+				inserted = append(inserted, true)
+			case 2:
+				cur, err := de.Tree()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var leaves []int
+				for v := 0; v < n; v++ {
+					if de.IsLeaf(v) && v != cur.Root() && (sel%3 != 1 || inserted[v]) && (sel%3 != 0 || v == n-1) {
+						leaves = append(leaves, v)
+					}
+				}
+				if len(leaves) == 0 {
+					continue
+				}
+				v := leaves[sel/3%len(leaves)]
+				moved, err := de.DeleteLeaf(v)
+				if err != nil {
+					t.Fatalf("step %d: delete %d: %v", step, v, err)
+				}
+				inserted[v] = inserted[moved]
+				inserted = inserted[:n-1]
+			case 3:
+				cur, err := de.Tree()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sel%2 == 1 && n > 1 { // a lone root has no cuts
+					edges := mincut.RandomGraph(cur, n, 9, rng.New(uint64(step)))
+					res := de.SubmitMinCut(edges).Wait()
+					if want := mincut.OneRespectingSequential(cur, edges); res.Err != nil || !reflect.DeepEqual(res.MinCut, want) {
+						t.Fatalf("step %d: min-cut differs from the sequential oracle (%v)", step, res.Err)
+					}
+					break
+				}
+				vals := make([]int64, n)
+				for v := range vals {
+					vals[v] = int64(v*7%13) - 6
+				}
+				res := de.SubmitTreefix(vals, OpAdd).Wait()
+				if res.Err != nil || !reflect.DeepEqual(res.Sums, treefix.SequentialBottomUp(cur, vals, OpAdd)) {
+					t.Fatalf("step %d: treefix differs from the sequential oracle (%v)", step, res.Err)
+				}
+			}
+			cur, err := de.Tree()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = cur.N()
+			var qs []Query
+			for u := 0; u < n; u++ {
+				qs = append(qs, Query{U: u, V: (u*5 + step) % n}, Query{U: u, V: n - 1})
+			}
+			got := de.SubmitLCA(qs).Wait()
+			fresh, err := NewEngine(cur, EngineOptions{Backend: "native"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.SubmitLCA(qs).Wait()
+			if got.Err != nil || want.Err != nil {
+				t.Fatalf("step %d: errs %v / %v", step, got.Err, want.Err)
+			}
+			oracle := LCAOracle(cur)
+			for i, q := range qs {
+				if a := oracle.LCA(q.U, q.V); got.Answers[i] != a || want.Answers[i] != a {
+					t.Fatalf("step %d (n=%d, ε=%v): LCA(%d, %d) = %d, fresh engine %d, oracle %d",
+						step, n, eps, q.U, q.V, got.Answers[i], want.Answers[i], a)
 				}
 			}
 		}

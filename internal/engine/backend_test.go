@@ -11,6 +11,7 @@ import (
 	"spatialtree/internal/lca"
 	"spatialtree/internal/machine"
 	"spatialtree/internal/mincut"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/sfc"
 	"spatialtree/internal/tree"
@@ -463,5 +464,128 @@ func TestPlacementOnlyOnSim(t *testing.T) {
 		if _, err := NewDyn(tr, DynOptions{Options: Options{Backend: backend, Curve: "bogus"}}); err == nil {
 			t.Fatalf("%s NewDyn accepted an unknown curve", backend)
 		}
+	}
+}
+
+// TestDynTreeIsServingTree: after a mutation, Tree installs the epoch's
+// serving state and returns the tree it serves, validated once. An
+// expression built on that tree is the one the next SubmitExpr runs:
+// it passes the identity check, so no second tree is built and no
+// parent arrays are compared.
+func TestDynTreeIsServingTree(t *testing.T) {
+	x := exprtree.Random(24, rng.New(4))
+	leaf := 0
+	for !x.Tree.IsLeaf(leaf) {
+		leaf++
+	}
+	for _, backend := range []string{exec.Native, exec.Sim} {
+		de, err := NewDyn(x.Tree, DynOptions{Options: Options{Backend: backend}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Grow the leaf into an operator over two new leaves.
+		for i := 0; i < 2; i++ {
+			if _, err := de.InsertLeaf(leaf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := de.Stats().Refreshes
+		cur, err := de.Tree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := de.Tree(); err != nil || again != cur {
+			t.Fatalf("%s: a second Tree call returned another tree (%v)", backend, err)
+		}
+		if served, err := de.eng.cur.Load().backend.Tree(); err != nil || served != cur {
+			t.Fatalf("%s: Tree is not the serving state's tree (%v)", backend, err)
+		}
+		y := &exprtree.Expr{Tree: cur, Kind: append(slices.Clone(x.Kind), exprtree.Leaf, exprtree.Leaf), Val: append(slices.Clone(x.Val), 3, 5)}
+		y.Kind[leaf] = exprtree.Mul
+		res := de.SubmitExpr(y).Wait()
+		if res.Err != nil {
+			t.Fatalf("%s: %v", backend, res.Err)
+		}
+		if want := y.EvalSequential()[cur.Root()]; res.Value != want {
+			t.Fatalf("%s: expr value %d, want %d", backend, res.Value, want)
+		}
+		if r := de.Stats().Refreshes; r != before+1 {
+			t.Fatalf("%s: %d refreshes for one epoch, want 1", backend, r-before)
+		}
+		if served, _ := de.eng.cur.Load().backend.Tree(); served != cur {
+			t.Fatalf("%s: the expression ran on another tree than Tree returned", backend)
+		}
+	}
+}
+
+// TestDynPromotedFollowerLCA: a native shard fed only through
+// ApplyRecord — a follower, which serves nothing and so builds no LCA
+// table — is promoted and serves. Its LCA answers, through the overlay
+// the first query sets up, must match lca.Oracle after every further
+// replayed and local mutation.
+func TestDynPromotedFollowerLCA(t *testing.T) {
+	tr := tree.RandomAttachment(96, rng.New(31))
+	opts := DynOptions{Options: Options{Backend: exec.Native}, Epsilon: 0.25}
+	owner, err := NewDyn(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []persist.Record
+	owner.SetJournal(func(rec persist.Record) error { recs = append(recs, rec); return nil })
+	follower, err := NewDyn(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(32)
+	check := func(step int, de *DynEngine) {
+		t.Helper()
+		cur, err := de.Tree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := cur.N()
+		qs := make([]lca.Query, 64)
+		for j := range qs {
+			qs[j] = lca.Query{U: r.Intn(n), V: n - 1 - r.Intn(min(n, 8))} // the youngest ids too
+		}
+		res := de.SubmitLCA(qs).Wait()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		oracle := lca.NewOracle(cur)
+		for j, q := range qs {
+			if want := oracle.LCA(q.U, q.V); res.Answers[j] != want {
+				t.Fatalf("step %d: lca(%d, %d) = %d, want %d", step, q.U, q.V, res.Answers[j], want)
+			}
+		}
+	}
+	for step := 0; step < 120; step++ {
+		mutate(t, owner, r)
+		if step == 60 {
+			// Promotion: the follower catches up and starts serving.
+			for _, rec := range recs {
+				if err := follower.ApplyRecord(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs = recs[:0]
+		}
+		if step >= 60 {
+			for _, rec := range recs {
+				if err := follower.ApplyRecord(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs = recs[:0]
+			check(step, follower)
+		}
+	}
+	// The promoted follower now mutates locally, on its overlay.
+	for step := 120; step < 160; step++ {
+		mutate(t, follower, r)
+		check(step, follower)
+	}
+	if fe, oe := follower.Epoch(), owner.Epoch(); fe != oe+40 {
+		t.Fatalf("follower epoch %d, want the owner's %d plus 40", fe, oe)
 	}
 }

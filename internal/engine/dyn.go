@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"spatialtree/internal/dynlayout"
+	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
@@ -27,15 +28,28 @@ import (
 // the epoch and marks the serving state dirty; the next submission
 // refreshes it from the dynamic layout and installs it on the engine,
 // so the engine's counters, scheduler and profile observer carry across
-// epochs untouched. A native refresh reads only the layout's validated
-// current tree, since native kernels take no placement. A sim refresh
-// also copies the layout's current parked/spread positions — an O(n)
-// copy, not the O(n log n) light-first pipeline a static engine would
-// need to rebuild from scratch. Only when the dynamic layout itself
-// rebuilds (every εn mutations) is the full pipeline paid, which is the
-// whole amortization argument of the paper's §VII direction. The layout
-// maintains its ranks on both backends: snapshots, replication and a
-// recovery onto a sim default need them.
+// epochs untouched.
+//
+// A native refresh is O(1). The epoch's tree, preorder and LCA table are
+// not rebuilt: LCA, min-cut's included, is answered from the table the
+// shard last built (the base) through an exec.Overlay that every
+// applied mutation updates in O(1), and nothing O(n) runs per mutation
+// or per LCA-only epoch. The first treefix, top-down, min-cut or
+// expression request of an epoch validates the current tree and records
+// its preorder, and the next LCA rebuilds the base once the overlay has
+// absorbed more than min(ε, 1)·n mutations (ε is the budget the layout
+// rebuilds on) or an inserted chain has grown deeper than ⌈log₂ n⌉. A
+// shard that has built no LCA table — a follower that never serves,
+// say — keeps no overlay state.
+//
+// A sim refresh validates the current tree and copies the layout's
+// current parked/spread positions — an O(n) copy, not the O(n log n)
+// light-first pipeline a static engine would need to rebuild from
+// scratch. Only when the dynamic layout itself rebuilds (every εn
+// mutations) is the full pipeline paid, which is the whole amortization
+// argument of the paper's §VII direction. The layout maintains its
+// ranks on both backends: snapshots, replication and a recovery onto a
+// sim default need them.
 //
 // On sim, kernels split by what they require of the placement. Treefix
 // sums, top-down sums and expression evaluation are order-agnostic —
@@ -60,8 +74,12 @@ import (
 type DynEngine struct {
 	eng *Engine // serves every epoch
 
-	mu        sync.Mutex
-	dyn       *dynlayout.Dyn
+	mu  sync.Mutex
+	dyn *dynlayout.Dyn
+	// ov carries a native shard's LCA table across epochs; nil on sim.
+	// Mutations update it behind the Quiesce barrier, so no batch reads
+	// it meanwhile.
+	ov        *exec.Overlay
 	epoch     uint64
 	dirty     bool
 	refreshes uint64
@@ -126,10 +144,11 @@ type DynStats struct {
 	// Rebuilds counts full light-first recomputations of the dynamic
 	// layout (the amortized Θ(n^{3/2})-energy events).
 	Rebuilds uint64
-	// Refreshes counts serving-state rebuilds: states built on the
-	// dynamic layout's current tree and installed on the shard's engine
-	// (one at construction, then at most one per epoch, only when a
-	// submission actually follows a mutation).
+	// Refreshes counts serving states installed on the shard's engine:
+	// one at construction, then at most one per epoch, when a
+	// submission or Tree follows a mutation. On native, installing one
+	// is O(1); on sim, it validates the tree and copies the layout's
+	// positions.
 	Refreshes uint64
 	// ParkEnergy and MigrateEnergy are the dynamic layout's maintenance
 	// costs (see dynlayout.Dyn).
@@ -171,19 +190,27 @@ func CheckEpsilon(eps float64) error {
 // newDyn wraps a dynamic layout at the given epoch in a DynEngine whose
 // engine serves the layout's current tree.
 func newDyn(d *dynlayout.Dyn, epoch uint64, opts Options) (*DynEngine, error) {
-	eng, err := newEngine(nil, d, opts)
-	if err != nil {
+	de := &DynEngine{dyn: d, epoch: epoch, refreshes: 1}
+	if exec.Normalize(opts.Backend) == exec.Native {
+		de.ov = exec.NewOverlay(d.Epsilon())
+	}
+	var err error
+	if de.eng, err = newEngine(nil, de, opts); err != nil {
 		return nil, err
 	}
-	return &DynEngine{eng: eng, dyn: d, epoch: epoch, refreshes: 1}, nil
+	return de, nil
 }
 
 // refreshLocked installs the current epoch's serving state, derived
 // from the dynamic layout (see Engine.newServing), on the shard's
-// engine. The mutation that dirtied the state quiesced the engine under
-// de.mu, and every submission takes de.mu, so the engine is quiescent.
+// engine, if a mutation has been applied since the last one was. The
+// mutation quiesced the engine under de.mu, and every submission takes
+// de.mu, so the engine is quiescent.
 func (de *DynEngine) refreshLocked() error {
-	sv, err := de.eng.newServing(de.eng.Backend(), nil, de.dyn)
+	if !de.dirty {
+		return nil
+	}
+	sv, err := de.eng.newServing(de.eng.Backend(), nil, de)
 	if err != nil {
 		return err
 	}
@@ -205,26 +232,7 @@ func (de *DynEngine) InsertLeaf(parent int) (int, error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.eng.Quiesce()
-	before := de.dyn.Inserts
-	v, err := de.dyn.InsertLeaf(parent)
-	// Bump the epoch whenever the layout actually mutated — including
-	// when a post-mutation rebuild failed — so the serving state can
-	// never keep presenting the pre-mutation tree as current. The same
-	// condition gates the journal: a record is written exactly when the
-	// tree changed, keeping the WAL's epochs consecutive.
-	if de.dyn.Inserts != before {
-		de.epoch++
-		de.dirty = true
-		if jerr := de.journalLocked(persist.Record{Type: persist.RecInsert, Epoch: de.epoch, Arg: parent, Result: v}); err == nil {
-			err = jerr
-		}
-		return v, err
-	}
-	if err != nil {
-		return 0, invalid(err)
-	}
-	return v, nil
+	return de.mutateLocked(persist.RecInsert, parent)
 }
 
 // journalLocked invokes the durability hook, if any; de.mu must be held
@@ -252,21 +260,62 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.eng.Quiesce()
-	before := de.dyn.Deletes
-	moved, err = de.dyn.DeleteLeaf(v)
-	if de.dyn.Deletes != before {
-		de.epoch++
-		de.dirty = true
-		if jerr := de.journalLocked(persist.Record{Type: persist.RecDelete, Epoch: de.epoch, Arg: v, Result: moved}); err == nil {
-			err = jerr
-		}
-		return moved, err
-	}
-	if err != nil {
+	return de.mutateLocked(persist.RecDelete, v)
+}
+
+// mutateLocked is InsertLeaf's and DeleteLeaf's shared body: a mutation
+// that did not apply is the caller's mistake.
+func (de *DynEngine) mutateLocked(typ persist.RecordType, arg int) (int, error) {
+	got, applied, err := de.applyLocked(typ, arg, nil)
+	if !applied && err != nil {
 		return 0, invalid(err)
 	}
-	return moved, nil
+	return got, err
+}
+
+// applyLocked is the one applied-mutation path, shared by local
+// mutations and ApplyRecord, so a follower's replay and an owner's
+// mutation cannot diverge. It drains the engine through the Quiesce
+// barrier and applies one mutation (an insert under arg, or a delete of
+// leaf arg) to the dynamic layout. Whenever the layout changed — even
+// if its post-mutation rebuild failed, so the serving state can never
+// keep presenting the pre-mutation tree as current — it advances the
+// epoch, marks the serving state dirty, folds the mutation into the LCA
+// overlay and journals it: a record is written exactly when the tree
+// changed, keeping the WAL's epochs consecutive. A replayed mutation
+// (want non-nil) whose result is not the owner's *want is
+// ErrReplicaDiverged and is not journaled. de.mu must be held.
+func (de *DynEngine) applyLocked(typ persist.RecordType, arg int, want *int) (got int, applied bool, err error) {
+	de.eng.Quiesce()
+	switch typ {
+	case persist.RecInsert:
+		before := de.dyn.Inserts
+		got, err = de.dyn.InsertLeaf(arg)
+		applied = de.dyn.Inserts != before
+	case persist.RecDelete:
+		before := de.dyn.Deletes
+		got, err = de.dyn.DeleteLeaf(arg)
+		applied = de.dyn.Deletes != before
+	}
+	if !applied {
+		return got, false, err
+	}
+	de.epoch++
+	de.dirty = true
+	if de.ov != nil {
+		if typ == persist.RecInsert {
+			de.ov.Insert(arg, got)
+		} else {
+			de.ov.Delete(arg, got)
+		}
+	}
+	if want != nil && got != *want {
+		return got, true, fmt.Errorf("%w: type %d arg %d at epoch %d produced %d, owner recorded %d", ErrReplicaDiverged, typ, arg, de.epoch, got, *want)
+	}
+	if jerr := de.journalLocked(persist.Record{Type: typ, Epoch: de.epoch, Arg: arg, Result: got}); err == nil {
+		err = jerr
+	}
+	return got, true, err
 }
 
 // ErrReplicaGap reports a shipped record whose epoch does not follow
@@ -304,20 +353,7 @@ func (de *DynEngine) ApplyRecord(rec persist.Record) error {
 		return fmt.Errorf("%w: record epoch %d does not follow cursor %d", ErrReplicaGap, rec.Epoch, de.epoch)
 	}
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	de.eng.Quiesce()
-	var got int
-	var err error
-	var applied bool
-	switch rec.Type {
-	case persist.RecInsert:
-		before := de.dyn.Inserts
-		got, err = de.dyn.InsertLeaf(rec.Arg)
-		applied = de.dyn.Inserts != before
-	case persist.RecDelete:
-		before := de.dyn.Deletes
-		got, err = de.dyn.DeleteLeaf(rec.Arg)
-		applied = de.dyn.Deletes != before
-	}
+	_, applied, err := de.applyLocked(rec.Type, rec.Arg, &rec.Result)
 	if !applied {
 		// The owner applied this mutation; a replica that cannot is out
 		// of step with it, whatever the proximate error says.
@@ -326,17 +362,9 @@ func (de *DynEngine) ApplyRecord(rec persist.Record) error {
 		}
 		return fmt.Errorf("%w: type %d arg %d at epoch %d: %v", ErrReplicaDiverged, rec.Type, rec.Arg, rec.Epoch, err)
 	}
-	de.epoch++
-	de.dirty = true
-	if got != rec.Result {
-		return fmt.Errorf("%w: type %d arg %d at epoch %d produced %d, owner recorded %d", ErrReplicaDiverged, rec.Type, rec.Arg, rec.Epoch, got, rec.Result)
-	}
 	// A post-apply rebuild error degrades serving, not state: the epoch
-	// advanced exactly as the owner's did, so the record still journals
+	// advanced exactly as the owner's did, so the record still journaled
 	// and the error surfaces to the caller.
-	if jerr := de.journalLocked(rec); err == nil {
-		err = jerr
-	}
 	return err
 }
 
@@ -358,11 +386,13 @@ func (de *DynEngine) Epsilon() float64 {
 }
 
 // Backend returns the shard's resolved execution-backend name. Every
-// epoch is served on it. A native epoch holds no placement:
-// its per-tree preprocessing (the treefix preorder and the LCA table,
-// each built on the epoch's first request that needs it) is the only
-// O(n)-to-O(n log n) cost a refresh leads to. A sim epoch copies the
-// dynamic layout's parked positions instead.
+// epoch is served on it. A native epoch holds no placement, and
+// installing one is O(1): LCA is answered from the last built table
+// through the shard's overlay, which is rebuilt only after min(ε, 1)·n
+// mutations, and the current tree and its preorder are built only for
+// an epoch's first treefix, top-down, min-cut or expression request. A
+// sim epoch validates the tree and copies the dynamic layout's parked
+// positions instead.
 func (de *DynEngine) Backend() string { return de.eng.Backend() }
 
 // Epoch returns the number of mutations applied so far; it versions the
@@ -381,16 +411,18 @@ func (de *DynEngine) IsLeaf(v int) bool {
 	return de.dyn.IsLeaf(v)
 }
 
-// Tree returns a validated snapshot of the current tree. A getter only:
-// it never refreshes the serving state (the engine's tree is reused
-// when it is current, otherwise a fresh snapshot is validated).
+// Tree returns the current epoch's serving tree, installing the epoch's
+// serving state first if a mutation has been applied since the last
+// one was. The tree is validated once per epoch and shared with the
+// serving state, so an expression built on it passes SubmitExpr's
+// identity check without comparing parent arrays.
 func (de *DynEngine) Tree() (*tree.Tree, error) {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	if !de.dirty {
-		return de.eng.Tree(), nil
+	if err := de.refreshLocked(); err != nil {
+		return nil, err
 	}
-	return de.dyn.Tree()
+	return de.eng.cur.Load().backend.Tree()
 }
 
 // SubmitTreefix enqueues a bottom-up treefix sum on the current tree;
@@ -429,10 +461,8 @@ func (de *DynEngine) SubmitExpr(x *exprtree.Expr) *Future {
 func (de *DynEngine) submit(f func(*Engine) *Future) *Future {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	if de.dirty {
-		if err := de.refreshLocked(); err != nil {
-			return failedFuture(err)
-		}
+	if err := de.refreshLocked(); err != nil {
+		return failedFuture(err)
 	}
 	return f(de.eng)
 }

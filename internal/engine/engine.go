@@ -115,7 +115,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialtree/internal/dynlayout"
 	"spatialtree/internal/exec"
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/layout"
@@ -398,13 +397,14 @@ type Engine struct {
 	afTimer *time.Timer
 }
 
-// serving is an engine's immutable per-tree serving state: the tree,
-// the execution backend over it and, on sim, the placement the
-// simulator runs on. base is the batch index it was installed at;
-// batch seeds count from it, so the state serves exactly as a fresh
-// engine would.
+// serving is an engine's immutable per-tree serving state: the vertex
+// count requests are validated against, the execution backend over the
+// tree (which holds the tree, see exec.Backend.Tree) and, on sim, the
+// placement the simulator runs on. base is the batch index it was
+// installed at; batch seeds count from it, so the state serves exactly
+// as a fresh engine would.
 type serving struct {
-	t       *tree.Tree
+	n       int
 	p       *layout.Placement // the sim backend's placement; nil on native
 	backend exec.Backend
 	base    uint64
@@ -419,9 +419,9 @@ func New(t *tree.Tree, opts Options) (*Engine, error) {
 	return newEngine(t, nil, opts)
 }
 
-// newEngine is New, and also builds a DynEngine's engine: with dyn
-// non-nil (and t nil) it serves dyn's current tree (see newServing).
-func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) {
+// newEngine is New, and also builds a DynEngine's engine: with de
+// non-nil (and t nil) it serves de's current tree (see newServing).
+func newEngine(t *tree.Tree, de *DynEngine, opts Options) (*Engine, error) {
 	c, err := sfc.ByName(cmp.Or(opts.Curve, "hilbert"))
 	if err != nil {
 		return nil, err
@@ -435,7 +435,7 @@ func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) 
 	}
 	e.afDelay = max(opts.FlushDelay, 0)
 	e.idle.L = &e.mu
-	sv, err := e.newServing(exec.Normalize(opts.Backend), t, dyn)
+	sv, err := e.newServing(exec.Normalize(opts.Backend), t, de)
 	if err != nil {
 		return nil, err
 	}
@@ -444,33 +444,37 @@ func newEngine(t *tree.Tree, dyn *dynlayout.Dyn, opts Options) (*Engine, error) 
 }
 
 // newServing builds serving state on the named backend, for t or, with
-// dyn non-nil, for dyn's current tree. A sim state over t takes its
-// placement from the layout cache; over dyn it runs on the parked
-// positions instead. Those positions are not a light-first order, so
-// the order-dependent kernels (batched LCA and min-cut, which need
-// contiguous light-first subtree ranges) get the tree's light-first
-// rank, computed on first need. That rank bypasses the layout cache:
-// each mutated epoch has a fresh fingerprint, so caching it would fill
-// the LRU with one-shot entries and evict the static placements the
-// cache exists to reuse.
-func (e *Engine) newServing(name string, t *tree.Tree, dyn *dynlayout.Dyn) (*serving, error) {
+// de non-nil, for the current tree of de's dynamic layout. A native
+// state over de is O(1): its backend validates the tree on first need
+// and answers LCA through de's overlay (exec.NewDynNative). A sim state
+// over t takes its placement from the layout cache; over de it runs on
+// the parked positions instead. Those positions are not a light-first
+// order, so the order-dependent kernels (batched LCA and min-cut, which
+// need contiguous light-first subtree ranges) get the tree's
+// light-first rank, computed on first need. That rank bypasses the
+// layout cache: each mutated epoch has a fresh fingerprint, so caching
+// it would fill the LRU with one-shot entries and evict the static
+// placements the cache exists to reuse.
+func (e *Engine) newServing(name string, t *tree.Tree, de *DynEngine) (*serving, error) {
+	if name == exec.Native && de != nil {
+		n := de.dyn.N()
+		return &serving{n: n, backend: exec.NewDynNative(n, de.dyn.Tree, de.ov)}, nil
+	}
 	sv := &serving{}
 	var orderRank func() []int
 	var err error
 	if name == exec.Sim {
-		if dyn == nil {
+		if de == nil {
 			sv.p = e.cache.GetOrBuild(t, Fingerprint(t), e.curve)
-		} else if sv.p, err = dyn.Placement(); err == nil {
+		} else if sv.p, err = de.dyn.Placement(); err == nil {
 			t = sv.p.Tree
 			orderRank = func() []int { return order.LightFirst(t).Rank }
 		}
-	} else if dyn != nil {
-		t, err = dyn.Tree()
 	}
 	if err != nil {
 		return nil, err
 	}
-	sv.t = t
+	sv.n = t.N()
 	if sv.backend, err = exec.New(name, exec.Config{Tree: t, Placement: sv.p, OrderRank: orderRank}); err != nil {
 		return nil, err
 	}
@@ -496,7 +500,7 @@ func (e *Engine) setBackend(name string) error {
 	if sv.backend.Name() == name {
 		return nil
 	}
-	next, err := e.newServing(name, sv.t, nil)
+	next, err := e.newServing(name, e.Tree(), nil)
 	if err != nil {
 		return err
 	}
@@ -517,8 +521,12 @@ func (e *Engine) SetProfile(fn ProfileFunc) {
 	e.profileFn.Store(&fn)
 }
 
-// Tree returns the engine's tree.
-func (e *Engine) Tree() *tree.Tree { return e.cur.Load().t }
+// Tree returns the engine's tree. On the engine a DynEngine serves
+// through, use DynEngine.Tree, which can report a failed build.
+func (e *Engine) Tree() *tree.Tree {
+	t, _ := e.cur.Load().backend.Tree() // a static engine's tree is given, never built
+	return t
+}
 
 // Placement returns the engine's placement: on sim, the one its
 // simulator runs on; on native, whose kernels read none, the tree's
@@ -527,11 +535,11 @@ func (e *Engine) Tree() *tree.Tree { return e.cur.Load().t }
 // registered tree persists as its parents only. Its native branch
 // remains for callers that measure a native shard's layout.
 func (e *Engine) Placement() *layout.Placement {
-	sv := e.cur.Load()
-	if sv.p != nil {
-		return sv.p
+	if p := e.cur.Load().p; p != nil {
+		return p
 	}
-	return e.cache.GetOrBuild(sv.t, Fingerprint(sv.t), e.curve)
+	t := e.Tree()
+	return e.cache.GetOrBuild(t, Fingerprint(t), e.curve)
 }
 
 // Stats returns a snapshot of the engine counters plus the layout
@@ -573,7 +581,7 @@ func (e *Engine) failed(err error) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitTreefix(vals []int64, op treefix.Op) *Future {
-	if n := e.Tree().N(); len(vals) != n {
+	if n := e.cur.Load().n; len(vals) != n {
 		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), n)))
 	}
 	req := newRequest()
@@ -586,7 +594,7 @@ func (e *Engine) SubmitTreefix(vals []int64, op treefix.Op) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitTopDown(vals []int64, op treefix.Op) *Future {
-	if n := e.Tree().N(); len(vals) != n {
+	if n := e.cur.Load().n; len(vals) != n {
 		return e.failed(invalid(fmt.Errorf("engine: treefix vals has %d entries for %d vertices", len(vals), n)))
 	}
 	req := newRequest()
@@ -600,7 +608,7 @@ func (e *Engine) SubmitTopDown(vals []int64, op treefix.Op) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitLCA(queries []lca.Query) *Future {
-	n := e.Tree().N()
+	n := e.cur.Load().n
 	for i, q := range queries {
 		if q.U < 0 || q.U >= n || q.V < 0 || q.V >= n {
 			return e.failed(invalid(fmt.Errorf("engine: LCA query %d out of range: %+v", i, q)))
@@ -627,7 +635,11 @@ func (e *Engine) SubmitMinCut(edges []mincut.Edge) *Future {
 //
 //spatialvet:errclass
 func (e *Engine) SubmitExpr(x *exprtree.Expr) *Future {
-	if t := e.Tree(); x.Tree != t && !slices.Equal(x.Tree.Parents(), t.Parents()) {
+	t, err := e.cur.Load().backend.Tree()
+	if err != nil {
+		return e.failed(err)
+	}
+	if x.Tree != t && !slices.Equal(x.Tree.Parents(), t.Parents()) {
 		return e.failed(invalid(fmt.Errorf("engine: expression tree does not match engine tree")))
 	}
 	if err := x.Validate(); err != nil {

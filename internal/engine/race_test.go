@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialtree/internal/exec"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
 	"spatialtree/internal/rng"
@@ -253,6 +254,143 @@ func TestDynEngineConcurrentHammer(t *testing.T) {
 	for i, q := range qs {
 		if res.Answers[i] != finalOracle.LCA(q.U, q.V) {
 			t.Fatalf("final lca mismatch at query %d", i)
+		}
+	}
+}
+
+// TestDynNativeOverlayHammer races mutations against LCA and min-cut
+// submissions on one native shard. Every mutation updates the shard's LCA overlay
+// behind the Quiesce barrier, batches read it concurrently, and with
+// ε = 0.05 the base table is rebuilt every few mutations, inside
+// whichever batch comes first. One goroutine mutates: inserts under the
+// stable prefix, chains below the vertex it inserted last, and deletes
+// leaves whose renumbering stays above the prefix, so LCA answers over
+// the prefix never change and are checked against the base oracle.
+func TestDynNativeOverlayHammer(t *testing.T) {
+	const (
+		n      = 160
+		stable = 80
+		rounds = 60
+	)
+	base := tree.RandomAttachment(n, rng.New(56))
+	de, err := NewDyn(base, DynOptions{Options: Options{Backend: exec.Native, Window: 4}, Epsilon: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := lca.NewOracle(base)
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rng.New(8)
+		tip := -1
+		for i := 0; i < rounds; i++ {
+			var err error
+			switch {
+			case i%3 == 2:
+				// The only mutator, so the leaf cannot change under it.
+				for v := de.N() - 1; v >= 120; v-- {
+					if de.IsLeaf(v) {
+						_, err = de.DeleteLeaf(v)
+						break
+					}
+				}
+				tip = -1 // it may have been renumbered
+			case tip >= 0:
+				tip, err = de.InsertLeaf(tip)
+			default:
+				tip, err = de.InsertLeaf(r.Intn(stable))
+			}
+			if err != nil {
+				errs <- "mutation: " + err.Error()
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(400 + g))
+			for i := 0; i < rounds; i++ {
+				switch g {
+				case 0, 1:
+					qs := make([]lca.Query, 6)
+					for j := range qs {
+						qs[j] = lca.Query{U: r.Intn(stable), V: r.Intn(stable)}
+					}
+					res := de.SubmitLCA(qs).Wait()
+					if res.Err != nil {
+						errs <- "lca: " + res.Err.Error()
+						return
+					}
+					for j, q := range qs {
+						if res.Answers[j] != oracle.LCA(q.U, q.V) {
+							errs <- "lca mismatch under concurrent mutation"
+							return
+						}
+					}
+				case 2:
+					// Both ends anywhere, inserted vertices included: the
+					// same-anchor walks run here. The tree may have moved
+					// on by the time the answer arrives, so only the range
+					// is checked; the race detector checks the rest.
+					m := de.N()
+					qs := []lca.Query{{U: r.Intn(m), V: m - 1}, {U: m - 1, V: m - 1 - r.Intn(4)}}
+					if res := de.SubmitLCA(qs).Wait(); res.Err == nil {
+						for _, a := range res.Answers {
+							if a < 0 || a >= n+rounds {
+								errs <- "lca answer out of range"
+								return
+							}
+						}
+					}
+					de.Flush()
+				default:
+					// Lazy tree builds race the LCA batches of one epoch.
+					if _, err := de.Tree(); err != nil {
+						errs <- "tree: " + err.Error()
+						return
+					}
+					vals := make([]int64, de.N())
+					if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err == nil && len(res.Sums) != len(vals) {
+						errs <- "treefix length mismatch"
+						return
+					}
+					// Min-cut's edge LCAs read the overlay too.
+					edges := []mincut.Edge{{U: r.Intn(stable), V: r.Intn(stable), W: 1}, {U: r.Intn(stable), V: r.Intn(stable), W: 2}}
+					if res := de.SubmitMinCut(edges).Wait(); res.Err != nil {
+						errs <- "min-cut: " + res.Err.Error()
+						return
+					}
+					_ = de.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	cur, err := de.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := lca.NewOracle(cur)
+	var qs []lca.Query
+	for u := 0; u < cur.N(); u++ {
+		qs = append(qs, lca.Query{U: u, V: (u * 37) % cur.N()}, lca.Query{U: u, V: cur.N() - 1})
+	}
+	res := de.SubmitLCA(qs).Wait()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for i, q := range qs {
+		if want := final.LCA(q.U, q.V); res.Answers[i] != want {
+			t.Fatalf("final lca(%d, %d) = %d, want %d", q.U, q.V, res.Answers[i], want)
 		}
 	}
 }

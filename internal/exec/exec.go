@@ -24,7 +24,10 @@
 //     per-tree preprocessing is built on its first use and amortized
 //     across batches, the way the paper amortizes layout construction
 //     (Section I-D). This is the serving default: as fast as the
-//     hardware allows.
+//     hardware allows. A dyn shard's epoch (NewDynNative) carries the
+//     amortization across mutations: it builds its tree on first need
+//     and answers LCA from the shard's last built table through an
+//     Overlay that each mutation updates in O(1).
 //
 // Both backends compute identical results on identical inputs (the
 // backend-differential suite pins this; an expression value can differ
@@ -100,6 +103,9 @@ type Config struct {
 type Backend interface {
 	// Name returns the backend's registered name.
 	Name() string
+	// Tree returns the served tree. A dyn shard's native epoch builds
+	// it on first need, so only there can it fail.
+	Tree() (*tree.Tree, error)
 	// Run opens an execution context for one batch. seed drives any Las
 	// Vegas coins (the sim contraction's random mates); native kernels
 	// are deterministic and ignore it.

@@ -40,6 +40,8 @@ func newSim(cfg Config) (Backend, error) {
 
 func (b *simBackend) Name() string { return Sim }
 
+func (b *simBackend) Tree() (*tree.Tree, error) { return b.t, nil }
+
 // Run opens a batch context on a fresh simulator. The simulator is
 // sized by the placement's grid, not the vertex count: for standard
 // placements these coincide (Side == Curve.Side(n)), but a dynamic

@@ -61,7 +61,9 @@ func NewEngine(tf *treefix.Engine, workers int) *Engine {
 	return e
 }
 
-func (e *Engine) query(u, v int) int {
+// LCA answers one query in O(1); u and v must be vertices of the
+// engine's tree.
+func (e *Engine) LCA(u, v int) int {
 	a, b := e.pos[u], e.pos[v]
 	if a == b {
 		return u
@@ -100,6 +102,6 @@ func (e *Engine) BatchLCAInto(dst []int, queries []Query) []int {
 
 func (e *Engine) answer(dst []int, queries []Query) {
 	for i, q := range queries {
-		dst[i] = e.query(q.U, q.V)
+		dst[i] = e.LCA(q.U, q.V)
 	}
 }

@@ -22,7 +22,7 @@ import (
 type Parallel struct {
 	t  *tree.Tree
 	tf *treefix.Engine
-	le *lca.Engine
+	le LCAIndex
 	// scratch recycles a call's working arrays, so that Result.Cuts is
 	// the only per-call allocation that grows with the input. Each call
 	// takes its own *workspace, so concurrent calls never share one.
@@ -38,11 +38,17 @@ type workspace struct {
 	idx, ans  []int
 }
 
+// LCAIndex answers batched LCA queries on a tree into dst, reusing its
+// storage when it has room. *lca.Engine is one.
+type LCAIndex interface {
+	BatchLCAInto(dst []int, queries []lca.Query) []int
+}
+
 // NewParallel builds the executor for t. tf and le may be shared,
-// already-built engines for the same tree, le built from tf (the exec
-// backend passes its own); nil builds private ones. workers <= 0 means
-// par.Workers().
-func NewParallel(t *tree.Tree, tf *treefix.Engine, le *lca.Engine, workers int) *Parallel {
+// already-built indexes over the same tree (the exec backend passes its
+// own); nil builds private ones, le an lca.Engine over tf. workers <= 0
+// means par.Workers().
+func NewParallel(t *tree.Tree, tf *treefix.Engine, le LCAIndex, workers int) *Parallel {
 	if tf == nil {
 		tf = treefix.NewEngine(t, workers)
 	}

@@ -263,44 +263,18 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("wire: read: %w", err))
 			return
 		}
-		var id uint64
-		var msg any
+		var r reply
 		switch kind {
 		case FrameResult:
-			res := new(Result)
-			if err := res.Decode(payload); err != nil {
-				c.fail(err)
-				return
-			}
-			id, msg = res.ID, res
+			r = new(Result)
 		case FrameDynCreated:
-			dc := new(DynCreated)
-			if err := dc.Decode(payload); err != nil {
-				c.fail(err)
-				return
-			}
-			id, msg = dc.ID, dc
+			r = new(DynCreated)
 		case FrameMutated:
-			m := new(Mutated)
-			if err := m.Decode(payload); err != nil {
-				c.fail(err)
-				return
-			}
-			id, msg = m.ID, m
+			r = new(Mutated)
 		case FrameRepAck:
-			a := new(RepAck)
-			if err := a.Decode(payload); err != nil {
-				c.fail(err)
-				return
-			}
-			id, msg = a.ID, a
+			r = new(RepAck)
 		case FrameHandbackGrant:
-			g := new(HandbackGrant)
-			if err := g.Decode(payload); err != nil {
-				c.fail(err)
-				return
-			}
-			id, msg = g.ID, g
+			r = new(HandbackGrant)
 		case FrameError:
 			e := new(Error)
 			if err := e.Decode(payload); err != nil {
@@ -322,9 +296,25 @@ func (c *Client) readLoop() {
 			c.fail(format.Corruptf("unexpected frame kind %d from server", kind))
 			return
 		}
-		c.deliver(id, response{msg: msg})
+		if err := r.Decode(payload); err != nil {
+			c.fail(err)
+			return
+		}
+		c.deliver(r.requestID(), response{msg: r})
 	}
 }
+
+// reply is a decodable reply frame that names the request it answers.
+type reply interface {
+	Decode(payload []byte) error
+	requestID() uint64
+}
+
+func (r *Result) requestID() uint64        { return r.ID }
+func (c *DynCreated) requestID() uint64    { return c.ID }
+func (m *Mutated) requestID() uint64       { return m.ID }
+func (a *RepAck) requestID() uint64        { return a.ID }
+func (g *HandbackGrant) requestID() uint64 { return g.ID }
 
 func (c *Client) deliver(id uint64, r response) {
 	c.mu.Lock()

@@ -414,11 +414,12 @@ func TreeFingerprint(t *Tree) uint64 { return engine.Fingerprint(t) }
 // accepts InsertLeaf/DeleteLeaf between batches. A mutation drains the
 // pending batch first (futures resolve against the tree they were
 // submitted to) and bumps the epoch; the next submission refreshes the
-// serving state from the dynamic layout (on sim, its parked positions
-// too) instead of rebuilding it from scratch, and installs it on the
-// one engine that serves every epoch, so a stale epoch can never serve
-// a mutated tree. See internal/engine's DynEngine documentation for the
-// full semantics.
+// serving state from the dynamic layout instead of rebuilding it from
+// scratch (on native in O(1), answering LCA from the last built table
+// through an id overlay; on sim from the tree and its parked
+// positions), and installs it on the one engine that serves every
+// epoch, so a stale epoch can never serve a mutated tree. See
+// internal/engine's DynEngine documentation for the full semantics.
 type DynEngine = engine.DynEngine
 
 // DynEngineOptions configures NewDynEngine: the embedded EngineOptions
