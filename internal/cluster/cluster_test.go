@@ -53,13 +53,21 @@ func (tn *testNode) kill() {
 // redirect sets server.Cluster.Redirect.
 func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool) *testNode {
 	t.Helper()
+	return startMemberIdle(t, ln, addrs, self, dir, replicas, redirect, -1)
+}
+
+// startMemberIdle is startMember with the binary listener closing a
+// connection that sat idle for longer than idle (server.Timeouts.TCPIdle;
+// < 0 disables the deadline).
+func startMemberIdle(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool, idle time.Duration) *testNode {
+	t.Helper()
 	st, err := persist.Open(persist.Options{Dir: filepath.Join(dir, "data")})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
 	srv := server.New(server.Config{
 		Durability: server.Durability{Store: st},
-		Timeouts:   server.Timeouts{TCPIdle: -1},
+		Timeouts:   server.Timeouts{TCPIdle: idle},
 		Cluster: server.Cluster{
 			Self:     addrs[self],
 			Peers:    addrs,
@@ -94,6 +102,13 @@ func startCluster(t *testing.T, size, replicas int) []*testNode {
 // redirect on every member.
 func startClusterMode(t *testing.T, size, replicas int, redirect bool) []*testNode {
 	t.Helper()
+	return startClusterIdle(t, size, replicas, redirect, -1)
+}
+
+// startClusterIdle is startClusterMode with every member's binary
+// listener closing connections idle for longer than idle.
+func startClusterIdle(t *testing.T, size, replicas int, redirect bool, idle time.Duration) []*testNode {
+	t.Helper()
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
 	for i := range lns {
@@ -106,7 +121,7 @@ func startClusterMode(t *testing.T, size, replicas int, redirect bool) []*testNo
 	}
 	nodes := make([]*testNode, size)
 	for i := range nodes {
-		nodes[i] = startMember(t, lns[i], addrs, i, t.TempDir(), replicas, redirect)
+		nodes[i] = startMemberIdle(t, lns[i], addrs, i, t.TempDir(), replicas, redirect, idle)
 	}
 	return nodes
 }
@@ -598,29 +613,160 @@ func TestRedirectToOwner(t *testing.T) {
 	}
 }
 
-// TestRecordConversion: toWire and fromWire are the only places the WAL
-// and frame op codes meet. Inserts and deletes round-trip; a fence, a
-// segment marker of one log, is never shipped.
-func TestRecordConversion(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		rec  persist.Record
-		want []wire.RepRecord
-	}{
-		{"insert", persist.Record{Type: persist.RecInsert, Epoch: 7, Arg: 3, Result: 12},
-			[]wire.RepRecord{{Type: wire.OpInsert, Epoch: 7, Arg: 3, Result: 12}}},
-		{"delete", persist.Record{Type: persist.RecDelete, Epoch: 8, Arg: 5, Result: 11},
-			[]wire.RepRecord{{Type: wire.OpDelete, Epoch: 8, Arg: 5, Result: 11}}},
-		{"fence", persist.Record{Type: persist.RecFence, Epoch: 8}, []wire.RepRecord{}},
-	} {
-		got := toWire([]persist.Record{tc.rec})
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("%s: toWire = %+v, want %+v", tc.name, got, tc.want)
-		}
-		for _, w := range got {
-			if back := fromWire(w); back != tc.rec {
-				t.Fatalf("%s: fromWire(toWire(r)) = %+v, want %+v", tc.name, back, tc.rec)
+// waitIdledOut waits until each peer connection a member holds has
+// been closed by the other side's idle deadline, as the member's own
+// client has read it: the server's close alone leaves a moment in
+// which the client has not yet seen it.
+func waitIdledOut(t *testing.T, nodes []*testNode) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, tn := range nodes {
+		for addr, p := range tn.node.peers {
+			p.mu.Lock()
+			c := p.c
+			p.mu.Unlock()
+			for c != nil && c.Err() == nil {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s's connection to %s never idled out", tn.addr, addr)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
+	}
+}
+
+// TestIdleConnectionKeepsFollowers: a peer connection that the
+// follower's listener closed for idleness is redialed, not taken for a
+// dead follower, so the owner's next mutation still reaches both
+// followers before it is acked.
+func TestIdleConnectionKeepsFollowers(t *testing.T) {
+	nodes := startClusterIdle(t, 3, 2, false, 150*time.Millisecond)
+	res, err := nodes[0].node.DynCreate(chainParents(5), 0, "")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	id := res.ID
+	walk := ownerAndSuccessors(t, nodes[0], id)
+	owner := byAddr(t, nodes, walk[0])
+	if _, err := owner.node.Mutate(id, wire.OpInsert, 0); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	waitIdledOut(t, nodes)
+
+	r, err := owner.node.Mutate(id, wire.OpInsert, 0)
+	if err != nil {
+		t.Fatalf("mutate after idle: %v", err)
+	}
+	for _, addr := range walk[1:] {
+		if cur := byAddr(t, nodes, addr).node.Status().ReplicaCursors[id]; cur != r.Epoch {
+			t.Fatalf("follower %s at cursor %d after the owner acked epoch %d", addr, cur, r.Epoch)
+		}
+	}
+}
+
+// TestIdleConnectionNoSplitBrain: with one replica, a bystander whose
+// connection to the owner idled out redials the owner instead of
+// quarantining it, so the successor never promotes its replica beside
+// the live owner and the epochs stay one sequence.
+func TestIdleConnectionNoSplitBrain(t *testing.T) {
+	nodes := startClusterIdle(t, 3, 1, false, 150*time.Millisecond)
+	res, err := nodes[0].node.DynCreate(chainParents(5), 0, "")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	id := res.ID
+	walk := ownerAndSuccessors(t, nodes[0], id)
+	owner, succ, bystander := byAddr(t, nodes, walk[0]), byAddr(t, nodes, walk[1]), byAddr(t, nodes, walk[2])
+	// Each non-owner proxies once, so each holds a connection to the
+	// owner that will idle out.
+	for i, via := range []*testNode{succ, bystander} {
+		if r, err := via.node.Mutate(id, wire.OpInsert, 0); err != nil || r.Epoch != uint64(i+1) {
+			t.Fatalf("mutate via %s = epoch %d, %v; want epoch %d", via.addr, r.Epoch, err, i+1)
+		}
+	}
+	waitIdledOut(t, nodes)
+
+	if r, err := bystander.node.Mutate(id, wire.OpInsert, 0); err != nil || r.Epoch != 3 {
+		t.Fatalf("mutate via the bystander after idle = epoch %d, %v; want epoch 3", r.Epoch, err)
+	}
+	if r, err := owner.node.Mutate(id, wire.OpInsert, 0); err != nil || r.Epoch != 4 {
+		t.Fatalf("mutate at the owner = epoch %d, %v; want epoch 4", r.Epoch, err)
+	}
+	for _, tn := range []*testNode{succ, bystander} {
+		if _, served := tn.srv.DynShard(id); served {
+			t.Fatalf("%s serves %s beside its live owner %s", tn.addr, id, owner.addr)
+		}
+	}
+}
+
+// TestRedirectFailover: in redirect mode a member names only an owner
+// it has just reached, so after the owner dies the third member
+// redirects to the successor, and the successor promotes its replica
+// at the next epoch.
+func TestRedirectFailover(t *testing.T) {
+	nodes := startClusterMode(t, 3, 1, true)
+	parents := chainParents(6)
+	owner, ok := nodes[0].node.ring.Owner(engine.Fingerprint(tree.MustFromParents(parents)), nil)
+	if !ok {
+		t.Fatal("empty ring")
+	}
+	ownerTN := byAddr(t, nodes, owner)
+	res, err := ownerTN.node.DynCreate(parents, 0, "")
+	if err != nil {
+		t.Fatalf("create at owner: %v", err)
+	}
+	walk := ownerAndSuccessors(t, ownerTN, res.ID)
+	succ, third := byAddr(t, nodes, walk[1]), byAddr(t, nodes, walk[2])
+	last, err := ownerTN.node.Mutate(res.ID, wire.OpInsert, 0)
+	if err != nil {
+		t.Fatalf("mutate at owner: %v", err)
+	}
+	ownerTN.kill()
+
+	if _, err := third.node.Mutate(res.ID, wire.OpInsert, 0); !errors.Is(err, server.RedirectTo(succ.addr)) {
+		t.Fatalf("mutate via %s after the owner died = %v, want a redirect to the successor %s", third.addr, err, succ.addr)
+	}
+	r, err := succ.node.Mutate(res.ID, wire.OpInsert, 0)
+	if err != nil || r.Epoch != last.Epoch+1 {
+		t.Fatalf("mutate at the successor = epoch %d, %v; want epoch %d", r.Epoch, err, last.Epoch+1)
+	}
+}
+
+// TestProxyRewalkPastDeadOwner: in proxy mode a bystander's query and
+// create each re-walk past a killed owner within one call — the query
+// reaches the successor, which promotes its replica, and the create is
+// made there.
+func TestProxyRewalkPastDeadOwner(t *testing.T) {
+	nodes := startCluster(t, 3, 1)
+	parents := chainParents(7)
+	res, err := nodes[0].node.DynCreate(parents, 0, "")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	walk := ownerAndSuccessors(t, nodes[0], res.ID)
+	ownerTN, succ, bystander := byAddr(t, nodes, walk[0]), byAddr(t, nodes, walk[1]), byAddr(t, nodes, walk[2])
+	if _, err := bystander.node.Mutate(res.ID, wire.OpInsert, 0); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	ownerTN.kill()
+
+	n := res.N + 1
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = 1
+	}
+	got, err := bystander.node.ShardQuery(&wire.Query{ShardID: res.ID, Kind: wire.KindTreefix, Vals: vals})
+	if err != nil || got == nil || got.Sums[0] != int64(n) {
+		t.Fatalf("query via the bystander after the owner died = %+v, %v; want the root's subtree size %d", got, err, n)
+	}
+	if _, served := succ.srv.DynShard(res.ID); !served {
+		t.Fatalf("successor %s does not serve %s after the query", succ.addr, res.ID)
+	}
+	created, err := bystander.node.DynCreate(parents, 0, "")
+	if err != nil {
+		t.Fatalf("create via the bystander after the owner died: %v", err)
+	}
+	if _, served := succ.srv.DynShard(created.ID); !served {
+		t.Fatalf("create %s via the bystander is not served by the successor %s", created.ID, succ.addr)
 	}
 }

@@ -203,19 +203,12 @@ func (n *Node) handbackShard(id string) (done bool, err error) {
 		if cand == n.cfg.Self {
 			continue
 		}
-		c, err := n.client(cand)
-		if err != nil {
-			continue
-		}
-		g, err := c.Handback(&wire.HandbackOffer{
+		g, err := n.offer(cand, &wire.HandbackOffer{
 			ShardID: id,
 			Phase:   wire.HandbackProbe,
 			Cursor:  n.handbackCursor(id),
 		})
 		if err != nil {
-			if fromWireError(err) == nil {
-				n.markDown(cand)
-			}
 			continue
 		}
 		reached = true
@@ -249,20 +242,13 @@ func (n *Node) handbackShard(id string) (done bool, err error) {
 	}
 	cursor, recs := n.handbackClaimState(id)
 	hb.setSuccessor("")
-	c, err := n.client(best)
-	if err != nil {
-		return false, err
-	}
-	g, err := c.Handback(&wire.HandbackOffer{
+	g, err := n.offer(best, &wire.HandbackOffer{
 		ShardID: id,
 		Phase:   wire.HandbackClaim,
 		Cursor:  cursor,
 		Recs:    recs,
 	})
 	if err != nil {
-		if fromWireError(err) == nil {
-			n.markDown(best)
-		}
 		return false, err
 	}
 	switch g.Mode {
@@ -298,6 +284,15 @@ func (n *Node) handbackShard(id string) (done bool, err error) {
 	return n.adoptHandback(id, hb)
 }
 
+// offer sends one handback offer to addr and returns the grant.
+func (n *Node) offer(addr string, o *wire.HandbackOffer) (g *wire.HandbackGrant, err error) {
+	_, err = n.call(addr, func(c *wire.Client) (err error) {
+		g, err = c.Handback(o)
+		return err
+	})
+	return g, err
+}
+
 // adoptHandback promotes the reconciled replica into serving and clears
 // the pending state, waking every request parked on the handback.
 func (n *Node) adoptHandback(id string, hb *handback) (bool, error) {
@@ -329,7 +324,7 @@ func (n *Node) handbackCursor(id string) uint64 {
 // history below the fence record by record instead of trusting the
 // cursor alone. Best effort — a claim without records still reconciles,
 // through apply-time divergence detection instead.
-func (n *Node) handbackClaimState(id string) (uint64, []wire.RepRecord) {
+func (n *Node) handbackClaimState(id string) (uint64, []persist.Record) {
 	n.mu.Lock()
 	rep := n.reps[id]
 	n.mu.Unlock()
@@ -356,7 +351,7 @@ func (n *Node) handbackClaimState(id string) (uint64, []wire.RepRecord) {
 	if err != nil {
 		return cursor, nil
 	}
-	return cursor, toWire(recs)
+	return cursor, recs
 }
 
 // Handback implements server.ClusterHooks: the successor half of rejoin
@@ -394,7 +389,7 @@ func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.Ha
 	if owner, ok := n.ring.Owner(key, nil); ok {
 		n.markLive(owner)
 	}
-	sh := n.ownedShardState(id, key)
+	sh := n.ownedShardState(id)
 	sh.mu.Lock()
 	de, served := n.srv.DynShard(id)
 	if !served {
@@ -463,11 +458,10 @@ func (n *Node) buildServedGrant(id string, de *engine.DynEngine, o *wire.Handbac
 	if err != nil {
 		return snapshot() // tail compacted away: rebuild
 	}
-	wrecs := toWire(recs)
-	if len(wrecs) == 0 || wrecs[len(wrecs)-1].Epoch != fence {
+	if len(recs) == 0 || recs[len(recs)-1].Epoch != fence {
 		return snapshot()
 	}
-	return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: wrecs}, true
+	return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}, true
 }
 
 // grantFromReplica answers a claim for a shard this node does not
@@ -493,10 +487,8 @@ func (n *Node) grantFromReplica(id string, o *wire.HandbackOffer) *wire.Handback
 		return &wire.HandbackGrant{Mode: wire.GrantOwn, Fence: o.Cursor}
 	}
 	if rep.log != nil {
-		if recs, err := rep.log.RecordsAfter(o.Cursor); err == nil {
-			if wrecs := toWire(recs); len(wrecs) > 0 && wrecs[len(wrecs)-1].Epoch == fence {
-				return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: wrecs}
-			}
+		if recs, err := rep.log.RecordsAfter(o.Cursor); err == nil && len(recs) > 0 && recs[len(recs)-1].Epoch == fence {
+			return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}
 		}
 	}
 	blob := persist.EncodeDyn(rep.de.State())
@@ -531,70 +523,33 @@ func (n *Node) handbackDiverged(id string, fence uint64, o *wire.HandbackOffer) 
 		if r.Epoch > fence {
 			break
 		}
-		if our, ok := byEpoch[r.Epoch]; !ok || our != fromWire(r) {
+		if our, ok := byEpoch[r.Epoch]; !ok || our != r {
 			return true
 		}
 	}
 	return false
 }
 
-// handbackMutate serves a mutation for a shard still being reconciled:
-// proxy to the serving successor while one is known, otherwise park
-// until the handback completes — the stale local copy never answers.
-func (n *Node) handbackMutate(hb *handback, id string, key uint64, op uint8, arg int) (server.MutateResult, error) {
+// awaitHandback serves a request for a shard still being reconciled:
+// remote runs on the serving successor while one is known, otherwise
+// the request parks until the handback completes and then runs local —
+// the stale local copy never answers.
+func (n *Node) awaitHandback(hb *handback, id string, local func() error, remote func(*wire.Client) error) error {
 	if addr := hb.successor(); addr != "" {
-		if c, err := n.client(addr); err == nil {
-			m, err := c.Mutate(&wire.Mutate{ShardID: id, Op: op, Arg: arg})
-			if err == nil {
-				return server.MutateResult{Vertex: m.Vertex, Moved: m.Moved, Epoch: m.Epoch, N: m.N}, nil
-			}
-			if serr := fromWireError(err); serr != nil {
-				if server.Classify(serr) != server.StatusNotFound {
-					return server.MutateResult{}, serr
-				}
-				// NotFound: the successor released the shard mid-claim.
-				// Fall through and wait for our own adoption.
-			} else {
-				n.markDown(addr)
-			}
+		down, err := n.call(addr, remote)
+		if err == nil || (!down && server.Classify(err) != server.StatusNotFound) {
+			return err
 		}
+		// Unreachable, or NotFound: the successor released the shard
+		// mid-claim. Wait for our own adoption.
 	}
 	select {
 	case <-hb.done:
-		return n.ownerMutate(id, key, op, arg)
+		return local()
 	case <-n.stop:
-		return server.MutateResult{}, server.Errf(server.StatusUnavailable, "cluster: node shutting down")
+		return server.Errf(server.StatusUnavailable, "cluster: node shutting down")
 	case <-time.After(handbackWait):
-		return server.MutateResult{}, server.Errf(server.StatusUnavailable,
+		return server.Errf(server.StatusUnavailable,
 			"cluster: shard %s is reconciling ownership after a restart (handback in progress)", id)
-	}
-}
-
-// handbackQuery is handbackMutate's read-side twin. A nil result with a
-// nil error hands the (now reconciled) query to the server's local path.
-func (n *Node) handbackQuery(hb *handback, q *wire.Query) (*wire.Result, error) {
-	if addr := hb.successor(); addr != "" {
-		if c, err := n.client(addr); err == nil {
-			res, err := forwardQuery(c, q)
-			if err == nil {
-				return res, nil
-			}
-			if serr := fromWireError(err); serr != nil {
-				if server.Classify(serr) != server.StatusNotFound {
-					return nil, serr
-				}
-			} else {
-				n.markDown(addr)
-			}
-		}
-	}
-	select {
-	case <-hb.done:
-		return nil, nil
-	case <-n.stop:
-		return nil, server.Errf(server.StatusUnavailable, "cluster: node shutting down")
-	case <-time.After(handbackWait):
-		return nil, server.Errf(server.StatusUnavailable,
-			"cluster: shard %s is reconciling ownership after a restart (handback in progress)", q.ShardID)
 	}
 }

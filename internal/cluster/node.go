@@ -85,8 +85,7 @@ type peer struct {
 
 // ownedShard serializes one owned shard's mutate→ship→ack pipeline.
 type ownedShard struct {
-	key uint64
-	mu  sync.Mutex //spatialvet:lockclass cluster
+	mu sync.Mutex //spatialvet:lockclass cluster
 }
 
 // New builds the cluster tier for srv's Cluster configuration, recovers
@@ -237,13 +236,37 @@ func (n *Node) aliveObserved(addr string) bool {
 	return p.downUntil.IsZero() || !time.Now().Before(p.downUntil)
 }
 
+// call runs f on a connected client for addr: the one peer hop every
+// proxy, replication ship and handback conversation takes. down
+// reports a transport failure — a failed dial, or a call that failed on
+// a connection that was open — after which addr is quarantined. A
+// peer's own error reply comes back re-rendered exactly as the peer
+// classified it, with down false.
+func (n *Node) call(addr string, f func(*wire.Client) error) (down bool, err error) {
+	c, err := n.client(addr)
+	if err != nil {
+		return true, err
+	}
+	if err = f(c); err == nil {
+		return false, nil
+	}
+	if serr := fromWireError(err); serr != nil {
+		return false, serr
+	}
+	n.markDown(addr)
+	return true, err
+}
+
 // client returns a connected client for addr, dialing if needed. A
-// failed dial quarantines the peer and reports it unavailable. The
-// registration re-checks the peer's state after the (unlocked) dial:
-// a markDown or Close that landed while the dial was in flight is
-// fresher than the new connection, which is closed instead of
-// registered — otherwise a slow dial could erase a newer quarantine,
-// or strand an open client in a peer the node already tore down.
+// registered client whose connection ended on its own — the peer's
+// idle timeout closed it, say — is no sign the peer is down: it is
+// dropped and redialed. A failed dial quarantines the peer and reports
+// it unavailable. The registration re-checks the peer's state after
+// the (unlocked) dial: a markDown or Close that landed while the dial
+// was in flight is fresher than the new connection, which is closed
+// instead of registered — otherwise a slow dial could erase a newer
+// quarantine, or strand an open client in a peer the node already tore
+// down.
 func (n *Node) client(addr string) (*wire.Client, error) {
 	p := n.peers[addr]
 	if p == nil {
@@ -255,7 +278,14 @@ func (n *Node) client(addr string) (*wire.Client, error) {
 	gen := p.gen
 	p.mu.Unlock()
 	if c != nil {
-		return c, nil
+		if c.Err() == nil {
+			return c, nil
+		}
+		p.mu.Lock()
+		if p.c == c {
+			p.c = nil
+		}
+		p.mu.Unlock()
 	}
 	if down {
 		return nil, server.Errf(server.StatusUnavailable, "cluster: peer %s is down", addr)
@@ -378,7 +408,7 @@ func (n *Node) dialOpts() wire.DialOptions {
 // fromWireError converts a peer's protocol-level error into the local
 // status vocabulary, so a proxied error re-renders at this edge exactly
 // as the owner classified it. Returns nil for transport errors — those
-// are liveness events, handled by the caller's retry loop.
+// are liveness events, which call turns into a quarantine.
 func fromWireError(err error) error {
 	var we *wire.Error
 	if !errors.As(err, &we) {
@@ -452,12 +482,12 @@ func (n *Node) bumpSeq(id string) {
 
 // ownedShardState returns (creating if needed) the replication pipeline
 // state for an owned shard.
-func (n *Node) ownedShardState(id string, key uint64) *ownedShard {
+func (n *Node) ownedShardState(id string) *ownedShard {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	sh := n.owned[id]
 	if sh == nil {
-		sh = &ownedShard{key: key}
+		sh = &ownedShard{}
 		n.owned[id] = sh
 	}
 	return sh

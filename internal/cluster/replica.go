@@ -103,7 +103,7 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 // resync; a record that applies with a different result than the owner
 // recorded means the copies diverged — the replica is discarded so the
 // owner rebuilds it from a snapshot.
-func (n *Node) ApplyRecords(id string, recs []wire.RepRecord) (uint64, uint8, string) {
+func (n *Node) ApplyRecords(id string, recs []persist.Record) (uint64, uint8, string) {
 	if _, served := n.srv.DynShard(id); served {
 		return 0, wire.AckRefused, "shard " + id + " is served here (conflicting ownership views)"
 	}
@@ -119,7 +119,7 @@ func (n *Node) ApplyRecords(id string, recs []wire.RepRecord) (uint64, uint8, st
 		return 0, wire.AckNeedSync, "replica of " + id + " was discarded"
 	}
 	for _, r := range recs {
-		err := rep.de.ApplyRecord(fromWire(r))
+		err := rep.de.ApplyRecord(r)
 		switch {
 		case err == nil:
 		case errors.Is(err, engine.ErrReplicaGap):
@@ -180,39 +180,4 @@ func (n *Node) recoverReplicas() error {
 		n.bumpSeq(id)
 	}
 	return nil
-}
-
-// toWire converts WAL records into their frame form for shipping. The
-// two op-code sets name the same mutations (wire.OpInsert is
-// persist.RecInsert, wire.OpDelete is persist.RecDelete); a fence is a
-// segment marker of one log, never a mutation, so it is not shipped.
-func toWire(recs []persist.Record) []wire.RepRecord {
-	out := make([]wire.RepRecord, 0, len(recs))
-	for _, r := range recs {
-		var op uint8
-		switch r.Type {
-		case persist.RecInsert:
-			op = wire.OpInsert
-		case persist.RecDelete:
-			op = wire.OpDelete
-		default:
-			continue
-		}
-		out = append(out, wire.RepRecord{Type: op, Epoch: r.Epoch, Arg: int64(r.Arg), Result: int64(r.Result)})
-	}
-	return out
-}
-
-// fromWire converts a shipped record into the WAL form ApplyRecord
-// takes. An op outside the two mutations (the frame decoder already
-// refuses one) maps to the zero type, which ApplyRecord rejects.
-func fromWire(r wire.RepRecord) persist.Record {
-	rec := persist.Record{Epoch: r.Epoch, Arg: int(r.Arg), Result: int(r.Result)}
-	switch r.Type {
-	case wire.OpInsert:
-		rec.Type = persist.RecInsert
-	case wire.OpDelete:
-		rec.Type = persist.RecDelete
-	}
-	return rec
 }

@@ -6,54 +6,96 @@ package cluster
 // either proxy to the owner over the binary protocol or return a
 // redirect carrying the owner's address (server.Cluster.Redirect).
 //
-// Each entry point retries across the peer list: a transport failure
-// quarantines the peer (markDown) and recomputes the ring walk, so one
-// dead owner converges to its successor within a single client call.
+// route holds the one ring walk: a transport failure quarantines the
+// peer (call) and the walk goes on, so one dead owner converges to its
+// successor within a single client call.
 
 import (
 	"fmt"
 
 	"spatialtree/internal/engine"
+	"spatialtree/internal/persist"
 	"spatialtree/internal/server"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/wire"
 )
 
-// DynCreate implements server.ClusterHooks: hash the tree, create the
-// shard at its owner, and ship the initial snapshot to the followers.
-func (n *Node) DynCreate(parents []int, epsilon float64, backend string) (server.DynCreateResult, error) {
-	t, err := tree.FromParents(parents)
-	if err != nil {
-		return server.DynCreateResult{}, server.Err(server.StatusBadRequest, err)
-	}
-	key := engine.Fingerprint(t)
+// route walks the ring for key: local runs when this node owns it. A
+// non-owner in redirect mode names the owner once a ping reached it;
+// otherwise remote runs against the owner. A peer that fails either
+// hop at the transport is quarantined and the walk moves on to the
+// next live member. id names the shard in the error when no owner is
+// live; a creation has no id yet and is named by its tree fingerprint.
+func (n *Node) route(key uint64, id string, local func() error, remote func(*wire.Client) error) error {
 	for attempt := 0; attempt <= len(n.peers); attempt++ {
 		owner, ok := n.ring.Owner(key, n.alive)
 		if !ok {
 			break
 		}
 		if owner == n.cfg.Self {
-			return n.ownerCreate(key, parents, epsilon, backend)
+			return local()
 		}
 		if n.cfg.Redirect {
-			return server.DynCreateResult{}, server.RedirectTo(owner)
-		}
-		c, err := n.client(owner)
-		if err != nil {
-			continue // client() quarantined the owner; re-walk the ring
-		}
-		dc, err := c.DynCreate(&wire.DynCreate{Parents: parents, Epsilon: epsilon, Backend: backend})
-		if err != nil {
-			if serr := fromWireError(err); serr != nil {
-				return server.DynCreateResult{}, serr
+			// Redirect only to an owner just reached: no member ever
+			// proxies in redirect mode, so this ping is how a dead
+			// owner gets quarantined and its successor named.
+			if down, _ := n.call(owner, (*wire.Client).Ping); !down {
+				return server.RedirectTo(owner)
 			}
-			n.markDown(owner)
 			continue
 		}
-		return server.DynCreateResult{ID: dc.ShardID, N: dc.N, Backend: dc.Backend}, nil
+		if down, err := n.call(owner, remote); !down {
+			return err
+		}
 	}
-	return server.DynCreateResult{}, server.Errf(server.StatusUnavailable,
-		"cluster: no live owner for tree fingerprint %016x", key)
+	if id == "" {
+		return server.Errf(server.StatusUnavailable, "cluster: no live owner for tree fingerprint %016x", key)
+	}
+	return server.Errf(server.StatusUnavailable, "cluster: no live owner for shard %s", id)
+}
+
+// routeShard is the path of every request for a cluster shard. A shard
+// mid-handback waits for it (awaitHandback). A shard served here runs
+// local, whether this node is its ring owner or the surrogate successor
+// still covering for a restarted owner that has not claimed it back:
+// serving locally keeps the surrogate authoritative, and the rejoiner's
+// proxied requests from bouncing, until a handback moves ownership.
+// Anything else walks the ring, and a walk that ends here promotes this
+// node's replica first.
+func (n *Node) routeShard(id string, key uint64, local func() error, remote func(*wire.Client) error) error {
+	if hb := n.handbackFor(id); hb != nil {
+		return n.awaitHandback(hb, id, local, remote)
+	}
+	if _, served := n.srv.DynShard(id); served {
+		return local()
+	}
+	return n.route(key, id, func() error {
+		if err := n.promote(id); err != nil {
+			return err
+		}
+		return local()
+	}, remote)
+}
+
+// DynCreate implements server.ClusterHooks: hash the tree, create the
+// shard at its owner, and ship the initial snapshot to the followers.
+func (n *Node) DynCreate(parents []int, epsilon float64, backend string) (res server.DynCreateResult, err error) {
+	t, err := tree.FromParents(parents)
+	if err != nil {
+		return res, server.Err(server.StatusBadRequest, err)
+	}
+	key := engine.Fingerprint(t)
+	err = n.route(key, "", func() (err error) {
+		res, err = n.ownerCreate(key, parents, epsilon, backend)
+		return err
+	}, func(c *wire.Client) error {
+		dc, err := c.DynCreate(&wire.DynCreate{Parents: parents, Epsilon: epsilon, Backend: backend})
+		if err == nil {
+			res = server.DynCreateResult{ID: dc.ShardID, N: dc.N, Backend: dc.Backend}
+		}
+		return err
+	})
+	return res, err
 }
 
 // ownerCreate creates a shard this node owns and replicates its initial
@@ -64,7 +106,7 @@ func (n *Node) ownerCreate(key uint64, parents []int, epsilon float64, backend s
 	if err != nil {
 		return res, err
 	}
-	sh := n.ownedShardState(id, key)
+	sh := n.ownedShardState(id)
 	sh.mu.Lock()
 	n.replicate(id, key, nil)
 	sh.mu.Unlock()
@@ -75,56 +117,24 @@ func (n *Node) ownerCreate(key uint64, parents []int, epsilon float64, backend s
 // gated on follower acks: it returns only after the shipped record (or
 // a superseding snapshot) is acknowledged by every follower the ring
 // currently lists live, up to Replicas of them.
-func (n *Node) Mutate(id string, op uint8, arg int) (server.MutateResult, error) {
+func (n *Node) Mutate(id string, op uint8, arg int) (res server.MutateResult, err error) {
 	key, ok := shardKey(id)
 	if !ok {
 		// Not a cluster id: a node-local shard from single-node
 		// operation. Served where it lives, never routed.
 		return n.srv.DynMutate(id, op, arg)
 	}
-	if hb := n.handbackFor(id); hb != nil {
-		// Mid-rejoin: the local copy is not authoritative yet. Proxy to
-		// the serving successor or park until the handback completes.
-		return n.handbackMutate(hb, id, key, op, arg)
-	}
-	if _, served := n.srv.DynShard(id); served {
-		// Served here — as ring owner, or as the surrogate successor
-		// still covering a shard whose restarted ring owner has not
-		// claimed it back. Serving locally keeps the surrogate
-		// authoritative (and keeps the rejoiner's proxied requests from
-		// bouncing) until a handback moves ownership explicitly.
-		return n.ownerMutate(id, key, op, arg)
-	}
-	for attempt := 0; attempt <= len(n.peers); attempt++ {
-		owner, ok := n.ring.Owner(key, n.alive)
-		if !ok {
-			break
-		}
-		if owner == n.cfg.Self {
-			if err := n.promote(id); err != nil {
-				return server.MutateResult{}, err
-			}
-			return n.ownerMutate(id, key, op, arg)
-		}
-		if n.cfg.Redirect {
-			return server.MutateResult{}, server.RedirectTo(owner)
-		}
-		c, err := n.client(owner)
-		if err != nil {
-			continue
-		}
+	err = n.routeShard(id, key, func() (err error) {
+		res, err = n.ownerMutate(id, key, op, arg)
+		return err
+	}, func(c *wire.Client) error {
 		m, err := c.Mutate(&wire.Mutate{ShardID: id, Op: op, Arg: arg})
-		if err != nil {
-			if serr := fromWireError(err); serr != nil {
-				return server.MutateResult{}, serr
-			}
-			n.markDown(owner)
-			continue
+		if err == nil {
+			res = server.MutateResult{Vertex: m.Vertex, Moved: m.Moved, Epoch: m.Epoch, N: m.N}
 		}
-		return server.MutateResult{Vertex: m.Vertex, Moved: m.Moved, Epoch: m.Epoch, N: m.N}, nil
-	}
-	return server.MutateResult{}, server.Errf(server.StatusUnavailable,
-		"cluster: no live owner for shard %s", id)
+		return err
+	})
+	return res, err
 }
 
 // ownerMutate applies one mutation locally and ships it. The per-shard
@@ -135,7 +145,7 @@ func (n *Node) Mutate(id string, op uint8, arg int) (server.MutateResult, error)
 // routed here before the fence but acquired the lock after it — no
 // apply ever lands past the fence epoch stamped into the grant.
 func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.MutateResult, error) {
-	sh := n.ownedShardState(id, key)
+	sh := n.ownedShardState(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, served := n.srv.DynShard(id); !served {
@@ -150,11 +160,11 @@ func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.Mut
 	if op == wire.OpDelete {
 		result = res.Moved
 	}
-	n.replicate(id, key, []wire.RepRecord{{
-		Type:   op,
+	n.replicate(id, key, []persist.Record{{
+		Type:   persist.RecordType(op), // the wire ops are the WAL's mutation types
 		Epoch:  res.Epoch,
-		Arg:    int64(arg),
-		Result: int64(result),
+		Arg:    arg,
+		Result: result,
 	}})
 	return res, nil
 }
@@ -165,7 +175,7 @@ func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.Mut
 // gate. Fewer than Replicas acks means the live cluster is smaller than
 // Replicas+1; the effective guarantee is always min(Replicas, live-1)
 // copies beyond the owner.
-func (n *Node) replicate(id string, key uint64, recs []wire.RepRecord) int {
+func (n *Node) replicate(id string, key uint64, recs []persist.Record) int {
 	need := n.cfg.Replicas
 	if need <= 0 {
 		return 0
@@ -204,17 +214,12 @@ func (n *Node) replicate(id string, key uint64, recs []wire.RepRecord) int {
 // ship still gets the one snapshot attempt first, because refusal is
 // also how a follower reports a diverged replica it just discarded —
 // the case a rebuild genuinely fixes.
-func (n *Node) shipRecords(addr, id string, recs []wire.RepRecord) error {
-	c, err := n.client(addr)
-	if err != nil {
+func (n *Node) shipRecords(addr, id string, recs []persist.Record) error {
+	var ack *wire.RepAck
+	if _, err := n.call(addr, func(c *wire.Client) (err error) {
+		ack, err = c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
 		return err
-	}
-	ack, err := c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
-	if err != nil {
-		if serr := fromWireError(err); serr != nil {
-			return serr
-		}
-		n.markDown(addr)
+	}); err != nil {
 		return err
 	}
 	if ack.Code == wire.AckOK {
@@ -243,17 +248,11 @@ func (n *Node) shipTail(addr, id string, cursor uint64) error {
 		}
 		return err
 	}
-	wrecs := toWire(recs)
-	c, err := n.client(addr)
-	if err != nil {
+	var ack *wire.RepAck
+	if _, err := n.call(addr, func(c *wire.Client) (err error) {
+		ack, err = c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
 		return err
-	}
-	ack, err := c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: wrecs})
-	if err != nil {
-		if serr := fromWireError(err); serr != nil {
-			return serr
-		}
-		n.markDown(addr)
+	}); err != nil {
 		return err
 	}
 	if ack.Code != wire.AckOK {
@@ -276,16 +275,11 @@ func (n *Node) shipSnapshot(addr, id string) error {
 	if err != nil {
 		return err
 	}
-	c, err := n.client(addr)
-	if err != nil {
+	var ack *wire.RepAck
+	if _, err := n.call(addr, func(c *wire.Client) (err error) {
+		ack, err = c.ShipSnapshot(&wire.RepSnapshot{ShardID: id, Blob: blob})
 		return err
-	}
-	ack, err := c.ShipSnapshot(&wire.RepSnapshot{ShardID: id, Blob: blob})
-	if err != nil {
-		if serr := fromWireError(err); serr != nil {
-			return serr
-		}
-		n.markDown(addr)
+	}); err != nil {
 		return err
 	}
 	if ack.Code != wire.AckOK {
@@ -300,53 +294,19 @@ func (n *Node) shipSnapshot(addr, id string) error {
 // error hands the query back to the server's local path — the shard is
 // (possibly just promoted to be) served here, or is a node-local
 // non-cluster id.
-func (n *Node) ShardQuery(q *wire.Query) (*wire.Result, error) {
-	id := q.ShardID
-	key, ok := shardKey(id)
+func (n *Node) ShardQuery(q *wire.Query) (res *wire.Result, err error) {
+	key, ok := shardKey(q.ShardID)
 	if !ok {
 		return nil, nil
 	}
-	if hb := n.handbackFor(id); hb != nil {
-		return n.handbackQuery(hb, q)
-	}
-	if _, served := n.srv.DynShard(id); served {
-		return nil, nil // served here (owner or surrogate): local path
-	}
-	for attempt := 0; attempt <= len(n.peers); attempt++ {
-		owner, ok := n.ring.Owner(key, n.alive)
-		if !ok {
-			break
-		}
-		if owner == n.cfg.Self {
-			return nil, n.promote(id)
-		}
-		if n.cfg.Redirect {
-			return nil, server.RedirectTo(owner)
-		}
-		c, err := n.client(owner)
-		if err != nil {
-			continue
-		}
-		res, err := forwardQuery(c, q)
-		if err != nil {
-			if serr := fromWireError(err); serr != nil {
-				return nil, serr
-			}
-			n.markDown(owner)
-			continue
-		}
-		return res, nil
-	}
-	return nil, server.Errf(server.StatusUnavailable,
-		"cluster: no live owner for shard %s", id)
-}
-
-// forwardQuery sends q to a peer as a shallow copy: Do assigns the copy
-// an id on the peer connection, and q keeps the one its caller answers
-// with.
-func forwardQuery(c *wire.Client, q *wire.Query) (*wire.Result, error) {
-	fq := *q
-	return c.Do(&fq)
+	err = n.routeShard(q.ShardID, key, func() error { return nil }, func(c *wire.Client) (err error) {
+		// Forward a shallow copy: Do assigns the copy an id on the peer
+		// connection, and q keeps the one its caller answers with.
+		fq := *q
+		res, err = c.Do(&fq)
+		return err
+	})
+	return res, err
 }
 
 // promote makes an owned-by-ring shard locally served: a no-op when it

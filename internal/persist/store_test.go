@@ -177,6 +177,57 @@ func TestShardLogRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestRecordsAfter pins the log-shipping read path: consecutive
+// mutation records and never a fence (each rotated segment opens with
+// one), ErrCompacted below a compaction's snapshot, and nil at or past
+// the last epoch.
+func TestRecordsAfter(t *testing.T) {
+	dir := t.TempDir()
+	s := testStore(t, Options{Dir: dir, SegmentBytes: 64, CompactAfter: 1 << 30})
+	snap := sampleDyn()
+	snap.Epoch = 0
+	log, err := s.CreateShardLog("d1", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := mutationRecords(0, 30)
+	for _, r := range all {
+		if err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := listSegments(filepath.Join(dir, "dyn", "d1")); err != nil || len(segs) < 3 {
+		t.Fatalf("expected rotation to produce several segments, got %v, %v", segs, err)
+	}
+	for _, after := range []uint64{0, 1, 7, 29} {
+		got, err := log.RecordsAfter(after)
+		if err != nil {
+			t.Fatalf("RecordsAfter(%d): %v", after, err)
+		}
+		if !reflect.DeepEqual(got, all[after:]) {
+			t.Fatalf("RecordsAfter(%d) = %+v, want %+v", after, got, all[after:])
+		}
+	}
+	for _, after := range []uint64{30, 31} {
+		if got, err := log.RecordsAfter(after); got != nil || err != nil {
+			t.Fatalf("RecordsAfter(%d) at the last epoch 30 = %+v, %v; want nil, nil", after, got, err)
+		}
+	}
+
+	compacted := snap
+	compacted.Epoch = 20
+	if err := log.Compact(compacted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.RecordsAfter(19); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("RecordsAfter(19) below the epoch-20 snapshot = %v, want ErrCompacted", err)
+	}
+	got, err := log.RecordsAfter(20)
+	if err != nil || !reflect.DeepEqual(got, all[20:]) {
+		t.Fatalf("RecordsAfter(20) after compaction = %+v, %v; want %+v", got, err, all[20:])
+	}
+}
+
 // TestCompactKeepsRacingRecords pins the compaction/mutation race the
 // server can produce: a record appended between the state capture and
 // the Compact call is newer than the snapshot and must survive it.

@@ -73,7 +73,7 @@ type ClusterHooks interface {
 	// replication conversation (FrameRepSnapshot / FrameRepRecords):
 	// they return the replica's apply cursor and an Ack* code.
 	ApplySnapshot(shardID string, blob []byte) (cursor uint64, code uint8, msg string)
-	ApplyRecords(shardID string, recs []wire.RepRecord) (cursor uint64, code uint8, msg string)
+	ApplyRecords(shardID string, recs []persist.Record) (cursor uint64, code uint8, msg string)
 
 	// Handback serves the successor half of rejoin reconciliation
 	// (FrameHandbackOffer): diff cursors against the offer, and on a

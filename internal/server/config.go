@@ -27,8 +27,8 @@ const (
 	// equivalent of the HTTP layer's read/idle timeouts, so one silent
 	// client cannot pin a connection forever.
 	DefaultTCPIdleTimeout = 2 * time.Minute
-	// DefaultTCPWriteTimeout bounds each binary-protocol response write.
-	DefaultTCPWriteTimeout = 30 * time.Second
+	// TCPWriteTimeout bounds each binary-protocol response write.
+	TCPWriteTimeout = 30 * time.Second
 	// DefaultReplicas is the follower count per dyn shard in cluster
 	// mode (Cluster.Replicas 0); capped at len(Peers)-1.
 	DefaultReplicas = 2
@@ -76,16 +76,14 @@ type Limits struct {
 	CacheCapacity int
 }
 
-// Timeouts groups the binary-protocol connection deadlines. (The HTTP
-// listener's equivalents live on the http.Server the daemon builds.)
+// Timeouts groups the binary-protocol connection deadlines; each
+// response write is bounded by TCPWriteTimeout. (The HTTP listener's
+// equivalents live on the http.Server the daemon builds.)
 type Timeouts struct {
 	// TCPIdle bounds the gap between frames on a binary-protocol
 	// connection; an idle connection is closed when it expires (0 means
 	// DefaultTCPIdleTimeout, < 0 disables the deadline — tests only).
 	TCPIdle time.Duration
-	// TCPWrite bounds each binary-protocol response write (0 means
-	// DefaultTCPWriteTimeout).
-	TCPWrite time.Duration
 }
 
 // Durability groups the persistence wiring.
@@ -190,9 +188,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Timeouts.TCPIdle == 0 {
 		cfg.Timeouts.TCPIdle = DefaultTCPIdleTimeout
-	}
-	if cfg.Timeouts.TCPWrite <= 0 {
-		cfg.Timeouts.TCPWrite = DefaultTCPWriteTimeout
 	}
 	if cfg.Cluster.Enabled() {
 		if cfg.Cluster.Replicas == 0 {

@@ -88,9 +88,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		out     []byte
 	)
 	writeFrame := func(frame []byte) bool {
-		if t := s.cfg.Timeouts.TCPWrite; t > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(t))
-		}
+		_ = conn.SetWriteDeadline(time.Now().Add(TCPWriteTimeout))
 		_, err := conn.Write(frame)
 		return err == nil
 	}

@@ -92,9 +92,11 @@ func NewClientOptions(conn net.Conn, opts DialOptions) *Client {
 	return c
 }
 
-// call registers a waiter under a fresh ID, writes the frame enc
-// produces for it, and waits for the correlated response.
-func (c *Client) call(enc func(dst []byte, id uint64) []byte) (any, error) {
+// call registers a waiter, writes the frame enc produces for it, and
+// waits for the correlated response. A request waits under a fresh ID;
+// a ping, which carries no ID on the wire, waits under a descending
+// pseudo-ID (pongs arrive in order relative to other pings).
+func (c *Client) call(ping bool, enc func(dst []byte, id uint64) []byte) (any, error) {
 	ch := make(chan response, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -104,6 +106,9 @@ func (c *Client) call(enc func(dst []byte, id uint64) []byte) (any, error) {
 	}
 	id := c.nextID
 	c.nextID++
+	if ping {
+		id = ^id
+	}
 	c.pending[id] = ch
 	c.mu.Unlock()
 
@@ -120,6 +125,25 @@ func (c *Client) call(enc func(dst []byte, id uint64) []byte) (any, error) {
 	}
 	r := c.wait(ch)
 	return r.msg, r.err
+}
+
+// roundTrip is the one round trip behind every request method: it
+// sends the frame enc writes under a fresh request ID and returns the
+// reply, which must be an *R.
+// A reply of another kind is the server answering out of turn, so it
+// fails the connection (ErrCorrupt) like any other malformed frame.
+func roundTrip[R any](c *Client, enc func(dst []byte, id uint64) []byte) (*R, error) {
+	msg, err := c.call(false, enc)
+	if err != nil {
+		return nil, err
+	}
+	r, ok := msg.(*R)
+	if !ok {
+		err := format.Corruptf("%T reply to a request expecting %T", msg, r)
+		c.fail(err)
+		return nil, err
+	}
+	return r, nil
 }
 
 // wait blocks for the response, bounded by ReadTimeout. Expiry fails
@@ -146,106 +170,66 @@ func (c *Client) wait(ch chan response) response {
 // server response comes back as an *Error (inspect its Status); a
 // transport failure fails every in-flight call with the same error.
 func (c *Client) Do(q *Query) (*Result, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[Result](c, func(dst []byte, id uint64) []byte {
 		q.ID = id
 		return AppendQuery(dst, q)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*Result), nil
 }
 
 // DynCreate creates a mutable shard and returns its identity.
 func (c *Client) DynCreate(dc *DynCreate) (*DynCreated, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[DynCreated](c, func(dst []byte, id uint64) []byte {
 		dc.ID = id
 		return AppendDynCreate(dst, dc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*DynCreated), nil
 }
 
 // Mutate inserts or deletes a leaf of a mutable shard.
 func (c *Client) Mutate(m *Mutate) (*Mutated, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[Mutated](c, func(dst []byte, id uint64) []byte {
 		m.ID = id
 		return AppendMutate(dst, m)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*Mutated), nil
 }
 
 // ShipSnapshot ships a replica snapshot (cluster replication).
 func (c *Client) ShipSnapshot(s *RepSnapshot) (*RepAck, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[RepAck](c, func(dst []byte, id uint64) []byte {
 		s.ID = id
 		return AppendRepSnapshot(dst, s)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*RepAck), nil
 }
 
 // ShipRecords ships replica WAL records (cluster replication).
 func (c *Client) ShipRecords(r *RepRecords) (*RepAck, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[RepAck](c, func(dst []byte, id uint64) []byte {
 		r.ID = id
 		return AppendRepRecords(dst, r)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*RepAck), nil
 }
 
 // Handback offers a shard back to the peer currently covering it — the
 // rejoin reconciliation conversation (cluster tier).
 func (c *Client) Handback(o *HandbackOffer) (*HandbackGrant, error) {
-	msg, err := c.call(func(dst []byte, id uint64) []byte {
+	return roundTrip[HandbackGrant](c, func(dst []byte, id uint64) []byte {
 		o.ID = id
 		return AppendHandbackOffer(dst, o)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return msg.(*HandbackGrant), nil
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	ch := make(chan response, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return err
-	}
-	// Pings carry no ID on the wire; responses arrive in order relative
-	// to other pings, so park waiters on descending pseudo-IDs.
-	id := ^c.nextID
-	c.nextID++
-	c.pending[id] = ch
-	c.mu.Unlock()
+	_, err := c.call(true, func(dst []byte, _ uint64) []byte { return AppendPing(dst) })
+	return err
+}
 
-	c.wmu.Lock()
-	c.wbuf = AppendPing(c.wbuf[:0])
-	if c.opts.WriteTimeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	}
-	//spatialvet:ignore waitunderlock -- wmu exists to serialize whole-frame writes on the shared conn; readLoop never takes it, so writers only wait on writers
-	_, werr := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if werr != nil {
-		c.fail(fmt.Errorf("wire: write: %w", werr))
-	}
-	r := c.wait(ch)
-	return r.err
+// Err returns the error that ended the connection, or nil while it is
+// open. The reader records a close by the server (an idle timeout, say)
+// as soon as it reads it, so Err reports it before any call is tried.
+func (c *Client) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // Close tears down the connection; in-flight calls fail. Close is

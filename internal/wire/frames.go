@@ -20,15 +20,16 @@ import (
 	"math"
 
 	"spatialtree/internal/binfmt"
+	"spatialtree/internal/persist"
 )
 
-// Mutation opcodes (shared with the Mutated frame and, by value, with
-// internal/persist's record types).
+// Mutation opcodes: the WAL's two mutation record types, so a Mutate's
+// Op and a shipped record's type byte are one number.
 const (
 	// OpInsert inserts a leaf under Arg (the parent vertex).
-	OpInsert = 1
+	OpInsert = uint8(persist.RecInsert)
 	// OpDelete deletes leaf Arg.
-	OpDelete = 2
+	OpDelete = uint8(persist.RecDelete)
 )
 
 // Replication ack codes.
@@ -99,23 +100,14 @@ type RepSnapshot struct {
 	Blob    []byte
 }
 
-// RepRecord is one shipped WAL mutation record: Type is OpInsert or
-// OpDelete, Epoch the shard epoch the mutation produced, Arg its
-// argument and Result its result (the inserted vertex / moved vertex) —
-// the follower verifies its replay reproduces Result exactly.
-type RepRecord struct {
-	Type   uint8
-	Epoch  uint64
-	Arg    int64
-	Result int64
-}
-
 // RepRecords ships the WAL records of ShardID past the follower's
-// cursor, in epoch order.
+// cursor, in epoch order. Only the two mutation types cross the wire
+// (a fence marks a segment of one log); the follower verifies its
+// replay of each reproduces the record's Result exactly.
 type RepRecords struct {
 	ID      uint64
 	ShardID string
-	Recs    []RepRecord
+	Recs    []persist.Record
 }
 
 // RepAck answers a RepSnapshot or RepRecords with the follower's apply
@@ -172,7 +164,7 @@ type HandbackOffer struct {
 	ShardID string
 	Phase   uint8
 	Cursor  uint64
-	Recs    []RepRecord
+	Recs    []persist.Record
 }
 
 // HandbackGrant answers a HandbackOffer. Fence is the epoch the
@@ -184,7 +176,7 @@ type HandbackGrant struct {
 	ShardID string
 	Mode    uint8
 	Fence   uint64
-	Recs    []RepRecord
+	Recs    []persist.Record
 	Blob    []byte
 	Msg     string
 }
@@ -353,24 +345,24 @@ func (a *RepAck) Decode(payload []byte) error {
 
 // appendRecs appends a counted record list: the RepRecords layout,
 // shared by the handback frames.
-func appendRecs(b []byte, recs []RepRecord) []byte {
+func appendRecs(b []byte, recs []persist.Record) []byte {
 	b = binary.AppendUvarint(b, uint64(len(recs)))
 	for _, rec := range recs {
-		b = append(b, rec.Type)
+		b = append(b, byte(rec.Type))
 		b = binary.AppendUvarint(b, rec.Epoch)
-		b = binary.AppendVarint(b, rec.Arg)
-		b = binary.AppendVarint(b, rec.Result)
+		b = binary.AppendVarint(b, int64(rec.Arg))
+		b = binary.AppendVarint(b, int64(rec.Result))
 	}
 	return b
 }
 
 // decodeRecs decodes a counted record list into dst, reusing its
-// capacity.
-func decodeRecs(d *binfmt.Decoder, dst []RepRecord) []RepRecord {
+// capacity. A type other than the two mutations is refused.
+func decodeRecs(d *binfmt.Decoder, dst []persist.Record) []persist.Record {
 	dst = binfmt.Grow(dst, d.Count())
 	for i := range dst {
-		dst[i] = RepRecord{Type: d.Byte(), Epoch: d.Uvarint(), Arg: d.Varint(), Result: d.Varint()}
-		if t := dst[i].Type; t != OpInsert && t != OpDelete {
+		dst[i] = persist.Record{Type: persist.RecordType(d.Byte()), Epoch: d.Uvarint(), Arg: int(d.Varint()), Result: int(d.Varint())}
+		if t := dst[i].Type; t != persist.RecInsert && t != persist.RecDelete {
 			d.Failf("unknown record type %d", t)
 			break
 		}

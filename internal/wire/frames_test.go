@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"spatialtree/internal/persist"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden frame files under testdata/wire/")
@@ -77,15 +80,15 @@ var goldenFrames = []struct {
 		name: "reprecords",
 		kind: FrameRepRecords,
 		encode: func(dst []byte) []byte {
-			return AppendRepRecords(dst, &RepRecords{ID: 10, ShardID: "c00000000000002a-3", Recs: []RepRecord{
-				{Type: OpInsert, Epoch: 12, Arg: 2, Result: 5},
-				{Type: OpDelete, Epoch: 13, Arg: 5, Result: 4},
+			return AppendRepRecords(dst, &RepRecords{ID: 10, ShardID: "c00000000000002a-3", Recs: []persist.Record{
+				{Type: persist.RecInsert, Epoch: 12, Arg: 2, Result: 5},
+				{Type: persist.RecDelete, Epoch: 13, Arg: 5, Result: 4},
 			}})
 		},
 		decode: func(p []byte) (any, error) { var v RepRecords; err := v.Decode(p); return &v, err },
-		want: &RepRecords{ID: 10, ShardID: "c00000000000002a-3", Recs: []RepRecord{
-			{Type: OpInsert, Epoch: 12, Arg: 2, Result: 5},
-			{Type: OpDelete, Epoch: 13, Arg: 5, Result: 4},
+		want: &RepRecords{ID: 10, ShardID: "c00000000000002a-3", Recs: []persist.Record{
+			{Type: persist.RecInsert, Epoch: 12, Arg: 2, Result: 5},
+			{Type: persist.RecDelete, Epoch: 13, Arg: 5, Result: 4},
 		}},
 	},
 	{
@@ -103,17 +106,17 @@ var goldenFrames = []struct {
 		encode: func(dst []byte) []byte {
 			return AppendHandbackOffer(dst, &HandbackOffer{
 				ID: 11, ShardID: "c00000000000002a-3", Phase: HandbackClaim, Cursor: 13,
-				Recs: []RepRecord{
-					{Type: OpInsert, Epoch: 12, Arg: 2, Result: 5},
-					{Type: OpDelete, Epoch: 13, Arg: 5, Result: 4},
+				Recs: []persist.Record{
+					{Type: persist.RecInsert, Epoch: 12, Arg: 2, Result: 5},
+					{Type: persist.RecDelete, Epoch: 13, Arg: 5, Result: 4},
 				},
 			})
 		},
 		decode: func(p []byte) (any, error) { var v HandbackOffer; err := v.Decode(p); return &v, err },
 		want: &HandbackOffer{ID: 11, ShardID: "c00000000000002a-3", Phase: HandbackClaim, Cursor: 13,
-			Recs: []RepRecord{
-				{Type: OpInsert, Epoch: 12, Arg: 2, Result: 5},
-				{Type: OpDelete, Epoch: 13, Arg: 5, Result: 4},
+			Recs: []persist.Record{
+				{Type: persist.RecInsert, Epoch: 12, Arg: 2, Result: 5},
+				{Type: persist.RecDelete, Epoch: 13, Arg: 5, Result: 4},
 			}},
 	},
 	{
@@ -122,17 +125,17 @@ var goldenFrames = []struct {
 		encode: func(dst []byte) []byte {
 			return AppendHandbackGrant(dst, &HandbackGrant{
 				ID: 11, ShardID: "c00000000000002a-3", Mode: GrantTail, Fence: 15,
-				Recs: []RepRecord{
-					{Type: OpInsert, Epoch: 14, Arg: 1, Result: 6},
-					{Type: OpInsert, Epoch: 15, Arg: 6, Result: 7},
+				Recs: []persist.Record{
+					{Type: persist.RecInsert, Epoch: 14, Arg: 1, Result: 6},
+					{Type: persist.RecInsert, Epoch: 15, Arg: 6, Result: 7},
 				},
 			})
 		},
 		decode: func(p []byte) (any, error) { var v HandbackGrant; err := v.Decode(p); return &v, err },
 		want: &HandbackGrant{ID: 11, ShardID: "c00000000000002a-3", Mode: GrantTail, Fence: 15,
-			Recs: []RepRecord{
-				{Type: OpInsert, Epoch: 14, Arg: 1, Result: 6},
-				{Type: OpInsert, Epoch: 15, Arg: 6, Result: 7},
+			Recs: []persist.Record{
+				{Type: persist.RecInsert, Epoch: 14, Arg: 1, Result: 6},
+				{Type: persist.RecInsert, Epoch: 15, Arg: 6, Result: 7},
 			}},
 	},
 }
@@ -204,5 +207,33 @@ func TestGoldenFrames(t *testing.T) {
 				t.Fatalf("golden decode:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeRefusesNonMutationRecords: the record lists of rep-records
+// and of both handback frames carry only inserts and deletes. A fence
+// (a segment marker of one WAL) or an unknown type fails the decode.
+func TestDecodeRefusesNonMutationRecords(t *testing.T) {
+	for _, typ := range []persist.RecordType{persist.RecFence, 9} {
+		recs := []persist.Record{
+			{Type: persist.RecInsert, Epoch: 1, Arg: 0, Result: 1},
+			{Type: typ, Epoch: 2},
+		}
+		for _, tc := range []struct {
+			name   string
+			frame  []byte
+			decode func(payload []byte) error
+		}{
+			{"reprecords", AppendRepRecords(nil, &RepRecords{ID: 1, ShardID: "s", Recs: recs}),
+				func(p []byte) error { var v RepRecords; return v.Decode(p) }},
+			{"handbackoffer", AppendHandbackOffer(nil, &HandbackOffer{ID: 1, ShardID: "s", Phase: HandbackClaim, Cursor: 2, Recs: recs}),
+				func(p []byte) error { var v HandbackOffer; return v.Decode(p) }},
+			{"handbackgrant", AppendHandbackGrant(nil, &HandbackGrant{ID: 1, ShardID: "s", Mode: GrantTail, Fence: 2, Recs: recs}),
+				func(p []byte) error { var v HandbackGrant; return v.Decode(p) }},
+		} {
+			if err := tc.decode(tc.frame[HeaderLen:]); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s carrying a record of type %d: decode = %v, want ErrCorrupt", tc.name, typ, err)
+			}
+		}
 	}
 }

@@ -189,28 +189,6 @@ const (
 	StatusRedirect Status = 7
 )
 
-// HTTPStatus returns the HTTP status code the same condition maps to on
-// the JSON API.
-func (s Status) HTTPStatus() int {
-	switch s {
-	case StatusOK:
-		return 200
-	case StatusBadRequest:
-		return 400
-	case StatusNotFound:
-		return 404
-	case StatusTooMany:
-		return 429
-	case StatusUnavailable:
-		return 503
-	case StatusTooLarge:
-		return 413
-	case StatusRedirect:
-		return 421
-	}
-	return 500
-}
-
 func (s Status) String() string {
 	switch s {
 	case StatusOK:

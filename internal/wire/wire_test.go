@@ -287,16 +287,6 @@ func AppendPingPayloadTrailer(t *testing.T) []byte {
 }
 
 func TestStatusMapping(t *testing.T) {
-	cases := map[Status]int{
-		StatusOK: 200, StatusBadRequest: 400, StatusNotFound: 404,
-		StatusTooMany: 429, StatusUnavailable: 503, StatusTooLarge: 413,
-		StatusInternal: 500, Status(200): 500,
-	}
-	for s, want := range cases {
-		if got := s.HTTPStatus(); got != want {
-			t.Errorf("%v.HTTPStatus() = %d, want %d", s, got, want)
-		}
-	}
 	for s := Status(0); s < 7; s++ {
 		if s.String() == "" || strings.HasPrefix(s.String(), "status ") {
 			t.Errorf("Status(%d) has no name", s)
@@ -420,6 +410,37 @@ func TestClientConnectionError(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Do hung after server disconnect")
+	}
+}
+
+// TestClientRejectsWrongReplyKind: a reply of another kind than the
+// request expects — here a Mutated frame answering a query — fails the
+// connection with ErrCorrupt instead of panicking the calling
+// goroutine, and later calls on the client fail with that error too.
+func TestClientRejectsWrongReplyKind(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer sc.Close()
+	go func() {
+		rd := NewReader(sc, 0)
+		var q Query
+		for {
+			kind, payload, err := rd.Next()
+			if err != nil || kind != FrameQuery || q.Decode(payload) != nil {
+				return
+			}
+			if _, err := sc.Write(AppendMutated(nil, &Mutated{ID: q.ID, Epoch: 1, N: 1})); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewClient(cc)
+	defer c.Close()
+	q := Query{Kind: KindTreefix, TreeID: "t", Op: "add", Vals: []int64{1}}
+	if _, err := c.Do(&q); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Do answered by a mutated frame = %v, want ErrCorrupt", err)
+	}
+	if _, err := c.Do(&q); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Do after a wrong-kind reply = %v, want the connection's ErrCorrupt", err)
 	}
 }
 
