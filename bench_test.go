@@ -840,7 +840,7 @@ func BenchmarkE15Recovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	de.SetJournal(shardLog.Append)
+	de.SetJournal(shardLog)
 	e15Mutate(b, de, dynN, mutations)
 	if err := store.Close(); err != nil {
 		b.Fatal(err)

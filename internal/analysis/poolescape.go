@@ -2,8 +2,8 @@ package analysis
 
 // PoolEscape checks the sync.Pool buffer discipline the wire/persist
 // hot paths depend on: a pooled value may be used locally and returned
-// by a lender (wire.GetBuf, treefix getContrib, engine newRequest are
-// all sanctioned lenders), but it must not
+// by a lender (engine newRequest is the sanctioned one; the server's
+// httpQueries pool lends through a plain Get), but it must not
 //
 //   - be stored into a struct field (a long-lived owner outliving the
 //     frame the value was borrowed for),

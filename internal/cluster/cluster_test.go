@@ -34,6 +34,9 @@ type testNode struct {
 	st   *persist.Store
 	srv  *server.Server
 	node *Node
+	// storeOpts are the member's store options (Dir aside); a restart
+	// reuses them.
+	storeOpts persist.Options
 
 	closeOnce sync.Once
 }
@@ -61,7 +64,16 @@ func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir st
 // < 0 disables the deadline).
 func startMemberIdle(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool, idle time.Duration) *testNode {
 	t.Helper()
-	st, err := persist.Open(persist.Options{Dir: filepath.Join(dir, "data")})
+	return startMemberStore(t, ln, addrs, self, dir, replicas, redirect, idle, persist.Options{})
+}
+
+// startMemberStore is startMemberIdle with the server store opened with
+// storeOpts, Dir replaced by the member's data directory.
+func startMemberStore(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool, idle time.Duration, storeOpts persist.Options) *testNode {
+	t.Helper()
+	sopts := storeOpts
+	sopts.Dir = filepath.Join(dir, "data")
+	st, err := persist.Open(sopts)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -87,7 +99,7 @@ func startMemberIdle(t *testing.T, ln net.Listener, addrs []string, self int, di
 		t.Fatalf("cluster.New: %v", err)
 	}
 	go srv.ServeBinary(ln)
-	tn := &testNode{addr: addrs[self], dir: dir, ln: ln, st: st, srv: srv, node: n}
+	tn := &testNode{addr: addrs[self], dir: dir, ln: ln, st: st, srv: srv, node: n, storeOpts: storeOpts}
 	t.Cleanup(tn.kill)
 	return tn
 }
@@ -109,6 +121,13 @@ func startClusterMode(t *testing.T, size, replicas int, redirect bool) []*testNo
 // listener closing connections idle for longer than idle.
 func startClusterIdle(t *testing.T, size, replicas int, redirect bool, idle time.Duration) []*testNode {
 	t.Helper()
+	return startClusterStore(t, size, replicas, redirect, idle, persist.Options{})
+}
+
+// startClusterStore is startClusterIdle with every member's server
+// store opened with storeOpts.
+func startClusterStore(t *testing.T, size, replicas int, redirect bool, idle time.Duration, storeOpts persist.Options) []*testNode {
+	t.Helper()
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
 	for i := range lns {
@@ -121,7 +140,7 @@ func startClusterIdle(t *testing.T, size, replicas int, redirect bool, idle time
 	}
 	nodes := make([]*testNode, size)
 	for i := range nodes {
-		nodes[i] = startMemberIdle(t, lns[i], addrs, i, t.TempDir(), replicas, redirect, idle)
+		nodes[i] = startMemberStore(t, lns[i], addrs, i, t.TempDir(), replicas, redirect, idle, storeOpts)
 	}
 	return nodes
 }
@@ -374,6 +393,43 @@ func TestReplicaBootRecovery(t *testing.T) {
 	}
 	if want := n0 + int(r.Epoch); r.N != want {
 		t.Fatalf("failover leaf count %d, want %d", r.N, want)
+	}
+}
+
+// TestReplicaStoreTakesServerOptions: a follower's replica store opens
+// with its server store's options, so replicas journal under the same
+// fsync policy as owned shards and compact at the same threshold.
+func TestReplicaStoreTakesServerOptions(t *testing.T) {
+	const compactAfter = 4
+	nodes := startClusterStore(t, 3, 2, false, -1, persist.Options{Fsync: true, CompactAfter: compactAfter})
+	res, err := nodes[0].node.DynCreate(chainParents(6), 0, "")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	id := res.ID
+	walk := ownerAndSuccessors(t, nodes[0], id)
+	owner := byAddr(t, nodes, walk[0])
+	const muts = 3 * compactAfter
+	for i := 0; i < muts; i++ {
+		if _, err := owner.node.Mutate(id, wire.OpInsert, 0); err != nil {
+			t.Fatalf("mutate %d: %v", i, err)
+		}
+	}
+	for _, addr := range walk[1:] {
+		f := byAddr(t, nodes, addr)
+		if cur := f.node.Status().ReplicaCursors[id]; cur != muts {
+			t.Fatalf("follower %s cursor %d, want %d", addr, cur, muts)
+		}
+		if got := f.node.store.Options(); !got.Fsync || got.CompactAfter != compactAfter {
+			t.Fatalf("follower %s replica store options %+v, want the server store's fsync and CompactAfter %d", addr, got, compactAfter)
+		}
+		snaps, err := filepath.Glob(filepath.Join(f.dir, "replicas", "dyn", id, "snap-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != 1 || filepath.Base(snaps[0]) == "snap-00000000000000000000.snap" {
+			t.Fatalf("follower %s replica snapshots %v after %d records at CompactAfter %d: replica never compacted", addr, snaps, muts, compactAfter)
+		}
 	}
 }
 

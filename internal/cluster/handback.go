@@ -107,7 +107,7 @@ func (n *Node) detectRejoins() {
 		if owner, ok := n.ring.Owner(key, nil); !ok || owner != n.cfg.Self {
 			continue
 		}
-		de, log, ok := n.srv.ReleaseDynShard(id)
+		de, ok := n.srv.ReleaseDynShard(id)
 		if !ok {
 			continue
 		}
@@ -117,14 +117,14 @@ func (n *Node) detectRejoins() {
 			// The replica store also holds this shard — an earlier run of
 			// this node followed it — and is at least as far along: keep
 			// that copy and drop the stale server-store one.
-			_ = n.srv.DropDynState(id)
+			_ = de.Journal().Drop()
 		} else {
-			if rep.de != nil && n.store != nil {
-				_ = n.store.DropShard(id) // the replica-store copy is the staler one
+			if rep.de != nil {
+				_ = rep.de.Journal().Drop() // the replica-store copy is the staler one
 			}
 			// The demoted engine keeps journaling into its server-store
-			// log; promote re-adopts both once the handback completes.
-			rep.de, rep.log = de, log
+			// log; promote re-adopts it once the handback completes.
+			rep.de = de
 		}
 		rep.mu.Unlock()
 		n.pending[id] = &handback{key: key, done: make(chan struct{})}
@@ -337,17 +337,18 @@ func (n *Node) handbackClaimState(id string) (uint64, []persist.Record) {
 		return 0, nil
 	}
 	cursor := rep.de.Epoch()
-	if rep.log == nil {
+	log := rep.de.Journal()
+	if log == nil {
 		return cursor, nil
 	}
 	start := uint64(0)
 	if cursor > handbackClaimWindow {
 		start = cursor - handbackClaimWindow
 	}
-	if snapEpoch := rep.log.LastEpoch() - rep.log.RecordsSinceSnapshot(); start < snapEpoch {
+	if snapEpoch := log.LastEpoch() - log.RecordsSinceSnapshot(); start < snapEpoch {
 		start = snapEpoch // the WAL reaches back no further
 	}
-	recs, err := rep.log.RecordsAfter(start)
+	recs, err := log.RecordsAfter(start)
 	if err != nil {
 		return cursor, nil
 	}
@@ -401,7 +402,7 @@ func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.Ha
 		sh.mu.Unlock()
 		return g
 	}
-	rel, log, _ := n.srv.ReleaseDynShard(id)
+	rel, _ := n.srv.ReleaseDynShard(id)
 	sh.mu.Unlock()
 	// Demote outside the pipeline lock (cluster-class locks are
 	// acquired holding nothing, so rep.mu never nests under sh.mu).
@@ -415,7 +416,7 @@ func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.Ha
 		rep := n.replicaEntry(id)
 		rep.mu.Lock()
 		if rep.de == nil {
-			rep.de, rep.log = rel, log
+			rep.de = rel
 		}
 		rep.mu.Unlock()
 	}
@@ -444,14 +445,14 @@ func (n *Node) buildServedGrant(id string, de *engine.DynEngine, o *wire.Handbac
 		// moved on underneath it. Only a rebuild discards it safely.
 		return snapshot()
 	}
-	if n.handbackDiverged(id, fence, o) {
+	log := de.Journal()
+	if handbackDiverged(log, fence, o) {
 		return snapshot()
 	}
 	if o.Cursor == fence {
 		return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence}, true
 	}
-	log, ok := n.srv.DynShardLog(id)
-	if !ok {
+	if log == nil {
 		return snapshot()
 	}
 	recs, err := log.RecordsAfter(o.Cursor)
@@ -486,8 +487,8 @@ func (n *Node) grantFromReplica(id string, o *wire.HandbackOffer) *wire.Handback
 	if fence <= o.Cursor {
 		return &wire.HandbackGrant{Mode: wire.GrantOwn, Fence: o.Cursor}
 	}
-	if rep.log != nil {
-		if recs, err := rep.log.RecordsAfter(o.Cursor); err == nil && len(recs) > 0 && recs[len(recs)-1].Epoch == fence {
+	if log := rep.de.Journal(); log != nil {
+		if recs, err := log.RecordsAfter(o.Cursor); err == nil && len(recs) > 0 && recs[len(recs)-1].Epoch == fence {
 			return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}
 		}
 	}
@@ -499,7 +500,7 @@ func (n *Node) grantFromReplica(id string, o *wire.HandbackOffer) *wire.Handback
 // shard's log over their epoch overlap (at or below the fence). A
 // mismatch — or an overlap the log can no longer produce — means the
 // histories forked below the fence and only a snapshot rebuild is safe.
-func (n *Node) handbackDiverged(id string, fence uint64, o *wire.HandbackOffer) bool {
+func handbackDiverged(log *persist.ShardLog, fence uint64, o *wire.HandbackOffer) bool {
 	if len(o.Recs) == 0 {
 		return false // nothing to compare; apply-time verification still guards
 	}
@@ -507,8 +508,7 @@ func (n *Node) handbackDiverged(id string, fence uint64, o *wire.HandbackOffer) 
 	if first == 0 || first > fence {
 		return first == 0
 	}
-	log, ok := n.srv.DynShardLog(id)
-	if !ok {
+	if log == nil {
 		return false
 	}
 	ours, err := log.RecordsAfter(first - 1)

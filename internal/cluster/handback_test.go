@@ -7,11 +7,15 @@ package cluster
 
 import (
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spatialtree/internal/persist"
 	"spatialtree/internal/server"
 	"spatialtree/internal/wire"
 )
@@ -36,7 +40,7 @@ func restartMember(t *testing.T, nodes []*testNode, tn *testNode, replicas int) 
 	if err != nil {
 		t.Fatalf("rebind %s: %v", tn.addr, err)
 	}
-	fresh := startMember(t, ln, addrs, idx, tn.dir, replicas, false)
+	fresh := startMemberStore(t, ln, addrs, idx, tn.dir, replicas, false, -1, tn.storeOpts)
 	nodes[idx] = fresh
 	return fresh
 }
@@ -131,6 +135,73 @@ func TestRejoinHandbackQuiescent(t *testing.T) {
 	}
 	if want := n0 + int(last.Epoch); last.N != want {
 		t.Fatalf("post-handback leaf count %d, want %d", last.N, want)
+	}
+}
+
+// TestSupersededCopyNeverResurrects: a handback granted as a snapshot
+// replaces the rejoiner's demoted server-store copy with a replica-store
+// copy, and no later restart brings a superseded copy back. Each node
+// drops a copy through the engine that holds it, so this holds only
+// while every durable copy a node keeps is attached to exactly one of
+// its engines.
+func TestSupersededCopyNeverResurrects(t *testing.T) {
+	const compactAfter = 4
+	nodes := startClusterStore(t, 3, 2, false, -1, persist.Options{CompactAfter: compactAfter})
+	res, err := nodes[0].node.DynCreate(chainParents(8), 0, "")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	id := res.ID
+	walk := ownerAndSuccessors(t, nodes[0], id)
+	owner, succ := byAddr(t, nodes, walk[0]), byAddr(t, nodes, walk[1])
+	var last server.MutateResult
+	for i := 0; i < 2; i++ {
+		last = mutateRetry(t, owner, id)
+	}
+	owner.kill()
+	// More than compactAfter records past the dead owner's cursor: the
+	// successor's WAL no longer reaches back to it, so the handback
+	// grant is a snapshot.
+	for i := 0; i < 2*compactAfter+1; i++ {
+		last = mutateRetry(t, succ, id)
+	}
+	// Every mutation inserted a leaf under the root.
+	parents := chainParents(8)
+	for len(parents) < res.N+int(last.Epoch) {
+		parents = append(parents, 0)
+	}
+
+	rejoined := restartMember(t, nodes, owner, 2)
+	waitHandback(t, rejoined, id)
+	onlyReplicaCopy := func(tn *testNode) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(tn.dir, "data", "dyn", id)); !os.IsNotExist(err) {
+			t.Fatalf("%s keeps the superseded server-store copy of %s (stat: %v)", tn.addr, id, err)
+		}
+		if _, err := os.Stat(filepath.Join(tn.dir, "replicas", "dyn", id)); err != nil {
+			t.Fatalf("%s has no replica-store copy of %s: %v", tn.addr, id, err)
+		}
+	}
+	onlyReplicaCopy(rejoined)
+
+	rejoined = restartMember(t, nodes, rejoined, 2)
+	succ = restartMember(t, nodes, succ, 2)
+	onlyReplicaCopy(rejoined)
+	// A query through the rejoiner promotes its one copy.
+	queryShard(t, rejoined, id, len(parents))
+	de, ok := rejoined.srv.DynShard(id)
+	if !ok {
+		t.Fatalf("rejoiner %s does not serve %s", rejoined.addr, id)
+	}
+	tr, err := de.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if de.Epoch() != last.Epoch || !reflect.DeepEqual(tr.Parents(), parents) {
+		t.Fatalf("rejoiner serves epoch %d with parents %v, want the fence epoch %d with %v", de.Epoch(), tr.Parents(), last.Epoch, parents)
+	}
+	if _, served := succ.srv.DynShard(id); served {
+		t.Fatalf("successor %s serves %s after restart", succ.addr, id)
 	}
 }
 

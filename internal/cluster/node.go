@@ -23,8 +23,10 @@ type Options struct {
 	// ReplicaDir, when non-empty, roots a persist.Store for the replicas
 	// this node follows for other owners — separate from the server's
 	// own store, so boot recovery never confuses a followed copy with an
-	// owned shard. Empty keeps replicas in memory only (they survive
-	// owner failover, not a restart of this node).
+	// owned shard. It opens with the server store's options (fsync,
+	// compaction threshold, segment size), only its Dir replaced. Empty
+	// keeps replicas in memory only (they survive owner failover, not a
+	// restart of this node).
 	ReplicaDir string
 	// DownFor is the liveness quarantine after a failed dial or call
 	// (0 means DefaultDownFor).
@@ -128,7 +130,9 @@ func New(srv *server.Server, opts Options) (*Node, error) {
 		}
 	}
 	if opts.ReplicaDir != "" {
-		st, err := persist.Open(persist.Options{Dir: opts.ReplicaDir})
+		ropts := srv.StoreOptions()
+		ropts.Dir = opts.ReplicaDir
+		st, err := persist.Open(ropts)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica store: %w", err)
 		}

@@ -3,10 +3,11 @@ package cluster
 // The follower half of replication: applying shipped snapshots and WAL
 // records for shards other nodes own, and recovering those replicas at
 // boot. A replica is a live DynEngine held outside the serving table —
-// it answers nothing until a failover promotes it (route.go) — plus,
-// when the node has a replica store, its own snapshot+WAL under
-// <ReplicaDir>/dyn/<id>, kept by the same journal discipline as an
-// owned shard's.
+// it answers nothing until a failover promotes it (route.go). When the
+// node has a replica store, the engine journals into its own
+// snapshot+WAL under <ReplicaDir>/dyn/<id>, and repairs and compacts it
+// exactly as an owned shard does. A copy is dropped through the engine
+// that holds it, in whichever store it lives.
 
 import (
 	"errors"
@@ -22,9 +23,8 @@ import (
 // promotion and against snapshot replacement; de == nil means the
 // replica was discarded (or promoted) and needs a snapshot resync.
 type replica struct {
-	mu  sync.Mutex //spatialvet:lockclass cluster
-	de  *engine.DynEngine
-	log *persist.ShardLog
+	mu sync.Mutex //spatialvet:lockclass cluster
+	de *engine.DynEngine
 }
 
 // cursor returns the replica's apply cursor: the epoch of the last
@@ -73,26 +73,24 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 	rep := n.replicaEntry(id)
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	// A replica demoted at boot (rejoin handback) journals into the
-	// server store; once the snapshot supersedes it, that copy is stale
-	// on both counts — drop it so a later restart cannot resurrect it.
-	// For ordinary followers the server store holds nothing and this is
-	// a no-op.
-	_ = n.srv.DropDynState(id)
-	var log *persist.ShardLog
-	if n.store != nil {
-		// Reset the durable copy to match: the old log (if any) is
-		// superseded by the snapshot being newer than anything in it.
-		if err := n.store.DropShard(id); err != nil {
+	// The snapshot supersedes the old copy, wherever it journals: the
+	// replica store, or the server store for a copy demoted at boot
+	// (rejoin handback). Dropping it keeps a later restart from
+	// resurrecting it.
+	if rep.de != nil {
+		if err := rep.de.Journal().Drop(); err != nil {
 			return 0, wire.AckRefused, err.Error()
 		}
-		log, err = n.store.CreateShardLog(id, snap)
+		rep.de = nil
+	}
+	if n.store != nil {
+		log, err := n.store.CreateShardLog(id, snap)
 		if err != nil {
 			return 0, wire.AckRefused, err.Error()
 		}
-		de.SetJournal(log.Append)
+		de.SetJournal(log)
 	}
-	rep.de, rep.log = de, log
+	rep.de = de
 	return snap.Epoch, wire.AckOK, ""
 }
 
@@ -101,8 +99,10 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 // are duplicates and skip (idempotent re-delivery); a record further
 // ahead than cursor+1 is a gap and asks the owner for a snapshot
 // resync; a record that applies with a different result than the owner
-// recorded means the copies diverged — the replica is discarded so the
-// owner rebuilds it from a snapshot.
+// recorded, or that the replica's WAL could not take, discards the
+// replica, so the owner rebuilds it from a snapshot. The engine repairs
+// and compacts its WAL as an owned shard does; a failed compaction is
+// retried on the next record.
 func (n *Node) ApplyRecords(id string, recs []persist.Record) (uint64, uint8, string) {
 	if _, served := n.srv.DynShard(id); served {
 		return 0, wire.AckRefused, "shard " + id + " is served here (conflicting ownership views)"
@@ -125,58 +125,36 @@ func (n *Node) ApplyRecords(id string, recs []persist.Record) (uint64, uint8, st
 		case errors.Is(err, engine.ErrReplicaGap):
 			return rep.de.Epoch(), wire.AckNeedSync, err.Error()
 		default:
-			n.discardReplicaLocked(id, rep)
+			discardReplicaLocked(rep)
 			return 0, wire.AckRefused, err.Error()
-		}
-	}
-	if rep.log != nil && rep.log.NeedsCompact() {
-		if err := rep.log.Compact(rep.de.State()); err != nil {
-			// The replica itself is intact; only its durable form is in
-			// question. Discarding forces a clean snapshot resync.
-			n.discardReplicaLocked(id, rep)
-			return 0, wire.AckRefused, "compact: " + err.Error()
 		}
 	}
 	return rep.de.Epoch(), wire.AckOK, ""
 }
 
 // discardReplicaLocked abandons a replica (caller holds rep.mu): the
-// engine and the durable copy are dropped — from the server store too,
-// for a copy demoted at boot by the rejoin path — and the next shipment
-// gets AckNeedSync, prompting the owner to rebuild from a snapshot.
-func (n *Node) discardReplicaLocked(id string, rep *replica) {
-	rep.de, rep.log = nil, nil
-	if n.store != nil {
-		_ = n.store.DropShard(id)
-	}
-	_ = n.srv.DropDynState(id)
+// engine is dropped together with its durable copy — from the server
+// store, for a copy demoted at boot by the rejoin path — and the next
+// shipment gets AckNeedSync, prompting the owner to rebuild from a
+// snapshot.
+func discardReplicaLocked(rep *replica) {
+	_ = rep.de.Journal().Drop() // a failed removal surfaces when the next snapshot recreates the copy
+	rep.de = nil
 }
 
 // recoverReplicas rebuilds the replica table from the replica store at
-// boot: snapshot restore, WAL replay through the same idempotent apply
-// the live path uses, then journal installation (after replay, so
-// replayed records are not re-journaled).
+// boot through engine.OpenDyn, the recovery path owned shards take.
 func (n *Node) recoverReplicas() error {
 	ids, err := n.store.ShardIDs()
 	if err != nil {
 		return fmt.Errorf("cluster: replica recovery: %w", err)
 	}
 	for _, id := range ids {
-		log, snap, recs, err := n.store.OpenShardLog(id)
+		de, _, err := engine.OpenDyn(n.store, id, n.srv.EngineOptions())
 		if err != nil {
 			return fmt.Errorf("cluster: replica %s: %w", id, err)
 		}
-		de, err := engine.RestoreDyn(snap, n.srv.EngineOptions())
-		if err != nil {
-			return fmt.Errorf("cluster: replica %s: %w", id, err)
-		}
-		for _, r := range recs {
-			if err := de.ApplyRecord(r); err != nil {
-				return fmt.Errorf("cluster: replica %s replay epoch %d: %w", id, r.Epoch, err)
-			}
-		}
-		de.SetJournal(log.Append)
-		n.reps[id] = &replica{de: de, log: log}
+		n.reps[id] = &replica{de: de}
 		n.bumpSeq(id)
 	}
 	return nil

@@ -237,11 +237,11 @@ func (n *Node) shipRecords(addr, id string, recs []persist.Record) error {
 // one shot, no retry: any failure (records compacted away, no local
 // log, still out of sync) falls back to the snapshot path.
 func (n *Node) shipTail(addr, id string, cursor uint64) error {
-	log, ok := n.srv.DynShardLog(id)
-	if !ok {
+	de, ok := n.srv.DynShard(id)
+	if !ok || de.Journal() == nil {
 		return fmt.Errorf("cluster: no local log for %s", id)
 	}
-	recs, err := log.RecordsAfter(cursor)
+	recs, err := de.Journal().RecordsAfter(cursor)
 	if err != nil || len(recs) == 0 {
 		if err == nil {
 			err = fmt.Errorf("cluster: no records after epoch %d for %s", cursor, id)
@@ -311,7 +311,7 @@ func (n *Node) ShardQuery(q *wire.Query) (res *wire.Result, err error) {
 
 // promote makes an owned-by-ring shard locally served: a no-op when it
 // already is, otherwise the failover step — the replica this node was
-// following is adopted into the serving table, journal and all, at
+// following is adopted into the serving table, its WAL with it, at
 // exactly its apply cursor. Requests for a shard this node neither
 // serves nor follows fail NotFound (the id may be stale, or the shard
 // lost more nodes than it had replicas).
@@ -330,13 +330,13 @@ func (n *Node) promote(id string) error {
 	if rep.de == nil {
 		return server.Errf(server.StatusNotFound, "unknown shard_id %s", id)
 	}
-	if err := n.srv.AdoptDynShard(id, rep.de, rep.log); err != nil {
+	if err := n.srv.AdoptDynShard(id, rep.de); err != nil {
 		if _, ok := n.srv.DynShard(id); ok {
 			return nil // lost a promotion race; the shard is served
 		}
 		return err
 	}
-	rep.de, rep.log = nil, nil // the engine and log live on in the serving table
+	rep.de = nil // the engine, its WAL with it, lives on in the serving table
 	n.mu.Lock()
 	delete(n.reps, id)
 	n.mu.Unlock()

@@ -530,8 +530,7 @@ func TestDynPromotedFollowerLCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []persist.Record
-	owner.SetJournal(func(rec persist.Record) error { recs = append(recs, rec); return nil })
+	ownerLog := journalTo(t, owner, persist.Options{})
 	follower, err := NewDyn(tr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -563,20 +562,18 @@ func TestDynPromotedFollowerLCA(t *testing.T) {
 		mutate(t, owner, r)
 		if step == 60 {
 			// Promotion: the follower catches up and starts serving.
-			for _, rec := range recs {
+			for _, rec := range recordsAfter(t, ownerLog, follower.Epoch()) {
 				if err := follower.ApplyRecord(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
-			recs = recs[:0]
 		}
 		if step >= 60 {
-			for _, rec := range recs {
+			for _, rec := range recordsAfter(t, ownerLog, follower.Epoch()) {
 				if err := follower.ApplyRecord(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
-			recs = recs[:0]
 			check(step, follower)
 		}
 	}

@@ -83,32 +83,55 @@ type DynEngine struct {
 	epoch     uint64
 	dirty     bool
 	refreshes uint64
-	journal   JournalFunc // durability hook; nil = no journaling
+	log       *persist.ShardLog // the shard's WAL; nil = not journaled
 }
 
-// JournalFunc persists one mutation record: the epoch the shard reached
-// by applying it (epochs advance by exactly one per record), the type
-// (persist.RecInsert or persist.RecDelete), its argument (the parent
-// for inserts, the leaf for deletes) and its result (the new vertex id
-// for inserts, the renumbered id for deletes — enough to re-apply the
-// record deterministically through ApplyRecord and verify it). It is
-// invoked while the engine holds its mutation lock, after the pending
-// batch has been drained through the Quiesce barrier and the mutation
-// has been applied — so records are strictly ordered against both each
-// other and batch dispatch, and a record is only ever written for a
-// mutation that actually happened. An error fails the mutation call that produced the
-// record; the in-memory mutation stands (the tree did change), but the
-// caller knows it is not durable.
-type JournalFunc func(persist.Record) error
-
-// SetJournal installs (or, with nil, removes) the durability hook.
-// Install it after constructing or restoring the engine and before
-// serving mutations; recovery installs it only after WAL replay, so
-// replayed records are not journaled twice.
-func (de *DynEngine) SetJournal(fn JournalFunc) {
+// SetJournal attaches (or, with nil, detaches) the shard's WAL. Every
+// applied mutation appends one record to it — the epoch the shard
+// reached by applying it (epochs advance by exactly one per record),
+// the type (persist.RecInsert or persist.RecDelete), its argument (the
+// parent for inserts, the leaf for deletes) and its result (the new
+// vertex id for inserts, the renumbered id for deletes — enough to
+// re-apply the record deterministically through ApplyRecord and verify
+// it). The append runs while the engine holds its mutation lock, after
+// the pending batch has been drained through the Quiesce barrier and
+// the mutation has been applied, so records are strictly ordered
+// against both each other and batch dispatch, and a record is only ever
+// written for a mutation that actually happened. A failed append fails
+// the mutation call that produced the record; the in-memory mutation
+// stands (the tree did change), but the caller knows it is not durable.
+//
+// The engine also keeps the log in step: it re-snapshots the shard after
+// a failed append (applyLocked), and folds the log into a snapshot once
+// it outgrows its compaction threshold (tendJournal). Attach the log
+// after constructing or restoring the engine and before serving
+// mutations; OpenDyn attaches it only after WAL replay, so replayed
+// records are not journaled twice. The log travels with the engine:
+// whoever holds the engine holds its durable copy, and drops that copy
+// through Journal().Drop().
+func (de *DynEngine) SetJournal(log *persist.ShardLog) {
 	de.mu.Lock()
-	de.journal = fn
+	de.log = log
 	de.mu.Unlock()
+}
+
+// Journal returns the shard's WAL, or nil when it is not journaled.
+func (de *DynEngine) Journal() *persist.ShardLog {
+	de.mu.Lock()
+	defer de.mu.Unlock()
+	return de.log
+}
+
+// tendJournal folds the shard's WAL into a snapshot once it has
+// outgrown its compaction threshold. It runs outside the mutation lock,
+// beside batches and other mutations: State is captured under the lock,
+// and Compact keeps every record newer than the snapshot it writes.
+// Best effort: a failed compaction leaves the longer log in place, and
+// the next mutation retries.
+func (de *DynEngine) tendJournal() {
+	if log := de.Journal(); log != nil && log.NeedsCompact() {
+		_ = log.Compact(de.State())
+	}
 }
 
 // SetProfile installs (or, with nil, removes) the per-batch profile
@@ -229,23 +252,7 @@ func (de *DynEngine) refreshLocked() error {
 // ErrInvalid, and the vertex id is returned alongside it, so the caller
 // can still reconcile its id mapping with the shard's.
 func (de *DynEngine) InsertLeaf(parent int) (int, error) {
-	de.mu.Lock()
-	defer de.mu.Unlock()
-	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	return de.mutateLocked(persist.RecInsert, parent)
-}
-
-// journalLocked invokes the durability hook, if any; de.mu must be held
-// (which is also what orders records against batch dispatch — the
-// caller drained the engine through Quiesce before mutating).
-func (de *DynEngine) journalLocked(rec persist.Record) error {
-	if de.journal == nil {
-		return nil
-	}
-	if err := de.journal(rec); err != nil {
-		return fmt.Errorf("engine: mutation applied but not journaled: %w", err)
-	}
-	return nil
+	return de.mutate(persist.RecInsert, parent)
 }
 
 // DeleteLeaf drains the pending batch and removes leaf v. As in
@@ -257,15 +264,17 @@ func (de *DynEngine) journalLocked(rec persist.Record) error {
 // returns moved with the error — losing the renumbering would silently
 // desynchronize the caller's id mapping.
 func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
+	return de.mutate(persist.RecDelete, v)
+}
+
+// mutate is InsertLeaf's and DeleteLeaf's shared body: a mutation that
+// did not apply is the caller's mistake. The WAL is tended once the
+// mutation lock is released.
+func (de *DynEngine) mutate(typ persist.RecordType, arg int) (int, error) {
+	defer de.tendJournal()
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	//spatialvet:ignore waitunderlock -- the mutation barrier IS the design: in-flight queries must drain before the layout mutates, and Quiesce never takes de.mu
-	return de.mutateLocked(persist.RecDelete, v)
-}
-
-// mutateLocked is InsertLeaf's and DeleteLeaf's shared body: a mutation
-// that did not apply is the caller's mistake.
-func (de *DynEngine) mutateLocked(typ persist.RecordType, arg int) (int, error) {
 	got, applied, err := de.applyLocked(typ, arg, nil)
 	if !applied && err != nil {
 		return 0, invalid(err)
@@ -282,7 +291,8 @@ func (de *DynEngine) mutateLocked(typ persist.RecordType, arg int) (int, error) 
 // keep presenting the pre-mutation tree as current — it advances the
 // epoch, marks the serving state dirty, folds the mutation into the LCA
 // overlay and journals it: a record is written exactly when the tree
-// changed, keeping the WAL's epochs consecutive. A replayed mutation
+// changed, keeping the WAL's epochs consecutive, and a failed append is
+// repaired with a snapshot before the error returns. A replayed mutation
 // (want non-nil) whose result is not the owner's *want is
 // ErrReplicaDiverged and is not journaled. de.mu must be held.
 func (de *DynEngine) applyLocked(typ persist.RecordType, arg int, want *int) (got int, applied bool, err error) {
@@ -312,8 +322,19 @@ func (de *DynEngine) applyLocked(typ persist.RecordType, arg int, want *int) (go
 	if want != nil && got != *want {
 		return got, true, fmt.Errorf("%w: type %d arg %d at epoch %d produced %d, owner recorded %d", ErrReplicaDiverged, typ, arg, de.epoch, got, *want)
 	}
-	if jerr := de.journalLocked(persist.Record{Type: typ, Epoch: de.epoch, Arg: arg, Result: got}); err == nil {
-		err = jerr
+	if de.log == nil {
+		return got, true, err
+	}
+	if jerr := de.log.Append(persist.Record{Type: typ, Epoch: de.epoch, Arg: arg, Result: got}); jerr != nil {
+		// The log is now behind the engine and can never catch up record
+		// by record (its replay contract is consecutive epochs), so a
+		// snapshot at the current state repairs it. Best effort: while
+		// the disk stays broken this fails too, and so does the next
+		// mutation's append, which retries the repair.
+		_ = de.log.Compact(de.stateLocked())
+		if err == nil {
+			err = fmt.Errorf("engine: mutation applied but not journaled: %w", jerr)
+		}
 	}
 	return got, true, err
 }
@@ -338,12 +359,22 @@ var ErrReplicaDiverged = errors.New("engine: replica diverged from owner")
 // ErrReplicaGap. Only RecInsert and RecDelete apply; a fence or an
 // unknown type is an error. The applied result is verified against
 // rec.Result; a mismatch is ErrReplicaDiverged. A successful apply
-// journals rec through the installed hook, so a replica's own WAL
-// tracks its cursor.
+// journals rec to the shard's WAL, so a replica's own WAL tracks its
+// cursor, and tends the WAL as a local mutation does; a replica that
+// diverged is not tended, so its state never reaches a snapshot.
 func (de *DynEngine) ApplyRecord(rec persist.Record) error {
 	if rec.Type != persist.RecInsert && rec.Type != persist.RecDelete {
 		return fmt.Errorf("engine: cannot apply record type %d", rec.Type)
 	}
+	err := de.applyRecord(rec)
+	if err == nil {
+		de.tendJournal()
+	}
+	return err
+}
+
+// applyRecord is ApplyRecord's body under the mutation lock.
+func (de *DynEngine) applyRecord(rec persist.Record) error {
 	de.mu.Lock()
 	defer de.mu.Unlock()
 	if rec.Epoch <= de.epoch {
@@ -482,6 +513,11 @@ func (de *DynEngine) Pending() int { return de.eng.Pending() }
 func (de *DynEngine) State() persist.DynSnapshot {
 	de.mu.Lock()
 	defer de.mu.Unlock()
+	return de.stateLocked()
+}
+
+// stateLocked is State's body; de.mu must be held.
+func (de *DynEngine) stateLocked() persist.DynSnapshot {
 	return persist.DynSnapshot{
 		Parents:       de.dyn.Parents(),
 		Curve:         de.eng.curve.Name(),
@@ -501,9 +537,8 @@ func (de *DynEngine) State() persist.DynSnapshot {
 // RestoreDyn rebuilds a mutable engine from a State() capture (directly
 // or decoded from a snapshot): the dynamic layout is reconstructed and
 // invariant-checked, counters and epoch are restored, and the serving
-// state is refreshed exactly as NewDyn would. WAL records newer than
-// st.Epoch are the caller's to re-apply through ApplyRecord before
-// installing a journal with SetJournal.
+// state is refreshed exactly as NewDyn would. OpenDyn is the recovery
+// path that also replays and attaches the shard's WAL.
 func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
 	c, err := sfc.ByName(cmp.Or(st.Curve, "hilbert"))
 	if err != nil {
@@ -520,6 +555,33 @@ func RestoreDyn(st persist.DynSnapshot, opts Options) (*DynEngine, error) {
 	d.MigrateEnergy = st.MigrateEnergy
 	opts.Curve = st.Curve // the snapshot's curve, not the caller's
 	return newDyn(d, st.Epoch, opts)
+}
+
+// OpenDyn recovers the journaled shard id from store — the one recovery
+// path for owned shards and replicas alike. It opens the shard's log
+// (the newest snapshot plus the WAL's surviving records), restores the
+// snapshot, replays the records through ApplyRecord, verifying each
+// one's epoch and result, and attaches the log, so mutations append
+// where it left off. A log already past its compaction threshold is
+// folded into a snapshot before OpenDyn returns (best effort, as after
+// a mutation). replayed counts the records re-applied.
+func OpenDyn(store *persist.Store, id string, opts Options) (de *DynEngine, replayed int, err error) {
+	log, snap, recs, err := store.OpenShardLog(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	if de, err = RestoreDyn(snap, opts); err != nil {
+		return nil, 0, err
+	}
+	for _, r := range recs {
+		if err := de.ApplyRecord(r); err != nil {
+			return nil, replayed, fmt.Errorf("replaying record at epoch %d: %w", r.Epoch, err)
+		}
+		replayed++
+	}
+	de.SetJournal(log)
+	de.tendJournal()
+	return de, replayed, nil
 }
 
 // Stats returns a snapshot of the engine's counters.

@@ -70,18 +70,22 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		de.SetJournal(log)
 		var journaled []persist.Record
-		de.SetJournal(func(rec persist.Record) error {
-			if err := log.Append(rec); err != nil {
-				return err
+		// readJournal collects the records appended since the last call;
+		// the engine's epochs start at 0, so they follow len(journaled).
+		readJournal := func() {
+			recs, err := log.RecordsAfter(uint64(len(journaled)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			journaled = append(journaled, rec)
-			return nil
-		})
+			journaled = append(journaled, recs...)
+		}
 
 		for m := 0; m < mutations; m++ {
 			randomMutation(t, de, r)
 			if m == mutations/2 && seed%2 == 0 {
+				readJournal()
 				if err := log.Compact(de.State()); err != nil {
 					t.Fatal(err)
 				}
@@ -98,6 +102,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			}
 		}
+		readJournal()
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ type Store struct {
 	lock *os.File // exclusive flock on Dir (nil on platforms without flock)
 
 	mu   sync.Mutex
-	logs map[string]*ShardLog
+	logs map[*ShardLog]struct{} // open logs, closed by Close
 }
 
 // Open creates or opens the store rooted at opts.Dir.
@@ -73,20 +73,24 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{opts: opts, lock: lock, logs: make(map[string]*ShardLog)}, nil
+	return &Store{opts: opts, lock: lock, logs: make(map[*ShardLog]struct{})}, nil
 }
 
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.opts.Dir }
 
+// Options returns the options the store was opened with, defaults
+// resolved.
+func (s *Store) Options() Options { return s.opts }
+
 // Close closes every open shard log, syncing their current segments.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	logs := make([]*ShardLog, 0, len(s.logs))
-	for _, l := range s.logs {
+	for l := range s.logs {
 		logs = append(logs, l)
 	}
-	s.logs = make(map[string]*ShardLog)
+	s.logs = make(map[*ShardLog]struct{})
 	s.mu.Unlock()
 	var first error
 	for _, l := range logs {
@@ -189,19 +193,12 @@ func (s *Store) CreateShardLog(id string, snap DynSnapshot) (*ShardLog, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	l := &ShardLog{
-		dir:          dir,
-		fsync:        s.opts.Fsync,
-		segmentBytes: s.opts.SegmentBytes,
-		compactAfter: s.opts.CompactAfter,
-		snapEpoch:    snap.Epoch,
-		lastEpoch:    snap.Epoch,
-	}
+	l := s.newLog(dir, snap.Epoch)
 	if err := l.openSegmentLocked(1); err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	s.track(id, l)
+	s.track(l)
 	return l, nil
 }
 
@@ -216,47 +213,32 @@ func (s *Store) OpenShardLog(id string) (*ShardLog, DynSnapshot, []Record, error
 	if err != nil {
 		return nil, DynSnapshot{}, nil, err
 	}
-	l := &ShardLog{
-		dir:          dir,
-		fsync:        s.opts.Fsync,
-		segmentBytes: s.opts.SegmentBytes,
-		compactAfter: s.opts.CompactAfter,
-		snapEpoch:    snap.Epoch,
-		lastEpoch:    snap.Epoch,
-	}
+	l := s.newLog(dir, snap.Epoch)
 	recs, err := l.recoverSegments()
 	if err != nil {
 		return nil, DynSnapshot{}, nil, err
 	}
-	s.track(id, l)
+	s.track(l)
 	return l, snap, recs, nil
 }
 
-func (s *Store) track(id string, l *ShardLog) {
-	s.mu.Lock()
-	s.logs[id] = l
-	s.mu.Unlock()
+// newLog is the unopened log of the shard in dir, its snapshot at epoch.
+func (s *Store) newLog(dir string, epoch uint64) *ShardLog {
+	return &ShardLog{
+		store:        s,
+		dir:          dir,
+		fsync:        s.opts.Fsync,
+		segmentBytes: s.opts.SegmentBytes,
+		compactAfter: s.opts.CompactAfter,
+		snapEpoch:    epoch,
+		lastEpoch:    epoch,
+	}
 }
 
-// DropShard removes a shard's durable state entirely, closing its open
-// log first if the store is tracking one. The replication tier resets a
-// diverged or superseded replica with it before re-creating the shard
-// from a fresh snapshot; dropping an unknown id is a no-op.
-func (s *Store) DropShard(id string) error {
-	if err := checkID(id); err != nil {
-		return err
-	}
+func (s *Store) track(l *ShardLog) {
 	s.mu.Lock()
-	l := s.logs[id]
-	delete(s.logs, id)
+	s.logs[l] = struct{}{}
 	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	if err := os.RemoveAll(filepath.Join(s.opts.Dir, "dyn", id)); err != nil {
-		return fmt.Errorf("persist: drop shard %s: %w", id, err)
-	}
-	return nil
 }
 
 // ShardLog is one mutable shard's durability state: the append-side of
@@ -266,6 +248,7 @@ func (s *Store) DropShard(id string) error {
 // order).
 type ShardLog struct {
 	mu           sync.Mutex
+	store        *Store
 	dir          string
 	fsync        bool
 	segmentBytes int64
@@ -280,6 +263,7 @@ type ShardLog struct {
 	closed    []closedSegment
 	scratch   []byte
 
+	appends     uint64
 	compactions uint64
 }
 
@@ -321,6 +305,7 @@ func (l *ShardLog) Append(r Record) error {
 		}
 	}
 	l.lastEpoch = r.Epoch
+	l.appends++
 	return nil
 }
 
@@ -357,6 +342,13 @@ func (l *ShardLog) NeedsCompact() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastEpoch >= l.snapEpoch && l.lastEpoch-l.snapEpoch >= uint64(l.compactAfter)
+}
+
+// Appends returns how many records Append journaled through this log.
+func (l *ShardLog) Appends() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appends
 }
 
 // Compactions returns how many times Compact succeeded.
@@ -478,19 +470,6 @@ func (l *ShardLog) RecordsAfter(epoch uint64) ([]Record, error) {
 	return out, nil
 }
 
-// Sync flushes the current segment to stable storage.
-func (l *ShardLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return nil
-}
-
 // Close syncs and closes the current segment; the log is unusable
 // afterwards.
 func (l *ShardLog) Close() error {
@@ -506,6 +485,24 @@ func (l *ShardLog) Close() error {
 	l.f = nil
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
+}
+
+// Drop closes the log and deletes the shard's durable state: its
+// snapshots and every WAL segment. The holder of the shard's engine
+// drops a superseded or discarded copy with it, in whichever store the
+// copy lives. Dropping a nil log is a no-op.
+func (l *ShardLog) Drop() error {
+	if l == nil {
+		return nil
+	}
+	_ = l.Close() // the files are removed next; a failed final sync loses nothing
+	l.store.mu.Lock()
+	delete(l.store.logs, l)
+	l.store.mu.Unlock()
+	if err := os.RemoveAll(l.dir); err != nil {
+		return fmt.Errorf("persist: drop shard %s: %w", filepath.Base(l.dir), err)
 	}
 	return nil
 }

@@ -330,6 +330,35 @@ func TestCreateShardLogRefusesExisting(t *testing.T) {
 	}
 }
 
+// TestShardLogDrop: dropping a log closes it and deletes the shard's
+// durable state, so the store lists no such shard and the id can be
+// created afresh; dropping a nil log is a no-op.
+func TestShardLogDrop(t *testing.T) {
+	s := testStore(t, Options{})
+	l, err := s.CreateShardLog("d1", sampleDyn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(mutationRecords(sampleDyn().Epoch, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := s.ShardIDs(); err != nil || len(ids) != 0 {
+		t.Fatalf("ShardIDs after Drop = %v, %v; want none", ids, err)
+	}
+	if err := l.Append(mutationRecords(sampleDyn().Epoch+1, 1)[0]); err == nil {
+		t.Fatal("a dropped log took an append")
+	}
+	if _, err := s.CreateShardLog("d1", sampleDyn()); err != nil {
+		t.Fatalf("CreateShardLog after Drop: %v", err)
+	}
+	if err := (*ShardLog)(nil).Drop(); err != nil {
+		t.Fatalf("nil Drop = %v", err)
+	}
+}
+
 // TestCompactResyncsAfterLostAppend pins the journal repair path: after
 // a failed append the engine's epoch runs ahead of the log, the gap can
 // never be filled, and a Compact at the engine's current state must

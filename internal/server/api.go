@@ -265,7 +265,8 @@ type DynStatusResponse struct {
 // server was configured with a Store.
 type PersistMetrics struct {
 	Enabled bool `json:"enabled"`
-	// JournalRecords counts WAL records appended by this process.
+	// JournalRecords counts the WAL records the served dyn shards' logs
+	// appended in this process.
 	JournalRecords uint64 `json:"journal_records"`
 	// WALRecords counts records currently past their shards' snapshots
 	// (replayed on the next restart).

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialtree/internal/engine"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/rng"
 	"spatialtree/internal/tree"
@@ -99,7 +100,7 @@ func TestBackendSwitchBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget full: switching t1 to sim and back retains nothing.
-	if _, err := s.RegisterTreeBackend(t1, "sim"); err != nil {
+	if _, err := s.registerTree(t1, engine.Fingerprint(t1), true, "sim"); err != nil {
 		t.Fatalf("backend switch at a full budget refused: %v", err)
 	}
 	if got := s.Metrics().Backends.Shards; got["sim"] != 1 || got["native"] != 1 {
@@ -173,7 +174,7 @@ func TestBackendSwitchUnderLoad(t *testing.T) {
 			if k%2 == 0 {
 				backend = "native"
 			}
-			if _, err := s.RegisterTreeBackend(tr, backend); err != nil {
+			if _, err := s.registerTree(tr, engine.Fingerprint(tr), true, backend); err != nil {
 				errs <- err
 				return
 			}

@@ -142,18 +142,14 @@ func (s *Server) DynMutate(id string, op uint8, arg int) (MutateResult, error) {
 		// A mutation that did not apply is the request's fault
 		// (engine.ErrInvalid). Any other error means it applied but the
 		// layout's post-mutation rebuild failed — or its journal append
-		// did — server-side degradation, not a bad request. A journal
-		// failure leaves the log behind the engine; repairJournal
-		// re-snapshots to close the gap so one transient disk error
-		// cannot wedge durability for the rest of the process.
+		// did, which the shard repaired with a snapshot — server-side
+		// degradation, not a bad request.
 		if errors.Is(err, engine.ErrInvalid) {
 			return MutateResult{}, statusErr(StatusBadRequest, err)
 		}
-		s.repairJournal(id, de)
 		return MutateResult{}, statusErr(StatusInternal, err)
 	}
 	res.Epoch, res.N = de.Epoch(), de.N()
-	s.maybeCompact(id, de)
 	return res, nil
 }
 
@@ -223,16 +219,6 @@ func (s *Server) DynShard(id string) (*engine.DynEngine, bool) {
 	return de, de != nil
 }
 
-// DynShardLog returns the WAL behind a locally served dyn shard, if
-// durability is enabled. The cluster tier ships its records to resync a
-// lagging follower.
-func (s *Server) DynShardLog(id string) (*persist.ShardLog, bool) {
-	s.mu.Lock()
-	l := s.logs[id]
-	s.mu.Unlock()
-	return l, l != nil
-}
-
 // DynShardIDs lists the locally served dyn shard ids.
 func (s *Server) DynShardIDs() []string {
 	s.mu.Lock()
@@ -246,66 +232,33 @@ func (s *Server) DynShardIDs() []string {
 
 // AdoptDynShard installs an already-built dyn engine into the serving
 // table — the cluster tier's failover step: a successor promotes the
-// replica it was following into a served shard. A non-nil log becomes
-// the shard's journal (mutations applied after adoption append to it),
-// so the promoted shard keeps the durability it had as a replica.
+// replica it was following into a served shard. The engine keeps its
+// WAL, so the promoted shard keeps the durability it had as a replica.
 // Adoption is idempotent-by-refusal: it fails if id is already served,
 // which a racing double-promotion would otherwise corrupt.
-func (s *Server) AdoptDynShard(id string, de *engine.DynEngine, log *persist.ShardLog) error {
-	if log != nil {
-		de.SetJournal(s.journalFunc(log))
-	}
+func (s *Server) AdoptDynShard(id string, de *engine.DynEngine) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, dup := s.dyns[id]; dup {
-		s.mu.Unlock()
 		return fmt.Errorf("server: shard %s already served", id)
 	}
 	s.dyns[id] = de
-	if log != nil {
-		s.logs[id] = log
-	}
-	s.mu.Unlock()
 	return nil
 }
 
 // ReleaseDynShard removes a served dyn shard from the serving table and
-// returns its engine and journal log — the inverse of AdoptDynShard,
-// used by the cluster tier's ownership handback: a shard granted back
-// to its rejoined ring owner demotes into a followed replica here. The
-// id stops resolving locally the moment this returns; the engine keeps
-// whatever journal it had, so mutations applied through the replica
-// path retain the same durability.
-func (s *Server) ReleaseDynShard(id string) (*engine.DynEngine, *persist.ShardLog, bool) {
+// returns its engine — the inverse of AdoptDynShard, used by the
+// cluster tier's ownership handback: a shard granted back to its
+// rejoined ring owner demotes into a followed replica here. The id
+// stops resolving locally the moment this returns; the engine keeps its
+// WAL, so mutations applied through the replica path retain the same
+// durability.
+func (s *Server) ReleaseDynShard(id string) (*engine.DynEngine, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	de := s.dyns[id]
-	if de == nil {
-		s.mu.Unlock()
-		return nil, nil, false
-	}
 	delete(s.dyns, id)
-	log := s.logs[id]
-	delete(s.logs, id)
-	s.mu.Unlock()
-	return de, log, true
-}
-
-// DropDynState deletes the server store's durable copy of a dyn shard
-// that is not currently served. The cluster tier calls it when a
-// shard's authoritative durable copy moves to the replica store during
-// handback, so a later boot cannot resurrect the stale server-store
-// copy as an owned shard. Serving shards are refused; without a store,
-// or for ids the store does not know, it is a no-op.
-func (s *Server) DropDynState(id string) error {
-	s.mu.Lock()
-	_, served := s.dyns[id]
-	s.mu.Unlock()
-	if served {
-		return fmt.Errorf("server: shard %s is served; refusing to drop its durable state", id)
-	}
-	if s.cfg.Durability.Store == nil {
-		return nil
-	}
-	return s.cfg.Durability.Store.DropShard(id)
+	return de, de != nil
 }
 
 // EngineOptions returns the serving pool's resolved engine options. Dyn
@@ -314,6 +267,17 @@ func (s *Server) DropDynState(id string) error {
 // a locally created shard — same shared cache, backend, autoflush
 // tuning.
 func (s *Server) EngineOptions() engine.Options { return s.pool.Options() }
+
+// StoreOptions returns the resolved options of the server's store, or
+// the zero Options without one. The cluster tier opens its replica
+// store with them, so replicas journal under the daemon's -fsync and
+// -compact-after.
+func (s *Server) StoreOptions() persist.Options {
+	if s.cfg.Durability.Store == nil {
+		return persist.Options{}
+	}
+	return s.cfg.Durability.Store.Options()
+}
 
 // SnapshotDyn captures a locally served dyn shard as a persist-encoded
 // snapshot blob plus the epoch it is consistent with — the payload of a

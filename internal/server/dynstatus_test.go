@@ -159,9 +159,9 @@ func TestDynRecoverKeepsLayoutConfig(t *testing.T) {
 
 // TestDynShardHandoffSurface pins the server surface the cluster tier
 // moves shards through: DynShardIDs/DynShard/SnapshotDyn see a served
-// shard, ReleaseDynShard removes it with its WAL, and AdoptDynShard
-// serves it elsewhere, journaling into the handed-over log, and refuses
-// a second adoption.
+// shard, ReleaseDynShard removes it, its WAL travelling with the
+// engine, and AdoptDynShard serves it elsewhere, journaling into that
+// log, and refuses a second adoption.
 func TestDynShardHandoffSurface(t *testing.T) {
 	cfg := Config{Scheduler: Scheduler{MaxDelay: time.Millisecond}, Backend: "sim"}
 	durable := cfg
@@ -181,14 +181,15 @@ func TestDynShardHandoffSurface(t *testing.T) {
 		t.Fatalf("SnapshotDyn = %d bytes, epoch %d, err %v", len(blob), epoch, err)
 	}
 
-	de, log, ok := s1.ReleaseDynShard(created.ID)
-	if !ok || de == nil || log == nil {
-		t.Fatalf("ReleaseDynShard = %v, %v, %v; want the engine and its WAL", de, log, ok)
+	de, ok := s1.ReleaseDynShard(created.ID)
+	if !ok || de == nil || de.Journal() == nil {
+		t.Fatalf("ReleaseDynShard = %v, %v; want the engine and its WAL", de, ok)
 	}
+	log := de.Journal()
 	if _, ok := s1.DynShard(created.ID); ok || len(s1.DynShardIDs()) != 0 {
 		t.Fatal("released shard still served")
 	}
-	if _, _, ok := s1.ReleaseDynShard(created.ID); ok {
+	if _, ok := s1.ReleaseDynShard(created.ID); ok {
 		t.Fatal("second release found the shard")
 	}
 
@@ -196,13 +197,13 @@ func TestDynShardHandoffSurface(t *testing.T) {
 	if opts := s2.EngineOptions(); opts.Backend != "sim" {
 		t.Fatalf("EngineOptions backend = %q, want the configured sim", opts.Backend)
 	}
-	if err := s2.AdoptDynShard(created.ID, de, log); err != nil {
+	if err := s2.AdoptDynShard(created.ID, de); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.AdoptDynShard(created.ID, de, nil); err == nil {
+	if err := s2.AdoptDynShard(created.ID, de); err == nil {
 		t.Fatal("double adoption not refused")
 	}
-	if l, ok := s2.DynShardLog(created.ID); !ok || l != log {
+	if served, ok := s2.DynShard(created.ID); !ok || served.Journal() != log {
 		t.Fatal("adopted shard lost its WAL")
 	}
 	res, err := s2.DynMutate(created.ID, wire.OpInsert, 0)

@@ -6,10 +6,11 @@ package server
 // rebuilds all of it on boot. A registered tree's only state is its
 // structure: recovery re-registers it exactly as a fresh registration
 // would, so a sim shard builds its placement on first sight and a
-// native one builds none. Dyn shards replay their WAL's surviving
-// records through DynEngine.ApplyRecord — the path followers apply
-// shipped records through — verifying each record's epoch and result
-// against the log.
+// native one builds none. Dyn shards recover through engine.OpenDyn,
+// which replays their WAL's surviving records through
+// DynEngine.ApplyRecord — the path followers apply shipped records
+// through — verifying each record's epoch and result against the log.
+// From then on each shard journals, repairs and compacts its own WAL.
 
 import (
 	"fmt"
@@ -32,13 +33,12 @@ type RecoveryStats struct {
 }
 
 // Recover rebuilds the server's shard table from Config.Store: every
-// persisted tree is re-registered on the server's default backend,
-// every dyn shard is restored from its snapshot and its WAL's surviving
-// records are replayed, and journaling is re-armed so new mutations
-// append where the log left off. Call it once, after New and before
-// serving; with no Store configured it is a no-op. Recovery does not
-// count against MaxShards — the persisted state was admitted when it
-// was created.
+// persisted tree is re-registered on the server's default backend, and
+// every dyn shard is recovered by engine.OpenDyn (snapshot restore, WAL
+// replay, journal re-armed so new mutations append where the log left
+// off). Call it once, after New and before serving; with no Store
+// configured it is a no-op. Recovery does not count against MaxShards —
+// the persisted state was admitted when it was created.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	if s.cfg.Durability.Store == nil {
@@ -59,10 +59,16 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		return rs, err
 	}
 	for _, id := range ids {
-		replayed, err := s.recoverDynShard(id)
+		de, replayed, err := engine.OpenDyn(s.cfg.Durability.Store, id, s.pool.Options())
 		if err != nil {
 			return rs, fmt.Errorf("server: recovering shard %s: %w", id, err)
 		}
+		s.mu.Lock()
+		s.dyns[id] = de
+		if k, ok := dynSeq(id); ok && k > s.nextDyn {
+			s.nextDyn = k
+		}
+		s.mu.Unlock()
 		rs.DynShards++
 		rs.Records += replayed
 	}
@@ -88,55 +94,8 @@ func (s *Server) recoverTree(st persist.SavedTree) error {
 	return err
 }
 
-// recoverDynShard restores one mutable shard: snapshot, WAL replay with
-// per-record verification, journal re-arming, and a catch-up compaction
-// when the surviving log already exceeds the threshold.
-func (s *Server) recoverDynShard(id string) (replayed int, err error) {
-	log, snap, recs, err := s.cfg.Durability.Store.OpenShardLog(id)
-	if err != nil {
-		return 0, err
-	}
-	de, err := engine.RestoreDyn(snap, s.pool.Options())
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range recs {
-		if err := de.ApplyRecord(r); err != nil {
-			return replayed, fmt.Errorf("replaying record at epoch %d: %w", r.Epoch, err)
-		}
-		replayed++
-	}
-	de.SetJournal(s.journalFunc(log))
-	s.mu.Lock()
-	s.dyns[id] = de
-	s.logs[id] = log
-	if k, ok := dynSeq(id); ok && k > s.nextDyn {
-		s.nextDyn = k
-	}
-	s.mu.Unlock()
-	if log.NeedsCompact() {
-		// Catch-up compaction is an optimization, exactly like the
-		// runtime one in maybeCompact: a shard that recovered cleanly
-		// must not fail the whole boot because folding its long-but-
-		// valid log into a snapshot did not succeed.
-		_ = log.Compact(de.State())
-	}
-	return replayed, nil
-}
-
-// journalFunc adapts a shard log into the engine's durability hook.
-func (s *Server) journalFunc(log *persist.ShardLog) engine.JournalFunc {
-	return func(rec persist.Record) error {
-		if err := log.Append(rec); err != nil {
-			return err
-		}
-		s.journaled.Add(1)
-		return nil
-	}
-}
-
 // persistDynCreate initializes durability for a freshly created shard
-// and arms its journal; called from DynCreateLocal after the id is
+// and attaches its WAL; called from DynCreateLocal after the id is
 // assigned. On failure the create fails and the shard is dropped
 // unserved.
 func (s *Server) persistDynCreate(id string, de *engine.DynEngine) error {
@@ -147,45 +106,8 @@ func (s *Server) persistDynCreate(id string, de *engine.DynEngine) error {
 	if err != nil {
 		return err
 	}
-	de.SetJournal(s.journalFunc(log))
-	s.mu.Lock()
-	s.logs[id] = log
-	s.mu.Unlock()
+	de.SetJournal(log)
 	return nil
-}
-
-// maybeCompact folds a shard's WAL into a fresh snapshot once it
-// outgrows the threshold. Best-effort: a failed compaction leaves the
-// longer log in place, and the next mutation retries.
-func (s *Server) maybeCompact(id string, de *engine.DynEngine) {
-	s.mu.Lock()
-	log := s.logs[id]
-	s.mu.Unlock()
-	if log == nil || !log.NeedsCompact() {
-		return
-	}
-	_ = log.Compact(de.State())
-}
-
-// repairJournal restores a shard's durability after a failed append:
-// the engine's epoch has run ahead of the log (the mutation applied in
-// memory but its record was lost), the WAL's consecutive-epoch contract
-// means the gap can never be filled, so the only way back is a fresh
-// snapshot at the engine's current state — after which appends resume.
-// Best-effort: while the disk stays broken this fails too, mutations
-// keep returning 500, and every failure retries the repair.
-func (s *Server) repairJournal(id string, de *engine.DynEngine) {
-	s.mu.Lock()
-	log := s.logs[id]
-	s.mu.Unlock()
-	if log == nil {
-		return
-	}
-	st := de.State()
-	if log.LastEpoch() >= st.Epoch {
-		return // log is not behind; nothing to repair
-	}
-	_ = log.Compact(st)
 }
 
 // persistTree saves a registered tree's parent array, its only durable

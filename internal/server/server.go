@@ -55,7 +55,6 @@ import (
 	"spatialtree/internal/exprtree"
 	"spatialtree/internal/lca"
 	"spatialtree/internal/mincut"
-	"spatialtree/internal/persist"
 	"spatialtree/internal/tree"
 	"spatialtree/internal/treefix"
 	"spatialtree/internal/wire"
@@ -86,9 +85,6 @@ type Server struct {
 	inflight  int
 	drainDone chan struct{} // non-nil while a Drain waits; closed at inflight 0
 
-	// journaled counts WAL records appended across all dyn shards.
-	journaled atomic.Uint64
-
 	// cluster holds the installed ClusterHooks (see cluster_hooks.go);
 	// nil means single-node serving.
 	cluster atomic.Pointer[ClusterHooks]
@@ -106,7 +102,6 @@ type Server struct {
 	mu        sync.Mutex                   //spatialvet:lockclass routing
 	trees     map[string]*engine.Engine    // registered tree id -> the pool shard serving it
 	dyns      map[string]*engine.DynEngine // the dyn shards this node serves
-	logs      map[string]*persist.ShardLog // per-dyn-shard WALs (nil Store: empty)
 	adhoc     map[uint64]struct{}          // fingerprints of pool shards auto-created for ad-hoc query trees
 	nextDyn   int
 	recovered RecoveryStats
@@ -130,7 +125,6 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.Limits.QueueLimit),
 		trees: make(map[string]*engine.Engine),
 		dyns:  make(map[string]*engine.DynEngine),
-		logs:  make(map[string]*persist.ShardLog),
 		adhoc: make(map[uint64]struct{}),
 
 		wireConns:     make(map[net.Conn]struct{}),
@@ -302,22 +296,17 @@ func (s *Server) RegisterTree(t *tree.Tree) (string, error) {
 	return s.registerTree(t, engine.Fingerprint(t), true, "")
 }
 
-// RegisterTreeBackend is RegisterTree with an explicit execution
-// backend ("" means the server default). Re-registering an existing
-// tree with a different backend switches its one shard to that backend
-// in place: the shard keeps its counters and its batch window, batches
-// already dispatched finish on the old backend, and no budget is spent
-// (only a sim shard holds a placement, from the shared layout cache).
-func (s *Server) RegisterTreeBackend(t *tree.Tree, backend string) (string, error) {
-	return s.registerTree(t, engine.Fingerprint(t), true, backend)
-}
-
 // registerTree is RegisterTree for a tree whose fingerprint fp the
 // caller already holds, with the persistence side controllable: Recover
 // re-registers trees that are already on disk (and were admitted when
 // first registered, so the budget does not re-apply). A different tree
 // holding fp's shard fails the registration with StatusInternal, and
-// nothing is retained.
+// nothing is retained. backend "" means the server default.
+// Re-registering an existing tree with a different backend switches its
+// one shard to that backend in place: the shard keeps its counters and
+// its batch window, batches already dispatched finish on the old
+// backend, and no budget is spent (only a sim shard holds a placement,
+// from the shared layout cache).
 //
 //spatialvet:errclass
 func (s *Server) registerTree(t *tree.Tree, fp uint64, save bool, backend string) (string, error) {
@@ -779,10 +768,6 @@ func (s *Server) Metrics() MetricsResponse {
 	dynList := s.dynList()
 	s.mu.Lock()
 	trees := len(s.trees)
-	logList := make([]*persist.ShardLog, 0, len(s.logs))
-	for _, l := range s.logs {
-		logList = append(logList, l)
-	}
 	recovered := s.recovered
 	backendShards := map[string]int{}
 	for _, eng := range s.trees {
@@ -795,14 +780,16 @@ func (s *Server) Metrics() MetricsResponse {
 	if s.cfg.Durability.Store != nil {
 		pm = &PersistMetrics{
 			Enabled:         true,
-			JournalRecords:  s.journaled.Load(),
 			RecoveredTrees:  recovered.Trees,
 			RecoveredShards: recovered.DynShards,
 			ReplayedRecords: recovered.Records,
 		}
-		for _, l := range logList {
-			pm.Compactions += l.Compactions()
-			pm.WALRecords += l.RecordsSinceSnapshot()
+		for _, de := range dynList {
+			if l := de.Journal(); l != nil {
+				pm.JournalRecords += l.Appends()
+				pm.Compactions += l.Compactions()
+				pm.WALRecords += l.RecordsSinceSnapshot()
+			}
 		}
 	}
 	// Each dyn shard's engine counters fold into the serving totals

@@ -72,12 +72,6 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 	return NewClientOptions(conn, opts), nil
 }
 
-// NewClient wraps an established connection with default options. The
-// client owns conn and closes it on Close or on any protocol error.
-func NewClient(conn net.Conn) *Client {
-	return NewClientOptions(conn, DialOptions{})
-}
-
 // NewClientOptions wraps an established connection. The client owns
 // conn and closes it on Close or on any protocol error.
 func NewClientOptions(conn net.Conn, opts DialOptions) *Client {

@@ -35,7 +35,7 @@
 //
 // The hot path is allocation-free where lifetimes allow it: Reader owns
 // a single growable frame buffer reused across frames, encoders append
-// into caller-supplied buffers (GetBuf/PutBuf lends pooled ones), and
+// into caller-supplied buffers, and
 // Query.Decode reuses the Query's own slices across frames. Results
 // decoded by the client are fresh allocations — they outlive the
 // connection's read loop by design.
@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"spatialtree/internal/binfmt"
 )
@@ -294,21 +293,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("wire: %s: %s", e.Status, e.Msg)
 }
-
-// bufPool lends encode buffers so the hot path never allocates for
-// framing. Buffers grow to their workload's high-water mark and are
-// reused at that size.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// GetBuf borrows a pooled encode buffer (length 0).
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-// PutBuf returns a buffer borrowed with GetBuf.
-func PutBuf(b *[]byte) { bufPool.Put(b) }
 
 // AppendPing appends a ping frame to dst.
 func AppendPing(dst []byte) []byte { return format.Append(dst, FramePing, nil) }

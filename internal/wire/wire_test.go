@@ -433,7 +433,7 @@ func TestClientRejectsWrongReplyKind(t *testing.T) {
 			}
 		}
 	}()
-	c := NewClient(cc)
+	c := NewClientOptions(cc, DialOptions{})
 	defer c.Close()
 	q := Query{Kind: KindTreefix, TreeID: "t", Op: "add", Vals: []int64{1}}
 	if _, err := c.Do(&q); !errors.Is(err, ErrCorrupt) {
@@ -442,18 +442,4 @@ func TestClientRejectsWrongReplyKind(t *testing.T) {
 	if _, err := c.Do(&q); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Do after a wrong-kind reply = %v, want the connection's ErrCorrupt", err)
 	}
-}
-
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	*b = AppendPing(*b)
-	if len(*b) != HeaderLen {
-		t.Fatalf("ping frame length %d", len(*b))
-	}
-	PutBuf(b)
-	b2 := GetBuf()
-	if len(*b2) != 0 {
-		t.Fatal("pooled buffer not reset")
-	}
-	PutBuf(b2)
 }
