@@ -11,7 +11,7 @@ package analysis
 // need under the routing lock, release it, then touch shards.
 //
 // Cluster-class locks (the PR 8 replication pipeline locks —
-// cluster.ownedShard.mu, cluster.replica.mu) are the opposite extreme:
+// cluster.shard.pipe, cluster.shard.mu) are the opposite extreme:
 // they are sanctioned to block on network and disk, which is exactly
 // why nothing may be held when one is taken. A goroutine that holds
 // any other lock and then waits for a cluster lock is transitively

@@ -19,7 +19,9 @@ package cluster
 //     in flight — the Quiesce barrier), stamps the fence epoch, diffs
 //     the offered history against its own log, releases the shard from
 //     serving, and answers with whatever brings the rejoiner to the
-//     fence: a record tail, a full snapshot, or nothing. From that
+//     fence (catchUp): a record tail, a full snapshot, or nothing. A
+//     follower whose replica is at or ahead of the claim answers from
+//     it the same way when no node serves the shard. From that
 //     instant the successor refuses to apply mutations for the shard
 //     (ownerMutate re-checks the serving table under the lock); its
 //     demoted copy lives on as the shard's ring-follower replica, so
@@ -90,15 +92,19 @@ func (hb *handback) setSuccessor(addr string) {
 func (n *Node) handbackFor(id string) *handback {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.pending[id]
+	if sh := n.shards[id]; sh != nil {
+		return sh.hb
+	}
+	return nil
 }
 
 // detectRejoins finds served shards whose ring owner is this node —
 // after a restart that is exactly the set a successor may have taken
-// over — and moves each from serving into a pending handback. Runs at
-// New, single-threaded, before the node is installed as the server's
-// cluster hooks.
-func (n *Node) detectRejoins() {
+// over — and moves each from serving into a pending handback, reporting
+// whether it found any. Runs at New, single-threaded, before the node is
+// installed as the server's cluster hooks.
+func (n *Node) detectRejoins() bool {
+	pending := false
 	for _, id := range n.srv.DynShardIDs() {
 		key, ok := shardKey(id)
 		if !ok {
@@ -111,24 +117,25 @@ func (n *Node) detectRejoins() {
 		if !ok {
 			continue
 		}
-		rep := n.replicaEntry(id)
-		rep.mu.Lock()
-		if rep.de != nil && rep.de.Epoch() >= de.Epoch() {
+		sh := n.shard(id, true)
+		sh.mu.Lock()
+		if sh.rep != nil && sh.rep.Epoch() >= de.Epoch() {
 			// The replica store also holds this shard — an earlier run of
 			// this node followed it — and is at least as far along: keep
 			// that copy and drop the stale server-store one.
 			_ = de.Journal().Drop()
 		} else {
-			if rep.de != nil {
-				_ = rep.de.Journal().Drop() // the replica-store copy is the staler one
-			}
 			// The demoted engine keeps journaling into its server-store
-			// log; promote re-adopts it once the handback completes.
-			rep.de = de
+			// log; promote re-adopts it once the handback completes. A
+			// failed removal of the staler replica-store copy surfaces when
+			// a snapshot next recreates it.
+			_ = sh.follow(de)
 		}
-		rep.mu.Unlock()
-		n.pending[id] = &handback{key: key, done: make(chan struct{})}
+		sh.mu.Unlock()
+		sh.hb = &handback{key: key, done: make(chan struct{})}
+		pending = true
 	}
+	return pending
 }
 
 // runHandbacks drives every pending handback to completion, retrying
@@ -139,10 +146,12 @@ func (n *Node) runHandbacks() {
 	defer n.wg.Done()
 	backoff := handbackRetry
 	for {
+		var ids []string
 		n.mu.Lock()
-		ids := make([]string, 0, len(n.pending))
-		for id := range n.pending {
-			ids = append(ids, id)
+		for id, sh := range n.shards {
+			if sh.hb != nil {
+				ids = append(ids, id)
+			}
 		}
 		n.mu.Unlock()
 		if len(ids) == 0 {
@@ -300,8 +309,8 @@ func (n *Node) adoptHandback(id string, hb *handback) (bool, error) {
 		return false, err
 	}
 	n.mu.Lock()
-	delete(n.pending, id)
-	delete(n.conflicts, id) // ours again; stale pairings are moot
+	sh := n.shards[id]
+	sh.hb, sh.conflicts = nil, nil // ours again; stale pairings are moot
 	n.mu.Unlock()
 	close(hb.done)
 	return true, nil
@@ -310,13 +319,12 @@ func (n *Node) adoptHandback(id string, hb *handback) (bool, error) {
 // handbackCursor is this node's current apply cursor for id: its
 // replica's epoch (0 when the replica was discarded or never existed).
 func (n *Node) handbackCursor(id string) uint64 {
-	n.mu.Lock()
-	rep := n.reps[id]
-	n.mu.Unlock()
-	if rep == nil {
+	sh := n.shard(id, false)
+	if sh == nil {
 		return 0
 	}
-	return rep.cursor()
+	cursor, _ := sh.cursor()
+	return cursor
 }
 
 // handbackClaimState captures a claim's payload: the cursor plus the
@@ -325,19 +333,17 @@ func (n *Node) handbackCursor(id string) uint64 {
 // cursor alone. Best effort — a claim without records still reconciles,
 // through apply-time divergence detection instead.
 func (n *Node) handbackClaimState(id string) (uint64, []persist.Record) {
-	n.mu.Lock()
-	rep := n.reps[id]
-	n.mu.Unlock()
-	if rep == nil {
+	sh := n.shard(id, false)
+	if sh == nil {
 		return 0, nil
 	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.de == nil {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.rep == nil {
 		return 0, nil
 	}
-	cursor := rep.de.Epoch()
-	log := rep.de.Journal()
+	cursor := sh.rep.Epoch()
+	log := sh.rep.Journal()
 	if log == nil {
 		return cursor, nil
 	}
@@ -390,114 +396,66 @@ func (n *Node) grantClaim(id string, key uint64, o *wire.HandbackOffer) *wire.Ha
 	if owner, ok := n.ring.Owner(key, nil); ok {
 		n.markLive(owner)
 	}
-	sh := n.ownedShardState(id)
-	sh.mu.Lock()
+	sh := n.shard(id, true)
+	sh.pipe.Lock()
 	de, served := n.srv.DynShard(id)
 	if !served {
-		sh.mu.Unlock()
-		return n.grantFromReplica(id, o)
+		sh.pipe.Unlock()
+		return grantFromReplica(sh, o)
 	}
-	g, ok := n.buildServedGrant(id, de, o)
-	if !ok {
-		sh.mu.Unlock()
-		return g
-	}
-	rel, _ := n.srv.ReleaseDynShard(id)
+	g := grant(de, o)
+	n.srv.ReleaseDynShard(id)
+	sh.pipe.Unlock()
+	// Demote outside the pipeline lock (cluster-class locks are acquired
+	// holding nothing). The released engine becomes the copy this node
+	// follows as the shard's ring follower, superseding any other: the
+	// granted state stays replicated even if the rejoiner dies right
+	// after this reply, and the rejoiner's own shipping finds a follower
+	// already at the fence. The window where the shard is in neither
+	// table is safe — only the single claiming owner converses with this
+	// node about it.
+	sh.mu.Lock()
+	_ = sh.follow(de) // a failed removal surfaces when a snapshot next recreates the copy
 	sh.mu.Unlock()
-	// Demote outside the pipeline lock (cluster-class locks are
-	// acquired holding nothing, so rep.mu never nests under sh.mu).
-	// The released engine becomes the replica this node keeps as the
-	// shard's ring follower: the granted state stays replicated even if
-	// the rejoiner dies right after this reply, and the rejoiner's own
-	// shipping finds a follower already at the fence. The window where
-	// the shard is in neither table is safe — only the single claiming
-	// owner converses with this node about it.
-	if rel != nil {
-		rep := n.replicaEntry(id)
-		rep.mu.Lock()
-		if rep.de == nil {
-			rep.de = rel
-		}
-		rep.mu.Unlock()
-	}
 	n.mu.Lock()
-	delete(n.conflicts, id) // this node no longer ships the shard
+	sh.conflicts = nil // this node no longer ships the shard
 	n.mu.Unlock()
 	return g
 }
 
-// buildServedGrant computes a served shard's grant under the pipeline
-// lock: the fence is the quiesced epoch, and the payload is chosen by
-// diffing the offer against it. ok == false means the grant is a retry
-// (snapshot capture failed) and nothing was released.
-func (n *Node) buildServedGrant(id string, de *engine.DynEngine, o *wire.HandbackOffer) (*wire.HandbackGrant, bool) {
-	fence := de.Epoch()
-	snapshot := func() (*wire.HandbackGrant, bool) {
-		blob, epoch, err := n.srv.SnapshotDyn(id)
-		if err != nil {
-			return &wire.HandbackGrant{Mode: wire.GrantRetry, Msg: "snapshot: " + err.Error()}, false
-		}
-		return &wire.HandbackGrant{Mode: wire.GrantSnapshot, Fence: epoch, Blob: blob}, true
-	}
-	if o.Cursor > fence {
-		// The rejoiner ran ahead of the last ack before it crashed; that
-		// tail was never acknowledged and this node's acked history has
-		// moved on underneath it. Only a rebuild discards it safely.
-		return snapshot()
-	}
-	log := de.Journal()
-	if handbackDiverged(log, fence, o) {
-		return snapshot()
-	}
-	if o.Cursor == fence {
-		return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence}, true
-	}
-	if log == nil {
-		return snapshot()
-	}
-	recs, err := log.RecordsAfter(o.Cursor)
-	if err != nil {
-		return snapshot() // tail compacted away: rebuild
-	}
-	if len(recs) == 0 || recs[len(recs)-1].Epoch != fence {
-		return snapshot()
-	}
-	return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}, true
-}
-
 // grantFromReplica answers a claim for a shard this node does not
-// serve. A replica ahead of the offer holds acked history the rejoiner
-// must not lose — typically because this node already released the
-// shard on an earlier claim whose grant the rejoiner never finished
-// applying — so the diff comes from the replica, fenced at its cursor.
-// At or below the offered cursor, the rejoiner's own copy wins.
-func (n *Node) grantFromReplica(id string, o *wire.HandbackOffer) *wire.HandbackGrant {
-	n.mu.Lock()
-	rep := n.reps[id]
-	n.mu.Unlock()
-	if rep == nil {
+// serve. A replica at or ahead of the offer holds acked history the
+// rejoiner must not lose — typically because this node already released
+// the shard on an earlier claim whose grant the rejoiner never finished
+// applying — so it grants from the replica, fenced at its cursor. Below
+// the offered cursor, the rejoiner's own copy wins.
+func grantFromReplica(sh *shard, o *wire.HandbackOffer) *wire.HandbackGrant {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.rep == nil || sh.rep.Epoch() < o.Cursor {
 		return &wire.HandbackGrant{Mode: wire.GrantOwn, Fence: o.Cursor}
 	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.de == nil {
-		return &wire.HandbackGrant{Mode: wire.GrantOwn, Fence: o.Cursor}
-	}
-	fence := rep.de.Epoch()
-	if fence <= o.Cursor {
-		return &wire.HandbackGrant{Mode: wire.GrantOwn, Fence: o.Cursor}
-	}
-	if log := rep.de.Journal(); log != nil {
-		if recs, err := log.RecordsAfter(o.Cursor); err == nil && len(recs) > 0 && recs[len(recs)-1].Epoch == fence {
-			return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}
-		}
-	}
-	blob := persist.EncodeDyn(rep.de.State())
-	return &wire.HandbackGrant{Mode: wire.GrantSnapshot, Fence: fence, Blob: blob}
+	return grant(sh.rep, o)
 }
 
-// handbackDiverged compares the offered records against the served
-// shard's log over their epoch overlap (at or below the fence). A
+// grant answers a claim from de, the copy this node serves or follows,
+// fenced at de's epoch: the claimer catches up from its cursor
+// (catchUp), except that an offer whose records fork from de's log below
+// the fence gets the snapshot.
+func grant(de *engine.DynEngine, o *wire.HandbackOffer) *wire.HandbackGrant {
+	cursor := o.Cursor
+	if handbackDiverged(de.Journal(), de.Epoch(), o) {
+		cursor = 0 // catch up as a claimer without a copy: the snapshot
+	}
+	fence, recs, snap := catchUp(de, cursor)
+	if snap != nil {
+		return &wire.HandbackGrant{Mode: wire.GrantSnapshot, Fence: fence, Blob: snap}
+	}
+	return &wire.HandbackGrant{Mode: wire.GrantTail, Fence: fence, Recs: recs}
+}
+
+// handbackDiverged compares the offered records against the granting
+// copy's log over their epoch overlap (at or below the fence). A
 // mismatch — or an overlap the log can no longer produce — means the
 // histories forked below the fence and only a snapshot rebuild is safe.
 func handbackDiverged(log *persist.ShardLog, fence uint64, o *wire.HandbackOffer) bool {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -520,5 +521,99 @@ func TestConflictingFollowerTerminal(t *testing.T) {
 	owner.node.markDown(follower.addr)
 	if got := len(owner.node.Status().Conflicts); got != 0 {
 		t.Fatalf("%d conflicts after the peer's liveness transition, want 0", got)
+	}
+}
+
+// TestHandbackGrantCatchUp drives claims through Node.Handback against
+// both grant sources — a follower's replica and the serving owner — and
+// checks each grant against the one catch-up rule: a claim at the fence
+// gets an empty tail, one behind it with an intact WAL exactly the
+// records after its cursor, and a claim without a copy (cursor 0), one
+// whose records fork below the fence, or one behind a compacted WAL a
+// snapshot at the fence. A claim against the owner releases the shard,
+// so every case gets its own shard.
+func TestHandbackGrantCatchUp(t *testing.T) {
+	const fence = 5
+	cases := []struct {
+		name    string
+		compact bool   // the WAL is compacted past the cursor
+		cursor  uint64 // the claimer's apply cursor
+		fork    bool   // the claim's records fork from the shard's history
+		tail    bool   // want GrantTail with the records after cursor, else GrantSnapshot
+	}{
+		{name: "copy-less", cursor: 0},
+		{name: "forked", cursor: 2, fork: true},
+		{name: "at-fence", cursor: fence, tail: true},
+		{name: "behind", cursor: 2, tail: true},
+		{name: "compacted", compact: true, cursor: 1},
+	}
+	intact := startCluster(t, 3, 2)
+	compacted := startClusterStore(t, 3, 2, false, -1, persist.Options{CompactAfter: 2})
+	size := 8
+	for _, tc := range cases {
+		for _, source := range []string{"replica", "owner"} {
+			t.Run(tc.name+"/"+source, func(t *testing.T) {
+				nodes := intact
+				if tc.compact {
+					nodes = compacted
+				}
+				size++ // a distinct tree per shard
+				res, err := nodes[0].node.DynCreate(chainParents(size), 0, "")
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				id := res.ID
+				walk := ownerAndSuccessors(t, nodes[0], id)
+				owner, granter := byAddr(t, nodes, walk[0]), byAddr(t, nodes, walk[1])
+				if source == "owner" {
+					granter = owner
+				}
+				// Every mutation inserts a leaf under the root, so epoch e's
+				// record is {insert, e, 0, res.N+e-1}.
+				var history []persist.Record
+				for e := uint64(1); e <= fence; e++ {
+					mutateRetry(t, owner, id)
+					history = append(history, persist.Record{Type: persist.RecInsert, Epoch: e, Result: res.N + int(e) - 1})
+				}
+				offer := &wire.HandbackOffer{ShardID: id, Phase: wire.HandbackClaim, Cursor: tc.cursor}
+				if !tc.compact {
+					offer.Recs = append([]persist.Record(nil), history[:tc.cursor]...)
+				}
+				if tc.fork {
+					offer.Recs[0].Arg = 1 // epoch 1 inserted under vertex 1 instead
+				}
+
+				g := granter.node.Handback(offer)
+				if g.Fence != fence {
+					t.Fatalf("grant fence %d, want %d", g.Fence, fence)
+				}
+				if tc.tail {
+					if g.Mode != wire.GrantTail || !slices.Equal(g.Recs, history[tc.cursor:]) {
+						t.Fatalf("grant mode %d with records %v, want GrantTail with %v", g.Mode, g.Recs, history[tc.cursor:])
+					}
+				} else {
+					if g.Mode != wire.GrantSnapshot {
+						t.Fatalf("grant mode %d with %d records, want GrantSnapshot", g.Mode, len(g.Recs))
+					}
+					snap, err := persist.DecodeDyn(g.Blob)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snap.Epoch != fence || len(snap.Parents) != res.N+fence {
+						t.Fatalf("snapshot at epoch %d with %d vertices, want %d with %d", snap.Epoch, len(snap.Parents), fence, res.N+fence)
+					}
+				}
+				if source == "owner" {
+					// The release demotes the served copy into the one this
+					// node follows, at the fence.
+					if _, served := owner.srv.DynShard(id); served {
+						t.Fatalf("owner still serves %s after granting a claim", id)
+					}
+					if cur, ok := owner.node.Status().ReplicaCursors[id]; !ok || cur != fence {
+						t.Fatalf("owner follows %s at cursor %d (listed %v), want %d", id, cur, ok, fence)
+					}
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"spatialtree/internal/engine"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/server"
 	"spatialtree/internal/wire"
@@ -55,12 +56,55 @@ type Node struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	mu        sync.Mutex //spatialvet:lockclass routing
-	reps      map[string]*replica
-	owned     map[string]*ownedShard
-	pending   map[string]*handback         // shards mid-rejoin-handback
-	conflicts map[string]map[string]string // shard → follower → refusal (terminal ship suspensions)
-	seq       uint64
+	mu     sync.Mutex //spatialvet:lockclass routing
+	shards map[string]*shard
+	seq    uint64
+}
+
+// shard is one cluster shard's state on this node, whatever its role:
+// the owner's pipeline, the copy a follower keeps, a pending rejoin
+// handback and the followers an owner stopped shipping to. pipe and mu
+// are both cluster-class locks, so neither is ever taken while holding
+// the other.
+type shard struct {
+	// pipe serializes the owner's mutate→ship→ack pipeline; a handback
+	// grant fences and releases the shard under it.
+	pipe sync.Mutex //spatialvet:lockclass cluster
+	// mu serializes applies to the followed copy against its promotion,
+	// its replacement and grants read from it.
+	mu  sync.Mutex        //spatialvet:lockclass cluster
+	rep *engine.DynEngine // the followed copy; nil when discarded or never received
+	// followed keeps the shard in /v1/cluster/status's replica cursors
+	// (at 0 once its copy is discarded) until a promotion serves it.
+	followed bool
+
+	// Under Node.mu: the pending rejoin handback, and the terminal ship
+	// suspensions (follower → refusal).
+	hb        *handback
+	conflicts map[string]string
+}
+
+// follow makes de (nil: none) the copy this node follows, dropping the
+// durable state of the copy it supersedes; sh.mu is held.
+func (sh *shard) follow(de *engine.DynEngine) error {
+	var err error
+	if sh.rep != nil && sh.rep != de {
+		err = sh.rep.Journal().Drop()
+	}
+	sh.rep, sh.followed = de, true
+	return err
+}
+
+// cursor returns the followed copy's apply cursor — the epoch of the
+// last record it holds, 0 without a copy — and whether this node
+// follows the shard at all.
+func (sh *shard) cursor() (uint64, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.rep == nil {
+		return 0, sh.followed
+	}
+	return sh.rep.Epoch(), sh.followed
 }
 
 // peer tracks one remote member: its client connection and its
@@ -83,11 +127,6 @@ type peer struct {
 	// closed refuses further client registrations after Close, so a
 	// dial racing shutdown cannot strand an open connection in c.
 	closed bool
-}
-
-// ownedShard serializes one owned shard's mutate→ship→ack pipeline.
-type ownedShard struct {
-	mu sync.Mutex //spatialvet:lockclass cluster
 }
 
 // New builds the cluster tier for srv's Cluster configuration, recovers
@@ -113,16 +152,13 @@ func New(srv *server.Server, opts Options) (*Node, error) {
 		opts.DownFor = DefaultDownFor
 	}
 	n := &Node{
-		srv:       srv,
-		cfg:       cfg,
-		ring:      NewRing(cfg.Peers, cfg.VirtualNodes),
-		opts:      opts,
-		peers:     make(map[string]*peer),
-		stop:      make(chan struct{}),
-		reps:      make(map[string]*replica),
-		owned:     make(map[string]*ownedShard),
-		pending:   make(map[string]*handback),
-		conflicts: make(map[string]map[string]string),
+		srv:    srv,
+		cfg:    cfg,
+		ring:   NewRing(cfg.Peers, cfg.VirtualNodes),
+		opts:   opts,
+		peers:  make(map[string]*peer),
+		stop:   make(chan struct{}),
+		shards: make(map[string]*shard),
 	}
 	for _, addr := range n.ring.Nodes() {
 		if addr != cfg.Self {
@@ -150,9 +186,9 @@ func New(srv *server.Server, opts Options) (*Node, error) {
 	// Recovered shards this node owns by ring enter handback instead of
 	// serving: a successor may have moved their history on while this
 	// node was down (see handback.go).
-	n.detectRejoins()
+	pending := n.detectRejoins()
 	srv.SetCluster(n)
-	if len(n.pending) > 0 {
+	if pending {
 		n.wg.Add(1)
 		go n.runHandbacks()
 	}
@@ -366,13 +402,12 @@ func (n *Node) markConflict(id, addr, msg string) {
 	if msg == "" {
 		msg = "refused"
 	}
+	sh := n.shard(id, true)
 	n.mu.Lock()
-	m := n.conflicts[id]
-	if m == nil {
-		m = make(map[string]string)
-		n.conflicts[id] = m
+	if sh.conflicts == nil {
+		sh.conflicts = make(map[string]string)
 	}
-	m[addr] = msg
+	sh.conflicts[addr] = msg
 	n.mu.Unlock()
 }
 
@@ -380,17 +415,15 @@ func (n *Node) markConflict(id, addr, msg string) {
 func (n *Node) conflicted(id, addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.conflicts[id][addr] != ""
+	sh := n.shards[id]
+	return sh != nil && sh.conflicts[addr] != ""
 }
 
 // clearPeerConflicts voids every suspension involving addr.
 func (n *Node) clearPeerConflicts(addr string) {
 	n.mu.Lock()
-	for id, m := range n.conflicts {
-		delete(m, addr)
-		if len(m) == 0 {
-			delete(n.conflicts, id)
-		}
+	for _, sh := range n.shards {
+		delete(sh.conflicts, addr)
 	}
 	n.mu.Unlock()
 }
@@ -484,15 +517,16 @@ func (n *Node) bumpSeq(id string) {
 	n.mu.Unlock()
 }
 
-// ownedShardState returns (creating if needed) the replication pipeline
-// state for an owned shard.
-func (n *Node) ownedShardState(id string) *ownedShard {
+// shard returns the record of shard id, creating it when create is set.
+// Paths that only read a record pass false, so requests and shipments
+// naming unknown ids do not grow the table.
+func (n *Node) shard(id string, create bool) *shard {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sh := n.owned[id]
-	if sh == nil {
-		sh = &ownedShard{}
-		n.owned[id] = sh
+	sh := n.shards[id]
+	if sh == nil && create {
+		sh = &shard{}
+		n.shards[id] = sh
 	}
 	return sh
 }
@@ -514,19 +548,17 @@ func (n *Node) Status() server.ClusterStatus {
 	}
 	st.Owned = n.srv.DynShardIDs()
 	sort.Strings(st.Owned)
-	// Copy the replica table out, then read cursors lock-free of n.mu:
-	// cursor() takes per-replica and engine locks, which never nest
+	// Copy the shard table out, then read cursors lock-free of n.mu:
+	// cursor() takes the shard's and the engine's locks, which never nest
 	// under a routing-class lock.
 	n.mu.Lock()
-	reps := make(map[string]*replica, len(n.reps))
-	for id, rep := range n.reps {
-		reps[id] = rep
-	}
-	for id := range n.pending {
-		st.Handbacks = append(st.Handbacks, id)
-	}
-	for id, m := range n.conflicts {
-		for addr, msg := range m {
+	shards := make(map[string]*shard, len(n.shards))
+	for id, sh := range n.shards {
+		shards[id] = sh
+		if sh.hb != nil {
+			st.Handbacks = append(st.Handbacks, id)
+		}
+		for addr, msg := range sh.conflicts {
 			st.Conflicts = append(st.Conflicts, server.ClusterConflict{Shard: id, Peer: addr, Msg: msg})
 		}
 	}
@@ -539,10 +571,12 @@ func (n *Node) Status() server.ClusterStatus {
 		}
 		return a.Peer < b.Peer
 	})
-	if len(reps) > 0 {
-		st.ReplicaCursors = make(map[string]uint64, len(reps))
-		for id, rep := range reps {
-			st.ReplicaCursors[id] = rep.cursor()
+	for id, sh := range shards {
+		if cur, followed := sh.cursor(); followed {
+			if st.ReplicaCursors == nil {
+				st.ReplicaCursors = make(map[string]uint64)
+			}
+			st.ReplicaCursors[id] = cur
 		}
 	}
 	return st

@@ -12,44 +12,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"spatialtree/internal/engine"
 	"spatialtree/internal/persist"
 	"spatialtree/internal/wire"
 )
-
-// replica is one followed shard. The mutex serializes applies against
-// promotion and against snapshot replacement; de == nil means the
-// replica was discarded (or promoted) and needs a snapshot resync.
-type replica struct {
-	mu sync.Mutex //spatialvet:lockclass cluster
-	de *engine.DynEngine
-}
-
-// cursor returns the replica's apply cursor: the epoch of the last
-// record it holds. Idempotency pivot for the owner's shipping.
-func (rep *replica) cursor() uint64 {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.de == nil {
-		return 0
-	}
-	return rep.de.Epoch()
-}
-
-// replicaEntry returns (creating if needed) the replica slot for id.
-func (n *Node) replicaEntry(id string) *replica {
-	n.bumpSeq(id)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rep := n.reps[id]
-	if rep == nil {
-		rep = &replica{}
-		n.reps[id] = rep
-	}
-	return rep
-}
 
 // ApplySnapshot implements server.ClusterHooks: replace this node's
 // replica of id wholesale with the shipped snapshot. The cursor moves
@@ -70,18 +37,16 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 	if err != nil {
 		return 0, wire.AckRefused, "restore: " + err.Error()
 	}
-	rep := n.replicaEntry(id)
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
+	n.bumpSeq(id)
+	sh := n.shard(id, true)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	// The snapshot supersedes the old copy, wherever it journals: the
 	// replica store, or the server store for a copy demoted at boot
-	// (rejoin handback). Dropping it keeps a later restart from
-	// resurrecting it.
-	if rep.de != nil {
-		if err := rep.de.Journal().Drop(); err != nil {
-			return 0, wire.AckRefused, err.Error()
-		}
-		rep.de = nil
+	// (rejoin handback). Dropping it first frees its directory in the
+	// replica store and keeps a later restart from resurrecting it.
+	if err := sh.follow(nil); err != nil {
+		return 0, wire.AckRefused, err.Error()
 	}
 	if n.store != nil {
 		log, err := n.store.CreateShardLog(id, snap)
@@ -90,7 +55,7 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 		}
 		de.SetJournal(log)
 	}
-	rep.de = de
+	_ = sh.follow(de) // the old copy is gone: nothing to drop
 	return snap.Epoch, wire.AckOK, ""
 }
 
@@ -107,39 +72,32 @@ func (n *Node) ApplyRecords(id string, recs []persist.Record) (uint64, uint8, st
 	if _, served := n.srv.DynShard(id); served {
 		return 0, wire.AckRefused, "shard " + id + " is served here (conflicting ownership views)"
 	}
-	n.mu.Lock()
-	rep := n.reps[id]
-	n.mu.Unlock()
-	if rep == nil {
+	sh := n.shard(id, false)
+	if sh == nil {
 		return 0, wire.AckNeedSync, "no replica of " + id
 	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.de == nil {
-		return 0, wire.AckNeedSync, "replica of " + id + " was discarded"
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.rep == nil {
+		return 0, wire.AckNeedSync, "no replica of " + id
 	}
 	for _, r := range recs {
-		err := rep.de.ApplyRecord(r)
+		err := sh.rep.ApplyRecord(r)
 		switch {
 		case err == nil:
 		case errors.Is(err, engine.ErrReplicaGap):
-			return rep.de.Epoch(), wire.AckNeedSync, err.Error()
+			return sh.rep.Epoch(), wire.AckNeedSync, err.Error()
 		default:
-			discardReplicaLocked(rep)
+			// Discard the copy, durable state and all — from the server
+			// store, for a copy demoted at boot by the rejoin path — so the
+			// next shipment gets AckNeedSync and the owner rebuilds it from
+			// a snapshot. A failed removal surfaces when that snapshot
+			// recreates the copy.
+			_ = sh.follow(nil)
 			return 0, wire.AckRefused, err.Error()
 		}
 	}
-	return rep.de.Epoch(), wire.AckOK, ""
-}
-
-// discardReplicaLocked abandons a replica (caller holds rep.mu): the
-// engine is dropped together with its durable copy — from the server
-// store, for a copy demoted at boot by the rejoin path — and the next
-// shipment gets AckNeedSync, prompting the owner to rebuild from a
-// snapshot.
-func discardReplicaLocked(rep *replica) {
-	_ = rep.de.Journal().Drop() // a failed removal surfaces when the next snapshot recreates the copy
-	rep.de = nil
+	return sh.rep.Epoch(), wire.AckOK, ""
 }
 
 // recoverReplicas rebuilds the replica table from the replica store at
@@ -154,7 +112,10 @@ func (n *Node) recoverReplicas() error {
 		if err != nil {
 			return fmt.Errorf("cluster: replica %s: %w", id, err)
 		}
-		n.reps[id] = &replica{de: de}
+		sh := n.shard(id, true)
+		sh.mu.Lock()
+		_ = sh.follow(de) // a new record: nothing to drop
+		sh.mu.Unlock()
 		n.bumpSeq(id)
 	}
 	return nil

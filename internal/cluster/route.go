@@ -106,10 +106,12 @@ func (n *Node) ownerCreate(key uint64, parents []int, epsilon float64, backend s
 	if err != nil {
 		return res, err
 	}
-	sh := n.ownedShardState(id)
-	sh.mu.Lock()
-	n.replicate(id, key, nil)
-	sh.mu.Unlock()
+	sh := n.shard(id, true)
+	sh.pipe.Lock()
+	defer sh.pipe.Unlock()
+	if de, served := n.srv.DynShard(id); served {
+		n.replicate(id, key, de, nil)
+	}
 	return res, nil
 }
 
@@ -145,10 +147,11 @@ func (n *Node) Mutate(id string, op uint8, arg int) (res server.MutateResult, er
 // routed here before the fence but acquired the lock after it — no
 // apply ever lands past the fence epoch stamped into the grant.
 func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.MutateResult, error) {
-	sh := n.ownedShardState(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, served := n.srv.DynShard(id); !served {
+	sh := n.shard(id, true)
+	sh.pipe.Lock()
+	defer sh.pipe.Unlock()
+	de, served := n.srv.DynShard(id)
+	if !served {
 		return server.MutateResult{}, server.Errf(server.StatusUnavailable,
 			"cluster: shard %s ownership was handed back mid-request", id)
 	}
@@ -160,7 +163,7 @@ func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.Mut
 	if op == wire.OpDelete {
 		result = res.Moved
 	}
-	n.replicate(id, key, []persist.Record{{
+	n.replicate(id, key, de, []persist.Record{{
 		Type:   persist.RecordType(op), // the wire ops are the WAL's mutation types
 		Epoch:  res.Epoch,
 		Arg:    arg,
@@ -169,16 +172,20 @@ func (n *Node) ownerMutate(id string, key uint64, op uint8, arg int) (server.Mut
 	return res, nil
 }
 
-// replicate ships recs (or, with nil recs, the current snapshot) to up
-// to Replicas live followers, walking the ring past failures. It
-// returns once every shipped follower acked — the mutation response
+// replicate ships recs (or, with nil recs, a snapshot of the new shard
+// de) to up to Replicas live followers, walking the ring past failures.
+// It returns once every shipped follower acked — the mutation response
 // gate. Fewer than Replicas acks means the live cluster is smaller than
 // Replicas+1; the effective guarantee is always min(Replicas, live-1)
 // copies beyond the owner.
-func (n *Node) replicate(id string, key uint64, recs []persist.Record) int {
+func (n *Node) replicate(id string, key uint64, de *engine.DynEngine, recs []persist.Record) {
 	need := n.cfg.Replicas
 	if need <= 0 {
-		return 0
+		return
+	}
+	var snap []byte
+	if recs == nil {
+		_, _, snap = catchUp(de, 0) // a new shard's followers hold no copy
 	}
 	acked := 0
 	for _, cand := range n.ring.Successors(key, len(n.ring.nodes), n.alive) {
@@ -191,101 +198,90 @@ func (n *Node) replicate(id string, key uint64, recs []persist.Record) int {
 			continue
 		}
 		var err error
-		if len(recs) == 0 {
-			err = n.shipSnapshot(cand, id)
+		if snap != nil {
+			err = n.shipSnapshot(cand, id, snap)
 		} else {
-			err = n.shipRecords(cand, id, recs)
+			err = n.shipRecords(cand, id, de, recs)
 		}
-		if err != nil {
-			continue
-		}
-		acked++
-	}
-	return acked
-}
-
-// shipRecords ships WAL records to one follower. A follower that is
-// merely behind (AckNeedSync with a cursor) is first offered the WAL
-// tail it is missing — the cheap resync, straight out of the owner's
-// shard log. A follower with no usable replica (cursor 0, AckRefused,
-// or a tail the log already compacted away) is rebuilt with a full
-// snapshot, captured now so it covers every record being shipped. A
-// refused snapshot is terminal (see shipSnapshot); a refused record
-// ship still gets the one snapshot attempt first, because refusal is
-// also how a follower reports a diverged replica it just discarded —
-// the case a rebuild genuinely fixes.
-func (n *Node) shipRecords(addr, id string, recs []persist.Record) error {
-	var ack *wire.RepAck
-	if _, err := n.call(addr, func(c *wire.Client) (err error) {
-		ack, err = c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
-		return err
-	}); err != nil {
-		return err
-	}
-	if ack.Code == wire.AckOK {
-		return nil
-	}
-	if ack.Code == wire.AckNeedSync && ack.Cursor > 0 {
-		if err := n.shipTail(addr, id, ack.Cursor); err == nil {
-			return nil
-		}
-	}
-	return n.shipSnapshot(addr, id)
-}
-
-// shipTail ships the owner's WAL records after the follower's cursor —
-// one shot, no retry: any failure (records compacted away, no local
-// log, still out of sync) falls back to the snapshot path.
-func (n *Node) shipTail(addr, id string, cursor uint64) error {
-	de, ok := n.srv.DynShard(id)
-	if !ok || de.Journal() == nil {
-		return fmt.Errorf("cluster: no local log for %s", id)
-	}
-	recs, err := de.Journal().RecordsAfter(cursor)
-	if err != nil || len(recs) == 0 {
 		if err == nil {
-			err = fmt.Errorf("cluster: no records after epoch %d for %s", cursor, id)
+			acked++
 		}
-		return err
 	}
-	var ack *wire.RepAck
-	if _, err := n.call(addr, func(c *wire.Client) (err error) {
-		ack, err = c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
-		return err
-	}); err != nil {
-		return err
-	}
-	if ack.Code != wire.AckOK {
-		return fmt.Errorf("cluster: tail resync of %s at %s did not converge: %s", id, addr, ack.Msg)
-	}
-	return nil
 }
 
-// shipSnapshot ships the shard's current snapshot to one follower. A
-// refusal here is terminal for the (shard, follower) pair: the snapshot
-// is the replication ladder's last rung, and the canonical refusal —
-// the follower serves the shard itself (conflicting ownership views) —
+// catchUp returns what brings a copy of de at cursor to de's epoch, the
+// fence: nothing when the copy is there, the WAL records after cursor
+// when 0 < cursor < fence and de's log still holds every record up to
+// the fence, and otherwise a snapshot of de's state. Cursor 0 names a
+// peer without a copy, which always gets the snapshot. Every catch-up
+// in the tier — the owner's resync of a follower and both handback
+// grants — takes its payload from here; the caller holds whatever keeps
+// de from mutating meanwhile.
+func catchUp(de *engine.DynEngine, cursor uint64) (fence uint64, recs []persist.Record, snap []byte) {
+	fence = de.Epoch()
+	if cursor > 0 && cursor <= fence {
+		if cursor == fence {
+			return fence, nil, nil
+		}
+		if log := de.Journal(); log != nil {
+			// RecordsAfter returns consecutive epochs from cursor+1, so a
+			// tail ending at the fence is complete.
+			if recs, err := log.RecordsAfter(cursor); err == nil && len(recs) > 0 && recs[len(recs)-1].Epoch == fence {
+				return fence, recs, nil
+			}
+		}
+	}
+	st := de.State()
+	return st.Epoch, nil, persist.EncodeDyn(st)
+}
+
+// shipRecords ships a mutation's records to one follower. A follower
+// that does not ack them is caught up from the cursor it reported: the
+// WAL tail it misses, straight out of the owner's shard log, or a full
+// snapshot. A tail that still does not converge gets the snapshot. A
+// refused snapshot is terminal (see shipSnapshot); a refused record ship
+// still gets the one snapshot attempt first, because refusal is also how
+// a follower reports a diverged replica it just discarded — the case a
+// rebuild genuinely fixes.
+func (n *Node) shipRecords(addr, id string, de *engine.DynEngine, recs []persist.Record) error {
+	for resync := false; ; resync = true {
+		var ack *wire.RepAck
+		if _, err := n.call(addr, func(c *wire.Client) (err error) {
+			ack, err = c.ShipRecords(&wire.RepRecords{ShardID: id, Recs: recs})
+			return err
+		}); err != nil || ack.Code == wire.AckOK {
+			return err
+		}
+		cursor := ack.Cursor
+		if resync {
+			cursor = 0 // the tail did not converge either: rebuild
+		}
+		var snap []byte
+		if _, recs, snap = catchUp(de, cursor); snap != nil {
+			return n.shipSnapshot(addr, id, snap)
+		}
+	}
+}
+
+// shipSnapshot ships a snapshot of shard id to one follower. A refusal
+// here is terminal for the (shard, follower) pair: the snapshot is the
+// replication ladder's last rung, and the canonical refusal — the
+// follower serves the shard itself (conflicting ownership views) —
 // cannot resolve by shipping the same thing again. The pair is recorded
 // as a conflict (surfaced in /v1/cluster/status) and skipped by the
 // ship loop until a handback or a liveness transition of the follower
-// clears it; previously this was treated as transient and re-shipped on
-// every mutation, forever.
-func (n *Node) shipSnapshot(addr, id string) error {
-	blob, epoch, err := n.srv.SnapshotDyn(id)
-	if err != nil {
-		return err
-	}
+// clears it.
+func (n *Node) shipSnapshot(addr, id string, snap []byte) error {
 	var ack *wire.RepAck
 	if _, err := n.call(addr, func(c *wire.Client) (err error) {
-		ack, err = c.ShipSnapshot(&wire.RepSnapshot{ShardID: id, Blob: blob})
+		ack, err = c.ShipSnapshot(&wire.RepSnapshot{ShardID: id, Blob: snap})
 		return err
 	}); err != nil {
 		return err
 	}
 	if ack.Code != wire.AckOK {
 		n.markConflict(id, addr, ack.Msg)
-		return fmt.Errorf("cluster: follower %s refused snapshot of %s at epoch %d: %s",
-			addr, id, epoch, ack.Msg)
+		return fmt.Errorf("cluster: follower %s refused the snapshot of %s: %s", addr, id, ack.Msg)
 	}
 	return nil
 }
@@ -319,26 +315,22 @@ func (n *Node) promote(id string) error {
 	if _, ok := n.srv.DynShard(id); ok {
 		return nil
 	}
-	n.mu.Lock()
-	rep := n.reps[id]
-	n.mu.Unlock()
-	if rep == nil {
+	sh := n.shard(id, false)
+	if sh == nil {
 		return server.Errf(server.StatusNotFound, "unknown shard_id %s", id)
 	}
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.de == nil {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.rep == nil {
 		return server.Errf(server.StatusNotFound, "unknown shard_id %s", id)
 	}
-	if err := n.srv.AdoptDynShard(id, rep.de); err != nil {
+	if err := n.srv.AdoptDynShard(id, sh.rep); err != nil {
 		if _, ok := n.srv.DynShard(id); ok {
 			return nil // lost a promotion race; the shard is served
 		}
 		return err
 	}
-	rep.de = nil // the engine, its WAL with it, lives on in the serving table
-	n.mu.Lock()
-	delete(n.reps, id)
-	n.mu.Unlock()
+	// The engine, its WAL with it, lives on in the serving table.
+	sh.rep, sh.followed = nil, false
 	return nil
 }

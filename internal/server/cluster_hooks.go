@@ -279,18 +279,6 @@ func (s *Server) StoreOptions() persist.Options {
 	return s.cfg.Durability.Store.Options()
 }
 
-// SnapshotDyn captures a locally served dyn shard as a persist-encoded
-// snapshot blob plus the epoch it is consistent with — the payload of a
-// replication FrameRepSnapshot.
-func (s *Server) SnapshotDyn(id string) (blob []byte, epoch uint64, err error) {
-	de, ok := s.DynShard(id)
-	if !ok {
-		return nil, 0, statusErrf(StatusNotFound, "unknown shard_id %s", id)
-	}
-	st := de.State()
-	return persist.EncodeDyn(st), st.Epoch, nil
-}
-
 // DynSnapshotFromState returns st unchanged: DynEngine.State already
 // produces the persist snapshot type.
 //

@@ -238,18 +238,15 @@ func (s *Server) serveFrame(out []byte, id uint64, serve func(out []byte) ([]byt
 
 // serveWireDynCreate serves one FrameDynCreate: the binary twin of
 // POST /v1/dyn, routed through the cluster hooks exactly as the HTTP
-// handler is. A frame naming its shard id is the cluster owner path —
-// the proxying peer already routed the id here, so it must be created
-// locally (re-routing would bounce between skewed ring views).
+// handler is. The server assigns shard ids, so a frame naming one is a
+// bad request: honoring it would skip the cluster ring and the id
+// sequence, and could take an id the server assigns later.
 func (s *Server) serveWireDynCreate(out []byte, dc *wire.DynCreate) []byte {
 	return s.serveFrame(out, dc.ID, func(out []byte) ([]byte, error) {
-		var res DynCreateResult
-		var err error
 		if dc.ShardID != "" {
-			res, err = s.DynCreateLocal(dc.ShardID, dc.Parents, dc.Epsilon, dc.Backend)
-		} else {
-			res, err = s.dynCreate(dc.Parents, dc.Epsilon, dc.Backend)
+			return out, statusErrf(StatusBadRequest, "dyn-create names shard_id %q; the server assigns shard ids", dc.ShardID)
 		}
+		res, err := s.dynCreate(dc.Parents, dc.Epsilon, dc.Backend)
 		if err != nil {
 			return out, err
 		}

@@ -226,6 +226,32 @@ func TestWireErrorClassification(t *testing.T) {
 	}
 }
 
+// TestWireDynCreateRefusesShardID: the server assigns dyn shard ids. A
+// binary dyn-create that names one — a free local id, a taken one, or a
+// cluster-shaped one — is a bad request and creates nothing, so the ids
+// the server hands out afterwards are still free.
+func TestWireDynCreateRefusesShardID(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	cl := newWireServer(t, s)
+	parents := testParents(40, 9)
+	if dc, err := cl.DynCreate(&wire.DynCreate{Parents: parents}); err != nil || dc.ShardID != "d1" {
+		t.Fatalf("server-assigned create = %+v, %v; want d1", dc, err)
+	}
+	for _, id := range []string{"d2", "d1", "c00000000000002a-3"} {
+		_, err := cl.DynCreate(&wire.DynCreate{ShardID: id, Parents: parents})
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Status != wire.StatusBadRequest {
+			t.Fatalf("create naming shard_id %s: err = %v, want status %v", id, err, wire.StatusBadRequest)
+		}
+	}
+	if ids := s.DynShardIDs(); len(ids) != 1 || ids[0] != "d1" {
+		t.Fatalf("shards after the refused creates: %v, want [d1]", ids)
+	}
+	if dc, err := cl.DynCreate(&wire.DynCreate{Parents: parents}); err != nil || dc.ShardID != "d2" {
+		t.Fatalf("server-assigned create after the refusals = %+v, %v; want d2", dc, err)
+	}
+}
+
 // TestWireBackpressure floods the binary listener past QueueLimit and
 // requires both outcomes: some queries served, some answered with
 // StatusTooMany — the binary counterpart of HTTP 429 — with the shared

@@ -26,9 +26,6 @@ type DialOptions struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each request frame write (0 means none).
 	WriteTimeout time.Duration
-	// MaxFrame bounds accepted response payloads (<= 0 means
-	// DefaultMaxFrame).
-	MaxFrame int
 }
 
 // Client speaks the binary protocol to one server connection. It is
@@ -234,7 +231,7 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) readLoop() {
-	rd := NewReader(c.br, c.opts.MaxFrame)
+	rd := NewReader(c.br, DefaultMaxFrame)
 	for {
 		kind, payload, err := rd.Next()
 		if err != nil {

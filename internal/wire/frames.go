@@ -48,8 +48,8 @@ const (
 )
 
 // DynCreate asks the server to create a mutable shard from Parents.
-// ShardID "" lets the server assign the id (the single-node behavior);
-// a cluster owner receives the id its proxy already routed on.
+// The server assigns the shard id: ShardID stays empty, and a frame
+// that sets it is refused with StatusBadRequest.
 type DynCreate struct {
 	ID      uint64
 	ShardID string
