@@ -1,19 +1,21 @@
 package analysis
 
 // The shared intra-procedural lock tracker behind lockorder and
-// waitunderlock. The walk is source-order and branch-insensitive: a
-// Lock pushes, an Unlock pops its lock, a deferred Unlock holds to the
-// end of the function. The early-unlock-and-return idiom
-// (`if x { mu.Unlock(); return }`) therefore under-approximates the
-// held set for the fall-through path — the safe direction for a vet
-// tool. Function literals are walked inline at their definition point:
-// the balanced Lock/Unlock bodies of deferred publish closures cancel
-// out, and their lock usage still contributes to the enclosing
+// waitunderlock. The walk is source-order: a Lock pushes, an Unlock pops
+// its lock, a deferred Unlock holds to the end of the function. A block
+// or switch/select case ending in a return or a panic is walked on a
+// copy of the held set, so after `if x { mu.Unlock(); return }` mu is
+// still held; any other branch counts as taken (what it releases counts
+// as released after it, what it takes as held). Function literals are
+// walked inline at their definition point, a return in one leaving the
+// literal: the balanced Lock/Unlock bodies of deferred publish closures
+// cancel out, and their lock usage still contributes to the enclosing
 // function's summary.
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 type heldLock struct {
@@ -35,7 +37,20 @@ type lockEvent struct {
 func walkLockState(prog *Program, pkg *Package, decl *ast.FuncDecl, visit func(ev lockEvent)) {
 	var held []heldLock
 	skip := make(map[ast.Node]bool)
+	var open []ast.Node // the nodes being walked, innermost last
+	saved := make(map[ast.Node][]heldLock)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if n == nil { // leaving the innermost open node
+			if s, ok := saved[open[len(open)-1]]; ok {
+				held = s
+			}
+			open = open[:len(open)-1]
+			return true
+		}
+		open = append(open, n)
+		if leavesFunc(pkg, n) {
+			saved[n] = slices.Clone(held)
+		}
 		switch n := n.(type) {
 		case *ast.DeferStmt:
 			// A deferred Unlock releases at return: the lock stays held
@@ -66,6 +81,31 @@ func walkLockState(prog *Program, pkg *Package, decl *ast.FuncDecl, visit func(e
 		}
 		return true
 	})
+}
+
+// leavesFunc reports whether n is a block or a switch/select case whose
+// last statement leaves the function: a return or a panic call.
+func leavesFunc(pkg *Package, n ast.Node) bool {
+	var body []ast.Stmt
+	switch n := n.(type) {
+	case *ast.BlockStmt:
+		body = n.List
+	case *ast.CaseClause:
+		body = n.Body
+	case *ast.CommClause:
+		body = n.Body
+	}
+	if len(body) == 0 {
+		return false
+	}
+	switch last := body[len(body)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := last.X.(*ast.CallExpr)
+		return ok && isBuiltin(pkg, call, "panic")
+	}
+	return false
 }
 
 // funcDecls iterates the package's function declarations with bodies.

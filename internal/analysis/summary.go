@@ -534,7 +534,7 @@ func updateAllocParams(prog *Program, s *funcSummary) bool {
 		if !ok {
 			return true
 		}
-		if isBuiltinMake(s.pkg, call) {
+		if len(call.Args) > 1 && isBuiltin(s.pkg, call, "make") {
 			for _, sz := range call.Args[1:] {
 				mark(sz)
 			}
@@ -552,13 +552,8 @@ func updateAllocParams(prog *Program, s *funcSummary) bool {
 	return grew
 }
 
-// isBuiltinMake reports whether call invokes the make builtin with a
-// size argument.
-func isBuiltinMake(pkg *Package, call *ast.CallExpr) bool {
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(pkg *Package, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" || len(call.Args) < 2 {
-		return false
-	}
-	_, isBuiltin := pkg.Info.Uses[id].(*types.Builtin)
-	return isBuiltin
+	return ok && pkg.Info.Uses[id] == types.Universe.Lookup(name)
 }

@@ -186,7 +186,7 @@ func (w *taintWalker) checkAlloc(call *ast.CallExpr) {
 	if w.report == nil {
 		return
 	}
-	if isBuiltinMake(w.pkg, call) {
+	if len(call.Args) > 1 && isBuiltin(w.pkg, call, "make") {
 		for _, sz := range call.Args[1:] {
 			if w.taintedExpr(sz) {
 				w.report(sz.Pos(), types.ExprString(sz))

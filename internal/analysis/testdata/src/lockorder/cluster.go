@@ -69,3 +69,51 @@ func (t *Table) CleanCopyThenShip() {
 	t.tmu.Unlock()
 	o.ship()
 }
+
+// BrokenClusterAfterEarlyReturn releases tmu only on the branch that
+// returns: on the path that falls through, tmu is still held when the
+// cluster lock is taken.
+func (t *Table) BrokenClusterAfterEarlyReturn(done bool) {
+	t.tmu.Lock()
+	if done {
+		t.tmu.Unlock()
+		return
+	}
+	t.owner.cmu.Lock() // want "cluster-class lock lockorder.cmu acquired while holding lockorder.tmu"
+	t.owner.n++
+	t.owner.cmu.Unlock()
+	t.tmu.Unlock()
+}
+
+// BrokenClusterAfterCaseExit is the same shape through a switch case
+// that panics and a select case that returns.
+func (t *Table) BrokenClusterAfterCaseExit(k int, quit chan struct{}) {
+	t.tmu.Lock()
+	switch k {
+	case 0:
+		t.tmu.Unlock()
+		panic("k = 0")
+	}
+	select {
+	case <-quit:
+		t.tmu.Unlock()
+		return
+	default:
+	}
+	t.owner.ship() // want "call to lockorder.ship .acquires cluster-class lockorder.cmu. while holding lockorder.tmu"
+	t.tmu.Unlock()
+}
+
+// CleanClusterInEarlyReturn takes the cluster lock inside the branch
+// that returns, after the branch released tmu.
+func (t *Table) CleanClusterInEarlyReturn(done bool) {
+	t.tmu.Lock()
+	if done {
+		t.tmu.Unlock()
+		t.owner.cmu.Lock()
+		t.owner.n++
+		t.owner.cmu.Unlock()
+		return
+	}
+	t.tmu.Unlock()
+}

@@ -1,9 +1,9 @@
 package dynlayout
 
 // MutTree is the mutation surface shared by *Dyn and the engine's
-// DynEngine: just enough to drive a churn schedule against either, so
-// the acceptance benchmark and the serving load generator exercise one
-// and the same workload shape.
+// DynEngine: just enough to drive one churn schedule against either.
+// BenchmarkE14DynChurn, its only user, takes both: a bare *Dyn in its
+// naive-rebuild arm, a DynEngine in its dyn arms.
 type MutTree interface {
 	N() int
 	IsLeaf(v int) bool
@@ -16,8 +16,8 @@ type MutTree interface {
 // original vertex count, only previously inserted leaves are ever
 // deleted, so DeleteLeaf's swap-last renumbering can never touch an
 // original id — queries addressed to the original vertices stay valid
-// for the whole run. BenchmarkE14DynChurn and spatialserve's churn mode
-// both build their delete steps on exactly this invariant.
+// for the whole run. BenchmarkE14DynChurn builds its delete steps on
+// exactly this invariant.
 func DeleteYoungestLeaf(mt MutTree, floor int) (bool, error) {
 	for v := mt.N() - 1; v >= floor; v-- {
 		if mt.IsLeaf(v) {

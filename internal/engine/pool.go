@@ -31,18 +31,9 @@ import (
 type Pool struct {
 	opts Options
 
-	mu       sync.Mutex //spatialvet:lockclass routing
-	engines  map[uint64]*Engine
-	building map[uint64]*poolBuild
-	shards   []*Engine // stable insertion order for FlushAll and Stats
-}
-
-// poolBuild coalesces concurrent first sights of one fingerprint: the
-// first caller constructs the engine, the rest wait.
-type poolBuild struct {
-	done chan struct{}
-	e    *Engine
-	err  error
+	mu      sync.Mutex //spatialvet:lockclass routing
+	engines map[uint64]*Engine
+	shards  []*Engine // stable insertion order for FlushAll and Stats
 }
 
 // NewPool returns a pool; opts applies to every engine the pool
@@ -52,11 +43,7 @@ func NewPool(opts Options) *Pool {
 	if opts.Cache == nil {
 		opts.Cache = NewLayoutCache(DefaultCacheCapacity)
 	}
-	return &Pool{
-		opts:     opts,
-		engines:  make(map[uint64]*Engine),
-		building: make(map[uint64]*poolBuild),
-	}
+	return &Pool{opts: opts, engines: make(map[uint64]*Engine)}
 }
 
 // ErrCollision reports that a different tree already holds the pool
@@ -69,15 +56,16 @@ var ErrCollision = errors.New("engine: fingerprint collision")
 // default backend on first sight. Structurally identical trees share a
 // shard. An existing shard is returned on whichever backend it serves:
 // Engine never switches one. Concurrent first sights of the same tree
-// coalesce onto one construction (and, on sim, through the shared
-// cache, one layout build).
+// may each construct an engine, but all of them get the one the pool
+// published first; on sim the shared cache builds their layout once.
 func (p *Pool) Engine(t *tree.Tree) (*Engine, error) {
 	return p.Shard(t, Fingerprint(t), "")
 }
 
 // Shard is Engine for a caller that already holds t's fingerprint fp
 // (which must be Fingerprint(t)), with a backend choice. On first sight
-// it builds t's shard on backend, "" meaning the pool's default. An
+// it builds t's shard on backend, "" meaning the pool's default; racing
+// first sights all get the one shard published first, as with Engine. An
 // existing shard keeps its backend when backend is "", and is switched
 // to backend in place otherwise: batches already dispatched finish on
 // the backend they were taken on, and the shard's counters carry across
@@ -112,46 +100,30 @@ func (p *Pool) Lookup(fp uint64, parents []int) *Engine {
 // ErrCollision error when a different tree holds fp.
 func (p *Pool) shard(t *tree.Tree, fp uint64, backend string) (*Engine, error) {
 	p.mu.Lock()
-	if e, ok := p.engines[fp]; ok {
-		p.mu.Unlock()
-		return sameTree(e, t, fp)
-	}
-	if b, ok := p.building[fp]; ok {
-		p.mu.Unlock()
-		<-b.done
-		if b.err != nil {
-			return nil, b.err
-		}
-		return sameTree(b.e, t, fp)
-	}
-	b := &poolBuild{done: make(chan struct{})}
-	p.building[fp] = b
+	e := p.engines[fp]
 	p.mu.Unlock()
-
-	// Build outside the lock: construction (on sim, the layout) is the
-	// expensive part and must not serialize unrelated shards. The deferred publish runs
-	// even if the build panics, so waiters get an error instead of
-	// blocking forever on a done channel that never closes.
-	var e *Engine
-	var err error
-	defer func() {
-		if e == nil && err == nil {
-			err = fmt.Errorf("engine: pool build for fingerprint %x did not complete", fp)
+	if e == nil {
+		// Build outside the lock, so a first sight never serializes
+		// unrelated shards. Racing first sights each build and the first
+		// to publish wins, which wastes little: the layout cache builds a
+		// sim shard's layout once, and a native engine is O(1) to build.
+		opts := p.opts
+		opts.Backend = backend
+		built, err := New(t, opts)
+		if err != nil {
+			return nil, err
 		}
 		p.mu.Lock()
-		delete(p.building, fp)
-		if err == nil {
-			p.engines[fp] = e
-			p.shards = append(p.shards, e)
+		if e = p.engines[fp]; e == nil {
+			p.engines[fp] = built
+			p.shards = append(p.shards, built)
 		}
-		b.e, b.err = e, err
 		p.mu.Unlock()
-		close(b.done)
-	}()
-	opts := p.opts
-	opts.Backend = backend
-	e, err = New(t, opts)
-	return e, err
+		if e == nil {
+			return built, nil
+		}
+	}
+	return sameTree(e, t, fp)
 }
 
 // sameTree returns the shard e holding fp when it serves t's parent

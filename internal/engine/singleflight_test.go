@@ -54,9 +54,9 @@ func TestGetOrBuildSingleFlight(t *testing.T) {
 	}
 }
 
-// TestPoolEngineSingleBuild closes the unlocked window in Pool.Engine:
-// N concurrent first sights of one tree must construct one engine and
-// one layout.
+// TestPoolEngineSingleBuild pins Pool.Engine's first sight: N concurrent
+// first sights of one tree may each construct an engine, but must all
+// get the one the pool published, over one layout from the shared cache.
 func TestPoolEngineSingleBuild(t *testing.T) {
 	base := tree.RandomAttachment(4000, rng.New(2))
 	pool := NewPool(Options{})
